@@ -14,13 +14,8 @@ from .model import (  # noqa: F401
     EPS_BLACK,
     EPS_GRAY,
     WHITE,
-    Decomposition,
     IlluminationBasis,
-    ProjectionCoeffs,
-    decompose,
     l2_chromaticity,
-    project_onto,
-    unit_circle_residual,
     white_balance,
 )
 from .clustering import (  # noqa: F401
@@ -35,15 +30,11 @@ from .clustering import (  # noqa: F401
 )
 from .recovery import (  # noqa: F401
     MaterialModel,
-    ParallelHistogram,
     RecoveryConfig,
     SeparationResult,
     estimate_models,
     estimate_ratio,
-    first_peak,
-    parallel_histogram,
     separate_image,
-    separate_pixel,
 )
 from .synth import (  # noqa: F401
     BUILTIN_SCENES,
@@ -59,7 +50,6 @@ from .metrics import EvalReport, cluster_accuracy, psnr  # noqa: F401
 from .pipeline import (  # noqa: F401
     PipelineConfig,
     PipelineDiagnostics,
-    remove_highlights,
-    remove_highlights_fast,
+    run,
 )
 from . import errors  # noqa: F401

@@ -37,7 +37,11 @@ def row_slices(height: int, workers: int) -> list[slice]:
 
 
 def run_rows(fn, height: int, threads: int) -> None:
-    """Call fn(rows) for contiguous row slices covering [0, height)."""
+    """Call fn(rows) for contiguous row slices covering [0, height).
+
+    The rows are split into ``threads`` blocks, but the pool never holds
+    more workers than there are cores.
+    """
     if threads <= 1 or height < 64:
         fn(slice(0, height))
         return
@@ -45,6 +49,6 @@ def run_rows(fn, height: int, threads: int) -> None:
     if len(blocks) == 1:
         fn(blocks[0])
         return
-    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(blocks), os.cpu_count() or 1)) as pool:
         # consume results so worker exceptions propagate
         list(pool.map(fn, blocks))

@@ -53,12 +53,6 @@ class BlackPixelError(DespecError):
     exit_code = 5
 
 
-class AchromaticColorError(DespecError):
-    """Chromaticity indistinguishable from the illumination direction."""
-
-    exit_code = 5
-
-
 class InvalidIlluminantError(DespecError):
     exit_code = 5
 

@@ -1,5 +1,5 @@
-"""Core color model: unit chromaticities and their decomposition against
-the illumination direction.
+"""Core color model: unit chromaticities, the illumination direction
+they are decomposed against, and white balance.
 
 A pixel's chromaticity is its RGB vector scaled to unit Euclidean norm.
 Under a single global illumination color the chromaticity of any mix of
@@ -7,8 +7,8 @@ body reflection (material color) and surface reflection (illumination
 color) lies in the plane spanned by the material chromaticity and the
 illumination chromaticity.  Splitting that plane into the illumination
 direction and its orthogonal complement gives coordinates in which pure
-materials sit on the unit circle; everything here works in those
-coordinates.
+materials sit on the unit circle.  The per-pixel split itself is
+vectorized in :func:`despec.clustering.specular_free_field`.
 """
 
 from __future__ import annotations
@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AchromaticColorError,
-    BlackPixelError,
-    InvalidIlluminantError,
-)
+from .errors import BlackPixelError, InvalidIlluminantError
 
 # Intensity norm below which a pixel carries no usable color information.
 EPS_BLACK = 1e-6
@@ -55,7 +51,7 @@ def l2_chromaticity(v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IlluminationBasis:
-    """Unit illumination direction plus projections onto and against it."""
+    """Unit illumination direction plus the projection onto it."""
 
     direction: np.ndarray
 
@@ -63,6 +59,8 @@ class IlluminationBasis:
         d = np.asarray(self.direction, dtype=np.float64)
         if d.shape != (3,):
             raise InvalidIlluminantError("illumination direction must be a 3-vector")
+        if not np.all(np.isfinite(d)):
+            raise InvalidIlluminantError("illumination direction has non-finite components")
         n = float(_norm3(d))
         if abs(n - 1.0) > 1e-9:
             raise InvalidIlluminantError(f"illumination direction norm {n!r} is not 1")
@@ -78,6 +76,8 @@ class IlluminationBasis:
     def from_rgb(cls, rgb) -> "IlluminationBasis":
         """Basis from an (unnormalized) illumination color."""
         rgb = np.asarray(rgb, dtype=np.float64)
+        if not np.all(np.isfinite(rgb)):
+            raise InvalidIlluminantError("illumination color has non-finite components")
         if np.any(rgb < 0):
             raise InvalidIlluminantError("illumination color has negative components")
         return cls(l2_chromaticity(rgb))
@@ -87,80 +87,6 @@ class IlluminationBasis:
         d = self.direction
         v = np.asarray(v, dtype=np.float64)
         return v[..., 0] * d[0] + v[..., 1] * d[1] + v[..., 2] * d[2]
-
-    def orthogonal_part(self, v: np.ndarray) -> np.ndarray:
-        """Component of v orthogonal to the illumination direction."""
-        return np.asarray(v, dtype=np.float64) - self.parallel_coeff(v)[..., None] * self.direction
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """A chromaticity split against the illumination direction.
-
-    ortho * ortho_dir + parallel * basis.direction reconstructs the
-    chromaticity; ortho is nonnegative and ortho**2 + parallel**2 == 1.
-    """
-
-    ortho: float
-    parallel: float
-    ortho_dir: np.ndarray
-
-
-def decompose(chroma, basis: IlluminationBasis) -> Decomposition:
-    """Split a unit chromaticity into illumination-parallel and
-    illumination-orthogonal parts.
-
-    Raises AchromaticColorError when the orthogonal residue is at or
-    below EPS_GRAY: the orthogonal direction is then undefined and the
-    pixel cannot be told apart from pure illumination.
-    """
-    chroma = np.asarray(chroma, dtype=np.float64)
-    parallel = float(basis.parallel_coeff(chroma))
-    residue = chroma - parallel * basis.direction
-    ortho = float(_norm3(residue))
-    if ortho <= EPS_GRAY:
-        raise AchromaticColorError(
-            f"orthogonal residue {ortho:g} is below {EPS_GRAY:g}; color is achromatic"
-        )
-    return Decomposition(ortho=ortho, parallel=parallel, ortho_dir=residue / ortho)
-
-
-@dataclass(frozen=True)
-class ProjectionCoeffs:
-    """Coordinates of a pixel chromaticity in a (material ortho-direction,
-    illumination direction) frame."""
-
-    ortho: float
-    parallel: float
-
-
-def project_onto(pixel_chroma, center, basis: IlluminationBasis) -> ProjectionCoeffs:
-    """Project a unit chromaticity onto a material's orthogonal direction
-    and the illumination direction.
-
-    ``center`` must be a unit vector orthogonal to the illumination
-    direction (a cluster center in the specular-free subspace).
-    """
-    center = np.asarray(center, dtype=np.float64)
-    if abs(float(_norm3(center)) - 1.0) > 1e-6:
-        raise ValueError("center must be unit norm")
-    if abs(float(basis.parallel_coeff(center))) > 1e-6:
-        raise ValueError("center must be orthogonal to the illumination direction")
-    pixel_chroma = np.asarray(pixel_chroma, dtype=np.float64)
-    ortho = float(
-        pixel_chroma[0] * center[0] + pixel_chroma[1] * center[1] + pixel_chroma[2] * center[2]
-    )
-    return ProjectionCoeffs(ortho=ortho, parallel=float(basis.parallel_coeff(pixel_chroma)))
-
-
-def unit_circle_residual(coeffs: ProjectionCoeffs) -> float:
-    """Deviation of projection coordinates from the unit circle.
-
-    Zero exactly when the pixel's chromaticity lies in the plane spanned
-    by the material and the illumination (and is unit norm); grows as the
-    pixel's true material direction disagrees with the assumed center.
-    """
-    return 1.0 - (coeffs.ortho * coeffs.ortho + coeffs.parallel * coeffs.parallel)
 
 
 def white_balance(img, illum) -> np.ndarray:

@@ -1,10 +1,10 @@
 """End-to-end highlight removal: optional white balance, adaptive
 material clustering, per-cluster model estimation, per-pixel separation.
 
-Two entry points: :func:`remove_highlights` runs every stage at full
-resolution; :func:`remove_highlights_fast` estimates clusters and
-material models on a box-downsampled copy and only runs the per-pixel
-separation at full resolution, which is where the output quality lives.
+One entry point, :func:`run`.  With ``fast`` set it estimates clusters
+and material models on a box-downsampled copy and only runs the
+per-pixel separation at full resolution, which is where the output
+quality lives.
 """
 
 from __future__ import annotations
@@ -107,44 +107,6 @@ def _validate_input(img: np.ndarray) -> np.ndarray:
     return img
 
 
-def remove_highlights(img, cfg: PipelineConfig | None = None
-                      ) -> tuple[SeparationResult, PipelineDiagnostics]:
-    """Separate an image into diffuse and specular parts.
-
-    Returns the separation plus diagnostics.  diffuse + specular equals
-    the working image (the input after any requested white balance)
-    exactly, and both parts are nonnegative.
-    """
-    cfg = cfg or PipelineConfig()
-    img = _validate_input(img)
-    threads = resolve_threads(cfg.threads)
-    basis, divide = parse_illumination(cfg.illumination)
-    t0 = time.perf_counter()
-    if divide is not None:
-        img = white_balance(img, divide)
-
-    t_cluster = time.perf_counter()
-    clusters, fit = adaptive_cluster(img, basis, cfg.cluster, threads=threads)
-    clustering_seconds = time.perf_counter() - t_cluster
-
-    models = estimate_models(img, clusters, basis, cfg.recovery)
-    result = separate_image(img, clusters, models, basis, threads=threads)
-    total_seconds = time.perf_counter() - t0
-
-    diag = PipelineDiagnostics(
-        iterations=fit.iterations,
-        converged=fit.converged,
-        n_clusters=clusters.n_clusters,
-        n_passthrough=sum(1 for m in models.values() if m is None),
-        total_fit_error=fit.total_error,
-        k_history=list(fit.k_history),
-        clustering_seconds=clustering_seconds,
-        total_seconds=total_seconds,
-        labels=clusters.labels,
-    )
-    return result, diag
-
-
 def box_downsample(img: np.ndarray, factor: int) -> np.ndarray:
     """Box-average over factor x factor blocks, cropping any remainder."""
     if factor <= 1:
@@ -178,37 +140,54 @@ def assign_to_centers(img: np.ndarray, centers: np.ndarray,
     return ClusterSet(labels=labels, centers=centers.copy(), sizes=sizes)
 
 
-def remove_highlights_fast(img, cfg: PipelineConfig | None = None
-                           ) -> tuple[SeparationResult, PipelineDiagnostics]:
-    """Highlight removal with clustering done on a downsampled copy.
+def _check_config(cfg: PipelineConfig) -> None:
+    """Reject out-of-range knobs before any work starts."""
+    c = cfg.cluster
+    for key, value, ok, need in (
+        ("initial_k", c.initial_k, c.initial_k >= 1, ">= 1"),
+        ("max_iterations", c.max_iterations, c.max_iterations >= 1, ">= 1"),
+        ("target_edge", cfg.target_edge, cfg.target_edge >= 1, ">= 1"),
+        ("bin_width", cfg.recovery.bin_width, cfg.recovery.bin_width > 0, "> 0"),
+        ("tau_dev", c.tau_dev, c.tau_dev >= 0, ">= 0"),
+        ("min_cluster_size", c.min_cluster_size,
+         c.min_cluster_size is None or c.min_cluster_size >= 1, ">= 1 or auto"),
+    ):
+        if not ok:
+            raise ConfigError(f"{key} must be {need}, got {value!r}")
 
-    The image is box-filtered so its long side is at most
-    ``cfg.target_edge``; clusters and material models come from the small
-    image, full-resolution pixels are assigned to the nearest center, and
-    the separation runs at full resolution.  Images already at or below
-    the target edge fall back to the full pipeline.
+
+def run(img, cfg: PipelineConfig | None = None
+        ) -> tuple[SeparationResult, PipelineDiagnostics]:
+    """Separate an image into diffuse and specular parts.
+
+    With ``cfg.fast`` set, the image is box-filtered by the smallest
+    integer factor that brings its long side to at most
+    ``cfg.target_edge``; clusters and material models come from that
+    small copy and full-resolution pixels are assigned to the nearest
+    center.  The separation always runs at full resolution.
+
+    Returns the separation plus diagnostics.  diffuse + specular equals
+    the working image (the input after any requested white balance)
+    exactly, and both parts are nonnegative.
     """
     cfg = cfg or PipelineConfig()
+    _check_config(cfg)
     img = _validate_input(img)
-    h, w = img.shape[:2]
-    long_edge = max(h, w)
-    if long_edge <= cfg.target_edge:
-        return remove_highlights(img, cfg)
-
     threads = resolve_threads(cfg.threads)
     basis, divide = parse_illumination(cfg.illumination)
+    factor = int(np.ceil(max(img.shape[:2]) / cfg.target_edge)) if cfg.fast else 1
     t0 = time.perf_counter()
     if divide is not None:
         img = white_balance(img, divide)
 
     t_cluster = time.perf_counter()
-    factor = int(np.ceil(long_edge / cfg.target_edge))
     small = box_downsample(img, factor)
-    clusters_small, fit = adaptive_cluster(small, basis, cfg.cluster, threads=threads)
+    clusters, fit = adaptive_cluster(small, basis, cfg.cluster, threads=threads)
     clustering_seconds = time.perf_counter() - t_cluster
 
-    models = estimate_models(small, clusters_small, basis, cfg.recovery)
-    clusters = assign_to_centers(img, clusters_small.centers, basis, threads=threads)
+    models = estimate_models(small, clusters, basis, cfg.recovery)
+    if factor > 1:
+        clusters = assign_to_centers(img, clusters.centers, basis, threads=threads)
     result = separate_image(img, clusters, models, basis, threads=threads)
     total_seconds = time.perf_counter() - t0
 
@@ -221,19 +200,10 @@ def remove_highlights_fast(img, cfg: PipelineConfig | None = None
         k_history=list(fit.k_history),
         clustering_seconds=clustering_seconds,
         total_seconds=total_seconds,
-        downsampled=True,
+        downsampled=factor > 1,
         labels=clusters.labels,
     )
     return result, diag
-
-
-def run(img, cfg: PipelineConfig | None = None
-        ) -> tuple[SeparationResult, PipelineDiagnostics]:
-    """Dispatch to the fast or full pipeline per ``cfg.fast``."""
-    cfg = cfg or PipelineConfig()
-    if cfg.fast:
-        return remove_highlights_fast(img, cfg)
-    return remove_highlights(img, cfg)
 
 
 # --- key=value config files ---

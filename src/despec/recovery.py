@@ -34,16 +34,6 @@ class RecoveryConfig:
     fallback_percentile: float = 2.0  # used when no peak qualifies
 
 
-@dataclass
-class ParallelHistogram:
-    """Histogram of illumination-parallel chromaticity coefficients for
-    one cluster.  ``counts`` sums to the cluster size."""
-
-    edges: np.ndarray
-    counts: np.ndarray
-    cluster_id: int
-
-
 @dataclass(frozen=True)
 class MaterialModel:
     """Everything needed to separate pixels of one material.
@@ -81,17 +71,6 @@ def histogram_edges(cfg: RecoveryConfig) -> np.ndarray:
     return np.arange(n_bins + 1, dtype=np.float64) * cfg.bin_width
 
 
-def parallel_histogram(img, clusters: ClusterSet, cluster_id: int,
-                       basis: IlluminationBasis,
-                       cfg: RecoveryConfig | None = None) -> ParallelHistogram:
-    """Histogram of the parallel coefficient over one cluster's pixels."""
-    cfg = cfg or RecoveryConfig()
-    coeffs = _parallel_coeffs_of_cluster(img, clusters, cluster_id, basis)
-    edges = histogram_edges(cfg)
-    counts, _ = np.histogram(np.clip(coeffs, 0.0, edges[-1]), bins=edges)
-    return ParallelHistogram(edges=edges, counts=counts, cluster_id=cluster_id)
-
-
 def _smooth3(counts: np.ndarray) -> np.ndarray:
     """3-bin box filter with zero padding at the ends."""
     padded = np.zeros(len(counts) + 2, dtype=np.float64)
@@ -99,7 +78,15 @@ def _smooth3(counts: np.ndarray) -> np.ndarray:
     return (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0
 
 
-def _first_peak_index(counts: np.ndarray, floor: float) -> int:
+def _first_peak_index(counts: np.ndarray, cfg: RecoveryConfig) -> int:
+    """Bin index of the lowest-coefficient local maximum of a histogram.
+
+    The counts are box-smoothed over 3 bins first, and a candidate must
+    hold at least max(peak_floor, peak_frac * cluster size) smoothed
+    counts; tiny leading bumps are not peaks.  Raises NoPeakError when
+    nothing qualifies.
+    """
+    floor = max(float(cfg.peak_floor), cfg.peak_frac * float(counts.sum()))
     smooth = _smooth3(counts)
     left = np.empty_like(smooth)
     right = np.empty_like(smooth)
@@ -112,21 +99,6 @@ def _first_peak_index(counts: np.ndarray, floor: float) -> int:
     if len(idx) == 0:
         raise NoPeakError("no histogram bin qualifies as a peak")
     return int(idx[0])
-
-
-def first_peak(hist: ParallelHistogram, cfg: RecoveryConfig | None = None) -> float:
-    """Center of the lowest-coefficient local maximum of the histogram.
-
-    The counts are box-smoothed over 3 bins first, and a candidate must
-    hold at least max(peak_floor, peak_frac * cluster size) smoothed
-    counts; tiny leading bumps are not peaks.  Raises NoPeakError when
-    nothing qualifies (the caller falls back to a low percentile).
-    """
-    cfg = cfg or RecoveryConfig()
-    total = float(hist.counts.sum())
-    floor = max(float(cfg.peak_floor), cfg.peak_frac * total)
-    i = _first_peak_index(hist.counts.astype(np.float64), floor)
-    return float((hist.edges[i] + hist.edges[i + 1]) / 2.0)
 
 
 def estimate_ratio(diffuse_parallel: float) -> tuple[float, float]:
@@ -161,10 +133,8 @@ def _diffuse_parallel_for_cluster(coeffs: np.ndarray, cfg: RecoveryConfig) -> fl
     edges = histogram_edges(cfg)
     clipped = np.clip(coeffs, 0.0, edges[-1])
     counts, _ = np.histogram(clipped, bins=edges)
-    total = float(counts.sum())
-    floor = max(float(cfg.peak_floor), cfg.peak_frac * total)
     try:
-        i = _first_peak_index(counts.astype(np.float64), floor)
+        i = _first_peak_index(counts, cfg)
     except NoPeakError:
         return float(np.percentile(coeffs, cfg.fallback_percentile))
     lo = edges[max(i - 1, 0)]
@@ -209,22 +179,6 @@ def estimate_models(img, clusters: ClusterSet, basis: IlluminationBasis,
         cid: model_for_cluster(img, clusters, cid, basis, cfg)
         for cid in range(clusters.n_clusters)
     }
-
-
-def separate_pixel(pixel, model: MaterialModel, basis: IlluminationBasis):
-    """Split a single (unnormalized) RGB pixel into diffuse and specular.
-
-    The specular part is the pixel's illumination-direction component in
-    excess of what the material model predicts for its orthogonal
-    component.  It is clamped channel-wise into [0, pixel], and the
-    remainder - including any off-plane residue - stays in the diffuse
-    part, so diffuse + specular reproduces the pixel exactly.
-    """
-    pixel = np.asarray(pixel, dtype=np.float64)
-    p_ortho = float(pixel @ model.center)
-    strength = float(basis.parallel_coeff(pixel)) - p_ortho / model.ratio
-    specular = np.clip(strength * basis.direction, 0.0, pixel)
-    return pixel - specular, specular
 
 
 def separate_image(img, clusters: ClusterSet, models: dict,

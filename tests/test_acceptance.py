@@ -22,21 +22,10 @@ import numpy as np
 import pytest
 
 from despec import synth
-from despec.clustering import ClusterConfig
+from despec.clustering import ClusterConfig, _cluster_residuals, specular_free_field
 from despec.metrics import cluster_accuracy, psnr
-from despec.model import (
-    IlluminationBasis,
-    decompose,
-    l2_chromaticity,
-    project_onto,
-    unit_circle_residual,
-)
-from despec.errors import AchromaticColorError
-from despec.pipeline import (
-    PipelineConfig,
-    remove_highlights,
-    remove_highlights_fast,
-)
+from despec.model import IlluminationBasis
+from despec.pipeline import PipelineConfig, run
 
 # thresholds ------------------------------------------------------------
 EXACT_PSNR_DB = 50.0          # "numerically exact" bar for clean scenes
@@ -90,7 +79,7 @@ def corpus(scene: str, sigma: float) -> Measurement:
     """One pipeline run per (scene, noise level), reduced to scalars."""
     gt = synth.render(synth.builtin_scene(scene))
     img = synth.add_noise(gt, sigma, seed=0)
-    result, diag = remove_highlights(img, PipelineConfig(threads=1))
+    result, diag = run(img, PipelineConfig(threads=1))
     return Measurement(
         psnr_diffuse=psnr(result.diffuse, gt.diffuse),
         psnr_specular=psnr(result.specular, gt.specular),
@@ -110,7 +99,7 @@ def perturbed_psnr(scene: str) -> float:
     gt = synth.render(synth.builtin_scene(scene))
     img = synth.add_noise(gt, 3.0, seed=0)
     cfg = PipelineConfig(illumination=PERTURBED_ILLUM, threads=1)
-    result, _ = remove_highlights(img, cfg)
+    result, _ = run(img, cfg)
     return psnr(result.diffuse, gt.diffuse)
 
 
@@ -185,30 +174,29 @@ def test_adaptive_clustering_settles_quickly_and_correctly():
 
 
 def test_unit_circle_coordinates_for_random_mixtures():
+    """Each random material's own frame comes from specular_free_field;
+    the fit check's residual must close the unit circle for the material
+    and for every material + illumination mixture."""
     rng = np.random.default_rng(0)
     basis = IlluminationBasis.white()
     n = 10_000
-    worst_material = worst_closure = worst_recon = 0.0
-    for _ in range(n):
-        while True:
-            lam = rng.random(3) + 0.05
-            lam = lam / np.linalg.norm(lam)
-            try:
-                dec = decompose(lam, basis)
-                break
-            except AchromaticColorError:
-                continue
-        worst_material = max(
-            worst_material,
-            abs(dec.ortho * dec.ortho + dec.parallel * dec.parallel - 1.0),
-        )
-        alpha = 0.2 + 0.8 * rng.random()
-        beta = rng.random()
-        chroma = l2_chromaticity(alpha * lam + beta * basis.direction)
-        coords = project_onto(chroma, dec.ortho_dir, basis)
-        worst_closure = max(worst_closure, abs(unit_circle_residual(coords)))
-        recon = coords.ortho * dec.ortho_dir + coords.parallel * basis.direction
-        worst_recon = max(worst_recon, float(np.abs(recon - chroma).max()))
+    draws = rng.random((n, 5))  # per mixture: material rgb, alpha, beta
+    material = draws[:, :3] + 0.05
+    lam = material / np.linalg.norm(material, axis=1, keepdims=True)
+    alpha = 0.2 + 0.8 * draws[:, 3:4]
+    beta = draws[:, 4:5]
+    # an achromatic material gets a zero direction and fails the closure
+    dirs = specular_free_field(material[:, None, :], basis).directions[:, 0]
+    labels = np.arange(n)
+    material_dev, _, _ = _cluster_residuals(lam, labels, dirs, basis)
+    mixed = alpha * lam + beta * basis.direction
+    chroma = mixed / np.linalg.norm(mixed, axis=1, keepdims=True)
+    mixture_dev, _, _ = _cluster_residuals(chroma, labels, dirs, basis)
+    ortho = (chroma * dirs).sum(axis=1)
+    recon = ortho[:, None] * dirs + basis.parallel_coeff(chroma)[:, None] * basis.direction
+    worst_material = float(np.abs(material_dev).max())
+    worst_closure = float(np.abs(mixture_dev).max())
+    worst_recon = float(np.abs(recon - chroma).max())
     ok = max(worst_material, worst_closure, worst_recon) <= COORD_TOL
     _record(
         "05 unit-circle coordinates (10k mixtures)",
@@ -250,7 +238,7 @@ def test_additivity_and_nonnegativity_everywhere():
             worst_min = min(worst_min, m.min_output)
 
     img = _adversarial_image()
-    result, diag = remove_highlights(img, PipelineConfig(threads=1))
+    result, diag = run(img, PipelineConfig(threads=1))
     worst_add = max(worst_add,
                     float(np.abs(result.diffuse + result.specular - img).max()))
     worst_min = min(worst_min,
@@ -272,7 +260,7 @@ def test_additivity_and_nonnegativity_everywhere():
 def test_over_segmented_start_still_recovers():
     gt = synth.render(synth.builtin_scene("over-seg"))
     cfg = PipelineConfig(cluster=ClusterConfig(initial_k=8), threads=1)
-    result, diag = remove_highlights(gt.input, cfg)
+    result, diag = run(gt.input, cfg)
     quality = psnr(result.diffuse, gt.diffuse)
     _record(
         "07 over-segmented start (k=8 on 5 materials)",
@@ -308,8 +296,8 @@ def test_wrong_illuminant_estimate_degrades_gracefully(scene):
 def test_fast_path_matches_quality_and_saves_time():
     gt = synth.render(synth.builtin_scene("four-materials", 1300, 900))
     img = synth.add_noise(gt, 3.0, seed=0)
-    full_res, full_diag = remove_highlights(img, PipelineConfig(threads=1))
-    fast_res, fast_diag = remove_highlights_fast(img, PipelineConfig(threads=1))
+    full_res, full_diag = run(img, PipelineConfig(threads=1))
+    fast_res, fast_diag = run(img, PipelineConfig(fast=True, threads=1))
     full_db = psnr(full_res.diffuse, gt.diffuse)
     fast_db = psnr(fast_res.diffuse, gt.diffuse)
     speedup = full_diag.clustering_seconds / max(fast_diag.clustering_seconds, 1e-9)
@@ -329,13 +317,13 @@ def test_outputs_identical_across_thread_counts():
     img = synth.add_noise(gt, 3.0, seed=0)
     outputs = []
     for threads in (1, 4, 7):
-        result, _ = remove_highlights(img, PipelineConfig(threads=threads))
+        result, _ = run(img, PipelineConfig(threads=threads))
         outputs.append(result.diffuse.tobytes() + result.specular.tobytes())
     big = synth.add_noise(synth.render(synth.builtin_scene("over-seg", 500, 300)),
                           3.0, seed=0)
     fast_outputs = []
     for threads in (1, 4):
-        result, diag = remove_highlights_fast(big, PipelineConfig(threads=threads))
+        result, diag = run(big, PipelineConfig(fast=True, threads=threads))
         assert diag.downsampled
         fast_outputs.append(result.diffuse.tobytes() + result.specular.tobytes())
     ok = all(o == outputs[0] for o in outputs) and fast_outputs[0] == fast_outputs[1]

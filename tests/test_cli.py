@@ -109,6 +109,30 @@ class TestRemove:
         assert rc == 5
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("illum", ["nan,1,1", "inf,1,1"])
+    def test_non_finite_illuminant_exits_5(self, tmp_path, capsys, illum):
+        out = synth_dir(tmp_path)
+        rc = main(["remove", str(out / "input.pfm"), "--illum", illum,
+                   "-d", str(tmp_path / "d.pfm"), "-s", str(tmp_path / "s.pfm")])
+        assert rc == 5
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "d.pfm").exists()
+
+    @pytest.mark.parametrize("flags", [
+        "--max-iterations 0",
+        "--initial-k 0",
+        "--bin-width 0",
+        "--fast --target-edge 0",
+        "--min-cluster-size -5",
+        "--tau-dev -1",
+    ])
+    def test_out_of_range_config_exits_4(self, tmp_path, capsys, flags):
+        out = synth_dir(tmp_path)
+        rc = main(["remove", str(out / "input.pfm"), *flags.split(),
+                   "-d", str(tmp_path / "d.pfm"), "-s", str(tmp_path / "s.pfm")])
+        assert rc == 4
+        assert "error" in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         out = synth_dir(tmp_path)
         cfg = tmp_path / "despec.cfg"

@@ -20,14 +20,15 @@ from despec.clustering import (
     specular_free_field,
 )
 from despec.metrics import cluster_accuracy
-from despec.model import WHITE, IlluminationBasis, decompose, l2_chromaticity
+from despec.model import WHITE, IlluminationBasis, l2_chromaticity
 
 OLIVE_DIR = np.array([0.4082482904638624, 0.4082482904638624, -0.8164965809277266])
 
 
 def hue_dir(angle_deg):
     """Unit direction in the plane orthogonal to white illumination."""
-    return decompose(synth.hue_chromaticity(angle_deg), IlluminationBasis.white()).ortho_dir
+    pixel = synth.hue_chromaticity(angle_deg)[None, None]
+    return specular_free_field(pixel, IlluminationBasis.white()).directions[0, 0]
 
 
 @pytest.fixture

@@ -1,23 +1,29 @@
 """Unit chromaticity and the illumination-frame decomposition.
 
 Expected values were computed independently with plain vector arithmetic
-(norms, dot products, Gram-Schmidt) and frozen here as literals.
+(norms, dot products, Gram-Schmidt) and frozen here as literals.  The
+decomposition is checked through the kernels the pipeline runs:
+``specular_free_field`` for a chromaticity's orthogonal direction and
+achromatic flag, ``_cluster_residuals`` for its unit-circle residual in a
+(material, illumination) frame.
 """
 
 import numpy as np
 import pytest
 
 from despec import errors
+from despec.clustering import (
+    FLAG_ACHROMATIC,
+    FLAG_VALID,
+    _cluster_residuals,
+    specular_free_field,
+)
 from despec.model import (
     EPS_BLACK,
     EPS_GRAY,
     WHITE,
     IlluminationBasis,
-    ProjectionCoeffs,
-    decompose,
     l2_chromaticity,
-    project_onto,
-    unit_circle_residual,
     white_balance,
 )
 
@@ -89,108 +95,131 @@ class TestIlluminationBasis:
         with pytest.raises(errors.InvalidIlluminantError):
             IlluminationBasis(np.array([1.0, 0.0]))
 
-    def test_orthogonal_part_is_orthogonal(self, white):
-        rng = np.random.default_rng(7)
-        v = rng.random((50, 3))
-        residue = white.orthogonal_part(v)
-        assert np.abs(residue @ white.direction).max() <= 1e-12
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(errors.InvalidIlluminantError):
+            IlluminationBasis.from_rgb([bad, 1.0, 1.0])
+        with pytest.raises(errors.InvalidIlluminantError):
+            IlluminationBasis(np.array([bad, 0.0, 0.0]))
+
+
+def frame(chroma, basis):
+    """Flags, orthogonal directions and (ortho, parallel) coordinates of
+    (N, 3) unit chromaticities, each against its own orthogonal direction
+    as specular_free_field computes it."""
+    chroma = np.atleast_2d(chroma)
+    field = specular_free_field(chroma[:, None, :], basis)
+    dirs = field.directions[:, 0]
+    return field.flags[:, 0], dirs, (chroma * dirs).sum(axis=1), basis.parallel_coeff(chroma)
+
+
+def residual(chroma, center, basis):
+    """Unit-circle residual of (N, 3) chromaticities in one center's frame."""
+    chroma = np.atleast_2d(chroma)
+    labels = np.zeros(len(chroma), dtype=np.int32)
+    dev, _, _ = _cluster_residuals(chroma, labels, np.asarray(center)[None], basis)
+    return dev
 
 
 class TestDecompose:
+    """The illumination-parallel / orthogonal split of a chromaticity."""
+
     def test_olive_example(self, white):
-        dec = decompose(OLIVE_CHROMA, white)
-        assert dec.parallel == pytest.approx(OLIVE_PARALLEL, abs=1e-12)
-        assert dec.ortho == pytest.approx(OLIVE_ORTHO, abs=1e-12)
-        assert np.allclose(dec.ortho_dir, OLIVE_DIR, atol=1e-12)
+        flags, dirs, ortho, parallel = frame(OLIVE_CHROMA, white)
+        assert flags[0] == FLAG_VALID
+        assert parallel[0] == pytest.approx(OLIVE_PARALLEL, abs=1e-12)
+        assert ortho[0] == pytest.approx(OLIVE_ORTHO, abs=1e-12)
+        assert np.allclose(dirs[0], OLIVE_DIR, atol=1e-12)
 
     def test_one_two_three_example(self, white):
-        dec = decompose(l2_chromaticity([1.0, 2.0, 3.0]), white)
-        assert dec.parallel == pytest.approx(N123_PARALLEL, abs=1e-12)
-        assert dec.ortho == pytest.approx(N123_ORTHO_NORM, abs=1e-12)
+        _, _, ortho, parallel = frame(l2_chromaticity([1.0, 2.0, 3.0]), white)
+        assert parallel[0] == pytest.approx(N123_PARALLEL, abs=1e-12)
+        assert ortho[0] == pytest.approx(N123_ORTHO_NORM, abs=1e-12)
 
     def test_gray_is_achromatic(self, white):
-        with pytest.raises(errors.AchromaticColorError):
-            decompose(WHITE, white)
+        flags, dirs, _, _ = frame(WHITE, white)
+        assert flags[0] == FLAG_ACHROMATIC
+        assert np.all(dirs[0] == 0.0)
 
     def test_nearly_gray_is_achromatic(self, white):
         chroma = l2_chromaticity(WHITE + EPS_GRAY * 1e-2 * np.array([1.0, -1.0, 0.0]))
-        with pytest.raises(errors.AchromaticColorError):
-            decompose(chroma, white)
+        flags, _, _, _ = frame(chroma, white)
+        assert flags[0] == FLAG_ACHROMATIC
 
     def test_pythagorean_and_reconstruction(self, white):
         rng = np.random.default_rng(11)
-        for _ in range(300):
-            chroma = l2_chromaticity(rng.random(3) + 0.05)
-            dec = decompose(chroma, white)
-            assert dec.ortho >= 0.0
-            assert dec.ortho ** 2 + dec.parallel ** 2 == pytest.approx(1.0, abs=1e-9)
-            rebuilt = dec.ortho * dec.ortho_dir + dec.parallel * white.direction
-            assert np.abs(rebuilt - chroma).max() <= 1e-9
-            assert abs(float(dec.ortho_dir @ white.direction)) <= 1e-9
-            assert abs(np.linalg.norm(dec.ortho_dir) - 1.0) <= 1e-9
+        chroma = np.array([l2_chromaticity(rng.random(3) + 0.05) for _ in range(300)])
+        flags, dirs, ortho, parallel = frame(chroma, white)
+        assert np.all(flags == FLAG_VALID)
+        assert ortho.min() >= 0.0
+        assert np.abs(ortho ** 2 + parallel ** 2 - 1.0).max() <= 1e-9
+        rebuilt = ortho[:, None] * dirs + parallel[:, None] * white.direction
+        assert np.abs(rebuilt - chroma).max() <= 1e-9
+        assert np.abs(dirs @ white.direction).max() <= 1e-9
+        assert np.abs(np.linalg.norm(dirs, axis=1) - 1.0).max() <= 1e-9
 
     def test_colored_illumination_frame(self):
         basis = IlluminationBasis.from_rgb([0.600, 0.588, 0.542])
-        dec = decompose(OLIVE_CHROMA, basis)
-        rebuilt = dec.ortho * dec.ortho_dir + dec.parallel * basis.direction
+        _, dirs, ortho, parallel = frame(OLIVE_CHROMA, basis)
+        rebuilt = ortho[0] * dirs[0] + parallel[0] * basis.direction
         assert np.allclose(rebuilt, OLIVE_CHROMA, atol=1e-12)
 
 
 class TestProjectOnto:
+    """A chromaticity placed in a material's (center, illumination) frame,
+    as the clustering fit check measures it."""
+
     def test_own_frame_recovers_decomposition(self, white):
-        coeffs = project_onto(OLIVE_CHROMA, OLIVE_DIR, white)
-        assert coeffs.ortho == pytest.approx(OLIVE_ORTHO, abs=1e-12)
-        assert coeffs.parallel == pytest.approx(OLIVE_PARALLEL, abs=1e-12)
+        _, dirs, _, _ = frame(OLIVE_CHROMA, white)
+        assert residual(OLIVE_CHROMA, dirs[0], white)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_foreign_pixel_goes_negative(self, white):
-        coeffs = project_onto(N123, OLIVE_DIR, white)
-        assert coeffs.ortho == pytest.approx(N123_ON_OLIVE_DIR, abs=1e-12)
-        assert coeffs.parallel == pytest.approx(N123_PARALLEL, abs=1e-12)
+        _, dirs, _, _ = frame(N123, white)
+        assert float(dirs[0] @ OLIVE_DIR) == pytest.approx(
+            N123_ON_OLIVE_DIR / N123_ORTHO_NORM, abs=1e-12)
+        assert residual(N123, OLIVE_DIR, white)[0] == pytest.approx(1.0 / 28.0, abs=1e-12)
 
     def test_illumination_pixel_maps_to_0_1(self, white):
-        coeffs = project_onto(WHITE, OLIVE_DIR, white)
-        assert coeffs.ortho == pytest.approx(0.0, abs=1e-12)
-        assert coeffs.parallel == pytest.approx(1.0, abs=1e-12)
-
-    def test_center_must_be_unit(self, white):
-        with pytest.raises(ValueError):
-            project_onto(OLIVE_CHROMA, OLIVE_DIR * 0.5, white)
-
-    def test_center_must_be_orthogonal_to_illumination(self, white):
-        with pytest.raises(ValueError):
-            project_onto(OLIVE_CHROMA, WHITE, white)
+        assert residual(WHITE, OLIVE_DIR, white)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestUnitCircleResidual:
-    def test_on_circle(self):
-        d = unit_circle_residual(ProjectionCoeffs(OLIVE_ORTHO, OLIVE_PARALLEL))
-        assert d == pytest.approx(0.0, abs=1e-12)
+    """Residuals of pixels placed at given (ortho, parallel) coordinates."""
 
-    def test_off_circle_value(self):
+    @staticmethod
+    def olive_frame_pixel(ortho, parallel):
+        return ortho * OLIVE_DIR + parallel * WHITE
+
+    def test_on_circle(self, white):
+        d = residual(self.olive_frame_pixel(OLIVE_ORTHO, OLIVE_PARALLEL), OLIVE_DIR, white)
+        assert d[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_off_circle_value(self, white):
         # exact coordinates of normalize(1,2,3) in the olive frame: 1/28
-        d = unit_circle_residual(ProjectionCoeffs(N123_ON_OLIVE_DIR, N123_PARALLEL))
-        assert d == pytest.approx(1.0 / 28.0, abs=1e-12)
+        d = residual(self.olive_frame_pixel(N123_ON_OLIVE_DIR, N123_PARALLEL),
+                     OLIVE_DIR, white)
+        assert d[0] == pytest.approx(1.0 / 28.0, abs=1e-12)
         # same check with the 4-decimal rounded coordinates
-        d4 = unit_circle_residual(ProjectionCoeffs(-0.3274, 0.9259))
-        assert d4 == pytest.approx(0.03551843, abs=1e-8)
+        d4 = residual(self.olive_frame_pixel(-0.3274, 0.9259), OLIVE_DIR, white)
+        assert d4[0] == pytest.approx(0.03551843, abs=1e-8)
 
     def test_pure_illumination(self):
-        assert unit_circle_residual(ProjectionCoeffs(0.0, 1.0)) == pytest.approx(0.0, abs=0)
+        # an axis-aligned frame holds the coordinates (0, 1) exactly
+        basis = IlluminationBasis(np.array([0.0, 0.0, 1.0]))
+        d = residual(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), basis)
+        assert d[0] == pytest.approx(0.0, abs=0)
 
     def test_monotone_in_specular_strength(self, white):
         """With the body magnitude fixed, growing the highlight moves the
         parallel coefficient up and the orthogonal one down, strictly."""
         rng = np.random.default_rng(5)
+        betas = np.linspace(0.0, 2.0, 21)
         for _ in range(20):
             chroma = l2_chromaticity(rng.random(3) + 0.05)
-            center = decompose(chroma, white).ortho_dir
-            betas = np.linspace(0.0, 2.0, 21)
-            coeffs = [
-                project_onto(l2_chromaticity(chroma + b * white.direction), center, white)
-                for b in betas
-            ]
-            gammas = np.array([c.parallel for c in coeffs])
-            orthos = np.array([c.ortho for c in coeffs])
+            _, dirs, _, _ = frame(chroma, white)
+            mixed = np.array([l2_chromaticity(chroma + b * white.direction) for b in betas])
+            gammas = white.parallel_coeff(mixed)
+            orthos = mixed @ dirs[0]
             assert np.all(np.diff(gammas) > 0)
             assert np.all(np.diff(orthos) < 0)
 

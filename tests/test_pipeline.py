@@ -14,8 +14,6 @@ from despec.pipeline import (
     load_config,
     parse_config_text,
     parse_illumination,
-    remove_highlights,
-    remove_highlights_fast,
     run,
 )
 
@@ -77,19 +75,19 @@ class TestAssignToCenters:
 class TestInputValidation:
     def test_wrong_rank(self):
         with pytest.raises(ValueError):
-            remove_highlights(np.zeros((8, 8)))
+            run(np.zeros((8, 8)))
 
     def test_non_finite(self):
         img = np.full((8, 8, 3), 0.5)
         img[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
-            remove_highlights(img)
+            run(img)
 
     def test_negative(self):
         img = np.full((8, 8, 3), 0.5)
         img[0, 0, 0] = -0.1
         with pytest.raises(ValueError):
-            remove_highlights(img)
+            run(img)
 
 
 class TestFullPipeline:
@@ -97,7 +95,7 @@ class TestFullPipeline:
         params = synth.SceneParams(materials=[synth.SINGLE_COLORS[0]],
                                    width=96, height=64, lobes=[])
         gt = synth.render(synth.build_scene(params))
-        result, diag = remove_highlights(gt.input)
+        result, diag = run(gt.input)
         assert np.abs(result.specular).max() <= 1e-12
         assert np.abs(result.diffuse - gt.input).max() <= 1e-12
         assert diag.n_clusters == 1
@@ -105,7 +103,7 @@ class TestFullPipeline:
     def test_additivity_and_diagnostics(self):
         gt = synth.render(synth.builtin_scene("four-materials", 200, 140))
         img = synth.add_noise(gt, 3.0, seed=0)
-        result, diag = remove_highlights(img)
+        result, diag = run(img)
         assert np.abs(result.diffuse + result.specular - img).max() <= 1e-12
         assert result.diffuse.min() >= 0 and result.specular.min() >= 0
         assert diag.converged
@@ -125,7 +123,7 @@ class TestFullPipeline:
                                    lobes=[(0.5, 0.5, 0.10, 0.40)])
         gt = synth.render(synth.build_scene(params))
         cfg = PipelineConfig(illumination="0.62,0.60,0.55")
-        result, _ = remove_highlights(gt.input, cfg)
+        result, _ = run(gt.input, cfg)
         assert psnr(result.diffuse, gt.diffuse) >= 50.0
 
     def test_divide_mode_balances_then_separates(self):
@@ -133,7 +131,7 @@ class TestFullPipeline:
         illum = np.array([0.8, 1.0, 0.9])
         tinted = gt.input * illum / illum.max()
         cfg = PipelineConfig(illumination="divide:0.8,1.0,0.9")
-        result, diag = remove_highlights(tinted, cfg)
+        result, diag = run(tinted, cfg)
         # output additivity holds against the balanced working image
         assert np.abs(result.diffuse + result.specular - gt.input).max() <= 1e-12
         assert psnr(result.diffuse, gt.diffuse) >= 50.0
@@ -143,13 +141,13 @@ class TestFullPipeline:
 class TestFastPath:
     def test_small_image_falls_back_to_full(self):
         gt = synth.render(synth.builtin_scene("single-1", 160, 120))
-        result, diag = remove_highlights_fast(gt.input)
+        result, diag = run(gt.input, PipelineConfig(fast=True))
         assert not diag.downsampled
         assert np.abs(result.diffuse + result.specular - gt.input).max() <= 1e-12
 
     def test_downsampled_clustering_keeps_quality(self):
         gt = synth.render(synth.builtin_scene("four-materials", 800, 560))
-        result, diag = remove_highlights_fast(gt.input)
+        result, diag = run(gt.input, PipelineConfig(fast=True))
         assert diag.downsampled
         assert diag.labels.shape == (560, 800)
         assert diag.n_clusters == 4
@@ -169,8 +167,8 @@ class TestDeterminism:
     def test_thread_count_does_not_change_output(self):
         gt = synth.render(synth.builtin_scene("over-seg", 130, 97))
         img = synth.add_noise(gt, 3.0, seed=2)
-        a, _ = remove_highlights(img, PipelineConfig(threads=1))
-        b, _ = remove_highlights(img, PipelineConfig(threads=3))
+        a, _ = run(img, PipelineConfig(threads=1))
+        b, _ = run(img, PipelineConfig(threads=3))
         assert np.array_equal(a.diffuse, b.diffuse)
         assert np.array_equal(a.specular, b.specular)
 

@@ -11,14 +11,13 @@ from despec.model import WHITE, IlluminationBasis, l2_chromaticity
 from despec.recovery import (
     MaterialModel,
     RecoveryConfig,
+    _first_peak_index,
+    _parallel_coeffs_of_cluster,
     estimate_models,
     estimate_ratio,
-    first_peak,
     histogram_edges,
     model_for_cluster,
-    parallel_histogram,
     separate_image,
-    separate_pixel,
 )
 
 OLIVE = np.array([2.0, 2.0, 1.0]) / 3.0
@@ -48,6 +47,22 @@ def gamma_of(img, white):
     return white.parallel_coeff(img) / np.linalg.norm(img, axis=-1)
 
 
+def coefficient_counts(img, clusters, cluster_id, basis):
+    """Histogram counts of one cluster's parallel coefficients, binned
+    the way the recovery stage bins them."""
+    edges = histogram_edges(RecoveryConfig())
+    coeffs = _parallel_coeffs_of_cluster(img, clusters, cluster_id, basis)
+    counts, _ = np.histogram(np.clip(coeffs, 0.0, edges[-1]), bins=edges)
+    return counts
+
+
+def peak_center(counts):
+    """Center of the first-peak bin of ``counts``."""
+    edges = histogram_edges(RecoveryConfig())
+    i = _first_peak_index(counts, RecoveryConfig())
+    return float((edges[i] + edges[i + 1]) / 2.0)
+
+
 class TestHistogram:
     def test_edges(self):
         edges = histogram_edges(RecoveryConfig())
@@ -60,58 +75,51 @@ class TestHistogram:
         gt = synth.render(synth.builtin_scene("four-materials", 160, 112))
         clusters, _ = adaptive_cluster(gt.input, white)
         for cid in range(clusters.n_clusters):
-            hist = parallel_histogram(gt.input, clusters, cid, white)
-            assert hist.counts.sum() == clusters.sizes[cid]
-            assert hist.cluster_id == cid
+            counts = coefficient_counts(gt.input, clusters, cid, white)
+            assert counts.sum() == clusters.sizes[cid]
 
     def test_three_spec_levels_occupy_expected_bins(self, white):
         img = olive_image([0.0] * 60 + [0.2] * 30 + [0.5] * 10, (10, 10))
-        hist = parallel_histogram(img, single_cluster(img, white), 0, white)
-        assert set(np.flatnonzero(hist.counts)) == {192, 194, 196}
-        assert hist.counts[[192, 194, 196]].tolist() == [60, 30, 10]
+        counts = coefficient_counts(img, single_cluster(img, white), 0, white)
+        assert set(np.flatnonzero(counts)) == {192, 194, 196}
+        assert counts[[192, 194, 196]].tolist() == [60, 30, 10]
 
     def test_empty_cluster(self, white):
         img = olive_image([0.0] * 16, (4, 4))
         clusters = single_cluster(img, white)
         with pytest.raises(errors.EmptyClusterError):
-            parallel_histogram(img, clusters, 1, white)
+            model_for_cluster(img, clusters, 1, white)
 
 
 class TestFirstPeak:
-    def make_hist(self, placed):
-        edges = histogram_edges(RecoveryConfig())
-        counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    def make_counts(self, placed):
+        counts = np.zeros(len(histogram_edges(RecoveryConfig())) - 1, dtype=np.int64)
         for b, c in placed.items():
             counts[b] = c
-        from despec.recovery import ParallelHistogram
-        return ParallelHistogram(edges=edges, counts=counts, cluster_id=0)
+        return counts
 
     def test_unimodal_within_one_bin(self, white):
         img = olive_image([0.0] * 60 + [0.2] * 30 + [0.5] * 10, (10, 10))
-        hist = parallel_histogram(img, single_cluster(img, white), 0, white)
-        peak = first_peak(hist)
-        assert abs(peak - OLIVE_PARALLEL) <= 0.005
+        counts = coefficient_counts(img, single_cluster(img, white), 0, white)
+        assert abs(peak_center(counts) - OLIVE_PARALLEL) <= 0.005
 
     def test_first_peak_beats_larger_later_peak(self):
-        hist = self.make_hist({160: 50, 190: 100})
-        peak = first_peak(hist)
+        peak = peak_center(self.make_counts({160: 50, 190: 100}))
         assert abs(peak - 0.80) <= 0.005
         assert peak < 0.9  # the 100-count mode is NOT chosen
 
     def test_tiny_leading_bump_skipped(self):
         # 3 stray counts ahead of the real 200-count mode: under the
         # floor of max(5, 0.005 * 203), so not a peak.
-        hist = self.make_hist({40: 3, 120: 200})
-        assert abs(first_peak(hist) - 0.60) <= 0.005
+        assert abs(peak_center(self.make_counts({40: 3, 120: 200})) - 0.60) <= 0.005
 
     def test_mass_at_top_of_range(self):
-        hist = self.make_hist({200: 100})
-        assert abs(first_peak(hist) - 1.0) <= 0.005
+        assert abs(peak_center(self.make_counts({200: 100})) - 1.0) <= 0.005
 
     def test_no_peak(self):
-        hist = self.make_hist({i: 1 for i in range(0, 36, 3)})
+        counts = self.make_counts({i: 1 for i in range(0, 36, 3)})
         with pytest.raises(errors.NoPeakError):
-            first_peak(hist)
+            _first_peak_index(counts, RecoveryConfig())
 
 
 class TestEstimateRatio:
@@ -172,43 +180,51 @@ class TestModelForCluster:
 
 
 class TestSeparatePixel:
-    def make_olive_model(self):
+    """Worked single-pixel examples, run through separate_image on a 1xN
+    image labeled with one hand-built olive material."""
+
+    def separate(self, pixels, white):
+        pixels = np.atleast_2d(pixels)
         ortho, ratio = estimate_ratio(OLIVE_PARALLEL)
-        return MaterialModel(center=OLIVE_DIR, diffuse_ortho=ortho,
-                             diffuse_parallel=OLIVE_PARALLEL, ratio=ratio,
-                             diffuse_chroma=OLIVE)
+        model = MaterialModel(center=OLIVE_DIR, diffuse_ortho=ortho,
+                              diffuse_parallel=OLIVE_PARALLEL, ratio=ratio,
+                              diffuse_chroma=OLIVE)
+        n = len(pixels)
+        clusters = ClusterSet(labels=np.zeros((1, n), dtype=np.int32),
+                              centers=OLIVE_DIR[None], sizes=np.array([n]))
+        result = separate_image(pixels[None], clusters, {0: model}, white)
+        return result.diffuse[0], result.specular[0]
 
     def test_worked_example(self, white):
         # 0.4*(1,1,1 scaled olive) plus a highlight of strength 0.2 along
         # the unit illumination direction adds 0.2/sqrt(3) per channel.
         s = 0.2 / math.sqrt(3.0)
         pixel = np.array([0.4 + s, 0.4 + s, 0.2 + s])
-        diffuse, specular = separate_pixel(pixel, self.make_olive_model(), white)
-        assert diffuse == pytest.approx([0.4, 0.4, 0.2], abs=1e-12)
-        assert specular == pytest.approx([s, s, s], abs=1e-12)
-        assert diffuse + specular == pytest.approx(pixel, abs=0)
+        diffuse, specular = self.separate(pixel, white)
+        assert diffuse[0] == pytest.approx([0.4, 0.4, 0.2], abs=1e-12)
+        assert specular[0] == pytest.approx([s, s, s], abs=1e-12)
+        assert diffuse[0] + specular[0] == pytest.approx(pixel, abs=0)
 
     def test_pure_diffuse_pixel_keeps_everything(self, white):
         pixel = 0.37 * OLIVE
-        diffuse, specular = separate_pixel(pixel, self.make_olive_model(), white)
+        diffuse, specular = self.separate(pixel, white)
         assert np.abs(specular).max() <= 1e-12
-        assert diffuse == pytest.approx(pixel, abs=1e-12)
+        assert diffuse[0] == pytest.approx(pixel, abs=1e-12)
 
     def test_pure_highlight_pixel_goes_fully_specular(self, white):
         pixel = 0.5 * WHITE
-        diffuse, specular = separate_pixel(pixel, self.make_olive_model(), white)
-        assert specular == pytest.approx(pixel, abs=1e-12)
+        diffuse, specular = self.separate(pixel, white)
+        assert specular[0] == pytest.approx(pixel, abs=1e-12)
         assert np.abs(diffuse).max() <= 1e-12
 
     def test_clamp_keeps_diffuse_nonnegative(self, white):
         """An overshooting strength estimate may not push any diffuse
         channel below zero."""
-        model = self.make_olive_model()
         pixel = np.array([0.001, 0.001, 0.0005]) + 0.9 * WHITE
-        diffuse, specular = separate_pixel(pixel, model, white)
+        diffuse, specular = self.separate(pixel, white)
         assert diffuse.min() >= 0.0
         assert specular.min() >= 0.0
-        assert diffuse + specular == pytest.approx(pixel, abs=0)
+        assert diffuse[0] + specular[0] == pytest.approx(pixel, abs=0)
 
 
 class TestSeparateImage:
