@@ -1,12 +1,14 @@
 """Material clustering in the subspace orthogonal to the illumination.
 
-Projecting each pixel's chromaticity residue (chromaticity minus its
-illumination-parallel part, renormalized) gives a per-pixel direction
-that depends only on the material color, not on how much highlight the
-pixel carries.  Clustering those directions therefore groups pixels by
-material.  The cluster count is grown adaptively: a cluster whose pixels
-deviate too far from the unit circle in its (center, illumination) frame
-is mixing materials and votes to increase k.
+:func:`specular_free_field` splits each pixel's unit chromaticity once
+into an amplitude along a unit direction orthogonal to the illumination
+and a coefficient along the illumination itself.  The direction depends
+only on the material color, not on how much highlight the pixel carries,
+so clustering the directions groups pixels by material.  The cluster
+count is grown adaptively: a cluster whose pixels deviate too far from
+the unit circle in its (center, illumination) frame is mixing materials
+and votes to increase k.  The fit check and the recovery stage read the
+same field, so no stage goes back to the image.
 """
 
 from __future__ import annotations
@@ -32,13 +34,19 @@ LABEL_ACHROMATIC = -2
 
 @dataclass
 class SpecularFreeField:
-    """Per-pixel unit material directions orthogonal to the illumination.
+    """Each pixel's unit chromaticity split against the illumination.
 
-    ``directions`` is (H, W, 3); rows where ``flags != FLAG_VALID`` are
-    zero and must be ignored.
+    For a valid pixel with unit chromaticity ``c`` and illumination
+    direction ``d``, ``c = amplitude * direction + parallel * d``:
+    ``directions`` (H, W, 3) holds the unit direction orthogonal to
+    ``d``, ``amplitude`` (H, W) the orthogonal norm and ``parallel``
+    (H, W) the illumination coefficient, so amplitude² + parallel² = 1.
+    All three are zero where ``flags != FLAG_VALID`` and must be ignored.
     """
 
     directions: np.ndarray
+    amplitude: np.ndarray
+    parallel: np.ndarray
     flags: np.ndarray
 
     @property
@@ -86,53 +94,39 @@ class ClusterConfig:
     kmeans_max_iter: int = 100
 
 
-def chromaticity_field(img, threads: int = 1):
-    """Per-pixel unit chromaticities plus a black-pixel mask.
-
-    Returns (chroma, black) where chroma rows for black pixels are zero.
-    """
-    img = np.asarray(img, dtype=np.float64)
-    h = img.shape[0]
-    chroma = np.empty_like(img)
-    black = np.empty(img.shape[:2], dtype=bool)
-
-    def fill(rows):
-        block = img[rows]
-        n = _norm3(block)
-        blk = n <= EPS_BLACK
-        safe = np.where(blk, 1.0, n)
-        chroma[rows] = np.where(blk[..., None], 0.0, block / safe[..., None])
-        black[rows] = blk
-
-    run_rows(fill, h, threads)
-    return chroma, black
-
-
 def specular_free_field(img, basis: IlluminationBasis, threads: int = 1) -> SpecularFreeField:
-    """Project every pixel into the illumination-orthogonal subspace."""
+    """Split every pixel against the illumination; see SpecularFreeField."""
     img = np.asarray(img, dtype=np.float64)
     h = img.shape[0]
     directions = np.empty_like(img)
+    amplitude = np.empty(img.shape[:2], dtype=np.float64)
+    parallel = np.empty(img.shape[:2], dtype=np.float64)
     flags = np.empty(img.shape[:2], dtype=np.uint8)
     d = basis.direction
 
     def fill(rows):
+        # chroma -> residue -> direction in place, so the only (H, W, 3)
+        # array is the output itself
         block = img[rows]
+        out = directions[rows]
         n = _norm3(block)
         blk = n <= EPS_BLACK
-        safe_n = np.where(blk, 1.0, n)
-        chroma = block / safe_n[..., None]
-        par = chroma[..., 0] * d[0] + chroma[..., 1] * d[1] + chroma[..., 2] * d[2]
-        residue = chroma - par[..., None] * d
-        amp = _norm3(residue)
+        np.divide(block, np.where(blk, 1.0, n)[..., None], out=out)
+        par = out[..., 0] * d[0] + out[..., 1] * d[1] + out[..., 2] * d[2]
+        for c in range(3):
+            out[..., c] -= par * d[c]
+        amp = _norm3(out)
         achro = (amp <= EPS_GRAY) & ~blk
         bad = blk | achro
-        safe_a = np.where(bad, 1.0, amp)
-        directions[rows] = np.where(bad[..., None], 0.0, residue / safe_a[..., None])
+        out /= np.where(bad, 1.0, amp)[..., None]
+        out[bad] = 0.0
+        amplitude[rows] = np.where(bad, 0.0, amp)
+        parallel[rows] = np.where(bad, 0.0, par)
         flags[rows] = np.where(blk, FLAG_BLACK, np.where(achro, FLAG_ACHROMATIC, FLAG_VALID))
 
     run_rows(fill, h, threads)
-    return SpecularFreeField(directions=directions, flags=flags)
+    return SpecularFreeField(directions=directions, amplitude=amplitude,
+                             parallel=parallel, flags=flags)
 
 
 def _farthest_point_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -225,31 +219,28 @@ def kmeans(field: SpecularFreeField, k: int, seed: int = 0, max_iter: int = 100,
     return ClusterSet(labels=full, centers=centers, sizes=sizes)
 
 
-def _cluster_residuals(chroma: np.ndarray, labels: np.ndarray,
-                       centers: np.ndarray, basis: IlluminationBasis):
-    """Unit-circle residual of every valid pixel against its cluster frame."""
+def _cluster_residuals(field: SpecularFreeField, labels: np.ndarray,
+                       centers: np.ndarray):
+    """Unit-circle residual of every labeled pixel against its cluster
+    frame: the pixel's orthogonal part off the center's axis,
+    amplitude² · (1 − (direction · center)²)."""
     valid = labels >= 0
-    ch = chroma[valid]
     lab = labels[valid]
-    cen = centers[lab]
-    ortho = (ch * cen).sum(axis=1)
-    par = basis.parallel_coeff(ch)
-    dev = 1.0 - ortho * ortho - par * par
+    cos = (field.directions[valid] * centers[lab]).sum(axis=1)
+    amp = field.amplitude[valid]
+    dev = amp * amp * (1.0 - cos * cos)
     return dev, lab, valid
 
 
-def evaluate_fit(img, clusters: ClusterSet, basis: IlluminationBasis,
-                 tau_dev: float = 0.1, tau_frac: float = 0.1,
-                 chroma: np.ndarray | None = None) -> FitDiagnostics:
+def evaluate_fit(field: SpecularFreeField, clusters: ClusterSet,
+                 tau_dev: float = 0.1, tau_frac: float = 0.1) -> FitDiagnostics:
     """Per-cluster unit-circle fit check.
 
     A cluster fails when more than ``tau_frac`` of its pixels deviate
     from the unit circle by more than ``tau_dev``; failing clusters mix
     materials and should be split.
     """
-    if chroma is None:
-        chroma, _ = chromaticity_field(img)
-    dev, lab, _ = _cluster_residuals(chroma, clusters.labels, clusters.centers, basis)
+    dev, lab, _ = _cluster_residuals(field, clusters.labels, clusters.centers)
     k = clusters.n_clusters
     counts = np.bincount(lab, minlength=k).astype(np.float64)
     bad = np.bincount(lab[dev > tau_dev], minlength=k).astype(np.float64)
@@ -304,8 +295,8 @@ def _merge_small_clusters(clusters: ClusterSet, field: SpecularFreeField,
     return ClusterSet(labels=labels, centers=new_centers, sizes=new_sizes)
 
 
-def adaptive_cluster(img, basis: IlluminationBasis, cfg: ClusterConfig | None = None,
-                     threads: int = 1) -> tuple[ClusterSet, FitDiagnostics]:
+def adaptive_cluster(field: SpecularFreeField, basis: IlluminationBasis,
+                     cfg: ClusterConfig | None = None) -> tuple[ClusterSet, FitDiagnostics]:
     """Grow the cluster count until every cluster passes the fit check.
 
     Starts at ``cfg.initial_k`` and adds one cluster per failing cluster
@@ -315,10 +306,6 @@ def adaptive_cluster(img, basis: IlluminationBasis, cfg: ClusterConfig | None = 
     the best clustering so far is returned with ``converged=False``.
     """
     cfg = cfg or ClusterConfig()
-    img = np.asarray(img, dtype=np.float64)
-    field = specular_free_field(img, basis, threads=threads)
-    chroma, _ = chromaticity_field(img, threads=threads)
-
     n_valid = int(field.valid_mask.sum())
     min_size = cfg.min_cluster_size
     if min_size is None:
@@ -337,7 +324,7 @@ def adaptive_cluster(img, basis: IlluminationBasis, cfg: ClusterConfig | None = 
         iterations += 1
         history.append(k)
         clusters = kmeans(field, k, seed=cfg.seed, max_iter=cfg.kmeans_max_iter, basis=basis)
-        diag = evaluate_fit(img, clusters, basis, cfg.tau_dev, cfg.tau_frac, chroma=chroma)
+        diag = evaluate_fit(field, clusters, cfg.tau_dev, cfg.tau_frac)
         failing = int(np.sum(diag.failing_fractions > cfg.tau_frac))
         if failing == 0:
             break
@@ -357,7 +344,7 @@ def adaptive_cluster(img, basis: IlluminationBasis, cfg: ClusterConfig | None = 
     merged = _merge_small_clusters(clusters, field, min_size, basis)
     if merged is not clusters:
         clusters = merged
-        diag = evaluate_fit(img, clusters, basis, cfg.tau_dev, cfg.tau_frac, chroma=chroma)
+        diag = evaluate_fit(field, clusters, cfg.tau_dev, cfg.tau_frac)
     diag.iterations = iterations
     diag.converged = converged
     diag.k_history = history

@@ -22,6 +22,7 @@ from .clustering import (
     FLAG_BLACK,
     LABEL_ACHROMATIC,
     LABEL_BLACK,
+    SpecularFreeField,
     adaptive_cluster,
     specular_free_field,
 )
@@ -117,15 +118,14 @@ def box_downsample(img: np.ndarray, factor: int) -> np.ndarray:
     return block.mean(axis=(1, 3))
 
 
-def assign_to_centers(img: np.ndarray, centers: np.ndarray,
-                      basis: IlluminationBasis, threads: int = 1) -> ClusterSet:
+def assign_to_centers(field: SpecularFreeField, centers: np.ndarray,
+                      threads: int = 1) -> ClusterSet:
     """Label every pixel with the center most aligned with its direction
     in the specular-free subspace; flagged pixels keep their sentinels."""
-    field_ = specular_free_field(img, basis, threads=threads)
-    h = img.shape[0]
-    labels = np.empty(img.shape[:2], dtype=np.int32)
-    flags = field_.flags
-    dirs = field_.directions
+    flags = field.flags
+    dirs = field.directions
+    h = flags.shape[0]
+    labels = np.empty(flags.shape, dtype=np.int32)
 
     def fill(rows):
         gram = dirs[rows] @ centers.T
@@ -147,8 +147,13 @@ def _check_config(cfg: PipelineConfig) -> None:
         ("initial_k", c.initial_k, c.initial_k >= 1, ">= 1"),
         ("max_iterations", c.max_iterations, c.max_iterations >= 1, ">= 1"),
         ("target_edge", cfg.target_edge, cfg.target_edge >= 1, ">= 1"),
-        ("bin_width", cfg.recovery.bin_width, cfg.recovery.bin_width > 0, "> 0"),
+        ("bin_width", cfg.recovery.bin_width, 1e-4 <= cfg.recovery.bin_width <= 1,
+         "in [1e-4, 1]"),
         ("tau_dev", c.tau_dev, c.tau_dev >= 0, ">= 0"),
+        ("tau_frac", c.tau_frac, 0 <= c.tau_frac <= 1, "in [0, 1]"),
+        ("peak_floor", cfg.recovery.peak_floor, cfg.recovery.peak_floor >= 0, ">= 0"),
+        ("threads", cfg.threads, cfg.threads >= 0, ">= 0 (0 = all cores)"),
+        ("seed", c.seed, c.seed >= 0, ">= 0"),
         ("min_cluster_size", c.min_cluster_size,
          c.min_cluster_size is None or c.min_cluster_size >= 1, ">= 1 or auto"),
     ):
@@ -181,13 +186,15 @@ def run(img, cfg: PipelineConfig | None = None
         img = white_balance(img, divide)
 
     t_cluster = time.perf_counter()
-    small = box_downsample(img, factor)
-    clusters, fit = adaptive_cluster(small, basis, cfg.cluster, threads=threads)
+    field = specular_free_field(box_downsample(img, factor), basis, threads=threads)
+    clusters, fit = adaptive_cluster(field, basis, cfg.cluster)
     clustering_seconds = time.perf_counter() - t_cluster
 
-    models = estimate_models(small, clusters, basis, cfg.recovery)
+    models = estimate_models(field, clusters, basis, cfg.recovery)
+    del field  # not read again; free it before the full-resolution passes
     if factor > 1:
-        clusters = assign_to_centers(img, clusters.centers, basis, threads=threads)
+        clusters = assign_to_centers(specular_free_field(img, basis, threads=threads),
+                                     clusters.centers, threads=threads)
     result = separate_image(img, clusters, models, basis, threads=threads)
     total_seconds = time.perf_counter() - t0
 

@@ -22,7 +22,7 @@ from .errors import (
     NoPeakError,
 )
 from .model import EPS_GRAY, IlluminationBasis, _norm3
-from .clustering import ClusterSet
+from .clustering import ClusterSet, SpecularFreeField
 
 
 @dataclass
@@ -53,17 +53,6 @@ class MaterialModel:
 class SeparationResult:
     diffuse: np.ndarray
     specular: np.ndarray
-
-
-def _parallel_coeffs_of_cluster(img, clusters: ClusterSet, cluster_id: int,
-                                basis: IlluminationBasis) -> np.ndarray:
-    mask = clusters.labels == cluster_id
-    if not mask.any():
-        raise EmptyClusterError(f"cluster {cluster_id} has no pixels")
-    px = np.asarray(img, dtype=np.float64)[mask]
-    norms = _norm3(px)
-    # labeled pixels passed the black-pixel gate, norms are safely positive
-    return basis.parallel_coeff(px) / norms
 
 
 def histogram_edges(cfg: RecoveryConfig) -> np.ndarray:
@@ -145,14 +134,18 @@ def _diffuse_parallel_for_cluster(coeffs: np.ndarray, cfg: RecoveryConfig) -> fl
     return float(np.median(window))
 
 
-def model_for_cluster(img, clusters: ClusterSet, cluster_id: int,
+def model_for_cluster(field: SpecularFreeField, clusters: ClusterSet, cluster_id: int,
                       basis: IlluminationBasis,
                       cfg: RecoveryConfig | None = None) -> MaterialModel | None:
     """MaterialModel for one cluster, or None when the material is too
     close to the illumination color to separate (those pixels pass
-    through unchanged)."""
+    through unchanged).  The cluster's coefficients are the field's
+    ``parallel`` values under its labels."""
     cfg = cfg or RecoveryConfig()
-    coeffs = _parallel_coeffs_of_cluster(img, clusters, cluster_id, basis)
+    mask = clusters.labels == cluster_id
+    if not mask.any():
+        raise EmptyClusterError(f"cluster {cluster_id} has no pixels")
+    coeffs = field.parallel[mask]
     diffuse_parallel = _diffuse_parallel_for_cluster(coeffs, cfg)
     try:
         diffuse_ortho, ratio = estimate_ratio(diffuse_parallel)
@@ -171,12 +164,13 @@ def model_for_cluster(img, clusters: ClusterSet, cluster_id: int,
     )
 
 
-def estimate_models(img, clusters: ClusterSet, basis: IlluminationBasis,
+def estimate_models(field: SpecularFreeField, clusters: ClusterSet,
+                    basis: IlluminationBasis,
                     cfg: RecoveryConfig | None = None) -> dict[int, MaterialModel | None]:
     """Material models for every cluster id, None marking pass-through."""
     cfg = cfg or RecoveryConfig()
     return {
-        cid: model_for_cluster(img, clusters, cid, basis, cfg)
+        cid: model_for_cluster(field, clusters, cid, basis, cfg)
         for cid in range(clusters.n_clusters)
     }
 

@@ -12,10 +12,12 @@ from despec.clustering import SpecularFreeField
 
 
 def make_field(directions):
-    """SpecularFreeField over an (H, W, 3) grid with every pixel valid."""
+    """SpecularFreeField over an (H, W, 3) grid with every pixel valid,
+    each pixel's chromaticity being its direction itself."""
     dirs = np.asarray(directions, dtype=np.float64)
     flags = np.zeros(dirs.shape[:2], dtype=np.uint8)
-    return SpecularFreeField(directions=dirs, flags=flags)
+    return SpecularFreeField(directions=dirs, amplitude=np.ones(dirs.shape[:2]),
+                             parallel=np.zeros(dirs.shape[:2]), flags=flags)
 
 
 def block_image(materials, magnitudes, block=(16, 16)):

@@ -125,6 +125,15 @@ class TestRemove:
         "--fast --target-edge 0",
         "--min-cluster-size -5",
         "--tau-dev -1",
+        "--tau-frac -1",
+        "--tau-frac 1.5",
+        "--tau-frac nan",
+        "--bin-width inf",
+        "--bin-width 1e-5",
+        "--bin-width 2",
+        "--peak-floor -1",
+        "--threads -4",
+        "--seed -1",
     ])
     def test_out_of_range_config_exits_4(self, tmp_path, capsys, flags):
         out = synth_dir(tmp_path)

@@ -14,7 +14,6 @@ from despec.clustering import (
     ClusterConfig,
     adaptive_cluster,
     adaptive_min_cluster_size,
-    chromaticity_field,
     evaluate_fit,
     kmeans,
     specular_free_field,
@@ -23,6 +22,8 @@ from despec.metrics import cluster_accuracy
 from despec.model import WHITE, IlluminationBasis, l2_chromaticity
 
 OLIVE_DIR = np.array([0.4082482904638624, 0.4082482904638624, -0.8164965809277266])
+OLIVE_PARALLEL = 0.9622504486493764
+OLIVE_ORTHO = 0.2721655269759087
 
 
 def hue_dir(angle_deg):
@@ -36,16 +37,8 @@ def white():
     return IlluminationBasis.white()
 
 
-class TestChromaticityField:
-    def test_unit_rows_and_black_mask(self, white):
-        img = np.zeros((4, 4, 3))
-        img[0, 0] = [0.4, 0.4, 0.2]
-        img[1, 2] = [0.9, 0.1, 0.1]
-        chroma, black = chromaticity_field(img)
-        assert black.sum() == 14
-        assert np.all(chroma[black] == 0.0)
-        assert np.allclose(np.linalg.norm(chroma[~black], axis=-1), 1.0, atol=1e-12)
-        assert np.allclose(chroma[0, 0], [2 / 3, 2 / 3, 1 / 3], atol=1e-15)
+def cluster(img, basis, cfg=None):
+    return adaptive_cluster(specular_free_field(img, basis), basis, cfg)
 
 
 class TestSpecularFreeField:
@@ -54,6 +47,36 @@ class TestSpecularFreeField:
         field = specular_free_field(img, white)
         assert np.all(field.flags == FLAG_VALID)
         assert np.allclose(field.directions, OLIVE_DIR, atol=1e-12)
+        assert np.allclose(field.amplitude, OLIVE_ORTHO, atol=1e-12)
+        assert np.allclose(field.parallel, OLIVE_PARALLEL, atol=1e-12)
+
+    @pytest.mark.parametrize("illum", [None, [0.600, 0.588, 0.542]])
+    def test_amplitude_and_parallel_rebuild_the_chromaticity(self, white, illum):
+        """On valid pixels amplitude² + parallel² = 1, and amplitude *
+        direction + parallel * illumination is the unit chromaticity."""
+        basis = white if illum is None else IlluminationBasis.from_rgb(illum)
+        rng = np.random.default_rng(29)
+        img = rng.random((40, 30, 3)) + 0.02
+        field = specular_free_field(img, basis)
+        valid = field.valid_mask
+        assert valid.all()
+        amp, par = field.amplitude[valid], field.parallel[valid]
+        assert np.abs(amp * amp + par * par - 1.0).max() <= 1e-12
+        rebuilt = amp[:, None] * field.directions[valid] + par[:, None] * basis.direction
+        chroma = img[valid] / np.linalg.norm(img[valid], axis=-1, keepdims=True)
+        assert np.abs(rebuilt - chroma).max() <= 1e-12
+
+    def test_flagged_pixels_are_zero(self, white):
+        img = np.zeros((4, 4, 3))
+        img[0, 0] = [0.4, 0.4, 0.2]
+        img[1, 2] = [0.5, 0.5, 0.5]
+        field = specular_free_field(img, white)
+        assert (field.flags == FLAG_BLACK).sum() == 14
+        assert field.flags[1, 2] == FLAG_ACHROMATIC
+        flagged = ~field.valid_mask
+        assert np.all(field.directions[flagged] == 0.0)
+        assert np.all(field.amplitude[flagged] == 0.0)
+        assert np.all(field.parallel[flagged] == 0.0)
 
     def test_direction_ignores_brightness_and_highlight(self, white):
         """Scaling a pixel or adding illumination-colored light must not
@@ -183,7 +206,7 @@ class TestEvaluateFit:
         gt = synth.render(synth.builtin_scene("single-2", 64, 48))
         field = specular_free_field(gt.input, white)
         clusters = kmeans(field, 1, seed=0, basis=white)
-        diag = evaluate_fit(gt.input, clusters, white)
+        diag = evaluate_fit(field, clusters)
         assert diag.failing_fractions.tolist() == [0.0]
         assert diag.total_error <= 1e-6 * gt.input.shape[0] * gt.input.shape[1]
         assert diag.converged
@@ -196,7 +219,7 @@ class TestEvaluateFit:
         img = block_image(mats, [0.6, 0.6])
         field = specular_free_field(img, white)
         clusters = kmeans(field, 1, seed=0, basis=white)
-        diag = evaluate_fit(img, clusters, white)
+        diag = evaluate_fit(field, clusters)
         assert diag.failing_fractions[0] == 1.0
         n = img.shape[0] * img.shape[1]
         assert diag.total_error == pytest.approx(n * 0.15125, rel=1e-6)
@@ -206,7 +229,7 @@ class TestEvaluateFit:
         gt = synth.render(synth.builtin_scene("four-materials", 160, 112))
         field = specular_free_field(gt.input, white)
         clusters = kmeans(field, 2, seed=0, basis=white)
-        diag = evaluate_fit(gt.input, clusters, white)
+        diag = evaluate_fit(field, clusters)
         assert np.any(diag.failing_fractions > 0.1)
         assert not diag.converged
 
@@ -214,7 +237,7 @@ class TestEvaluateFit:
 class TestAdaptiveCluster:
     def test_four_materials_converges(self, white):
         gt = synth.render(synth.builtin_scene("four-materials", 320, 224))
-        clusters, diag = adaptive_cluster(gt.input, white)
+        clusters, diag = cluster(gt.input, white)
         assert diag.converged
         assert diag.iterations <= 5
         assert clusters.n_clusters == 4
@@ -224,7 +247,7 @@ class TestAdaptiveCluster:
 
     def test_single_material_stops_at_one(self, white):
         gt = synth.render(synth.builtin_scene("single-1", 64, 48))
-        clusters, diag = adaptive_cluster(gt.input, white)
+        clusters, diag = cluster(gt.input, white)
         assert clusters.n_clusters == 1
         assert diag.iterations == 1
         assert diag.converged
@@ -234,7 +257,7 @@ class TestAdaptiveCluster:
         must land in the same cluster."""
         gt = synth.render(synth.builtin_scene("single-1", 96, 64))
         assert gt.specular[..., 0].max() > 0.2  # the scene does carry highlights
-        clusters, _ = adaptive_cluster(gt.input, white)
+        clusters, _ = cluster(gt.input, white)
         assert clusters.n_clusters == 1
         assert np.all(clusters.labels == 0)
 
@@ -250,7 +273,7 @@ class TestAdaptiveCluster:
     def test_small_cluster_merged_into_neighbor(self, white):
         img = self._two_band_image()
         assert adaptive_min_cluster_size(200) == 30
-        clusters, diag = adaptive_cluster(img, white)
+        clusters, diag = cluster(img, white)
         assert clusters.n_clusters == 1
         assert np.all(clusters.labels == 0)
         assert diag.converged
@@ -258,7 +281,7 @@ class TestAdaptiveCluster:
     def test_min_cluster_size_override_keeps_small_cluster(self, white):
         img = self._two_band_image()
         cfg = ClusterConfig(min_cluster_size=1)
-        clusters, diag = adaptive_cluster(img, white, cfg)
+        clusters, diag = cluster(img, white, cfg)
         assert clusters.n_clusters == 2
         assert sorted(clusters.sizes.tolist()) == [25, 175]
         assert diag.converged
@@ -267,7 +290,7 @@ class TestAdaptiveCluster:
         gt = synth.render(synth.builtin_scene("four-materials", 160, 112))
         cfg = ClusterConfig(max_iterations=1)
         with pytest.warns(errors.NoConvergenceWarning):
-            clusters, diag = adaptive_cluster(gt.input, white, cfg)
+            clusters, diag = cluster(gt.input, white, cfg)
         assert not diag.converged
         assert diag.iterations == 1
         assert clusters.n_clusters >= 1  # best effort still returned
@@ -275,13 +298,13 @@ class TestAdaptiveCluster:
     def test_all_flagged_image_rejected(self, white):
         img = np.broadcast_to([0.5, 0.5, 0.5], (16, 16, 3)).copy()
         with pytest.raises(errors.TooFewPixelsError):
-            adaptive_cluster(img, white)
+            cluster(img, white)
 
     def test_deterministic(self, white):
         gt = synth.render(synth.builtin_scene("over-seg", 200, 120))
         img = synth.add_noise(gt, 3.0, seed=1)
-        a, _ = adaptive_cluster(img, white)
-        b, _ = adaptive_cluster(img, white)
+        a, _ = cluster(img, white)
+        b, _ = cluster(img, white)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.centers, b.centers)
 

@@ -116,8 +116,9 @@ def frame(chroma, basis):
 def residual(chroma, center, basis):
     """Unit-circle residual of (N, 3) chromaticities in one center's frame."""
     chroma = np.atleast_2d(chroma)
-    labels = np.zeros(len(chroma), dtype=np.int32)
-    dev, _, _ = _cluster_residuals(chroma, labels, np.asarray(center)[None], basis)
+    field = specular_free_field(chroma[:, None, :], basis)
+    labels = np.zeros((len(chroma), 1), dtype=np.int32)
+    dev, _, _ = _cluster_residuals(field, labels, np.asarray(center)[None])
     return dev
 
 
@@ -195,13 +196,9 @@ class TestUnitCircleResidual:
         assert d[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_off_circle_value(self, white):
-        # exact coordinates of normalize(1,2,3) in the olive frame: 1/28
-        d = residual(self.olive_frame_pixel(N123_ON_OLIVE_DIR, N123_PARALLEL),
-                     OLIVE_DIR, white)
+        # normalize(1,2,3) sits off the olive center's axis: 1/7 - 3/28 = 1/28
+        d = residual(N123, OLIVE_DIR, white)
         assert d[0] == pytest.approx(1.0 / 28.0, abs=1e-12)
-        # same check with the 4-decimal rounded coordinates
-        d4 = residual(self.olive_frame_pixel(-0.3274, 0.9259), OLIVE_DIR, white)
-        assert d4[0] == pytest.approx(0.03551843, abs=1e-8)
 
     def test_pure_illumination(self):
         # an axis-aligned frame holds the coordinates (0, 1) exactly

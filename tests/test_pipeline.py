@@ -64,9 +64,10 @@ class TestAssignToCenters:
         img[0, 0] = 0.0
         img[0, 1] = [0.4, 0.4, 0.4]
         basis = IlluminationBasis.white()
-        from despec.clustering import adaptive_cluster
-        clusters, _ = adaptive_cluster(img, basis)
-        assigned = assign_to_centers(img, clusters.centers, basis)
+        from despec.clustering import adaptive_cluster, specular_free_field
+        field = specular_free_field(img, basis)
+        clusters, _ = adaptive_cluster(field, basis)
+        assigned = assign_to_centers(field, clusters.centers)
         assert np.array_equal(assigned.labels, clusters.labels)
         assert assigned.labels[0, 0] < 0 and assigned.labels[0, 1] < 0
         assert assigned.sizes.sum() == img.shape[0] * img.shape[1] - 2

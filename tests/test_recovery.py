@@ -12,7 +12,6 @@ from despec.recovery import (
     MaterialModel,
     RecoveryConfig,
     _first_peak_index,
-    _parallel_coeffs_of_cluster,
     estimate_models,
     estimate_ratio,
     histogram_edges,
@@ -42,6 +41,18 @@ def single_cluster(img, white):
     return kmeans(specular_free_field(img, white), 1, seed=0, basis=white)
 
 
+def model_of(img, clusters, cluster_id, white):
+    return model_for_cluster(specular_free_field(img, white), clusters, cluster_id, white)
+
+
+def cluster_and_models(img, white):
+    """The pipeline's estimation stages on one field: adaptive clusters
+    and the material model of each."""
+    field = specular_free_field(img, white)
+    clusters, _ = adaptive_cluster(field, white)
+    return clusters, estimate_models(field, clusters, white)
+
+
 def gamma_of(img, white):
     """Illumination-parallel coefficient of each pixel's chromaticity."""
     return white.parallel_coeff(img) / np.linalg.norm(img, axis=-1)
@@ -51,7 +62,7 @@ def coefficient_counts(img, clusters, cluster_id, basis):
     """Histogram counts of one cluster's parallel coefficients, binned
     the way the recovery stage bins them."""
     edges = histogram_edges(RecoveryConfig())
-    coeffs = _parallel_coeffs_of_cluster(img, clusters, cluster_id, basis)
+    coeffs = specular_free_field(img, basis).parallel[clusters.labels == cluster_id]
     counts, _ = np.histogram(np.clip(coeffs, 0.0, edges[-1]), bins=edges)
     return counts
 
@@ -73,10 +84,22 @@ class TestHistogram:
 
     def test_counts_sum_to_cluster_size(self, white):
         gt = synth.render(synth.builtin_scene("four-materials", 160, 112))
-        clusters, _ = adaptive_cluster(gt.input, white)
+        clusters, _ = adaptive_cluster(specular_free_field(gt.input, white), white)
         for cid in range(clusters.n_clusters):
             counts = coefficient_counts(gt.input, clusters, cid, white)
             assert counts.sum() == clusters.sizes[cid]
+
+    def test_field_coefficients_match_the_pixels(self, white):
+        """A cluster's coefficients are its pixels' parallel_coeff(px)/|px|."""
+        gt = synth.render(synth.builtin_scene("four-materials", 160, 112))
+        img = synth.add_noise(gt, 3.0, seed=2)
+        field = specular_free_field(img, white)
+        clusters, _ = adaptive_cluster(field, white)
+        for cid in range(clusters.n_clusters):
+            mask = clusters.labels == cid
+            px = img[mask]
+            expected = white.parallel_coeff(px) / np.linalg.norm(px, axis=-1)
+            assert np.abs(field.parallel[mask] - expected).max() <= 1e-15
 
     def test_three_spec_levels_occupy_expected_bins(self, white):
         img = olive_image([0.0] * 60 + [0.2] * 30 + [0.5] * 10, (10, 10))
@@ -88,7 +111,7 @@ class TestHistogram:
         img = olive_image([0.0] * 16, (4, 4))
         clusters = single_cluster(img, white)
         with pytest.raises(errors.EmptyClusterError):
-            model_for_cluster(img, clusters, 1, white)
+            model_of(img, clusters, 1, white)
 
 
 class TestFirstPeak:
@@ -146,7 +169,7 @@ class TestEstimateRatio:
 class TestModelForCluster:
     def test_clean_material_recovers_exact_coefficient(self, white):
         img = olive_image([0.0] * 60 + [0.2] * 30 + [0.5] * 10, (10, 10))
-        model = model_for_cluster(img, single_cluster(img, white), 0, white)
+        model = model_of(img, single_cluster(img, white), 0, white)
         assert model is not None
         assert model.diffuse_parallel == pytest.approx(OLIVE_PARALLEL, rel=1e-12)
         assert model.diffuse_ortho == pytest.approx(math.sqrt(2.0 / 27.0), rel=1e-12)
@@ -161,20 +184,19 @@ class TestModelForCluster:
         chroma = synth.hue_chromaticity(0.0, saturation=0.005)
         img = np.broadcast_to(0.6 * chroma, (12, 12, 3)).copy()
         clusters = single_cluster(img, white)
-        assert model_for_cluster(img, clusters, 0, white) is None
+        assert model_of(img, clusters, 0, white) is None
 
     def test_fallback_percentile_when_no_peak(self, white):
         img = olive_image(np.linspace(0.0, 1.0, 12), (3, 4))
         clusters = single_cluster(img, white)
-        model = model_for_cluster(img, clusters, 0, white)
+        model = model_of(img, clusters, 0, white)
         coeffs = gamma_of(img, white).reshape(-1)
         assert model.diffuse_parallel == pytest.approx(
             np.percentile(coeffs, 2.0), rel=1e-12)
 
     def test_estimate_models_covers_all_clusters(self, white):
         gt = synth.render(synth.builtin_scene("four-materials", 160, 112))
-        clusters, _ = adaptive_cluster(gt.input, white)
-        models = estimate_models(gt.input, clusters, white)
+        clusters, models = cluster_and_models(gt.input, white)
         assert sorted(models) == list(range(clusters.n_clusters))
         assert all(m is not None for m in models.values())
 
@@ -246,8 +268,7 @@ class TestSeparateImage:
         img = olive_image([0.1] * 64, (8, 8))
         img[0, 0] = 0.0
         img[0, 1] = [0.3, 0.3, 0.3]
-        clusters, _ = adaptive_cluster(img, white)
-        models = estimate_models(img, clusters, white)
+        clusters, models = cluster_and_models(img, white)
         result = separate_image(img, clusters, models, white)
         assert np.array_equal(result.diffuse[0, 0], img[0, 0])
         assert np.array_equal(result.diffuse[0, 1], img[0, 1])
@@ -256,8 +277,7 @@ class TestSeparateImage:
     def test_additivity_and_nonnegativity_under_noise(self, white):
         gt = synth.render(synth.builtin_scene("single-1", 160, 120))
         img = synth.add_noise(gt, 6.0, seed=3)
-        clusters, _ = adaptive_cluster(img, white)
-        models = estimate_models(img, clusters, white)
+        clusters, models = cluster_and_models(img, white)
         result = separate_image(img, clusters, models, white)
         assert np.abs(result.diffuse + result.specular - img).max() <= 1e-12
         assert result.diffuse.min() >= 0.0
@@ -265,21 +285,16 @@ class TestSeparateImage:
 
     def test_idempotent_on_own_diffuse_output(self, white):
         gt = synth.render(synth.builtin_scene("single-2", 160, 120))
-        clusters, _ = adaptive_cluster(gt.input, white)
-        result = separate_image(gt.input, clusters,
-                                estimate_models(gt.input, clusters, white), white)
-        again_clusters, _ = adaptive_cluster(result.diffuse, white)
-        again = separate_image(result.diffuse, again_clusters,
-                               estimate_models(result.diffuse, again_clusters, white),
+        result = separate_image(gt.input, *cluster_and_models(gt.input, white), white)
+        again = separate_image(result.diffuse, *cluster_and_models(result.diffuse, white),
                                white)
         assert np.abs(again.specular).max() <= 1e-6
         assert np.abs(again.diffuse - result.diffuse).max() <= 1e-6
 
     def test_specular_part_keeps_illumination_color(self, white):
         gt = synth.render(synth.builtin_scene("four-materials", 200, 140))
-        clusters, _ = adaptive_cluster(gt.input, white)
-        result = separate_image(gt.input, clusters,
-                                estimate_models(gt.input, clusters, white), white)
+        clusters, models = cluster_and_models(gt.input, white)
+        result = separate_image(gt.input, clusters, models, white)
         mag = np.linalg.norm(result.specular, axis=-1)
         strong = mag > 0.02
         assert strong.any()
@@ -290,9 +305,8 @@ class TestSeparateImage:
         """Per material, the pixels at the bottom of the parallel-coefficient
         range are highlight-free in truth and must stay so in the output."""
         gt = synth.render(synth.builtin_scene("four-materials", 200, 140))
-        clusters, _ = adaptive_cluster(gt.input, white)
-        result = separate_image(gt.input, clusters,
-                                estimate_models(gt.input, clusters, white), white)
+        clusters, models = cluster_and_models(gt.input, white)
+        result = separate_image(gt.input, clusters, models, white)
         coeffs = gamma_of(gt.input, white)
         for cid in range(clusters.n_clusters):
             mask = clusters.labels == cid
@@ -304,8 +318,7 @@ class TestSeparateImage:
     def test_threaded_separation_is_bitwise_identical(self, white):
         gt = synth.render(synth.builtin_scene("over-seg", 150, 100))
         img = synth.add_noise(gt, 3.0, seed=5)
-        clusters, _ = adaptive_cluster(img, white)
-        models = estimate_models(img, clusters, white)
+        clusters, models = cluster_and_models(img, white)
         serial = separate_image(img, clusters, models, white, threads=1)
         threaded = separate_image(img, clusters, models, white, threads=4)
         assert np.array_equal(serial.diffuse, threaded.diffuse)
