@@ -23,7 +23,7 @@ exit codes:
   2  usage error (bad arguments or unusable input data)
   3  file I/O error (unsupported format, corrupt header, truncated data)
   4  scene or configuration error
-  5  processing error (too few usable pixels, degenerate colors, ...)
+  5  processing error (too few usable pixels, degenerate colors, out of memory)
   6  evaluation input mismatch
 """
 
@@ -115,9 +115,9 @@ def cmd_synth(args) -> int:
         params = synth.load_scene(args.scene)
     else:
         params = synth.builtin_params(args.scene)
-    if args.width:
+    if args.width is not None:
         params.width = args.width
-    if args.height:
+    if args.height is not None:
         params.height = args.height
     gt = synth.render(synth.build_scene(params))
     noisy = synth.add_noise(gt, args.sigma, seed=args.seed)
@@ -249,6 +249,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"despec: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("despec: error: out of memory (image or scene too large)", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Material clustering in the subspace orthogonal to the illumination.
 
 :func:`specular_free_field` splits each pixel's unit chromaticity once
-into an amplitude along a unit direction orthogonal to the illumination
-and a coefficient along the illumination itself.  The direction depends
-only on the material color, not on how much highlight the pixel carries,
-so clustering the directions groups pixels by material.  The cluster
+into a coefficient along the illumination and an orthogonal part, stored
+as an amplitude and a hue angle in the basis's fixed (u, v) frame.  The
+hue depends only on the material color, not on how much highlight the
+pixel carries, so k-means on the circle of hues groups pixels by
+material; :func:`nearest_hue` is the one assignment rule.  The cluster
 count is grown adaptively: a cluster whose pixels deviate too far from
 the unit circle in its (center, illumination) frame is mixing materials
 and votes to increase k.  The fit check and the recovery stage read the
@@ -27,9 +28,9 @@ FLAG_VALID = 0
 FLAG_BLACK = 1
 FLAG_ACHROMATIC = 2
 
-# label sentinels for flagged pixels
-LABEL_BLACK = -1
-LABEL_ACHROMATIC = -2
+# label sentinels for flagged pixels: minus the flag
+LABEL_BLACK = -FLAG_BLACK
+LABEL_ACHROMATIC = -FLAG_ACHROMATIC
 
 
 @dataclass
@@ -37,14 +38,15 @@ class SpecularFreeField:
     """Each pixel's unit chromaticity split against the illumination.
 
     For a valid pixel with unit chromaticity ``c`` and illumination
-    direction ``d``, ``c = amplitude * direction + parallel * d``:
-    ``directions`` (H, W, 3) holds the unit direction orthogonal to
-    ``d``, ``amplitude`` (H, W) the orthogonal norm and ``parallel``
-    (H, W) the illumination coefficient, so amplitude² + parallel² = 1.
-    All three are zero where ``flags != FLAG_VALID`` and must be ignored.
+    direction ``d``, ``c = amplitude * basis.orthogonal(hue) + parallel * d``:
+    ``hue`` (H, W) is the angle of c's orthogonal part in the basis's
+    (u, v) frame, in [-pi, pi]; ``amplitude`` (H, W) is that part's norm
+    and ``parallel`` (H, W) the illumination coefficient, so
+    amplitude² + parallel² = 1.  All three are zero where
+    ``flags != FLAG_VALID`` and must be ignored.
     """
 
-    directions: np.ndarray
+    hue: np.ndarray
     amplitude: np.ndarray
     parallel: np.ndarray
     flags: np.ndarray
@@ -59,17 +61,18 @@ class ClusterSet:
     """A hard partition of the valid pixels.
 
     ``labels`` is (H, W) int32: cluster index for valid pixels,
-    LABEL_BLACK / LABEL_ACHROMATIC for flagged ones.  ``centers`` is
-    (k, 3), each row unit norm and orthogonal to the illumination.
+    LABEL_BLACK / LABEL_ACHROMATIC for flagged ones.  ``hues`` is (k,),
+    each cluster's center angle; ``basis.orthogonal(hues)`` gives the
+    unit center directions orthogonal to the illumination.
     """
 
     labels: np.ndarray
-    centers: np.ndarray
+    hues: np.ndarray
     sizes: np.ndarray
 
     @property
     def n_clusters(self) -> int:
-        return len(self.centers)
+        return len(self.hues)
 
 
 @dataclass
@@ -77,7 +80,7 @@ class FitDiagnostics:
     """How well a ClusterSet explains the image under the color model."""
 
     failing_fractions: np.ndarray  # per cluster: fraction of pixels deviating
-    total_error: float             # sum of unit-circle residuals, clipped at 0
+    total_error: float             # sum of unit-circle residuals
     iterations: int = 0
     converged: bool = True
     k_history: list = field(default_factory=list)
@@ -97,139 +100,136 @@ class ClusterConfig:
 def specular_free_field(img, basis: IlluminationBasis, threads: int = 1) -> SpecularFreeField:
     """Split every pixel against the illumination; see SpecularFreeField."""
     img = np.asarray(img, dtype=np.float64)
-    h = img.shape[0]
-    directions = np.empty_like(img)
+    hue = np.empty(img.shape[:2], dtype=np.float64)
     amplitude = np.empty(img.shape[:2], dtype=np.float64)
     parallel = np.empty(img.shape[:2], dtype=np.float64)
     flags = np.empty(img.shape[:2], dtype=np.uint8)
-    d = basis.direction
+    d, u, v = basis.direction, basis.u, basis.v
 
-    def fill(rows):
-        # chroma -> residue -> direction in place, so the only (H, W, 3)
-        # array is the output itself
+    def split(rows):
         block = img[rows]
-        out = directions[rows]
         n = _norm3(block)
         blk = n <= EPS_BLACK
-        np.divide(block, np.where(blk, 1.0, n)[..., None], out=out)
-        par = out[..., 0] * d[0] + out[..., 1] * d[1] + out[..., 2] * d[2]
-        for c in range(3):
-            out[..., c] -= par * d[c]
-        amp = _norm3(out)
+        m = np.where(blk, 1.0, n)
+        # one channel of c = block / n at a time, accumulated in c·d order
+        c = block[..., 0] / m
+        par, x, y = c * d[0], c * u[0], c * v[0]
+        for i in (1, 2):
+            c = block[..., i] / m
+            par += c * d[i]
+            x += c * u[i]
+            y += c * v[i]
+        amp = np.sqrt(x * x + y * y)
         achro = (amp <= EPS_GRAY) & ~blk
         bad = blk | achro
-        out /= np.where(bad, 1.0, amp)[..., None]
-        out[bad] = 0.0
+        hue[rows] = np.where(bad, 0.0, np.arctan2(y, x))
         amplitude[rows] = np.where(bad, 0.0, amp)
         parallel[rows] = np.where(bad, 0.0, par)
         flags[rows] = np.where(blk, FLAG_BLACK, np.where(achro, FLAG_ACHROMATIC, FLAG_VALID))
 
-    run_rows(fill, h, threads)
-    return SpecularFreeField(directions=directions, amplitude=amplitude,
-                             parallel=parallel, flags=flags)
+    def fill(rows):
+        # 16-row chunks keep every temporary small and cache-resident
+        for r in range(rows.start, rows.stop, 16):
+            split(slice(r, min(r + 16, rows.stop)))
+
+    run_rows(fill, img.shape[0], threads)
+    return SpecularFreeField(hue=hue, amplitude=amplitude, parallel=parallel, flags=flags)
 
 
-def _farthest_point_init(points: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Deterministic farthest-point seeding: first index from the seeded
-    generator, then greedily take the point farthest from chosen centers."""
-    rng = np.random.default_rng(seed)
-    n = len(points)
-    centers = np.empty((k, 3), dtype=np.float64)
-    idx = int(rng.integers(n))
-    centers[0] = points[idx]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        idx = int(np.argmax(d2))
-        centers[j] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
-    return centers
+def nearest_hue(hue, centers) -> np.ndarray:
+    """Index (int32) of the center angle nearest to each hue on the circle.
+
+    The sorted centers cut the circle into arcs at the midpoints between
+    neighbors (plus the one across ±pi), so a single searchsorted labels
+    every hue.  Equal centers resolve to the lowest index, as an argmax
+    over cos(hue - centers) would.
+    """
+    centers = np.asarray(centers, dtype=np.float64)
+    order = np.argsort(centers, kind="stable")
+    s = centers[order]
+    owner = order[np.searchsorted(s, s, side="left")].astype(np.int32)
+    # one wrapped copy at each end covers every hue in [-pi, pi]
+    s = np.concatenate(([s[-1] - 2.0 * np.pi], s, [s[0] + 2.0 * np.pi]))
+    owner = np.concatenate((owner[-1:], owner, owner[:1]))
+    return owner[np.searchsorted(0.5 * (s[:-1] + s[1:]), hue, side="right")]
 
 
-def kmeans(field: SpecularFreeField, k: int, seed: int = 0, max_iter: int = 100,
-           basis: IlluminationBasis | None = None) -> ClusterSet:
-    """Lloyd iterations on the valid field directions.
+def _mean_hues(labels: np.ndarray, cos: np.ndarray, sin: np.ndarray, k: int):
+    """Per-cluster circular mean angle, member count, mean resultant length."""
+    counts = np.bincount(labels, minlength=k)
+    s = np.bincount(labels, weights=sin, minlength=k)
+    c = np.bincount(labels, weights=cos, minlength=k)
+    return np.arctan2(s, c), counts, np.hypot(s, c) / np.maximum(counts, 1)
 
-    Centers are renormalized and, when ``basis`` is given, explicitly
-    re-orthogonalized against the illumination after every update, so
-    they stay inside the specular-free subspace.  Empty clusters are
-    reseeded from the farthest point; if the data cannot support k
-    distinct centers the surplus clusters are dropped and labels
+
+def kmeans(field: SpecularFreeField, k: int, seed: int = 0, max_iter: int = 100) -> ClusterSet:
+    """Lloyd iterations on the circle of valid field hues.
+
+    Farthest-point seeding: the first hue from the seeded generator, then
+    greedily the hue farthest in chord² 2 - 2·cos(hue - center).  Each
+    update is the members' circular mean.  An empty cluster, or one whose
+    hues cancel, is reseeded from the point farthest from its own center;
+    surplus clusters the data cannot support are dropped and labels
     compacted.
     """
     valid = field.valid_mask
-    points = field.directions[valid]
-    n = len(points)
+    hue = field.hue[valid]
+    n = len(hue)
     if n == 0:
         raise TooFewPixelsError("no clusterable pixels")
     if n < k:
         raise TooFewPixelsError(f"{n} clusterable pixels cannot support k={k}")
+    cos, sin = np.cos(hue), np.sin(hue)
 
-    direction = basis.direction if basis is not None else None
-    centers = _farthest_point_init(points, k, seed)
+    rng = np.random.default_rng(seed)
+    centers = np.empty(k, dtype=np.float64)
+    idx = int(rng.integers(n))
+    centers[0] = hue[idx]
+    d2 = 2.0 - 2.0 * (cos * cos[idx] + sin * sin[idx])
+    for j in range(1, k):
+        idx = int(np.argmax(d2))
+        centers[j] = hue[idx]
+        d2 = np.minimum(d2, 2.0 - 2.0 * (cos * cos[idx] + sin * sin[idx]))
+
     labels = np.full(n, -1, dtype=np.int32)
-
     for _ in range(max_iter):
-        # squared Euclidean assignment; all centers unit norm, so the
-        # nearest center is the one with the largest dot product
-        gram = points @ centers.T
-        new_labels = np.argmax(gram, axis=1).astype(np.int32)
+        new_labels = nearest_hue(hue, centers)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-
-        counts = np.bincount(labels, minlength=k)
-        d2_own = None
-        for j in range(k):
-            if counts[j] > 0:
-                mean = points[labels == j].sum(axis=0) / counts[j]
-                if direction is not None:
-                    mean = mean - float(mean @ direction) * direction
-                norm = float(np.sqrt(mean @ mean))
-                if norm > 1e-12:
-                    centers[j] = mean / norm
-                    continue
-            # empty cluster, or a degenerate mean (hues cancelled):
-            # reseed from the point farthest from its assigned center
-            if d2_own is None:
-                own = np.take_along_axis(gram, labels[:, None], axis=1)[:, 0]
-                d2_own = 2.0 - 2.0 * own
+        means, counts, length = _mean_hues(labels, cos, sin, k)
+        lost = (counts == 0) | (length <= 1e-12)
+        if lost.any():
+            # every lost center takes the point farthest from its own
+            # (pre-update) center; if none is apart, the center stays and
+            # its cluster may end up empty and is dropped below
+            d2_own = 2.0 - 2.0 * (cos * np.cos(centers)[labels]
+                                  + sin * np.sin(centers)[labels])
             idx = int(np.argmax(d2_own))
-            if d2_own[idx] > 1e-12:
-                centers[j] = points[idx]
-            # else: nothing left to separate; center stays, cluster may
-            # end up empty and is dropped below
-
-    # final assignment against the final centers
-    gram = points @ centers.T
-    labels = np.argmax(gram, axis=1).astype(np.int32)
-    counts = np.bincount(labels, minlength=k)
+            means[lost] = hue[idx] if d2_own[idx] > 1e-12 else centers[lost]
+        centers = means
+    else:  # no convergence: assign against the last update
+        labels = nearest_hue(hue, centers)
 
     # drop empty clusters, compact labels
+    counts = np.bincount(labels, minlength=k)
     keep = np.flatnonzero(counts > 0)
-    remap = np.full(k, -1, dtype=np.int32)
-    remap[keep] = np.arange(len(keep), dtype=np.int32)
-    labels = remap[labels]
-    centers = centers[keep]
-    sizes = counts[keep]
+    labels = (np.cumsum(counts > 0, dtype=np.int32) - 1)[labels]
 
-    full = np.where(
-        field.flags == FLAG_BLACK, LABEL_BLACK, LABEL_ACHROMATIC
-    ).astype(np.int32)
+    full = -field.flags.astype(np.int32)
     full[valid] = labels
-    return ClusterSet(labels=full, centers=centers, sizes=sizes)
+    return ClusterSet(labels=full, hues=centers[keep], sizes=counts[keep])
 
 
 def _cluster_residuals(field: SpecularFreeField, labels: np.ndarray,
-                       centers: np.ndarray):
+                       hues: np.ndarray):
     """Unit-circle residual of every labeled pixel against its cluster
     frame: the pixel's orthogonal part off the center's axis,
-    amplitude² · (1 − (direction · center)²)."""
+    amplitude² · sin²(hue − center hue)."""
     valid = labels >= 0
     lab = labels[valid]
-    cos = (field.directions[valid] * centers[lab]).sum(axis=1)
-    amp = field.amplitude[valid]
-    dev = amp * amp * (1.0 - cos * cos)
-    return dev, lab, valid
+    off = field.amplitude[valid] * np.sin(field.hue[valid] - hues[lab])
+    return off * off, lab, valid
 
 
 def evaluate_fit(field: SpecularFreeField, clusters: ClusterSet,
@@ -240,15 +240,14 @@ def evaluate_fit(field: SpecularFreeField, clusters: ClusterSet,
     from the unit circle by more than ``tau_dev``; failing clusters mix
     materials and should be split.
     """
-    dev, lab, _ = _cluster_residuals(field, clusters.labels, clusters.centers)
+    dev, lab, _ = _cluster_residuals(field, clusters.labels, clusters.hues)
     k = clusters.n_clusters
     counts = np.bincount(lab, minlength=k).astype(np.float64)
     bad = np.bincount(lab[dev > tau_dev], minlength=k).astype(np.float64)
     fractions = np.divide(bad, counts, out=np.zeros(k), where=counts > 0)
-    total = float(np.clip(dev, 0.0, None).sum())
     return FitDiagnostics(
         failing_fractions=fractions,
-        total_error=total,
+        total_error=float(dev.sum()),
         converged=bool(np.all(fractions <= tau_frac)),
     )
 
@@ -259,7 +258,7 @@ def adaptive_min_cluster_size(n_valid: int) -> int:
 
 
 def _merge_small_clusters(clusters: ClusterSet, field: SpecularFreeField,
-                          min_size: int, basis: IlluminationBasis) -> ClusterSet:
+                          min_size: int) -> ClusterSet:
     """Fold clusters below the size floor into the nearest big cluster."""
     sizes = clusters.sizes
     big = np.flatnonzero(sizes >= min_size)
@@ -267,35 +266,23 @@ def _merge_small_clusters(clusters: ClusterSet, field: SpecularFreeField,
     if len(small) == 0 or len(big) == 0:
         return clusters
 
-    centers = clusters.centers
+    hues = clusters.hues
+    remap = np.full(clusters.n_clusters, -1, dtype=np.int32)
+    remap[big] = np.arange(len(big), dtype=np.int32)
+    remap[small] = remap[big[nearest_hue(hues[small], hues[big])]]
     labels = clusters.labels.copy()
-    # nearest big center for each small center
-    gram = centers[small] @ centers[big].T
-    target = big[np.argmax(gram, axis=1)]
-    remap = np.arange(clusters.n_clusters, dtype=np.int32)
-    remap[small] = target
     valid = labels >= 0
-    labels[valid] = remap[labels[valid]]
+    lab = remap[labels[valid]]
+    labels[valid] = lab
 
-    # compact to the surviving clusters and refresh centers from members
-    compact = np.full(clusters.n_clusters, -1, dtype=np.int32)
-    compact[big] = np.arange(len(big), dtype=np.int32)
-    labels[valid] = compact[labels[valid]]
-    new_centers = np.empty((len(big), 3), dtype=np.float64)
-    new_sizes = np.empty(len(big), dtype=np.int64)
-    d = basis.direction
-    pts = field.directions
-    for j in range(len(big)):
-        members = pts[labels == j]
-        new_sizes[j] = len(members)
-        mean = members.sum(axis=0) / max(len(members), 1)
-        mean = mean - float(mean @ d) * d
-        norm = float(np.sqrt(mean @ mean))
-        new_centers[j] = mean / norm if norm > 1e-12 else centers[big[j]]
-    return ClusterSet(labels=labels, centers=new_centers, sizes=new_sizes)
+    # refresh the surviving centers from their members
+    hue = field.hue[valid]
+    means, new_sizes, length = _mean_hues(lab, np.cos(hue), np.sin(hue), len(big))
+    new_hues = np.where(length > 1e-12, means, hues[big])
+    return ClusterSet(labels=labels, hues=new_hues, sizes=new_sizes)
 
 
-def adaptive_cluster(field: SpecularFreeField, basis: IlluminationBasis,
+def adaptive_cluster(field: SpecularFreeField,
                      cfg: ClusterConfig | None = None) -> tuple[ClusterSet, FitDiagnostics]:
     """Grow the cluster count until every cluster passes the fit check.
 
@@ -323,7 +310,7 @@ def adaptive_cluster(field: SpecularFreeField, basis: IlluminationBasis,
     for _ in range(cfg.max_iterations):
         iterations += 1
         history.append(k)
-        clusters = kmeans(field, k, seed=cfg.seed, max_iter=cfg.kmeans_max_iter, basis=basis)
+        clusters = kmeans(field, k, seed=cfg.seed, max_iter=cfg.kmeans_max_iter)
         diag = evaluate_fit(field, clusters, cfg.tau_dev, cfg.tau_frac)
         failing = int(np.sum(diag.failing_fractions > cfg.tau_frac))
         if failing == 0:
@@ -341,7 +328,7 @@ def adaptive_cluster(field: SpecularFreeField, basis: IlluminationBasis,
             stacklevel=2,
         )
 
-    merged = _merge_small_clusters(clusters, field, min_size, basis)
+    merged = _merge_small_clusters(clusters, field, min_size)
     if merged is not clusters:
         clusters = merged
         diag = evaluate_fit(field, clusters, cfg.tau_dev, cfg.tau_frac)

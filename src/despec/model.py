@@ -7,13 +7,14 @@ body reflection (material color) and surface reflection (illumination
 color) lies in the plane spanned by the material chromaticity and the
 illumination chromaticity.  Splitting that plane into the illumination
 direction and its orthogonal complement gives coordinates in which pure
-materials sit on the unit circle.  The per-pixel split itself is
-vectorized in :func:`despec.clustering.specular_free_field`.
+materials sit on the unit circle.  A fixed orthonormal frame (u, v) of
+that complement turns each material into one hue angle.  The per-pixel
+split itself is vectorized in :func:`despec.clustering.specular_free_field`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,9 +52,13 @@ def l2_chromaticity(v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IlluminationBasis:
-    """Unit illumination direction plus the projection onto it."""
+    """Unit illumination direction ``d`` plus a fixed right-handed
+    orthonormal frame (u, v, d): ``u`` is the axis of d's smallest
+    component with d projected out, and ``v = d × u``."""
 
     direction: np.ndarray
+    u: np.ndarray = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=np.float64)
@@ -67,6 +72,11 @@ class IlluminationBasis:
         if np.any(d < 0):
             raise InvalidIlluminantError("illumination direction has negative components")
         object.__setattr__(self, "direction", d)
+        i = int(np.argmin(d))
+        u = np.eye(3)[i] - d[i] * d
+        u /= float(_norm3(u))
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", np.cross(d, u))
 
     @classmethod
     def white(cls) -> "IlluminationBasis":
@@ -87,6 +97,11 @@ class IlluminationBasis:
         d = self.direction
         v = np.asarray(v, dtype=np.float64)
         return v[..., 0] * d[0] + v[..., 1] * d[1] + v[..., 2] * d[2]
+
+    def orthogonal(self, hue) -> np.ndarray:
+        """Unit vector(s) cos(hue)·u + sin(hue)·v; (..., 3) for a hue array."""
+        hue = np.asarray(hue, dtype=np.float64)[..., None]
+        return np.cos(hue) * self.u + np.sin(hue) * self.v
 
 
 def white_balance(img, illum) -> np.ndarray:

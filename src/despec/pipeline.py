@@ -18,12 +18,10 @@ from ._parallel import resolve_threads, run_rows
 from .clustering import (
     ClusterConfig,
     ClusterSet,
-    FLAG_ACHROMATIC,
-    FLAG_BLACK,
-    LABEL_ACHROMATIC,
-    LABEL_BLACK,
+    FLAG_VALID,
     SpecularFreeField,
     adaptive_cluster,
+    nearest_hue,
     specular_free_field,
 )
 from .errors import ConfigError
@@ -118,26 +116,21 @@ def box_downsample(img: np.ndarray, factor: int) -> np.ndarray:
     return block.mean(axis=(1, 3))
 
 
-def assign_to_centers(field: SpecularFreeField, centers: np.ndarray,
+def assign_to_centers(field: SpecularFreeField, hues: np.ndarray,
                       threads: int = 1) -> ClusterSet:
-    """Label every pixel with the center most aligned with its direction
-    in the specular-free subspace; flagged pixels keep their sentinels."""
+    """Label every pixel with the center hue nearest to its own hue;
+    flagged pixels get their sentinels (minus the flag)."""
     flags = field.flags
-    dirs = field.directions
-    h = flags.shape[0]
     labels = np.empty(flags.shape, dtype=np.int32)
 
     def fill(rows):
-        gram = dirs[rows] @ centers.T
-        lab = np.argmax(gram, axis=-1).astype(np.int32)
-        lab = np.where(flags[rows] == FLAG_BLACK, LABEL_BLACK, lab)
-        lab = np.where(flags[rows] == FLAG_ACHROMATIC, LABEL_ACHROMATIC, lab)
-        labels[rows] = lab
+        f = flags[rows]
+        labels[rows] = np.where(f == FLAG_VALID, nearest_hue(field.hue[rows], hues),
+                                -f.astype(np.int32))
 
-    run_rows(fill, h, threads)
-    valid = labels >= 0
-    sizes = np.bincount(labels[valid], minlength=len(centers))
-    return ClusterSet(labels=labels, centers=centers.copy(), sizes=sizes)
+    run_rows(fill, flags.shape[0], threads)
+    sizes = np.bincount(labels[labels >= 0], minlength=len(hues))
+    return ClusterSet(labels=labels, hues=hues.copy(), sizes=sizes)
 
 
 def _check_config(cfg: PipelineConfig) -> None:
@@ -187,14 +180,14 @@ def run(img, cfg: PipelineConfig | None = None
 
     t_cluster = time.perf_counter()
     field = specular_free_field(box_downsample(img, factor), basis, threads=threads)
-    clusters, fit = adaptive_cluster(field, basis, cfg.cluster)
+    clusters, fit = adaptive_cluster(field, cfg.cluster)
     clustering_seconds = time.perf_counter() - t_cluster
 
     models = estimate_models(field, clusters, basis, cfg.recovery)
     del field  # not read again; free it before the full-resolution passes
     if factor > 1:
         clusters = assign_to_centers(specular_free_field(img, basis, threads=threads),
-                                     clusters.centers, threads=threads)
+                                     clusters.hues, threads=threads)
     result = separate_image(img, clusters, models, basis, threads=threads)
     total_seconds = time.perf_counter() - t0
 

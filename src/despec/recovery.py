@@ -151,7 +151,7 @@ def model_for_cluster(field: SpecularFreeField, clusters: ClusterSet, cluster_id
         diffuse_ortho, ratio = estimate_ratio(diffuse_parallel)
     except DegenerateRatioError:
         return None
-    center = clusters.centers[cluster_id]
+    center = basis.orthogonal(clusters.hues[cluster_id])
     chroma = diffuse_ortho * center + diffuse_parallel * basis.direction
     chroma = np.clip(chroma, 0.0, None)
     chroma = chroma / float(_norm3(chroma))

@@ -206,7 +206,7 @@ def build_scene(params: SceneParams) -> SceneSpec:
     gy = ys[:, None].astype(np.float64)
     for lb in params.lobes:
         cx, cy, sigma, amp = (float(q) for q in lb)
-        if sigma <= 0 or amp < 0:
+        if not np.all(np.isfinite([cx, cy, sigma, amp])) or sigma <= 0 or amp < 0:
             raise InvalidSceneError(f"bad lobe {lb!r}")
         s_px = sigma * min(w, h)
         d2 = (gx - cx * w) ** 2 + (gy - cy * h) ** 2
@@ -264,8 +264,8 @@ def add_noise(gt: GroundTruth, sigma: float, seed: int = 0) -> np.ndarray:
     caller parallelizes.  Negative results are clipped to zero (sensors
     do not report negative energy); values above 1 are left alone.
     """
-    if sigma < 0:
-        raise InvalidSceneError(f"noise sigma must be nonnegative, got {sigma!r}")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise InvalidSceneError(f"noise sigma must be finite and nonnegative, got {sigma!r}")
     if sigma == 0:
         return gt.input.copy()
     rng = np.random.Generator(np.random.Philox(key=int(seed)))

@@ -11,13 +11,13 @@ import numpy as np
 from despec.clustering import SpecularFreeField
 
 
-def make_field(directions):
-    """SpecularFreeField over an (H, W, 3) grid with every pixel valid,
-    each pixel's chromaticity being its direction itself."""
-    dirs = np.asarray(directions, dtype=np.float64)
-    flags = np.zeros(dirs.shape[:2], dtype=np.uint8)
-    return SpecularFreeField(directions=dirs, amplitude=np.ones(dirs.shape[:2]),
-                             parallel=np.zeros(dirs.shape[:2]), flags=flags)
+def make_field(hues):
+    """SpecularFreeField over an (H, W) grid of hue angles with every
+    pixel valid, each pixel's chromaticity being its unit direction."""
+    hue = np.asarray(hues, dtype=np.float64)
+    flags = np.zeros(hue.shape, dtype=np.uint8)
+    return SpecularFreeField(hue=hue, amplitude=np.ones(hue.shape),
+                             parallel=np.zeros(hue.shape), flags=flags)
 
 
 def block_image(materials, magnitudes, block=(16, 16)):

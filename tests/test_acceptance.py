@@ -186,15 +186,16 @@ def test_unit_circle_coordinates_for_random_mixtures():
     lam = material / np.linalg.norm(material, axis=1, keepdims=True)
     alpha = 0.2 + 0.8 * draws[:, 3:4]
     beta = draws[:, 4:5]
-    # an achromatic material gets a zero direction and fails the closure
-    dirs = specular_free_field(material[:, None, :], basis).directions[:, 0]
+    # an achromatic material gets hue 0 and fails the reconstruction
+    hues = specular_free_field(material[:, None, :], basis).hue[:, 0]
+    dirs = basis.orthogonal(hues)
     labels = np.arange(n)[:, None]
     material_dev, _, _ = _cluster_residuals(
-        specular_free_field(lam[:, None, :], basis), labels, dirs)
+        specular_free_field(lam[:, None, :], basis), labels, hues)
     mixed = alpha * lam + beta * basis.direction
     chroma = mixed / np.linalg.norm(mixed, axis=1, keepdims=True)
     mixture_dev, _, _ = _cluster_residuals(
-        specular_free_field(chroma[:, None, :], basis), labels, dirs)
+        specular_free_field(chroma[:, None, :], basis), labels, hues)
     ortho = (chroma * dirs).sum(axis=1)
     recon = ortho[:, None] * dirs + basis.parallel_coeff(chroma)[:, None] * basis.direction
     worst_material = float(np.abs(material_dev).max())

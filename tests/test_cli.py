@@ -55,6 +55,36 @@ class TestSynth:
         assert rc == 4
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        "--sigma nan", "--sigma inf", "--sigma -1", "--width 0", "--height 0",
+    ])
+    def test_bad_noise_or_size_exits_4(self, tmp_path, capsys, flags):
+        out = tmp_path / "x"
+        rc = main(["synth", "four-materials", "-o", str(out), "--width", "20",
+                   "--height", "20", *flags.split()])
+        assert rc == 4
+        assert "error" in capsys.readouterr().err
+        assert not (out / "input.pfm").exists()
+
+    @pytest.mark.parametrize("lobe", [
+        "nan 0.5 0.1 0.4", "0.5 inf 0.1 0.4", "0.5 0.5 nan 0.4", "0.5 0.5 0.1 inf",
+    ])
+    def test_non_finite_lobe_exits_4(self, tmp_path, capsys, lobe):
+        scene = tmp_path / "scene.txt"
+        scene.write_text(f"scene = single-1\nmaterial = 0.4 0.4 0.2\nlobe = {lobe}\n")
+        rc = main(["synth", str(scene), "-o", str(tmp_path / "x")])
+        assert rc == 4
+        assert "bad lobe" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_5(self, tmp_path, capsys, monkeypatch):
+        def too_big(spec):
+            raise MemoryError
+        monkeypatch.setattr(synth, "render", too_big)
+        rc = main(["synth", "four-materials", "-o", str(tmp_path / "x")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert err.startswith("despec: error: out of memory") and "Traceback" not in err
+
 
 class TestRemove:
     def test_separates_and_reports(self, tmp_path, capsys):

@@ -16,20 +16,22 @@ from despec.clustering import (
     adaptive_min_cluster_size,
     evaluate_fit,
     kmeans,
+    nearest_hue,
     specular_free_field,
 )
 from despec.metrics import cluster_accuracy
 from despec.model import WHITE, IlluminationBasis, l2_chromaticity
 
 OLIVE_DIR = np.array([0.4082482904638624, 0.4082482904638624, -0.8164965809277266])
+OLIVE_HUE = np.pi / 3.0  # OLIVE_DIR in the white basis's (u, v) frame
 OLIVE_PARALLEL = 0.9622504486493764
 OLIVE_ORTHO = 0.2721655269759087
 
 
-def hue_dir(angle_deg):
-    """Unit direction in the plane orthogonal to white illumination."""
+def hue_angle(angle_deg):
+    """Field hue of a synthetic hue chromaticity under white illumination."""
     pixel = synth.hue_chromaticity(angle_deg)[None, None]
-    return specular_free_field(pixel, IlluminationBasis.white()).directions[0, 0]
+    return specular_free_field(pixel, IlluminationBasis.white()).hue[0, 0]
 
 
 @pytest.fixture
@@ -38,7 +40,7 @@ def white():
 
 
 def cluster(img, basis, cfg=None):
-    return adaptive_cluster(specular_free_field(img, basis), basis, cfg)
+    return adaptive_cluster(specular_free_field(img, basis), cfg)
 
 
 class TestSpecularFreeField:
@@ -46,14 +48,15 @@ class TestSpecularFreeField:
         img = np.broadcast_to([0.4, 0.4, 0.2], (8, 6, 3)).copy()
         field = specular_free_field(img, white)
         assert np.all(field.flags == FLAG_VALID)
-        assert np.allclose(field.directions, OLIVE_DIR, atol=1e-12)
+        assert np.allclose(field.hue, OLIVE_HUE, atol=1e-12)
+        assert np.allclose(white.orthogonal(field.hue), OLIVE_DIR, atol=1e-12)
         assert np.allclose(field.amplitude, OLIVE_ORTHO, atol=1e-12)
         assert np.allclose(field.parallel, OLIVE_PARALLEL, atol=1e-12)
 
     @pytest.mark.parametrize("illum", [None, [0.600, 0.588, 0.542]])
     def test_amplitude_and_parallel_rebuild_the_chromaticity(self, white, illum):
         """On valid pixels amplitude² + parallel² = 1, and amplitude *
-        direction + parallel * illumination is the unit chromaticity."""
+        orthogonal(hue) + parallel * illumination is the unit chromaticity."""
         basis = white if illum is None else IlluminationBasis.from_rgb(illum)
         rng = np.random.default_rng(29)
         img = rng.random((40, 30, 3)) + 0.02
@@ -62,7 +65,8 @@ class TestSpecularFreeField:
         assert valid.all()
         amp, par = field.amplitude[valid], field.parallel[valid]
         assert np.abs(amp * amp + par * par - 1.0).max() <= 1e-12
-        rebuilt = amp[:, None] * field.directions[valid] + par[:, None] * basis.direction
+        rebuilt = (amp[:, None] * basis.orthogonal(field.hue[valid])
+                   + par[:, None] * basis.direction)
         chroma = img[valid] / np.linalg.norm(img[valid], axis=-1, keepdims=True)
         assert np.abs(rebuilt - chroma).max() <= 1e-12
 
@@ -74,7 +78,7 @@ class TestSpecularFreeField:
         assert (field.flags == FLAG_BLACK).sum() == 14
         assert field.flags[1, 2] == FLAG_ACHROMATIC
         flagged = ~field.valid_mask
-        assert np.all(field.directions[flagged] == 0.0)
+        assert np.all(field.hue[flagged] == 0.0)
         assert np.all(field.amplitude[flagged] == 0.0)
         assert np.all(field.parallel[flagged] == 0.0)
 
@@ -88,13 +92,13 @@ class TestSpecularFreeField:
         ])
         field = specular_free_field(img, white)
         assert np.all(field.flags == FLAG_VALID)
-        assert np.allclose(field.directions, OLIVE_DIR, atol=1e-12)
+        assert np.allclose(field.hue, OLIVE_HUE, atol=1e-12)
 
     def test_gray_pixels_flagged(self, white):
         img = np.broadcast_to([0.5, 0.5, 0.5], (5, 5, 3)).copy()
         field = specular_free_field(img, white)
         assert np.all(field.flags == FLAG_ACHROMATIC)
-        assert np.all(field.directions == 0.0)
+        assert np.all(field.hue == 0.0)
         assert field.valid_mask.sum() == 0
 
     def test_black_pixels_flagged(self, white):
@@ -107,38 +111,81 @@ class TestSpecularFreeField:
     def test_two_materials_two_distinct_values(self, white):
         img = block_image([[0.4, 0.4, 0.2], [0.2, 0.3, 0.8]], [1.0, 1.0])
         field = specular_free_field(img, white)
-        rounded = np.unique(np.round(field.directions.reshape(-1, 3), 9), axis=0)
+        rounded = np.unique(np.round(field.hue, 9))
         assert len(rounded) == 2
 
     def test_unit_and_orthogonal_invariants(self, white):
         rng = np.random.default_rng(19)
         img = rng.random((40, 30, 3)) + 0.02
         field = specular_free_field(img, white)
-        dirs = field.directions[field.valid_mask]
+        dirs = white.orthogonal(field.hue[field.valid_mask])
         assert np.abs(np.linalg.norm(dirs, axis=-1) - 1.0).max() <= 1e-6
         assert np.abs(dirs @ white.direction).max() <= 1e-6
 
 
+def assert_matches_argmax(hue, centers):
+    """nearest_hue must pick the brute-force argmax of cos(hue - center).
+    Where two different center values are within rounding of each other
+    (+pi and -pi name one point), either is accepted; equal center values
+    must resolve to the lowest index, as argmax does."""
+    cos = np.cos(hue[:, None] - centers[None, :])
+    want = np.argmax(cos, axis=1)
+    got = nearest_hue(hue, centers)
+    assert got.dtype == np.int32 and got.shape == hue.shape
+    rows = np.arange(len(hue))
+    tie = (cos[rows, got] >= cos[rows, want] - 1e-12) & (centers[got] != centers[want])
+    assert np.all((got == want) | tie)
+    return int(np.count_nonzero(got != want))
+
+
+class TestNearestHue:
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 40])
+    def test_random_hues_match_argmax(self, k):
+        rng = np.random.default_rng(k)
+        hue = rng.uniform(-np.pi, np.pi, 5000)
+        centers = rng.uniform(-np.pi, np.pi, k)
+        assert assert_matches_argmax(hue, centers) == 0
+
+    def test_duplicate_centers_take_the_lowest_index(self):
+        rng = np.random.default_rng(31)
+        hue = rng.uniform(-np.pi, np.pi, 5000)
+        centers = np.array([1.0, -2.0, 1.0, 0.5, -2.0, 1.0])
+        assert assert_matches_argmax(hue, centers) == 0
+        assert set(np.unique(nearest_hue(hue, centers)).tolist()) == {0, 1, 3}
+
+    @pytest.mark.parametrize("centers", [[np.pi], [-np.pi], [np.pi, 0.3], [-np.pi, 0.3],
+                                         [-np.pi, np.pi, 0.0]])
+    def test_centers_and_hues_at_plus_minus_pi(self, centers):
+        rng = np.random.default_rng(37)
+        hue = np.concatenate([[np.pi, -np.pi, 0.0, 3.0, -3.0],
+                              rng.uniform(-np.pi, np.pi, 2000)])
+        assert_matches_argmax(hue, np.array(centers))
+
+    def test_two_dimensional_hues(self):
+        hue = np.array([[0.1, 2.0], [-2.5, 3.1]])
+        assert nearest_hue(hue, np.array([0.0, 2.2])).tolist() == [[0, 1], [1, 1]]
+
+
 class TestKmeans:
     def test_single_value_single_cluster(self, white):
-        field = make_field(np.broadcast_to(OLIVE_DIR, (10, 10, 3)))
-        clusters = kmeans(field, 1, seed=0, basis=white)
+        field = make_field(np.full((10, 10), OLIVE_HUE))
+        clusters = kmeans(field, 1, seed=0)
         assert clusters.n_clusters == 1
         assert np.all(clusters.labels == 0)
         assert clusters.sizes.tolist() == [100]
-        assert np.allclose(clusters.centers[0], OLIVE_DIR, atol=1e-12)
+        assert np.allclose(clusters.hues[0], OLIVE_HUE, atol=1e-12)
 
     def test_four_separated_values_exact_partition(self, white):
         """Four directions 90 degrees apart must be recovered exactly;
         the oracle is brute-force nearest-center assignment."""
-        dirs = [hue_dir(a) for a in (0.0, 90.0, 180.0, 270.0)]
-        grid = np.zeros((40, 40, 3))
+        hues = [hue_angle(a) for a in (0.0, 90.0, 180.0, 270.0)]
+        grid = np.zeros((40, 40))
         truth = np.zeros((40, 40), dtype=int)
-        for i, d in enumerate(dirs):
+        for i, d in enumerate(hues):
             rows = slice(10 * i, 10 * (i + 1))
             grid[rows] = d
             truth[rows] = i
-        clusters = kmeans(make_field(grid), 4, seed=0, basis=white)
+        clusters = kmeans(make_field(grid), 4, seed=0)
         assert clusters.n_clusters == 4
         # each band is one label, and the four bands use four labels
         band_labels = [clusters.labels[10 * i, 0] for i in range(4)]
@@ -146,37 +193,38 @@ class TestKmeans:
         for i in range(4):
             assert np.all(clusters.labels[10 * i:10 * (i + 1)] == band_labels[i])
         # labels agree with nearest-center assignment
-        flat = grid.reshape(-1, 3)
-        nearest = np.argmax(flat @ clusters.centers.T, axis=1)
+        flat = grid.reshape(-1)
+        nearest = np.argmax(np.cos(flat[:, None] - clusters.hues), axis=1)
         assert np.array_equal(nearest, clusters.labels.reshape(-1))
-        # centers match the generating directions
-        for i, d in enumerate(dirs):
-            assert np.allclose(clusters.centers[band_labels[i]], d, atol=1e-9)
+        # centers match the generating hues
+        for i, d in enumerate(hues):
+            assert np.allclose(clusters.hues[band_labels[i]], d, atol=1e-9)
 
     def test_centers_stay_in_subspace(self, white):
         rng = np.random.default_rng(23)
         img = rng.random((32, 32, 3)) + 0.02
         field = specular_free_field(img, white)
-        clusters = kmeans(field, 5, seed=1, basis=white)
-        assert np.abs(np.linalg.norm(clusters.centers, axis=-1) - 1.0).max() <= 1e-6
-        assert np.abs(clusters.centers @ white.direction).max() <= 1e-6
+        clusters = kmeans(field, 5, seed=1)
+        centers = white.orthogonal(clusters.hues)
+        assert np.abs(np.linalg.norm(centers, axis=-1) - 1.0).max() <= 1e-12
+        assert np.abs(centers @ white.direction).max() <= 1e-12
 
     def test_deterministic(self, white):
         rng = np.random.default_rng(4)
         img = rng.random((24, 24, 3)) + 0.02
         field = specular_free_field(img, white)
-        a = kmeans(field, 3, seed=9, basis=white)
-        b = kmeans(field, 3, seed=9, basis=white)
+        a = kmeans(field, 3, seed=9)
+        b = kmeans(field, 3, seed=9)
         assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.centers, b.centers)
+        assert np.array_equal(a.hues, b.hues)
 
     def test_surplus_clusters_dropped(self, white):
         """Asking for more clusters than distinct values keeps the data's
         own structure and compacts the labels."""
-        grid = np.zeros((20, 10, 3))
-        grid[:10] = hue_dir(0.0)
-        grid[10:] = hue_dir(180.0)
-        clusters = kmeans(make_field(grid), 3, seed=0, basis=white)
+        grid = np.zeros((20, 10))
+        grid[:10] = hue_angle(0.0)
+        grid[10:] = hue_angle(180.0)
+        clusters = kmeans(make_field(grid), 3, seed=0)
         assert clusters.n_clusters == 2
         assert set(np.unique(clusters.labels)) == {0, 1}
 
@@ -185,27 +233,27 @@ class TestKmeans:
         img[0, 0] = 0.0
         img[0, 1] = [0.7, 0.7, 0.7]
         field = specular_free_field(img, white)
-        clusters = kmeans(field, 1, seed=0, basis=white)
+        clusters = kmeans(field, 1, seed=0)
         assert clusters.labels[0, 0] == LABEL_BLACK
         assert clusters.labels[0, 1] == LABEL_ACHROMATIC
         assert np.all(clusters.labels.reshape(-1)[2:] == 0)
 
     def test_too_few_pixels(self, white):
-        grid = np.broadcast_to(OLIVE_DIR, (1, 3, 3))
+        grid = np.full((1, 3), OLIVE_HUE)
         with pytest.raises(errors.TooFewPixelsError):
-            kmeans(make_field(grid), 4, seed=0, basis=white)
+            kmeans(make_field(grid), 4, seed=0)
 
     def test_no_valid_pixels(self, white):
         field = specular_free_field(np.zeros((4, 4, 3)), white)
         with pytest.raises(errors.TooFewPixelsError):
-            kmeans(field, 1, seed=0, basis=white)
+            kmeans(field, 1, seed=0)
 
 
 class TestEvaluateFit:
     def test_correct_single_material_passes(self, white):
         gt = synth.render(synth.builtin_scene("single-2", 64, 48))
         field = specular_free_field(gt.input, white)
-        clusters = kmeans(field, 1, seed=0, basis=white)
+        clusters = kmeans(field, 1, seed=0)
         diag = evaluate_fit(field, clusters)
         assert diag.failing_fractions.tolist() == [0.0]
         assert diag.total_error <= 1e-6 * gt.input.shape[0] * gt.input.shape[1]
@@ -218,7 +266,7 @@ class TestEvaluateFit:
         mats = [synth.hue_chromaticity(45.0), synth.hue_chromaticity(135.0)]
         img = block_image(mats, [0.6, 0.6])
         field = specular_free_field(img, white)
-        clusters = kmeans(field, 1, seed=0, basis=white)
+        clusters = kmeans(field, 1, seed=0)
         diag = evaluate_fit(field, clusters)
         assert diag.failing_fractions[0] == 1.0
         n = img.shape[0] * img.shape[1]
@@ -228,7 +276,7 @@ class TestEvaluateFit:
     def test_four_materials_in_two_clusters_fail(self, white):
         gt = synth.render(synth.builtin_scene("four-materials", 160, 112))
         field = specular_free_field(gt.input, white)
-        clusters = kmeans(field, 2, seed=0, basis=white)
+        clusters = kmeans(field, 2, seed=0)
         diag = evaluate_fit(field, clusters)
         assert np.any(diag.failing_fractions > 0.1)
         assert not diag.converged
@@ -306,7 +354,7 @@ class TestAdaptiveCluster:
         a, _ = cluster(img, white)
         b, _ = cluster(img, white)
         assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.centers, b.centers)
+        assert np.array_equal(a.hues, b.hues)
 
 
 class TestAdaptiveMinClusterSize:

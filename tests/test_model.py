@@ -3,9 +3,10 @@
 Expected values were computed independently with plain vector arithmetic
 (norms, dot products, Gram-Schmidt) and frozen here as literals.  The
 decomposition is checked through the kernels the pipeline runs:
-``specular_free_field`` for a chromaticity's orthogonal direction and
-achromatic flag, ``_cluster_residuals`` for its unit-circle residual in a
-(material, illumination) frame.
+``specular_free_field`` for a chromaticity's hue angle (its orthogonal
+direction is ``basis.orthogonal(hue)``) and achromatic flag,
+``_cluster_residuals`` for its unit-circle residual in a (material,
+illumination) frame.
 """
 
 import numpy as np
@@ -102,23 +103,46 @@ class TestIlluminationBasis:
         with pytest.raises(errors.InvalidIlluminantError):
             IlluminationBasis(np.array([bad, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("rgb", [[1.0, 1.0, 1.0], [0.600, 0.588, 0.542]])
+    def test_frame_is_orthonormal_and_right_handed(self, rgb):
+        basis = IlluminationBasis.from_rgb(rgb)
+        frame3 = np.stack([basis.u, basis.v, basis.direction])
+        assert np.abs(frame3 @ frame3.T - np.eye(3)).max() <= 1e-12
+        assert np.abs(np.cross(basis.u, basis.v) - basis.direction).max() <= 1e-12
+
+    def test_orthogonal_is_the_frame_circle(self, white):
+        assert np.array_equal(white.orthogonal(0.0), white.u)
+        hues = np.linspace(-np.pi, np.pi, 12).reshape(3, 4)
+        dirs = white.orthogonal(hues)
+        assert dirs.shape == (3, 4, 3)
+        assert np.abs(np.linalg.norm(dirs, axis=-1) - 1.0).max() <= 1e-12
+        assert np.abs(dirs @ white.direction).max() <= 1e-12
+
+    def test_frame_is_not_settable(self, white):
+        with pytest.raises(TypeError):
+            IlluminationBasis(WHITE.copy(), u=np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(AttributeError):
+            white.u = np.array([1.0, 0.0, 0.0])
+
 
 def frame(chroma, basis):
     """Flags, orthogonal directions and (ortho, parallel) coordinates of
     (N, 3) unit chromaticities, each against its own orthogonal direction
-    as specular_free_field computes it."""
+    basis.orthogonal(hue) with the hue that specular_free_field computes."""
     chroma = np.atleast_2d(chroma)
     field = specular_free_field(chroma[:, None, :], basis)
-    dirs = field.directions[:, 0]
+    dirs = basis.orthogonal(field.hue[:, 0])
     return field.flags[:, 0], dirs, (chroma * dirs).sum(axis=1), basis.parallel_coeff(chroma)
 
 
 def residual(chroma, center, basis):
-    """Unit-circle residual of (N, 3) chromaticities in one center's frame."""
+    """Unit-circle residual of (N, 3) chromaticities in the frame of one
+    unit center direction orthogonal to the illumination."""
     chroma = np.atleast_2d(chroma)
     field = specular_free_field(chroma[:, None, :], basis)
     labels = np.zeros((len(chroma), 1), dtype=np.int32)
-    dev, _, _ = _cluster_residuals(field, labels, np.asarray(center)[None])
+    hue = np.arctan2(center @ basis.v, center @ basis.u)
+    dev, _, _ = _cluster_residuals(field, labels, np.array([hue]))
     return dev
 
 
@@ -138,9 +162,9 @@ class TestDecompose:
         assert ortho[0] == pytest.approx(N123_ORTHO_NORM, abs=1e-12)
 
     def test_gray_is_achromatic(self, white):
-        flags, dirs, _, _ = frame(WHITE, white)
-        assert flags[0] == FLAG_ACHROMATIC
-        assert np.all(dirs[0] == 0.0)
+        field = specular_free_field(WHITE[None, None], white)
+        assert field.flags[0, 0] == FLAG_ACHROMATIC
+        assert field.hue[0, 0] == 0.0 and field.amplitude[0, 0] == 0.0
 
     def test_nearly_gray_is_achromatic(self, white):
         chroma = l2_chromaticity(WHITE + EPS_GRAY * 1e-2 * np.array([1.0, -1.0, 0.0]))

@@ -66,8 +66,8 @@ class TestAssignToCenters:
         basis = IlluminationBasis.white()
         from despec.clustering import adaptive_cluster, specular_free_field
         field = specular_free_field(img, basis)
-        clusters, _ = adaptive_cluster(field, basis)
-        assigned = assign_to_centers(field, clusters.centers)
+        clusters, _ = adaptive_cluster(field)
+        assigned = assign_to_centers(field, clusters.hues)
         assert np.array_equal(assigned.labels, clusters.labels)
         assert assigned.labels[0, 0] < 0 and assigned.labels[0, 1] < 0
         assert assigned.sizes.sum() == img.shape[0] * img.shape[1] - 2

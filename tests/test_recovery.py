@@ -22,6 +22,7 @@ from despec.recovery import (
 OLIVE = np.array([2.0, 2.0, 1.0]) / 3.0
 OLIVE_PARALLEL = 0.9622504486493764
 OLIVE_DIR = np.array([0.4082482904638624, 0.4082482904638624, -0.8164965809277266])
+OLIVE_HUE = np.pi / 3.0  # OLIVE_DIR in the white basis's (u, v) frame
 
 
 @pytest.fixture
@@ -38,7 +39,7 @@ def olive_image(spec_strengths, shape):
 
 
 def single_cluster(img, white):
-    return kmeans(specular_free_field(img, white), 1, seed=0, basis=white)
+    return kmeans(specular_free_field(img, white), 1, seed=0)
 
 
 def model_of(img, clusters, cluster_id, white):
@@ -49,7 +50,7 @@ def cluster_and_models(img, white):
     """The pipeline's estimation stages on one field: adaptive clusters
     and the material model of each."""
     field = specular_free_field(img, white)
-    clusters, _ = adaptive_cluster(field, white)
+    clusters, _ = adaptive_cluster(field)
     return clusters, estimate_models(field, clusters, white)
 
 
@@ -84,7 +85,7 @@ class TestHistogram:
 
     def test_counts_sum_to_cluster_size(self, white):
         gt = synth.render(synth.builtin_scene("four-materials", 160, 112))
-        clusters, _ = adaptive_cluster(specular_free_field(gt.input, white), white)
+        clusters, _ = adaptive_cluster(specular_free_field(gt.input, white))
         for cid in range(clusters.n_clusters):
             counts = coefficient_counts(gt.input, clusters, cid, white)
             assert counts.sum() == clusters.sizes[cid]
@@ -94,7 +95,7 @@ class TestHistogram:
         gt = synth.render(synth.builtin_scene("four-materials", 160, 112))
         img = synth.add_noise(gt, 3.0, seed=2)
         field = specular_free_field(img, white)
-        clusters, _ = adaptive_cluster(field, white)
+        clusters, _ = adaptive_cluster(field)
         for cid in range(clusters.n_clusters):
             mask = clusters.labels == cid
             px = img[mask]
@@ -213,7 +214,7 @@ class TestSeparatePixel:
                               diffuse_chroma=OLIVE)
         n = len(pixels)
         clusters = ClusterSet(labels=np.zeros((1, n), dtype=np.int32),
-                              centers=OLIVE_DIR[None], sizes=np.array([n]))
+                              hues=np.array([OLIVE_HUE]), sizes=np.array([n]))
         result = separate_image(pixels[None], clusters, {0: model}, white)
         return result.diffuse[0], result.specular[0]
 
