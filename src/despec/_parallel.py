@@ -4,7 +4,9 @@ Per-pixel stages are written as functions over a row slice that write
 into preallocated output arrays.  Because every operation inside those
 functions is elementwise (no reductions across pixels), splitting the
 image into row blocks and running the blocks on a thread pool produces
-bit-identical results for any worker count.
+bit-identical results for any worker count.  :func:`run_chunks` walks
+each block in short row chunks, so a stage's temporaries stay small and
+cache-resident however large the image is.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 _ENV_THREADS = "DESPEC_THREADS"
+CHUNK_ROWS = 16
 
 
 def resolve_threads(requested: int) -> int:
@@ -52,3 +55,12 @@ def run_rows(fn, height: int, threads: int) -> None:
     with ThreadPoolExecutor(max_workers=min(len(blocks), os.cpu_count() or 1)) as pool:
         # consume results so worker exceptions propagate
         list(pool.map(fn, blocks))
+
+
+def run_chunks(fn, height: int, threads: int) -> None:
+    """Like run_rows, but each block calls fn on CHUNK_ROWS-row slices."""
+    def walk(rows):
+        for r in range(rows.start, rows.stop, CHUNK_ROWS):
+            fn(slice(r, min(r + CHUNK_ROWS, rows.stop)))
+
+    run_rows(walk, height, threads)

@@ -2,14 +2,17 @@
 
 :func:`specular_free_field` splits each pixel's unit chromaticity once
 into a coefficient along the illumination and an orthogonal part, stored
-as an amplitude and a hue angle in the basis's fixed (u, v) frame.  The
+as an amplitude and a hue angle in the basis's fixed (u, v) frame.
+:func:`split_block` is that split for one block of pixels; the
+separation kernel calls it too when it labels a full-resolution image
+against clusters found on a downsampled copy.  The
 hue depends only on the material color, not on how much highlight the
 pixel carries, so k-means on the circle of hues groups pixels by
 material; :func:`nearest_hue` is the one assignment rule.  The cluster
 count is grown adaptively: a cluster whose pixels deviate too far from
 the unit circle in its (center, illumination) frame is mixing materials
-and votes to increase k.  The fit check and the recovery stage read the
-same field, so no stage goes back to the image.
+and votes to increase k.  The fit check and model estimation read the
+same field, so neither goes back to the image.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import run_rows
+from ._parallel import run_chunks
 from .errors import NoConvergenceWarning, TooFewPixelsError
 from .model import EPS_BLACK, EPS_GRAY, IlluminationBasis, _norm3
 
@@ -97,6 +100,33 @@ class ClusterConfig:
     kmeans_max_iter: int = 100
 
 
+def split_block(block: np.ndarray, basis: IlluminationBasis):
+    """(hue, amplitude, parallel, flags) of an (..., 3) block of pixels,
+    as described in SpecularFreeField."""
+    d, u, v = basis.direction, basis.u, basis.v
+    n = _norm3(block)
+    blk = n <= EPS_BLACK
+    m = np.where(blk, 1.0, n)
+    # one channel of c = block / n at a time, accumulated in c·d order
+    c = block[..., 0] / m
+    par, x, y = c * d[0], c * u[0], c * v[0]
+    for i in (1, 2):
+        c = block[..., i] / m
+        par += c * d[i]
+        x += c * u[i]
+        y += c * v[i]
+    amp = np.sqrt(x * x + y * y)
+    achro = (amp <= EPS_GRAY) & ~blk
+    bad = blk | achro
+    flags = np.full(blk.shape, FLAG_VALID, dtype=np.uint8)
+    flags[blk] = FLAG_BLACK
+    flags[achro] = FLAG_ACHROMATIC
+    return (np.where(bad, 0.0, np.arctan2(y, x)),
+            np.where(bad, 0.0, amp),
+            np.where(bad, 0.0, par),
+            flags)
+
+
 def specular_free_field(img, basis: IlluminationBasis, threads: int = 1) -> SpecularFreeField:
     """Split every pixel against the illumination; see SpecularFreeField."""
     img = np.asarray(img, dtype=np.float64)
@@ -104,35 +134,11 @@ def specular_free_field(img, basis: IlluminationBasis, threads: int = 1) -> Spec
     amplitude = np.empty(img.shape[:2], dtype=np.float64)
     parallel = np.empty(img.shape[:2], dtype=np.float64)
     flags = np.empty(img.shape[:2], dtype=np.uint8)
-    d, u, v = basis.direction, basis.u, basis.v
-
-    def split(rows):
-        block = img[rows]
-        n = _norm3(block)
-        blk = n <= EPS_BLACK
-        m = np.where(blk, 1.0, n)
-        # one channel of c = block / n at a time, accumulated in c·d order
-        c = block[..., 0] / m
-        par, x, y = c * d[0], c * u[0], c * v[0]
-        for i in (1, 2):
-            c = block[..., i] / m
-            par += c * d[i]
-            x += c * u[i]
-            y += c * v[i]
-        amp = np.sqrt(x * x + y * y)
-        achro = (amp <= EPS_GRAY) & ~blk
-        bad = blk | achro
-        hue[rows] = np.where(bad, 0.0, np.arctan2(y, x))
-        amplitude[rows] = np.where(bad, 0.0, amp)
-        parallel[rows] = np.where(bad, 0.0, par)
-        flags[rows] = np.where(blk, FLAG_BLACK, np.where(achro, FLAG_ACHROMATIC, FLAG_VALID))
 
     def fill(rows):
-        # 16-row chunks keep every temporary small and cache-resident
-        for r in range(rows.start, rows.stop, 16):
-            split(slice(r, min(r + 16, rows.stop)))
+        hue[rows], amplitude[rows], parallel[rows], flags[rows] = split_block(img[rows], basis)
 
-    run_rows(fill, img.shape[0], threads)
+    run_chunks(fill, img.shape[0], threads)
     return SpecularFreeField(hue=hue, amplitude=amplitude, parallel=parallel, flags=flags)
 
 

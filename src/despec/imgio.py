@@ -6,6 +6,11 @@ Saving to an integer format rounds half up and reports how many samples
 had to be clipped from above (linear-light values above 1.0).  PFM is
 written as 32-bit little-endian floats, so a load/save cycle of a PFM
 file is byte-exact.
+
+The raster is copied once each way: loading reads it through a
+memoryview of the file bytes and converts it with one ``astype`` (row
+flip included for PFM); saving converts it with one ``astype`` and
+writes header and raster separately.
 """
 
 from __future__ import annotations
@@ -30,10 +35,13 @@ def _read_bytes(path) -> bytes:
         raise IoFailureError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_bytes(path, payload: bytes) -> None:
+def _write_parts(path, *parts) -> None:
+    """Write a header and a raster (bytes or C-contiguous arrays) in turn,
+    so neither is copied into one payload first."""
     try:
         with open(path, "wb") as fh:
-            fh.write(payload)
+            for part in parts:
+                fh.write(part)
     except OSError as exc:
         raise IoFailureError(f"cannot write {path}: {exc}") from exc
 
@@ -99,14 +107,15 @@ def _load_ppm(data: bytes) -> np.ndarray:
     toks.skip_single_whitespace()
     two_byte = maxval > 255
     need = width * height * 3 * (2 if two_byte else 1)
-    raster = data[toks.pos:toks.pos + need]
+    raster = memoryview(data)[toks.pos:toks.pos + need]
     if len(raster) < need:
         raise TruncatedDataError(
             f"raster holds {len(raster)} bytes, header promises {need}"
         )
     dtype = ">u2" if two_byte else np.uint8  # network byte order for 16 bit
-    samples = np.frombuffer(raster, dtype=dtype).astype(np.float64)
-    return (samples / maxval).reshape(height, width, 3)
+    img = np.frombuffer(raster, dtype=dtype).reshape(height, width, 3).astype(np.float64)
+    img /= maxval
+    return img
 
 
 def _load_pfm(data: bytes) -> np.ndarray:
@@ -120,15 +129,15 @@ def _load_pfm(data: bytes) -> np.ndarray:
         raise CorruptHeaderError("zero scale")
     toks.skip_single_whitespace()
     need = width * height * 3 * 4
-    raster = data[toks.pos:toks.pos + need]
+    raster = memoryview(data)[toks.pos:toks.pos + need]
     if len(raster) < need:
         raise TruncatedDataError(
             f"raster holds {len(raster)} bytes, header promises {need}"
         )
     dtype = "<f4" if scale < 0 else ">f4"  # scale sign encodes endianness
-    samples = np.frombuffer(raster, dtype=dtype).astype(np.float64)
-    img = samples.reshape(height, width, 3)
-    return img[::-1].copy()  # PFM rows run bottom to top
+    samples = np.frombuffer(raster, dtype=dtype).reshape(height, width, 3)
+    # PFM rows run bottom to top: flip while widening, in one copy
+    return samples[::-1].astype(np.float64, order="C")
 
 
 def load(path) -> np.ndarray:
@@ -150,13 +159,13 @@ def _save_ppm(img: np.ndarray, path, maxval: int) -> int:
     quant = np.clip(quant, 0, maxval)
     dtype = ">u2" if maxval > 255 else np.uint8
     header = b"P6\n%d %d\n%d\n" % (img.shape[1], img.shape[0], maxval)
-    _write_bytes(path, header + quant.astype(dtype).tobytes())
+    _write_parts(path, header, quant.astype(dtype, order="C"))
     return clipped
 
 
 def _save_pfm(img: np.ndarray, path) -> int:
     header = b"PF\n%d %d\n-1.0\n" % (img.shape[1], img.shape[0])
-    _write_bytes(path, header + img[::-1].astype("<f4").tobytes())
+    _write_parts(path, header, img[::-1].astype("<f4", order="C"))
     return 0
 
 
@@ -202,7 +211,7 @@ def save_labels(labels, path) -> None:
     flat = np.where(labels >= 0, levels[np.clip(labels, 0, k - 1)], 255).astype(np.uint8)
     gray = np.repeat(flat[..., None], 3, axis=-1)
     header = b"P6\n%d %d\n255\n" % (labels.shape[1], labels.shape[0])
-    _write_bytes(path, header + gray.tobytes())
+    _write_parts(path, header, gray)
 
 
 def load_labels(path) -> np.ndarray:

@@ -9,7 +9,7 @@ illumination chromaticity.  Splitting that plane into the illumination
 direction and its orthogonal complement gives coordinates in which pure
 materials sit on the unit circle.  A fixed orthonormal frame (u, v) of
 that complement turns each material into one hue angle.  The per-pixel
-split itself is vectorized in :func:`despec.clustering.specular_free_field`.
+split itself is vectorized in :func:`despec.clustering.split_block`.
 """
 
 from __future__ import annotations

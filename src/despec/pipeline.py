@@ -2,9 +2,10 @@
 material clustering, per-cluster model estimation, per-pixel separation.
 
 One entry point, :func:`run`.  With ``fast`` set it estimates clusters
-and material models on a box-downsampled copy and only runs the
-per-pixel separation at full resolution, which is where the output
-quality lives.
+and material models on a box-downsampled copy; the full-resolution image
+is then read once, by the chunked separation kernel, which labels each
+pixel with its nearest center hue and splits it in the same pass.  The
+separation is where the output quality lives.
 """
 
 from __future__ import annotations
@@ -14,16 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._parallel import resolve_threads, run_rows
-from .clustering import (
-    ClusterConfig,
-    ClusterSet,
-    FLAG_VALID,
-    SpecularFreeField,
-    adaptive_cluster,
-    nearest_hue,
-    specular_free_field,
-)
+from ._parallel import resolve_threads
+from .clustering import ClusterConfig, adaptive_cluster, specular_free_field
 from .errors import ConfigError
 from .model import IlluminationBasis, white_balance
 from .recovery import RecoveryConfig, SeparationResult, estimate_models, separate_image
@@ -107,30 +100,24 @@ def _validate_input(img: np.ndarray) -> np.ndarray:
 
 
 def box_downsample(img: np.ndarray, factor: int) -> np.ndarray:
-    """Box-average over factor x factor blocks, cropping any remainder."""
+    """Box-average over factor x factor blocks, cropping any remainder.
+
+    The slabs are summed one at a time in row-major block order, which
+    gives the same bits as ``mean(axis=(1, 3))`` over the blocked view
+    without its strided reduction.
+    """
     if factor <= 1:
         return img
     h, w = img.shape[:2]
     hc, wc = (h // factor) * factor, (w // factor) * factor
     block = img[:hc, :wc].reshape(hc // factor, factor, wc // factor, factor, 3)
-    return block.mean(axis=(1, 3))
-
-
-def assign_to_centers(field: SpecularFreeField, hues: np.ndarray,
-                      threads: int = 1) -> ClusterSet:
-    """Label every pixel with the center hue nearest to its own hue;
-    flagged pixels get their sentinels (minus the flag)."""
-    flags = field.flags
-    labels = np.empty(flags.shape, dtype=np.int32)
-
-    def fill(rows):
-        f = flags[rows]
-        labels[rows] = np.where(f == FLAG_VALID, nearest_hue(field.hue[rows], hues),
-                                -f.astype(np.int32))
-
-    run_rows(fill, flags.shape[0], threads)
-    sizes = np.bincount(labels[labels >= 0], minlength=len(hues))
-    return ClusterSet(labels=labels, hues=hues.copy(), sizes=sizes)
+    total = block[:, 0, :, 0, :].copy()
+    for i in range(factor):
+        for j in range(factor):
+            if i or j:
+                total += block[:, i, :, j, :]
+    total /= factor * factor
+    return total
 
 
 def _check_config(cfg: PipelineConfig) -> None:
@@ -161,8 +148,9 @@ def run(img, cfg: PipelineConfig | None = None
     With ``cfg.fast`` set, the image is box-filtered by the smallest
     integer factor that brings its long side to at most
     ``cfg.target_edge``; clusters and material models come from that
-    small copy and full-resolution pixels are assigned to the nearest
-    center.  The separation always runs at full resolution.
+    small copy, and the separation labels each full-resolution pixel with
+    its nearest center hue as it splits it.  The separation always runs at
+    full resolution, in one pass over the image.
 
     Returns the separation plus diagnostics.  diffuse + specular equals
     the working image (the input after any requested white balance)
@@ -184,10 +172,7 @@ def run(img, cfg: PipelineConfig | None = None
     clustering_seconds = time.perf_counter() - t_cluster
 
     models = estimate_models(field, clusters, basis, cfg.recovery)
-    del field  # not read again; free it before the full-resolution passes
-    if factor > 1:
-        clusters = assign_to_centers(specular_free_field(img, basis, threads=threads),
-                                     clusters.hues, threads=threads)
+    del field  # not read again; free it before the full-resolution pass
     result = separate_image(img, clusters, models, basis, threads=threads)
     total_seconds = time.perf_counter() - t0
 
@@ -201,7 +186,7 @@ def run(img, cfg: PipelineConfig | None = None
         clustering_seconds=clustering_seconds,
         total_seconds=total_seconds,
         downsampled=factor > 1,
-        labels=clusters.labels,
+        labels=result.labels,
     )
     return result, diag
 

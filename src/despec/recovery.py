@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import run_rows
+from ._parallel import run_chunks
 from .errors import (
     DegenerateRatioError,
     EmptyClusterError,
@@ -22,7 +22,7 @@ from .errors import (
     NoPeakError,
 )
 from .model import EPS_GRAY, IlluminationBasis, _norm3
-from .clustering import ClusterSet, SpecularFreeField
+from .clustering import FLAG_VALID, ClusterSet, SpecularFreeField, nearest_hue, split_block
 
 
 @dataclass
@@ -53,6 +53,7 @@ class MaterialModel:
 class SeparationResult:
     diffuse: np.ndarray
     specular: np.ndarray
+    labels: np.ndarray  # the per-pixel cluster labels the split used
 
 
 def histogram_edges(cfg: RecoveryConfig) -> np.ndarray:
@@ -179,47 +180,66 @@ def separate_image(img, clusters: ClusterSet, models: dict,
                    basis: IlluminationBasis, threads: int = 1) -> SeparationResult:
     """Apply each cluster's material model to its pixels.
 
+    The image is walked once, in short row chunks.  When
+    ``clusters.labels`` covers the image, each pixel takes its label from
+    there.  Otherwise the clusters came from a downsampled copy, and each
+    chunk labels its own pixels: every pixel is split against the
+    illumination and takes the nearest of ``clusters.hues``, while flagged
+    pixels get minus their flag.  Those labels are returned in
+    ``SeparationResult.labels``.
+
     Flagged pixels and pass-through clusters keep their input value in
     the diffuse image with zero specular.  Raises ModelMissingError if a
-    cluster id present in the labels has no entry in ``models``.
+    usable label has no entry in ``models``.
     """
     img = np.asarray(img, dtype=np.float64)
-    labels = clusters.labels
-    present = np.unique(labels[labels >= 0])
-    for cid in present:
-        if int(cid) not in models:
-            raise ModelMissingError(f"no material model for cluster {int(cid)}")
-
     k = clusters.n_clusters
-    # per-cluster rows: center (3), inverse ratio, active flag
-    centers = np.zeros((k, 3), dtype=np.float64)
-    inv_ratio = np.zeros(k, dtype=np.float64)
-    active = np.zeros(k, dtype=np.float64)
+    given = clusters.labels.shape == img.shape[:2]
+    labels = clusters.labels if given else np.empty(img.shape[:2], dtype=np.int32)
+
+    # per-cluster tables indexed by slot = max(label + 1, 0): slot 0 takes
+    # the flagged pixels, slot cid + 1 cluster cid, and slot k + 1 every
+    # label >= k (take clips to it); only the cluster slots with a model
+    # have a center, an inverse ratio and a nonzero gain
+    cx, cy, cz, inv_ratio, gain = np.zeros((5, k + 2))
+    known = np.zeros(k + 2, dtype=bool)
+    known[0] = True
     for cid, model in models.items():
-        if model is None:
+        if not 0 <= cid < k:
             continue
-        centers[cid] = model.center
-        inv_ratio[cid] = 1.0 / model.ratio
-        active[cid] = 1.0
+        known[cid + 1] = True
+        if model is not None:
+            cx[cid + 1], cy[cid + 1], cz[cid + 1] = model.center
+            inv_ratio[cid + 1] = 1.0 / model.ratio
+            gain[cid + 1] = 1.0
 
     d = basis.direction
-    h = img.shape[0]
     diffuse = np.empty_like(img)
     specular = np.empty_like(img)
 
     def fill(rows):
         block = img[rows]
-        lab = labels[rows]
-        usable = lab >= 0
-        lab_safe = np.where(usable, lab, 0)
-        cen = centers[lab_safe]
-        par = block[..., 0] * d[0] + block[..., 1] * d[1] + block[..., 2] * d[2]
-        p_ortho = (block * cen).sum(axis=-1)
-        strength = par - p_ortho * inv_ratio[lab_safe]
-        strength *= active[lab_safe] * usable
-        sp = np.clip(strength[..., None] * d, 0.0, block)
-        specular[rows] = sp
-        diffuse[rows] = block - sp
+        if given:
+            lab = labels[rows]
+        else:
+            hue, _, _, flags = split_block(block, basis)
+            lab = np.where(flags == FLAG_VALID, nearest_hue(hue, clusters.hues),
+                           -flags.astype(np.int32))
+            labels[rows] = lab
+        slot = np.maximum(lab + 1, 0)
+        missing = ~known.take(slot, mode="clip")
+        if missing.any():
+            raise ModelMissingError(f"no material model for cluster {int(lab[missing][0])}")
+        b0, b1, b2 = block[..., 0], block[..., 1], block[..., 2]
+        par = b0 * d[0] + b1 * d[1] + b2 * d[2]
+        p_ortho = (b0 * cx.take(slot, mode="clip") + b1 * cy.take(slot, mode="clip")
+                   + b2 * cz.take(slot, mode="clip"))
+        strength = par - p_ortho * inv_ratio.take(slot, mode="clip")
+        strength *= gain.take(slot, mode="clip")
+        sp = specular[rows]
+        np.multiply(strength[..., None], d, out=sp)
+        np.clip(sp, 0.0, block, out=sp)
+        np.subtract(block, sp, out=diffuse[rows])
 
-    run_rows(fill, h, threads)
-    return SeparationResult(diffuse=diffuse, specular=specular)
+    run_chunks(fill, img.shape[0], threads)
+    return SeparationResult(diffuse=diffuse, specular=specular, labels=labels)

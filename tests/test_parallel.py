@@ -1,11 +1,11 @@
-"""Row-blocked execution: block partition and worker pool size."""
+"""Row-blocked execution: block partition, chunking and worker pool size."""
 
 import threading
 
 import pytest
 
 from despec import _parallel
-from despec._parallel import row_slices, run_rows
+from despec._parallel import CHUNK_ROWS, row_slices, run_chunks, run_rows
 
 
 @pytest.mark.parametrize("cores, threads, workers", [
@@ -41,3 +41,16 @@ def test_pool_capped_at_core_count(monkeypatch, cores, threads, workers):
     # the partition follows the requested count, not the pool size
     assert seen == row_slices(128, threads)
     assert len(seen) == threads
+
+
+@pytest.mark.parametrize("height", [0, 1, 15, 16, 17, 100, 300])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_chunks_tile_each_block(height, threads):
+    seen = []
+    run_chunks(seen.append, height, threads)
+    rows = sorted(r for s in seen for r in range(s.start, s.stop))
+    assert rows == list(range(height))
+    assert all(0 < s.stop - s.start <= CHUNK_ROWS for s in seen)
+    # no chunk straddles a block boundary
+    blocks = row_slices(height, threads) if threads > 1 and height >= 64 else [slice(0, height)]
+    assert all(any(b.start <= s.start and s.stop <= b.stop for b in blocks) for s in seen)

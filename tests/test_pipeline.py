@@ -1,14 +1,22 @@
 """End-to-end pipeline, fast path, and configuration parsing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from despec import errors, synth
+from despec.clustering import (
+    LABEL_ACHROMATIC,
+    LABEL_BLACK,
+    adaptive_cluster,
+    nearest_hue,
+    specular_free_field,
+)
 from despec.metrics import cluster_accuracy, psnr
 from despec.model import IlluminationBasis
 from despec.pipeline import (
     PipelineConfig,
-    assign_to_centers,
     box_downsample,
     config_from_values,
     load_config,
@@ -16,6 +24,7 @@ from despec.pipeline import (
     parse_illumination,
     run,
 )
+from despec.recovery import estimate_models, separate_image
 
 
 class TestParseIllumination:
@@ -56,21 +65,48 @@ class TestBoxDownsample:
         img = np.ones((5, 7, 3))
         assert box_downsample(img, 2).shape == (2, 3, 3)
 
+    @pytest.mark.parametrize("shape", [(97, 203), (300, 500), (450, 650), (61, 50)])
+    def test_matches_strided_mean_bit_for_bit(self, shape):
+        img = np.random.default_rng(shape[1]).random((*shape, 3)) * 1.7
+        for factor in range(2, 25):
+            hc, wc = (shape[0] // factor) * factor, (shape[1] // factor) * factor
+            blocks = img[:hc, :wc].reshape(hc // factor, factor, wc // factor, factor, 3)
+            assert np.array_equal(box_downsample(img, factor), blocks.mean(axis=(1, 3)))
+
+
+def planted_image(width=400, height=300):
+    """Noisy four-materials scene with a black pixel at (0, 0) and a gray
+    one at (0, 1); tall enough that run_rows starts threads."""
+    gt = synth.render(synth.builtin_scene("four-materials", width, height))
+    img = synth.add_noise(gt, 3.0, seed=4)
+    img[0, 0] = 0.0
+    img[0, 1] = [0.4, 0.4, 0.4]
+    return img
+
 
 class TestAssignToCenters:
+    """The separation kernel labels pixels itself when the clusters do not
+    cover the image (they came from a downsampled copy)."""
+
     def test_matches_cluster_labels_and_flags(self):
         gt = synth.render(synth.builtin_scene("four-materials", 120, 84))
         img = gt.input.copy()
         img[0, 0] = 0.0
         img[0, 1] = [0.4, 0.4, 0.4]
         basis = IlluminationBasis.white()
-        from despec.clustering import adaptive_cluster, specular_free_field
         field = specular_free_field(img, basis)
         clusters, _ = adaptive_cluster(field)
-        assigned = assign_to_centers(field, clusters.hues)
-        assert np.array_equal(assigned.labels, clusters.labels)
-        assert assigned.labels[0, 0] < 0 and assigned.labels[0, 1] < 0
-        assert assigned.sizes.sum() == img.shape[0] * img.shape[1] - 2
+        models = estimate_models(field, clusters, basis)
+        coarse = replace(clusters, labels=clusters.labels[::2, ::2])
+        relabeled = separate_image(img, coarse, models, basis, threads=2)
+        given = separate_image(img, clusters, models, basis, threads=2)
+        assert np.array_equal(relabeled.labels, clusters.labels)
+        assert given.labels is clusters.labels
+        assert relabeled.labels[0, 0] == LABEL_BLACK
+        assert relabeled.labels[0, 1] == LABEL_ACHROMATIC
+        assert np.count_nonzero(relabeled.labels >= 0) == img.shape[0] * img.shape[1] - 2
+        assert np.array_equal(relabeled.diffuse, given.diffuse)
+        assert np.array_equal(relabeled.specular, given.specular)
 
 
 class TestInputValidation:
@@ -156,6 +192,22 @@ class TestFastPath:
         assert psnr(result.diffuse, gt.diffuse) >= 50.0
         assert np.abs(result.diffuse + result.specular - gt.input).max() <= 1e-12
 
+    def test_full_resolution_labels_are_nearest_center_hues(self):
+        img = planted_image()
+        cfg = PipelineConfig(fast=True, threads=3)
+        _, diag = run(img, cfg)
+        assert diag.downsampled
+        assert diag.labels[0, 0] == LABEL_BLACK
+        assert diag.labels[0, 1] == LABEL_ACHROMATIC
+        basis = IlluminationBasis.white()
+        factor = int(np.ceil(max(img.shape[:2]) / cfg.target_edge))
+        clusters, _ = adaptive_cluster(specular_free_field(box_downsample(img, factor), basis))
+        field = specular_free_field(img, basis)
+        valid = field.valid_mask
+        assert np.array_equal(diag.labels[valid],
+                              nearest_hue(field.hue, clusters.hues)[valid])
+        assert np.array_equal(diag.labels[~valid], -field.flags[~valid].astype(np.int32))
+
     def test_run_dispatches_on_config(self):
         gt = synth.render(synth.builtin_scene("single-1", 280, 200))
         _, full_diag = run(gt.input, PipelineConfig(fast=False))
@@ -172,6 +224,15 @@ class TestDeterminism:
         b, _ = run(img, PipelineConfig(threads=3))
         assert np.array_equal(a.diffuse, b.diffuse)
         assert np.array_equal(a.specular, b.specular)
+
+    def test_fast_path_thread_count_does_not_change_output(self):
+        img = planted_image()
+        a, da = run(img, PipelineConfig(fast=True, threads=1))
+        b, db = run(img, PipelineConfig(fast=True, threads=3))
+        assert da.downsampled and db.downsampled
+        for x, y in ((a.diffuse, b.diffuse), (a.specular, b.specular),
+                     (da.labels, db.labels)):
+            assert x.tobytes() == y.tobytes()
 
 
 class TestConfigParsing:

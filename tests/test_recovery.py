@@ -257,6 +257,14 @@ class TestSeparateImage:
         with pytest.raises(errors.ModelMissingError):
             separate_image(img, clusters, {}, white)
 
+    def test_label_beyond_clusters_rejected(self, white):
+        img = olive_image([0.0] * 16, (4, 4))
+        clusters = single_cluster(img, white)
+        model = model_of(img, clusters, 0, white)
+        clusters.labels[3, 3] = 1  # one cluster, so label 1 has no model slot
+        with pytest.raises(errors.ModelMissingError):
+            separate_image(img, clusters, {0: model, 1: model}, white)
+
     def test_pass_through_model(self, white):
         chroma = synth.hue_chromaticity(0.0, saturation=0.005)
         img = np.broadcast_to(0.6 * chroma, (8, 8, 3)).copy()
