@@ -14,80 +14,38 @@ import time
 import numpy as np
 
 from . import __version__, imgio, metrics, pipeline, synth
-from .errors import DespecError
+from .errors import ConfigError, DespecError
 
 EXIT_CODES_HELP = """\
 exit codes:
   0  success
   1  unexpected internal error
-  2  usage error (bad arguments or unusable input data)
+  2  usage error (unknown or missing arguments, unusable input data)
   3  file I/O error (unsupported format, corrupt header, truncated data)
-  4  scene or configuration error
+  4  scene or configuration error (bad value, unreadable file)
   5  processing error (too few usable pixels, degenerate colors, out of memory)
   6  evaluation input mismatch
 """
 
 
 def _add_pipeline_flags(sp: argparse.ArgumentParser) -> None:
+    """One flag per pipeline option; values stay text for the option table."""
     grp = sp.add_argument_group("pipeline options")
     grp.add_argument("--config", metavar="FILE",
                      help="key=value config file; explicit flags override it")
-    grp.add_argument("--illum", metavar="SPEC",
-                     help="illumination: 'white', 'r,g,b', or 'divide:r,g,b'")
-    grp.add_argument("--initial-k", type=int, metavar="K",
-                     help="starting cluster count (default 1)")
-    grp.add_argument("--tau-dev", type=float, metavar="T",
-                     help="per-pixel unit-circle deviation threshold (default 0.1)")
-    grp.add_argument("--tau-frac", type=float, metavar="F",
-                     help="failing fraction that splits a cluster (default 0.1)")
-    grp.add_argument("--min-cluster-size", metavar="N",
-                     help="size floor for clusters, or 'auto'")
-    grp.add_argument("--seed", type=int, metavar="S",
-                     help="clustering seed (default 0)")
-    grp.add_argument("--max-iterations", type=int, metavar="N",
-                     help="adaptive iteration cap (default 10)")
-    grp.add_argument("--bin-width", type=float, metavar="W",
-                     help="coefficient histogram bin width (default 0.005)")
-    grp.add_argument("--peak-floor", type=int, metavar="N",
-                     help="absolute histogram peak floor (default 5)")
-    grp.add_argument("--fast", action="store_true", default=None,
-                     help="estimate clusters/models on a downsampled copy")
-    grp.add_argument("--target-edge", type=int, metavar="PX",
-                     help="long-edge target for --fast (default 200)")
-    grp.add_argument("--threads", type=int, metavar="N",
-                     help="worker cap; 0 = all cores (default; DESPEC_THREADS honored)")
+    for opt in pipeline.OPTIONS:
+        flag = "--" + opt.key.replace("_", "-")
+        if opt.switch:
+            grp.add_argument(flag, action="store_const", const="on", help=opt.help)
+        else:
+            grp.add_argument(flag, metavar=opt.metavar, help=opt.help)
 
 
 def _config_from_args(args) -> pipeline.PipelineConfig:
-    cfg = pipeline.PipelineConfig()
-    if args.config:
-        cfg = pipeline.load_config(args.config, cfg)
-    overrides = {}
-    if args.illum is not None:
-        overrides["illum"] = args.illum
-    if args.initial_k is not None:
-        overrides["initial_k"] = str(args.initial_k)
-    if args.tau_dev is not None:
-        overrides["tau_dev"] = repr(args.tau_dev)
-    if args.tau_frac is not None:
-        overrides["tau_frac"] = repr(args.tau_frac)
-    if args.min_cluster_size is not None:
-        overrides["min_cluster_size"] = args.min_cluster_size
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.max_iterations is not None:
-        overrides["max_iterations"] = str(args.max_iterations)
-    if args.bin_width is not None:
-        overrides["bin_width"] = repr(args.bin_width)
-    if args.peak_floor is not None:
-        overrides["peak_floor"] = str(args.peak_floor)
-    if args.fast is not None:
-        overrides["fast"] = "on"
-    if args.target_edge is not None:
-        overrides["target_edge"] = str(args.target_edge)
-    if args.threads is not None:
-        overrides["threads"] = str(args.threads)
-    return pipeline.config_from_values(overrides, cfg)
+    cfg = pipeline.load_config(args.config) if args.config else None
+    given = {opt.key: getattr(args, opt.key) for opt in pipeline.OPTIONS
+             if getattr(args, opt.key) is not None}
+    return pipeline.config_from_values(given, cfg)
 
 
 def cmd_remove(args) -> int:
@@ -161,12 +119,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {args.repeats}")
+    cfg = _config_from_args(args)
     if args.scene:
         gt = synth.render(synth.builtin_scene(args.scene, args.width, args.height))
-        img = synth.add_noise(gt, args.sigma, seed=args.seed or 0)
+        img = synth.add_noise(gt, args.sigma, seed=cfg.cluster.seed)
     else:
         img = imgio.load(args.input)
-    cfg = _config_from_args(args)
     times = []
     for _ in range(args.repeats):
         t0 = time.perf_counter()

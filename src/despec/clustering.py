@@ -35,6 +35,8 @@ FLAG_ACHROMATIC = 2
 LABEL_BLACK = -FLAG_BLACK
 LABEL_ACHROMATIC = -FLAG_ACHROMATIC
 
+KMEANS_MAX_ITER = 100  # Lloyd iterations per k-means run
+
 
 @dataclass
 class SpecularFreeField:
@@ -97,7 +99,6 @@ class ClusterConfig:
     min_cluster_size: int | None = None  # None = adaptive floor
     seed: int = 0
     max_iterations: int = 10    # outer adaptive iterations
-    kmeans_max_iter: int = 100
 
 
 def split_block(block: np.ndarray, basis: IlluminationBasis):
@@ -168,8 +169,9 @@ def _mean_hues(labels: np.ndarray, cos: np.ndarray, sin: np.ndarray, k: int):
     return np.arctan2(s, c), counts, np.hypot(s, c) / np.maximum(counts, 1)
 
 
-def kmeans(field: SpecularFreeField, k: int, seed: int = 0, max_iter: int = 100) -> ClusterSet:
-    """Lloyd iterations on the circle of valid field hues.
+def kmeans(field: SpecularFreeField, k: int, seed: int = 0) -> ClusterSet:
+    """At most KMEANS_MAX_ITER Lloyd iterations on the circle of valid
+    field hues.
 
     Farthest-point seeding: the first hue from the seeded generator, then
     greedily the hue farthest in chord² 2 - 2·cos(hue - center).  Each
@@ -198,7 +200,7 @@ def kmeans(field: SpecularFreeField, k: int, seed: int = 0, max_iter: int = 100)
         d2 = np.minimum(d2, 2.0 - 2.0 * (cos * cos[idx] + sin * sin[idx]))
 
     labels = np.full(n, -1, dtype=np.int32)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         new_labels = nearest_hue(hue, centers)
         if np.array_equal(new_labels, labels):
             break
@@ -316,7 +318,7 @@ def adaptive_cluster(field: SpecularFreeField,
     for _ in range(cfg.max_iterations):
         iterations += 1
         history.append(k)
-        clusters = kmeans(field, k, seed=cfg.seed, max_iter=cfg.kmeans_max_iter)
+        clusters = kmeans(field, k, seed=cfg.seed)
         diag = evaluate_fit(field, clusters, cfg.tau_dev, cfg.tau_frac)
         failing = int(np.sum(diag.failing_fractions > cfg.tau_frac))
         if failing == 0:

@@ -11,10 +11,12 @@ separation is where the output quality lives.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._keyvalue import key_values, numbers, read_text
 from ._parallel import resolve_threads
 from .clustering import ClusterConfig, adaptive_cluster, specular_free_field
 from .errors import ConfigError
@@ -67,25 +69,15 @@ class PipelineDiagnostics:
         ]
 
 
-def _parse_rgb(text: str, what: str) -> np.ndarray:
-    parts = text.replace(",", " ").split()
-    if len(parts) != 3:
-        raise ConfigError(f"{what} expects three numbers, got {text!r}")
-    try:
-        return np.array([float(p) for p in parts], dtype=np.float64)
-    except ValueError as exc:
-        raise ConfigError(f"bad number in {what}: {text!r}") from exc
-
-
-def parse_illumination(spec: str) -> tuple[IlluminationBasis, np.ndarray | None]:
+def parse_illumination(spec: str) -> tuple[IlluminationBasis, tuple[float, ...] | None]:
     """Resolve an illumination spec into (basis, divide-color-or-None)."""
     spec = spec.strip()
     if spec == "white":
         return IlluminationBasis.white(), None
     if spec.startswith("divide:"):
-        rgb = _parse_rgb(spec[len("divide:"):], "illumination")
+        rgb = numbers(spec[len("divide:"):], 3, "illumination", ConfigError)
         return IlluminationBasis.white(), rgb
-    return IlluminationBasis.from_rgb(_parse_rgb(spec, "illumination")), None
+    return IlluminationBasis.from_rgb(numbers(spec, 3, "illumination", ConfigError)), None
 
 
 def _validate_input(img: np.ndarray) -> np.ndarray:
@@ -118,27 +110,6 @@ def box_downsample(img: np.ndarray, factor: int) -> np.ndarray:
                 total += block[:, i, :, j, :]
     total /= factor * factor
     return total
-
-
-def _check_config(cfg: PipelineConfig) -> None:
-    """Reject out-of-range knobs before any work starts."""
-    c = cfg.cluster
-    for key, value, ok, need in (
-        ("initial_k", c.initial_k, c.initial_k >= 1, ">= 1"),
-        ("max_iterations", c.max_iterations, c.max_iterations >= 1, ">= 1"),
-        ("target_edge", cfg.target_edge, cfg.target_edge >= 1, ">= 1"),
-        ("bin_width", cfg.recovery.bin_width, 1e-4 <= cfg.recovery.bin_width <= 1,
-         "in [1e-4, 1]"),
-        ("tau_dev", c.tau_dev, c.tau_dev >= 0, ">= 0"),
-        ("tau_frac", c.tau_frac, 0 <= c.tau_frac <= 1, "in [0, 1]"),
-        ("peak_floor", cfg.recovery.peak_floor, cfg.recovery.peak_floor >= 0, ">= 0"),
-        ("threads", cfg.threads, cfg.threads >= 0, ">= 0 (0 = all cores)"),
-        ("seed", c.seed, c.seed >= 0, ">= 0"),
-        ("min_cluster_size", c.min_cluster_size,
-         c.min_cluster_size is None or c.min_cluster_size >= 1, ">= 1 or auto"),
-    ):
-        if not ok:
-            raise ConfigError(f"{key} must be {need}, got {value!r}")
 
 
 def run(img, cfg: PipelineConfig | None = None
@@ -191,91 +162,118 @@ def run(img, cfg: PipelineConfig | None = None
     return result, diag
 
 
-# --- key=value config files ---
+# --- the pipeline's knobs: one table row each ---
 
-_CONFIG_KEYS = (
-    "illum", "initial_k", "tau_dev", "tau_frac", "min_cluster_size", "seed",
-    "max_iterations", "bin_width", "peak_floor", "fast", "target_edge", "threads",
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
+def _parse_size(text: str) -> int | None:
+    return None if text.lower() == "auto" else int(text)
+
+
+@dataclass(frozen=True)
+class Option:
+    """One pipeline knob.
+
+    ``key`` names it in config files; its flag is ``--`` plus the key with
+    ``_`` turned into ``-``.  ``target`` is its place in PipelineConfig
+    ("field" or "section.field").  ``parse`` turns text into a value and
+    raises ValueError on malformed text; ``kind`` names what it accepts.
+    With ``lo`` set, a value below ``lo``, above ``hi`` (if set) or NaN is
+    rejected; None ("auto") is not checked.
+    """
+
+    key: str
+    target: str
+    parse: Callable[[str], object]
+    kind: str
+    help: str
+    metavar: str | None = None
+    lo: float | None = None
+    hi: float | None = None
+
+    @property
+    def switch(self) -> bool:
+        """A boolean knob is a bare flag: giving it turns the knob on."""
+        return self.parse is _parse_bool
+
+    def locate(self, cfg: PipelineConfig) -> tuple[object, str]:
+        """(object holding the field, field name) inside ``cfg``."""
+        section, _, name = self.target.rpartition(".")
+        return (getattr(cfg, section) if section else cfg), name
+
+
+OPTIONS = (
+    Option("illum", "illumination", str, "illumination",
+           "illumination: 'white', 'r,g,b', or 'divide:r,g,b'", "SPEC"),
+    Option("initial_k", "cluster.initial_k", int, "integer",
+           "starting cluster count (default 1)", "K", lo=1),
+    Option("tau_dev", "cluster.tau_dev", float, "number",
+           "per-pixel unit-circle deviation threshold (default 0.1)", "T", lo=0),
+    Option("tau_frac", "cluster.tau_frac", float, "number",
+           "failing fraction that splits a cluster (default 0.1)", "F", lo=0, hi=1),
+    Option("min_cluster_size", "cluster.min_cluster_size", _parse_size, "integer or 'auto'",
+           "size floor for clusters, or 'auto'", "N", lo=1),
+    Option("seed", "cluster.seed", int, "integer", "clustering seed (default 0)", "S", lo=0),
+    Option("max_iterations", "cluster.max_iterations", int, "integer",
+           "adaptive iteration cap (default 10)", "N", lo=1),
+    Option("bin_width", "recovery.bin_width", float, "number",
+           "coefficient histogram bin width (default 0.005)", "W", lo=1e-4, hi=1),
+    Option("peak_floor", "recovery.peak_floor", int, "integer",
+           "absolute histogram peak floor (default 5)", "N", lo=0),
+    Option("fast", "fast", _parse_bool, "boolean",
+           "estimate clusters/models on a downsampled copy"),
+    Option("target_edge", "target_edge", int, "integer",
+           "long-edge target for --fast (default 200)", "PX", lo=1),
+    Option("threads", "threads", int, "integer",
+           "worker cap; 0 = all cores (default; DESPEC_THREADS honored)", "N", lo=0),
 )
+_OPTION_BY_KEY = {opt.key: opt for opt in OPTIONS}
+
+
+def _check_config(cfg: PipelineConfig) -> None:
+    """Reject out-of-range knobs before any work starts."""
+    for opt in OPTIONS:
+        value = getattr(*opt.locate(cfg))
+        if opt.lo is None or value is None:
+            continue
+        if not (value >= opt.lo and (opt.hi is None or value <= opt.hi)):
+            need = f">= {opt.lo:g}" if opt.hi is None else f"in [{opt.lo:g}, {opt.hi:g}]"
+            raise ConfigError(f"{opt.key} must be {need}, got {value!r}")
 
 
 def parse_config_text(text: str) -> dict:
     """Parse ``key = value`` lines (# comments allowed) into raw strings."""
     values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.lower()
-        if key not in _CONFIG_KEYS:
+    for lineno, key, value in key_values(text, ConfigError):
+        if key not in _OPTION_BY_KEY:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = value
     return values
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"bad boolean for {key}: {value!r}")
-
-
 def config_from_values(values: dict, base: PipelineConfig | None = None) -> PipelineConfig:
-    """Apply raw config strings on top of a base PipelineConfig."""
+    """Apply raw config strings, keyed by option key, on top of a base
+    PipelineConfig.  The base is not modified."""
     cfg = base or PipelineConfig()
-    cluster = replace(cfg.cluster)
-    recovery = replace(cfg.recovery)
-    cfg = replace(cfg, cluster=cluster, recovery=recovery)
-
-    def as_int(key, value):
+    cfg = replace(cfg, cluster=replace(cfg.cluster), recovery=replace(cfg.recovery))
+    for key, text in values.items():
+        opt = _OPTION_BY_KEY.get(key)
+        if opt is None:
+            raise ConfigError(f"unknown key {key!r}")
         try:
-            return int(value)
+            value = opt.parse(text)
         except ValueError as exc:
-            raise ConfigError(f"bad integer for {key}: {value!r}") from exc
-
-    def as_float(key, value):
-        try:
-            return float(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad number for {key}: {value!r}") from exc
-
-    for key, value in values.items():
-        if key == "illum":
-            cfg.illumination = value
-        elif key == "initial_k":
-            cluster.initial_k = as_int(key, value)
-        elif key == "tau_dev":
-            cluster.tau_dev = as_float(key, value)
-        elif key == "tau_frac":
-            cluster.tau_frac = as_float(key, value)
-        elif key == "min_cluster_size":
-            cluster.min_cluster_size = None if value.lower() == "auto" else as_int(key, value)
-        elif key == "seed":
-            cluster.seed = as_int(key, value)
-        elif key == "max_iterations":
-            cluster.max_iterations = as_int(key, value)
-        elif key == "bin_width":
-            recovery.bin_width = as_float(key, value)
-        elif key == "peak_floor":
-            recovery.peak_floor = as_int(key, value)
-        elif key == "fast":
-            cfg.fast = _parse_bool(value, key)
-        elif key == "target_edge":
-            cfg.target_edge = as_int(key, value)
-        elif key == "threads":
-            cfg.threads = as_int(key, value)
+            raise ConfigError(f"bad {opt.kind} for {key}: {text!r}") from exc
+        setattr(*opt.locate(cfg), value)
     return cfg
 
 
 def load_config(path, base: PipelineConfig | None = None) -> PipelineConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return config_from_values(parse_config_text(text), base)
+    return config_from_values(parse_config_text(read_text(path, ConfigError, "config")), base)

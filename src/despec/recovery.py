@@ -25,13 +25,15 @@ from .model import EPS_GRAY, IlluminationBasis, _norm3
 from .clustering import FLAG_VALID, ClusterSet, SpecularFreeField, nearest_hue, split_block
 
 
+HIST_OVERSHOOT = 0.001       # histogram range extends to 1 + overshoot
+PEAK_FRAC = 0.005            # relative peak floor, fraction of cluster size
+FALLBACK_PERCENTILE = 2.0    # used when no peak qualifies
+
+
 @dataclass
 class RecoveryConfig:
     bin_width: float = 0.005
-    overshoot: float = 0.001      # histogram range extends to 1 + overshoot
     peak_floor: int = 5           # absolute smoothed-count floor for a peak
-    peak_frac: float = 0.005      # relative floor, fraction of cluster size
-    fallback_percentile: float = 2.0  # used when no peak qualifies
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ class SeparationResult:
 
 
 def histogram_edges(cfg: RecoveryConfig) -> np.ndarray:
-    n_bins = int(np.ceil((1.0 + cfg.overshoot) / cfg.bin_width))
+    n_bins = int(np.ceil((1.0 + HIST_OVERSHOOT) / cfg.bin_width))
     return np.arange(n_bins + 1, dtype=np.float64) * cfg.bin_width
 
 
@@ -72,11 +74,11 @@ def _first_peak_index(counts: np.ndarray, cfg: RecoveryConfig) -> int:
     """Bin index of the lowest-coefficient local maximum of a histogram.
 
     The counts are box-smoothed over 3 bins first, and a candidate must
-    hold at least max(peak_floor, peak_frac * cluster size) smoothed
+    hold at least max(peak_floor, PEAK_FRAC * cluster size) smoothed
     counts; tiny leading bumps are not peaks.  Raises NoPeakError when
     nothing qualifies.
     """
-    floor = max(float(cfg.peak_floor), cfg.peak_frac * float(counts.sum()))
+    floor = max(float(cfg.peak_floor), PEAK_FRAC * float(counts.sum()))
     smooth = _smooth3(counts)
     left = np.empty_like(smooth)
     right = np.empty_like(smooth)
@@ -126,7 +128,7 @@ def _diffuse_parallel_for_cluster(coeffs: np.ndarray, cfg: RecoveryConfig) -> fl
     try:
         i = _first_peak_index(counts, cfg)
     except NoPeakError:
-        return float(np.percentile(coeffs, cfg.fallback_percentile))
+        return float(np.percentile(coeffs, FALLBACK_PERCENTILE))
     lo = edges[max(i - 1, 0)]
     hi = edges[min(i + 2, len(edges) - 1)]
     window = clipped[(clipped >= lo) & (clipped < hi)]

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._keyvalue import key_values, numbers, read_text
 from .errors import InvalidSceneError, UnknownSceneError
 from .model import WHITE, _norm3
 
@@ -288,23 +289,7 @@ def scene_from_text(text: str) -> SceneParams:
     materials: list = []
     lobes: list = []
 
-    def to_floats(value, n, key):
-        parts = value.replace(",", " ").split()
-        if len(parts) != n:
-            raise InvalidSceneError(f"{key} expects {n} numbers, got {value!r}")
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError as exc:
-            raise InvalidSceneError(f"bad number in {key}: {value!r}") from exc
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvalidSceneError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.lower()
+    for lineno, key, value in key_values(text, InvalidSceneError):
         if key == "scene":
             if value != "custom":
                 params = builtin_params(value)
@@ -320,13 +305,13 @@ def scene_from_text(text: str) -> SceneParams:
                 raise InvalidSceneError(f"unknown layout {value!r}")
             pending[key] = value
         elif key == "illumination":
-            pending[key] = to_floats(value, 3, key)
+            pending[key] = numbers(value, 3, key, InvalidSceneError)
         elif key == "diffuse_range":
-            pending[key] = to_floats(value, 2, key)
+            pending[key] = numbers(value, 2, key, InvalidSceneError)
         elif key == "material":
-            materials.append(to_floats(value, 3, key))
+            materials.append(numbers(value, 3, key, InvalidSceneError))
         elif key == "lobe":
-            lobes.append(to_floats(value, 4, key))
+            lobes.append(numbers(value, 4, key, InvalidSceneError))
         else:
             raise InvalidSceneError(f"line {lineno}: unknown key {key!r}")
 
@@ -344,8 +329,7 @@ def scene_from_text(text: str) -> SceneParams:
 
 
 def load_scene(path) -> SceneParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scene_from_text(fh.read())
+    return scene_from_text(read_text(path, InvalidSceneError, "scene"))
 
 
 def save_scene(params: SceneParams, path) -> None:

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from despec import imgio, synth
-from despec.cli import main
+from despec import imgio, pipeline, synth
+from despec.cli import _config_from_args, build_parser, main
 
 
 def synth_dir(tmp_path, scene="single-1", extra=(), name="scene"):
@@ -84,6 +84,19 @@ class TestSynth:
         assert rc == 5
         err = capsys.readouterr().err
         assert err.startswith("despec: error: out of memory") and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "non-utf8"])
+    def test_unreadable_scene_file_exits_4(self, tmp_path, capsys, case):
+        scene = tmp_path / "scene.txt"
+        if case == "directory":
+            scene.mkdir()
+        elif case == "non-utf8":
+            scene.write_bytes(b"scene = single-1  # caf\xe9\n")
+        rc = main(["synth", str(scene), "-o", str(tmp_path / "x")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("despec: error: cannot read scene")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 class TestRemove:
@@ -164,6 +177,9 @@ class TestRemove:
         "--peak-floor -1",
         "--threads -4",
         "--seed -1",
+        "--initial-k two",
+        "--tau-dev lots",
+        "--min-cluster-size some",
     ])
     def test_out_of_range_config_exits_4(self, tmp_path, capsys, flags):
         out = synth_dir(tmp_path)
@@ -184,6 +200,41 @@ class TestRemove:
         capsys.readouterr()
         # the explicit flag wins over the config file's initial_k = 3
         assert "k_history = 1\n" in (tmp_path / "report.txt").read_text()
+
+    def test_non_utf8_config_exits_4(self, tmp_path, capsys):
+        out = synth_dir(tmp_path)
+        cfg = tmp_path / "despec.cfg"
+        cfg.write_bytes(b"seed = 3  # caf\xe9\n")
+        rc = main(["remove", str(out / "input.pfm"), "--config", str(cfg),
+                   "-d", str(tmp_path / "d.pfm"), "-s", str(tmp_path / "s.pfm")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("despec: error: cannot read config")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "d.pfm").exists()
+
+    # one valid, non-default value per option
+    SAMPLE_VALUES = {
+        "illum": "divide:0.9,1,0.8", "initial_k": "3", "tau_dev": "0.05",
+        "tau_frac": "0.2", "min_cluster_size": "64", "seed": "7",
+        "max_iterations": "4", "bin_width": "0.01", "peak_floor": "9",
+        "fast": "on", "target_edge": "150", "threads": "2",
+    }
+
+    @pytest.mark.parametrize("opt", pipeline.OPTIONS, ids=lambda opt: opt.key)
+    def test_flag_and_file_agree(self, tmp_path, opt):
+        assert set(self.SAMPLE_VALUES) == {o.key for o in pipeline.OPTIONS}
+        value = self.SAMPLE_VALUES[opt.key]
+        flag = "--" + opt.key.replace("_", "-")
+        cfg = tmp_path / "despec.cfg"
+        cfg.write_text(f"{opt.key} = {value}\n")
+        base = ["remove", "in.pfm", "-d", "d.pfm", "-s", "s.pfm"]
+        parser = build_parser()
+        from_flag = _config_from_args(
+            parser.parse_args(base + [flag if opt.switch else f"{flag}={value}"]))
+        from_file = _config_from_args(parser.parse_args(base + ["--config", str(cfg)]))
+        assert from_flag == from_file
+        assert from_flag != pipeline.PipelineConfig()
 
     def test_gamma_decode_round_trip(self, tmp_path, capsys):
         out = synth_dir(tmp_path, scene="single-2")
@@ -220,6 +271,19 @@ class TestBench:
         captured = capsys.readouterr()
         assert stdout_value(captured.out, "runs") == "2"
         assert float(stdout_value(captured.out, "median_seconds")) > 0.0
+
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_no_repeats_exits_4_before_any_run(self, capsys, monkeypatch, repeats):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("rendered or timed before the check")
+
+        monkeypatch.setattr(synth, "render", must_not_run)
+        monkeypatch.setattr(pipeline, "run", must_not_run)
+        rc = main(["bench", "--scene", "single-1", f"--repeats={repeats}"])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert "runs =" not in captured.out
+        assert "repeats must be >= 1" in captured.err
 
     def test_needs_input_or_scene(self, capsys):
         with pytest.raises(SystemExit) as exc:

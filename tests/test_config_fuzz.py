@@ -1,0 +1,47 @@
+"""Property tests for the pipeline option table: every key is reachable
+from a config file and a flag, and no text makes parsing or the range
+check fail with anything but ConfigError."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from despec import errors
+from despec.cli import build_parser
+from despec.pipeline import OPTIONS, _check_config, config_from_values, parse_config_text
+
+KEYS = [opt.key for opt in OPTIONS]
+
+# one line of text (no character str.splitlines breaks at) without a
+# comment, plus the spellings the parsers know
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+ONE_LINE = st.one_of(
+    st.text(st.characters(exclude_characters="#" + LINE_BREAKS), max_size=16),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["auto", "AUTO", "on", "off", "yes", "nan", "-inf", "1e400",
+                     " 3 ", "0x10", "1_000", "9" * 5000]),
+)
+
+
+@pytest.mark.parametrize("key", KEYS)
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(text=ONE_LINE)
+def test_any_value_is_accepted_or_rejected_with_config_error(key, text):
+    assert parse_config_text(f"{key} = {text}\n") == {key: text.strip()}
+    try:
+        cfg = config_from_values({key: text})
+        _check_config(cfg)
+    except errors.ConfigError:
+        pass
+
+
+@pytest.mark.parametrize("opt", OPTIONS, ids=KEYS)
+def test_every_key_has_a_config_line_and_a_flag(opt):
+    assert parse_config_text(f"{opt.key.upper()} = 1  # comment\n") == {opt.key: "1"}
+    flag = "--" + opt.key.replace("_", "-")
+    given_flag, expected = (flag, "on") if opt.switch else (f"{flag}=1", "1")
+    parser = build_parser()
+    for argv in (["remove", "in.pfm", "-d", "d.pfm", "-s", "s.pfm"],
+                 ["bench", "--scene", "single-1"]):
+        assert getattr(parser.parse_args(argv + [given_flag]), opt.key) == expected
