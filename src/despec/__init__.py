@@ -15,7 +15,6 @@ from .model import (  # noqa: F401
     EPS_GRAY,
     WHITE,
     IlluminationBasis,
-    l2_chromaticity,
     white_balance,
 )
 from .clustering import (  # noqa: F401

@@ -7,6 +7,7 @@ eval (score results against ground truth), bench (timing runs).
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import sys
 import time
@@ -69,7 +70,7 @@ def cmd_remove(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.scene.endswith(".txt") or "/" in args.scene:
+    if os.path.exists(args.scene) or args.scene.endswith(".txt") or "/" in args.scene:
         params = synth.load_scene(args.scene)
     else:
         params = synth.builtin_params(args.scene)
@@ -81,7 +82,6 @@ def cmd_synth(args) -> int:
     noisy = synth.add_noise(gt, args.sigma, seed=args.seed)
 
     out = args.output
-    import os
     os.makedirs(out, exist_ok=True)
     fmt = args.format
     ext = "pfm" if fmt == "pfm" else "ppm"

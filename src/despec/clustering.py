@@ -11,8 +11,9 @@ pixel carries, so k-means on the circle of hues groups pixels by
 material; :func:`nearest_hue` is the one assignment rule.  The cluster
 count is grown adaptively: a cluster whose pixels deviate too far from
 the unit circle in its (center, illumination) frame is mixing materials
-and votes to increase k.  The fit check and model estimation read the
-same field, so neither goes back to the image.
+and votes to increase k.  The field keeps only the valid pixels, and
+cluster labels index that same set, so k-means, the fit check and model
+estimation all read it without going back to the image or masking it.
 """
 
 from __future__ import annotations
@@ -40,15 +41,16 @@ KMEANS_MAX_ITER = 100  # Lloyd iterations per k-means run
 
 @dataclass
 class SpecularFreeField:
-    """Each pixel's unit chromaticity split against the illumination.
+    """The pixels that carry a chroma, split against the illumination.
 
-    For a valid pixel with unit chromaticity ``c`` and illumination
-    direction ``d``, ``c = amplitude * basis.orthogonal(hue) + parallel * d``:
-    ``hue`` (H, W) is the angle of c's orthogonal part in the basis's
-    (u, v) frame, in [-pi, pi]; ``amplitude`` (H, W) is that part's norm
-    and ``parallel`` (H, W) the illumination coefficient, so
-    amplitude² + parallel² = 1.  All three are zero where
-    ``flags != FLAG_VALID`` and must be ignored.
+    ``flags`` (H, W) marks every pixel FLAG_VALID, FLAG_BLACK or
+    FLAG_ACHROMATIC.  The other three arrays are 1-D and hold the valid
+    pixels only, in row-major order.  For a valid pixel with unit
+    chromaticity ``c`` and illumination direction ``d``,
+    ``c = amplitude * basis.orthogonal(hue) + parallel * d``: ``hue`` is
+    the angle of c's orthogonal part in the basis's (u, v) frame, in
+    [-pi, pi]; ``amplitude`` is that part's norm and ``parallel`` the
+    illumination coefficient, so amplitude² + parallel² = 1.
     """
 
     hue: np.ndarray
@@ -60,15 +62,24 @@ class SpecularFreeField:
     def valid_mask(self) -> np.ndarray:
         return self.flags == FLAG_VALID
 
+    def label_map(self, labels: np.ndarray) -> np.ndarray:
+        """(H, W) int32 map of per-valid-pixel ``labels``: the label at
+        valid pixels, minus the flag (LABEL_BLACK, LABEL_ACHROMATIC)
+        elsewhere."""
+        full = -self.flags.astype(np.int32)
+        full[self.valid_mask] = labels
+        return full
+
 
 @dataclass
 class ClusterSet:
     """A hard partition of the valid pixels.
 
-    ``labels`` is (H, W) int32: cluster index for valid pixels,
-    LABEL_BLACK / LABEL_ACHROMATIC for flagged ones.  ``hues`` is (k,),
-    each cluster's center angle; ``basis.orthogonal(hues)`` gives the
-    unit center directions orthogonal to the illumination.
+    ``labels`` is 1-D int32, one cluster index per valid pixel in the
+    field's order; ``SpecularFreeField.label_map`` lays it out over the
+    image.  ``hues`` is (k,), each cluster's center angle;
+    ``basis.orthogonal(hues)`` gives the unit center directions
+    orthogonal to the illumination.
     """
 
     labels: np.ndarray
@@ -103,7 +114,9 @@ class ClusterConfig:
 
 def split_block(block: np.ndarray, basis: IlluminationBasis):
     """(hue, amplitude, parallel, flags) of an (..., 3) block of pixels,
-    as described in SpecularFreeField."""
+    each shaped like the block's pixel grid.  The first three are as in
+    SpecularFreeField where ``flags == FLAG_VALID`` and meaningless
+    elsewhere."""
     d, u, v = basis.direction, basis.u, basis.v
     n = _norm3(block)
     blk = n <= EPS_BLACK
@@ -117,29 +130,27 @@ def split_block(block: np.ndarray, basis: IlluminationBasis):
         x += c * u[i]
         y += c * v[i]
     amp = np.sqrt(x * x + y * y)
-    achro = (amp <= EPS_GRAY) & ~blk
-    bad = blk | achro
     flags = np.full(blk.shape, FLAG_VALID, dtype=np.uint8)
     flags[blk] = FLAG_BLACK
-    flags[achro] = FLAG_ACHROMATIC
-    return (np.where(bad, 0.0, np.arctan2(y, x)),
-            np.where(bad, 0.0, amp),
-            np.where(bad, 0.0, par),
-            flags)
+    flags[(amp <= EPS_GRAY) & ~blk] = FLAG_ACHROMATIC
+    return np.arctan2(y, x), amp, par, flags
 
 
 def specular_free_field(img, basis: IlluminationBasis, threads: int = 1) -> SpecularFreeField:
     """Split every pixel against the illumination; see SpecularFreeField."""
     img = np.asarray(img, dtype=np.float64)
-    hue = np.empty(img.shape[:2], dtype=np.float64)
-    amplitude = np.empty(img.shape[:2], dtype=np.float64)
-    parallel = np.empty(img.shape[:2], dtype=np.float64)
     flags = np.empty(img.shape[:2], dtype=np.uint8)
+    parts = {}  # first row of a chunk -> its valid (hue, amplitude, parallel)
 
     def fill(rows):
-        hue[rows], amplitude[rows], parallel[rows], flags[rows] = split_block(img[rows], basis)
+        hue, amp, par, flags[rows] = split_block(img[rows], basis)
+        valid = flags[rows] == FLAG_VALID
+        parts[rows.start] = (hue[valid], amp[valid], par[valid])
 
     run_chunks(fill, img.shape[0], threads)
+    chunks = [parts[start] for start in sorted(parts)]
+    hue, amplitude, parallel = (np.concatenate([np.empty(0), *(c[i] for c in chunks)])
+                                for i in range(3))
     return SpecularFreeField(hue=hue, amplitude=amplitude, parallel=parallel, flags=flags)
 
 
@@ -180,8 +191,7 @@ def kmeans(field: SpecularFreeField, k: int, seed: int = 0) -> ClusterSet:
     surplus clusters the data cannot support are dropped and labels
     compacted.
     """
-    valid = field.valid_mask
-    hue = field.hue[valid]
+    hue = field.hue
     n = len(hue)
     if n == 0:
         raise TooFewPixelsError("no clusterable pixels")
@@ -223,21 +233,16 @@ def kmeans(field: SpecularFreeField, k: int, seed: int = 0) -> ClusterSet:
     counts = np.bincount(labels, minlength=k)
     keep = np.flatnonzero(counts > 0)
     labels = (np.cumsum(counts > 0, dtype=np.int32) - 1)[labels]
-
-    full = -field.flags.astype(np.int32)
-    full[valid] = labels
-    return ClusterSet(labels=full, hues=centers[keep], sizes=counts[keep])
+    return ClusterSet(labels=labels, hues=centers[keep], sizes=counts[keep])
 
 
 def _cluster_residuals(field: SpecularFreeField, labels: np.ndarray,
-                       hues: np.ndarray):
-    """Unit-circle residual of every labeled pixel against its cluster
+                       hues: np.ndarray) -> np.ndarray:
+    """Unit-circle residual of every valid pixel against its cluster
     frame: the pixel's orthogonal part off the center's axis,
     amplitude² · sin²(hue − center hue)."""
-    valid = labels >= 0
-    lab = labels[valid]
-    off = field.amplitude[valid] * np.sin(field.hue[valid] - hues[lab])
-    return off * off, lab, valid
+    off = field.amplitude * np.sin(field.hue - hues[labels])
+    return off * off
 
 
 def evaluate_fit(field: SpecularFreeField, clusters: ClusterSet,
@@ -248,7 +253,8 @@ def evaluate_fit(field: SpecularFreeField, clusters: ClusterSet,
     from the unit circle by more than ``tau_dev``; failing clusters mix
     materials and should be split.
     """
-    dev, lab, _ = _cluster_residuals(field, clusters.labels, clusters.hues)
+    lab = clusters.labels
+    dev = _cluster_residuals(field, lab, clusters.hues)
     k = clusters.n_clusters
     counts = np.bincount(lab, minlength=k).astype(np.float64)
     bad = np.bincount(lab[dev > tau_dev], minlength=k).astype(np.float64)
@@ -278,14 +284,11 @@ def _merge_small_clusters(clusters: ClusterSet, field: SpecularFreeField,
     remap = np.full(clusters.n_clusters, -1, dtype=np.int32)
     remap[big] = np.arange(len(big), dtype=np.int32)
     remap[small] = remap[big[nearest_hue(hues[small], hues[big])]]
-    labels = clusters.labels.copy()
-    valid = labels >= 0
-    lab = remap[labels[valid]]
-    labels[valid] = lab
+    labels = remap[clusters.labels]
 
     # refresh the surviving centers from their members
-    hue = field.hue[valid]
-    means, new_sizes, length = _mean_hues(lab, np.cos(hue), np.sin(hue), len(big))
+    hue = field.hue
+    means, new_sizes, length = _mean_hues(labels, np.cos(hue), np.sin(hue), len(big))
     new_hues = np.where(length > 1e-12, means, hues[big])
     return ClusterSet(labels=labels, hues=new_hues, sizes=new_sizes)
 
@@ -301,7 +304,7 @@ def adaptive_cluster(field: SpecularFreeField,
     the best clustering so far is returned with ``converged=False``.
     """
     cfg = cfg or ClusterConfig()
-    n_valid = int(field.valid_mask.sum())
+    n_valid = len(field.hue)
     min_size = cfg.min_cluster_size
     if min_size is None:
         min_size = adaptive_min_cluster_size(n_valid)

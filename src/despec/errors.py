@@ -47,12 +47,6 @@ class ConfigError(DespecError):
 
 # --- processing (exit code 5) ---
 
-class BlackPixelError(DespecError):
-    """Pixel norm too small to carry chromaticity information."""
-
-    exit_code = 5
-
-
 class InvalidIlluminantError(DespecError):
     exit_code = 5
 

@@ -64,8 +64,6 @@ class EvalReport:
     psnr_diffuse: float | None = None
     psnr_specular: float | None = None
     cluster_accuracy: float | None = None
-    iterations: int | None = None
-    wall_time: float | None = None
 
     def to_lines(self) -> list[str]:
         def fmt(x):
@@ -78,10 +76,6 @@ class EvalReport:
             out.append(f"psnr_specular_db = {fmt(self.psnr_specular)}")
         if self.cluster_accuracy is not None:
             out.append(f"cluster_accuracy = {self.cluster_accuracy:.6f}")
-        if self.iterations is not None:
-            out.append(f"iterations = {self.iterations}")
-        if self.wall_time is not None:
-            out.append(f"wall_time_s = {self.wall_time:.6f}")
         return out
 
     def to_text(self) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlackPixelError, InvalidIlluminantError
+from .errors import InvalidIlluminantError
 
 # Intensity norm below which a pixel carries no usable color information.
 EPS_BLACK = 1e-6
@@ -35,19 +35,6 @@ def _norm3(v: np.ndarray) -> np.ndarray:
     """Euclidean norm over the last axis, written out so the reduction
     order is fixed regardless of array blocking."""
     return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2])
-
-
-def l2_chromaticity(v) -> np.ndarray:
-    """Unit-Euclidean-norm chromaticity of an RGB vector.
-
-    Raises BlackPixelError when the vector norm is at or below EPS_BLACK;
-    such pixels have no meaningful color direction.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    n = float(_norm3(v))
-    if n <= EPS_BLACK:
-        raise BlackPixelError(f"pixel norm {n:g} is below {EPS_BLACK:g}")
-    return v / n
 
 
 @dataclass(frozen=True)
@@ -84,19 +71,18 @@ class IlluminationBasis:
 
     @classmethod
     def from_rgb(cls, rgb) -> "IlluminationBasis":
-        """Basis from an (unnormalized) illumination color."""
+        """Basis from an (unnormalized) illumination color: its unit
+        chromaticity.  A color whose norm is at or below EPS_BLACK has no
+        direction and is rejected."""
         rgb = np.asarray(rgb, dtype=np.float64)
         if not np.all(np.isfinite(rgb)):
             raise InvalidIlluminantError("illumination color has non-finite components")
         if np.any(rgb < 0):
             raise InvalidIlluminantError("illumination color has negative components")
-        return cls(l2_chromaticity(rgb))
-
-    def parallel_coeff(self, v: np.ndarray) -> np.ndarray:
-        """Dot product with the illumination direction; works on (..., 3)."""
-        d = self.direction
-        v = np.asarray(v, dtype=np.float64)
-        return v[..., 0] * d[0] + v[..., 1] * d[1] + v[..., 2] * d[2]
+        n = float(_norm3(rgb))
+        if n <= EPS_BLACK:
+            raise InvalidIlluminantError(f"illumination color norm {n:g} is below {EPS_BLACK:g}")
+        return cls(rgb / n)
 
     def orthogonal(self, hue) -> np.ndarray:
         """Unit vector(s) cos(hue)·u + sin(hue)·v; (..., 3) for a hue array."""

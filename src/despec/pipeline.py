@@ -84,9 +84,12 @@ def _validate_input(img: np.ndarray) -> np.ndarray:
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError(f"expected an (H, W, 3) image, got shape {img.shape}")
-    if not np.all(np.isfinite(img)):
+    if img.size == 0:
+        raise ValueError(f"input image is empty, got shape {img.shape}")
+    lo, hi = img.min(), img.max()  # NaN or inf in the image shows up in these
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("input image contains non-finite values")
-    if img.min() < 0:
+    if lo < 0:
         raise ValueError("linear-light input must be nonnegative")
     return img
 
@@ -143,8 +146,9 @@ def run(img, cfg: PipelineConfig | None = None
     clustering_seconds = time.perf_counter() - t_cluster
 
     models = estimate_models(field, clusters, basis, cfg.recovery)
+    labels = field.label_map(clusters.labels) if factor == 1 else None
     del field  # not read again; free it before the full-resolution pass
-    result = separate_image(img, clusters, models, basis, threads=threads)
+    result = separate_image(img, clusters, models, basis, threads=threads, labels=labels)
     total_seconds = time.perf_counter() - t0
 
     diag = PipelineDiagnostics(

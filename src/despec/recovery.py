@@ -21,7 +21,7 @@ from .errors import (
     ModelMissingError,
     NoPeakError,
 )
-from .model import EPS_GRAY, IlluminationBasis, _norm3
+from .model import EPS_GRAY, IlluminationBasis
 from .clustering import FLAG_VALID, ClusterSet, SpecularFreeField, nearest_hue, split_block
 
 
@@ -41,14 +41,14 @@ class MaterialModel:
     """Everything needed to separate pixels of one material.
 
     ``diffuse_ortho``/``diffuse_parallel`` are the unit-circle coordinates
-    of the pure-diffuse chromaticity; ``ratio`` is their quotient.
+    of the pure-diffuse chromaticity in the (``center``, illumination)
+    frame; ``ratio`` is their quotient.
     """
 
     center: np.ndarray
     diffuse_ortho: float
     diffuse_parallel: float
     ratio: float
-    diffuse_chroma: np.ndarray
 
 
 @dataclass
@@ -145,25 +145,19 @@ def model_for_cluster(field: SpecularFreeField, clusters: ClusterSet, cluster_id
     through unchanged).  The cluster's coefficients are the field's
     ``parallel`` values under its labels."""
     cfg = cfg or RecoveryConfig()
-    mask = clusters.labels == cluster_id
-    if not mask.any():
+    coeffs = field.parallel[clusters.labels == cluster_id]
+    if len(coeffs) == 0:
         raise EmptyClusterError(f"cluster {cluster_id} has no pixels")
-    coeffs = field.parallel[mask]
     diffuse_parallel = _diffuse_parallel_for_cluster(coeffs, cfg)
     try:
         diffuse_ortho, ratio = estimate_ratio(diffuse_parallel)
     except DegenerateRatioError:
         return None
-    center = basis.orthogonal(clusters.hues[cluster_id])
-    chroma = diffuse_ortho * center + diffuse_parallel * basis.direction
-    chroma = np.clip(chroma, 0.0, None)
-    chroma = chroma / float(_norm3(chroma))
     return MaterialModel(
-        center=center,
+        center=basis.orthogonal(clusters.hues[cluster_id]),
         diffuse_ortho=diffuse_ortho,
         diffuse_parallel=diffuse_parallel,
         ratio=ratio,
-        diffuse_chroma=chroma,
     )
 
 
@@ -179,15 +173,17 @@ def estimate_models(field: SpecularFreeField, clusters: ClusterSet,
 
 
 def separate_image(img, clusters: ClusterSet, models: dict,
-                   basis: IlluminationBasis, threads: int = 1) -> SeparationResult:
+                   basis: IlluminationBasis, threads: int = 1,
+                   labels: np.ndarray | None = None) -> SeparationResult:
     """Apply each cluster's material model to its pixels.
 
-    The image is walked once, in short row chunks.  When
-    ``clusters.labels`` covers the image, each pixel takes its label from
-    there.  Otherwise the clusters came from a downsampled copy, and each
-    chunk labels its own pixels: every pixel is split against the
-    illumination and takes the nearest of ``clusters.hues``, while flagged
-    pixels get minus their flag.  Those labels are returned in
+    The image is walked once, in short row chunks.  ``labels`` is an
+    (H, W) label map of the image, as ``SpecularFreeField.label_map``
+    builds it; each pixel takes its label from there.  With ``labels``
+    None (clusters found on a downsampled copy), each chunk labels its
+    own pixels instead: every pixel is split against the illumination and
+    takes the nearest of ``clusters.hues``, while flagged pixels get minus
+    their flag.  The labels used are returned in
     ``SeparationResult.labels``.
 
     Flagged pixels and pass-through clusters keep their input value in
@@ -196,8 +192,11 @@ def separate_image(img, clusters: ClusterSet, models: dict,
     """
     img = np.asarray(img, dtype=np.float64)
     k = clusters.n_clusters
-    given = clusters.labels.shape == img.shape[:2]
-    labels = clusters.labels if given else np.empty(img.shape[:2], dtype=np.int32)
+    given = labels is not None
+    if not given:
+        labels = np.empty(img.shape[:2], dtype=np.int32)
+    elif labels.shape != img.shape[:2]:
+        raise ValueError(f"label map shape {labels.shape} does not match image {img.shape}")
 
     # per-cluster tables indexed by slot = max(label + 1, 0): slot 0 takes
     # the flagged pixels, slot cid + 1 cluster cid, and slot k + 1 every
@@ -238,10 +237,16 @@ def separate_image(img, clusters: ClusterSet, models: dict,
                    + b2 * cz.take(slot, mode="clip"))
         strength = par - p_ortho * inv_ratio.take(slot, mode="clip")
         strength *= gain.take(slot, mode="clip")
-        sp = specular[rows]
+        sp, dif = specular[rows], diffuse[rows]
         np.multiply(strength[..., None], d, out=sp)
         np.clip(sp, 0.0, block, out=sp)
-        np.subtract(block, sp, out=diffuse[rows])
+        np.subtract(block, sp, out=dif)
+        # block - sp rounds, and adding sp back can miss block by an ulp.
+        # There dif >= block / 2, so block - dif is exact (Sterbenz) and
+        # taking it as the specular part makes the sum exact again.
+        miss = dif + sp != block
+        if miss.any():
+            np.subtract(block, dif, out=sp, where=miss)
 
     run_chunks(fill, img.shape[0], threads)
     return SeparationResult(diffuse=diffuse, specular=specular, labels=labels)

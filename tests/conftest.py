@@ -7,8 +7,15 @@ summary so they are visible in a normal ``pytest -v`` run.
 import sys
 
 import numpy as np
+from hypothesis import settings
 
 from despec.clustering import SpecularFreeField
+
+# The one profile of every property test: the same examples on each run,
+# no example database left behind, and no per-example deadline, which a
+# loaded host would trip.
+settings.register_profile("despec", derandomize=True, database=None, deadline=None)
+settings.load_profile("despec")
 
 
 def make_field(hues):
@@ -16,8 +23,16 @@ def make_field(hues):
     pixel valid, each pixel's chromaticity being its unit direction."""
     hue = np.asarray(hues, dtype=np.float64)
     flags = np.zeros(hue.shape, dtype=np.uint8)
-    return SpecularFreeField(hue=hue, amplitude=np.ones(hue.shape),
-                             parallel=np.zeros(hue.shape), flags=flags)
+    return SpecularFreeField(hue=hue.reshape(-1), amplitude=np.ones(hue.size),
+                             parallel=np.zeros(hue.size), flags=flags)
+
+
+def parallel_coeff(v, basis):
+    """Dot product of (..., 3) vectors with the illumination direction,
+    summed in the same order as the field's ``parallel``."""
+    d = basis.direction
+    v = np.asarray(v, dtype=np.float64)
+    return v[..., 0] * d[0] + v[..., 1] * d[1] + v[..., 2] * d[2]
 
 
 def block_image(materials, magnitudes, block=(16, 16)):

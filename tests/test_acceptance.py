@@ -186,18 +186,19 @@ def test_unit_circle_coordinates_for_random_mixtures():
     lam = material / np.linalg.norm(material, axis=1, keepdims=True)
     alpha = 0.2 + 0.8 * draws[:, 3:4]
     beta = draws[:, 4:5]
-    # an achromatic material gets hue 0 and fails the reconstruction
-    hues = specular_free_field(material[:, None, :], basis).hue[:, 0]
+    # every material carries a chroma, so each field holds all n pixels in order
+    hues = specular_free_field(material[:, None, :], basis).hue
     dirs = basis.orthogonal(hues)
-    labels = np.arange(n)[:, None]
-    material_dev, _, _ = _cluster_residuals(
-        specular_free_field(lam[:, None, :], basis), labels, hues)
+    labels = np.arange(n)
+    material_dev = _cluster_residuals(specular_free_field(lam[:, None, :], basis), labels, hues)
     mixed = alpha * lam + beta * basis.direction
     chroma = mixed / np.linalg.norm(mixed, axis=1, keepdims=True)
-    mixture_dev, _, _ = _cluster_residuals(
+    mixture_dev = _cluster_residuals(
         specular_free_field(chroma[:, None, :], basis), labels, hues)
     ortho = (chroma * dirs).sum(axis=1)
-    recon = ortho[:, None] * dirs + basis.parallel_coeff(chroma)[:, None] * basis.direction
+    d = basis.direction
+    parallel = chroma[:, 0] * d[0] + chroma[:, 1] * d[1] + chroma[:, 2] * d[2]
+    recon = ortho[:, None] * dirs + parallel[:, None] * d
     worst_material = float(np.abs(material_dev).max())
     worst_closure = float(np.abs(mixture_dev).max())
     worst_recon = float(np.abs(recon - chroma).max())

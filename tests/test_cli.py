@@ -50,6 +50,14 @@ class TestSynth:
         assert rc == 0
         assert imgio.load(tmp_path / "out" / "input.pfm").shape == (32, 48, 3)
 
+    def test_existing_file_with_any_name_is_a_scene_file(self, tmp_path, monkeypatch):
+        """A bare file name in the working directory is read as a scene
+        file whatever its suffix, not looked up as a builtin name."""
+        synth.save_scene(synth.builtin_params("single-2", 40, 24), tmp_path / "myscene.cfg")
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "myscene.cfg", "-o", "out"]) == 0
+        assert imgio.load(tmp_path / "out" / "input.pfm").shape == (24, 40, 3)
+
     def test_unknown_scene_exits_4(self, tmp_path, capsys):
         rc = main(["synth", "chrome-sphere", "-o", str(tmp_path / "x")])
         assert rc == 4
@@ -159,6 +167,15 @@ class TestRemove:
                    "-d", str(tmp_path / "d.pfm"), "-s", str(tmp_path / "s.pfm")])
         assert rc == 5
         assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "d.pfm").exists()
+
+    def test_black_illuminant_exits_5(self, tmp_path, capsys):
+        out = synth_dir(tmp_path)
+        rc = main(["remove", str(out / "input.pfm"), "--illum", "0,0,0",
+                   "-d", str(tmp_path / "d.pfm"), "-s", str(tmp_path / "s.pfm")])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert err.startswith("despec: error: illumination color norm 0 is below")
         assert not (tmp_path / "d.pfm").exists()
 
     @pytest.mark.parametrize("flags", [

@@ -20,7 +20,7 @@ from despec.clustering import (
     specular_free_field,
 )
 from despec.metrics import cluster_accuracy
-from despec.model import WHITE, IlluminationBasis, l2_chromaticity
+from despec.model import WHITE, IlluminationBasis
 
 OLIVE_DIR = np.array([0.4082482904638624, 0.4082482904638624, -0.8164965809277266])
 OLIVE_HUE = np.pi / 3.0  # OLIVE_DIR in the white basis's (u, v) frame
@@ -31,7 +31,7 @@ OLIVE_ORTHO = 0.2721655269759087
 def hue_angle(angle_deg):
     """Field hue of a synthetic hue chromaticity under white illumination."""
     pixel = synth.hue_chromaticity(angle_deg)[None, None]
-    return specular_free_field(pixel, IlluminationBasis.white()).hue[0, 0]
+    return specular_free_field(pixel, IlluminationBasis.white()).hue[0]
 
 
 @pytest.fixture
@@ -61,26 +61,28 @@ class TestSpecularFreeField:
         rng = np.random.default_rng(29)
         img = rng.random((40, 30, 3)) + 0.02
         field = specular_free_field(img, basis)
-        valid = field.valid_mask
-        assert valid.all()
-        amp, par = field.amplitude[valid], field.parallel[valid]
+        assert field.valid_mask.all()
+        amp, par = field.amplitude, field.parallel
         assert np.abs(amp * amp + par * par - 1.0).max() <= 1e-12
-        rebuilt = (amp[:, None] * basis.orthogonal(field.hue[valid])
+        rebuilt = (amp[:, None] * basis.orthogonal(field.hue)
                    + par[:, None] * basis.direction)
-        chroma = img[valid] / np.linalg.norm(img[valid], axis=-1, keepdims=True)
+        px = img.reshape(-1, 3)  # every pixel is valid, in row-major order
+        chroma = px / np.linalg.norm(px, axis=-1, keepdims=True)
         assert np.abs(rebuilt - chroma).max() <= 1e-12
 
-    def test_flagged_pixels_are_zero(self, white):
+    def test_flagged_pixels_are_left_out(self, white):
         img = np.zeros((4, 4, 3))
         img[0, 0] = [0.4, 0.4, 0.2]
         img[1, 2] = [0.5, 0.5, 0.5]
+        img[3, 1] = [0.2, 0.4, 0.4]
         field = specular_free_field(img, white)
-        assert (field.flags == FLAG_BLACK).sum() == 14
+        assert (field.flags == FLAG_BLACK).sum() == 13
         assert field.flags[1, 2] == FLAG_ACHROMATIC
-        flagged = ~field.valid_mask
-        assert np.all(field.hue[flagged] == 0.0)
-        assert np.all(field.amplitude[flagged] == 0.0)
-        assert np.all(field.parallel[flagged] == 0.0)
+        # the two valid pixels, in row-major order
+        assert field.hue.shape == field.amplitude.shape == field.parallel.shape == (2,)
+        assert field.hue[0] == pytest.approx(OLIVE_HUE, abs=1e-12)
+        assert field.parallel == pytest.approx([OLIVE_PARALLEL] * 2, abs=1e-12)
+        assert field.hue[1] != pytest.approx(OLIVE_HUE, abs=1e-3)
 
     def test_direction_ignores_brightness_and_highlight(self, white):
         """Scaling a pixel or adding illumination-colored light must not
@@ -98,7 +100,7 @@ class TestSpecularFreeField:
         img = np.broadcast_to([0.5, 0.5, 0.5], (5, 5, 3)).copy()
         field = specular_free_field(img, white)
         assert np.all(field.flags == FLAG_ACHROMATIC)
-        assert np.all(field.hue == 0.0)
+        assert len(field.hue) == 0
         assert field.valid_mask.sum() == 0
 
     def test_black_pixels_flagged(self, white):
@@ -118,7 +120,7 @@ class TestSpecularFreeField:
         rng = np.random.default_rng(19)
         img = rng.random((40, 30, 3)) + 0.02
         field = specular_free_field(img, white)
-        dirs = white.orthogonal(field.hue[field.valid_mask])
+        dirs = white.orthogonal(field.hue)
         assert np.abs(np.linalg.norm(dirs, axis=-1) - 1.0).max() <= 1e-6
         assert np.abs(dirs @ white.direction).max() <= 1e-6
 
@@ -187,15 +189,16 @@ class TestKmeans:
             truth[rows] = i
         clusters = kmeans(make_field(grid), 4, seed=0)
         assert clusters.n_clusters == 4
+        labels = clusters.labels.reshape(grid.shape)  # every pixel is valid
         # each band is one label, and the four bands use four labels
-        band_labels = [clusters.labels[10 * i, 0] for i in range(4)]
+        band_labels = [labels[10 * i, 0] for i in range(4)]
         assert sorted(band_labels) == [0, 1, 2, 3]
         for i in range(4):
-            assert np.all(clusters.labels[10 * i:10 * (i + 1)] == band_labels[i])
+            assert np.all(labels[10 * i:10 * (i + 1)] == band_labels[i])
         # labels agree with nearest-center assignment
         flat = grid.reshape(-1)
         nearest = np.argmax(np.cos(flat[:, None] - clusters.hues), axis=1)
-        assert np.array_equal(nearest, clusters.labels.reshape(-1))
+        assert np.array_equal(nearest, clusters.labels)
         # centers match the generating hues
         for i, d in enumerate(hues):
             assert np.allclose(clusters.hues[band_labels[i]], d, atol=1e-9)
@@ -234,9 +237,12 @@ class TestKmeans:
         img[0, 1] = [0.7, 0.7, 0.7]
         field = specular_free_field(img, white)
         clusters = kmeans(field, 1, seed=0)
-        assert clusters.labels[0, 0] == LABEL_BLACK
-        assert clusters.labels[0, 1] == LABEL_ACHROMATIC
-        assert np.all(clusters.labels.reshape(-1)[2:] == 0)
+        assert clusters.labels.tolist() == [0] * 62
+        labels = field.label_map(clusters.labels)
+        assert labels.shape == (8, 8) and labels.dtype == np.int32
+        assert labels[0, 0] == LABEL_BLACK
+        assert labels[0, 1] == LABEL_ACHROMATIC
+        assert np.all(labels.reshape(-1)[2:] == 0)
 
     def test_too_few_pixels(self, white):
         grid = np.full((1, 3), OLIVE_HUE)
@@ -285,13 +291,14 @@ class TestEvaluateFit:
 class TestAdaptiveCluster:
     def test_four_materials_converges(self, white):
         gt = synth.render(synth.builtin_scene("four-materials", 320, 224))
-        clusters, diag = cluster(gt.input, white)
+        field = specular_free_field(gt.input, white)
+        clusters, diag = adaptive_cluster(field)
         assert diag.converged
         assert diag.iterations <= 5
         assert clusters.n_clusters == 4
         assert diag.k_history == sorted(diag.k_history)
         assert len(set(diag.k_history)) == len(diag.k_history)  # strictly growing
-        assert cluster_accuracy(clusters.labels, gt.labels) >= 0.99
+        assert cluster_accuracy(field.label_map(clusters.labels), gt.labels) >= 0.99
 
     def test_single_material_stops_at_one(self, white):
         gt = synth.render(synth.builtin_scene("single-1", 64, 48))

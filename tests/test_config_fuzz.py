@@ -25,7 +25,7 @@ ONE_LINE = st.one_of(
 
 
 @pytest.mark.parametrize("key", KEYS)
-@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(text=ONE_LINE)
 def test_any_value_is_accepted_or_rejected_with_config_error(key, text):
     assert parse_config_text(f"{key} = {text}\n") == {key: text.strip()}

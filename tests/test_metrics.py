@@ -96,14 +96,11 @@ class TestClusterAccuracy:
 class TestEvalReport:
     def test_full_report_lines(self):
         report = EvalReport(psnr_diffuse=37.25, psnr_specular=math.inf,
-                            cluster_accuracy=0.9975, iterations=3,
-                            wall_time=0.125)
+                            cluster_accuracy=0.9975)
         assert report.to_lines() == [
             "psnr_diffuse_db = 37.25",
             "psnr_specular_db = inf",
             "cluster_accuracy = 0.997500",
-            "iterations = 3",
-            "wall_time_s = 0.125000",
         ]
 
     def test_none_fields_omitted(self):

@@ -6,25 +6,29 @@ decomposition is checked through the kernels the pipeline runs:
 ``specular_free_field`` for a chromaticity's hue angle (its orthogonal
 direction is ``basis.orthogonal(hue)``) and achromatic flag,
 ``_cluster_residuals`` for its unit-circle residual in a (material,
-illumination) frame.
+illumination) frame.  Unit chromaticities of test colors come from
+``IlluminationBasis.from_rgb``, which scales an illumination color to
+unit Euclidean norm.
 """
 
 import numpy as np
 import pytest
 
+from conftest import parallel_coeff
 from despec import errors
 from despec.clustering import (
     FLAG_ACHROMATIC,
     FLAG_VALID,
+    SpecularFreeField,
     _cluster_residuals,
     specular_free_field,
+    split_block,
 )
 from despec.model import (
     EPS_BLACK,
     EPS_GRAY,
     WHITE,
     IlluminationBasis,
-    l2_chromaticity,
     white_balance,
 )
 
@@ -46,7 +50,14 @@ def white():
     return IlluminationBasis.white()
 
 
+def l2_chromaticity(v):
+    """Unit-Euclidean-norm chromaticity of an RGB vector, as from_rgb takes it."""
+    return IlluminationBasis.from_rgb(v).direction
+
+
 class TestL2Chromaticity:
+    """The unit chromaticity IlluminationBasis.from_rgb takes of a color."""
+
     def test_two_two_one(self):
         c = l2_chromaticity([2.0, 2.0, 1.0])
         assert np.allclose(c, [0.6667, 0.6667, 0.3333], atol=5e-5)
@@ -57,13 +68,13 @@ class TestL2Chromaticity:
                            [0.5774, 0.5774, 0.5774], atol=5e-5)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(errors.BlackPixelError):
-            l2_chromaticity([0.0, 0.0, 0.0])
+        with pytest.raises(errors.InvalidIlluminantError, match="illumination color norm 0"):
+            IlluminationBasis.from_rgb([0.0, 0.0, 0.0])
 
     def test_near_black_rejected(self):
         v = np.full(3, EPS_BLACK / 10)
-        with pytest.raises(errors.BlackPixelError):
-            l2_chromaticity(v)
+        with pytest.raises(errors.InvalidIlluminantError, match="illumination color norm"):
+            IlluminationBasis.from_rgb(v)
 
     def test_unit_norm_and_scale_invariance(self):
         rng = np.random.default_rng(42)
@@ -131,19 +142,19 @@ def frame(chroma, basis):
     basis.orthogonal(hue) with the hue that specular_free_field computes."""
     chroma = np.atleast_2d(chroma)
     field = specular_free_field(chroma[:, None, :], basis)
-    dirs = basis.orthogonal(field.hue[:, 0])
-    return field.flags[:, 0], dirs, (chroma * dirs).sum(axis=1), basis.parallel_coeff(chroma)
+    dirs = basis.orthogonal(field.hue)
+    return field.flags[:, 0], dirs, (chroma * dirs).sum(axis=1), parallel_coeff(chroma, basis)
 
 
 def residual(chroma, center, basis):
     """Unit-circle residual of (N, 3) chromaticities in the frame of one
-    unit center direction orthogonal to the illumination."""
-    chroma = np.atleast_2d(chroma)
-    field = specular_free_field(chroma[:, None, :], basis)
-    labels = np.zeros((len(chroma), 1), dtype=np.int32)
-    hue = np.arctan2(center @ basis.v, center @ basis.u)
-    dev, _, _ = _cluster_residuals(field, labels, np.array([hue]))
-    return dev
+    unit center direction orthogonal to the illumination.  The field is
+    built from split_block's coordinates of every pixel, so a chromaticity
+    the pipeline flags as achromatic still gets one."""
+    hue, amplitude, parallel, flags = split_block(np.atleast_2d(chroma), basis)
+    field = SpecularFreeField(hue=hue, amplitude=amplitude, parallel=parallel, flags=flags)
+    center_hue = np.arctan2(center @ basis.v, center @ basis.u)
+    return _cluster_residuals(field, np.zeros(len(hue), dtype=np.int32), np.array([center_hue]))
 
 
 class TestDecompose:
@@ -164,12 +175,12 @@ class TestDecompose:
     def test_gray_is_achromatic(self, white):
         field = specular_free_field(WHITE[None, None], white)
         assert field.flags[0, 0] == FLAG_ACHROMATIC
-        assert field.hue[0, 0] == 0.0 and field.amplitude[0, 0] == 0.0
+        assert len(field.hue) == 0 and len(field.amplitude) == 0
 
     def test_nearly_gray_is_achromatic(self, white):
         chroma = l2_chromaticity(WHITE + EPS_GRAY * 1e-2 * np.array([1.0, -1.0, 0.0]))
-        flags, _, _, _ = frame(chroma, white)
-        assert flags[0] == FLAG_ACHROMATIC
+        field = specular_free_field(chroma[None, None], white)
+        assert field.flags[0, 0] == FLAG_ACHROMATIC
 
     def test_pythagorean_and_reconstruction(self, white):
         rng = np.random.default_rng(11)
@@ -239,7 +250,7 @@ class TestUnitCircleResidual:
             chroma = l2_chromaticity(rng.random(3) + 0.05)
             _, dirs, _, _ = frame(chroma, white)
             mixed = np.array([l2_chromaticity(chroma + b * white.direction) for b in betas])
-            gammas = white.parallel_coeff(mixed)
+            gammas = parallel_coeff(mixed, white)
             orthos = mixed @ dirs[0]
             assert np.all(np.diff(gammas) > 0)
             assert np.all(np.diff(orthos) < 0)

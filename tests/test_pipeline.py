@@ -1,7 +1,5 @@
 """End-to-end pipeline, fast path, and configuration parsing."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -85,8 +83,8 @@ def planted_image(width=400, height=300):
 
 
 class TestAssignToCenters:
-    """The separation kernel labels pixels itself when the clusters do not
-    cover the image (they came from a downsampled copy)."""
+    """The separation kernel labels pixels itself when it is given no
+    label map (the clusters came from a downsampled copy)."""
 
     def test_matches_cluster_labels_and_flags(self):
         gt = synth.render(synth.builtin_scene("four-materials", 120, 84))
@@ -97,11 +95,11 @@ class TestAssignToCenters:
         field = specular_free_field(img, basis)
         clusters, _ = adaptive_cluster(field)
         models = estimate_models(field, clusters, basis)
-        coarse = replace(clusters, labels=clusters.labels[::2, ::2])
-        relabeled = separate_image(img, coarse, models, basis, threads=2)
-        given = separate_image(img, clusters, models, basis, threads=2)
-        assert np.array_equal(relabeled.labels, clusters.labels)
-        assert given.labels is clusters.labels
+        labels = field.label_map(clusters.labels)
+        relabeled = separate_image(img, clusters, models, basis, threads=2)
+        given = separate_image(img, clusters, models, basis, threads=2, labels=labels)
+        assert np.array_equal(relabeled.labels, labels)
+        assert given.labels is labels
         assert relabeled.labels[0, 0] == LABEL_BLACK
         assert relabeled.labels[0, 1] == LABEL_ACHROMATIC
         assert np.count_nonzero(relabeled.labels >= 0) == img.shape[0] * img.shape[1] - 2
@@ -119,6 +117,18 @@ class TestInputValidation:
         img[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             run(img)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite(self, value):
+        img = np.full((8, 8, 3), 0.5)
+        img[3, 5, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            run(img)
+
+    @pytest.mark.parametrize("shape", [(0, 5, 3), (5, 0, 3)])
+    def test_empty(self, shape):
+        with pytest.raises(ValueError, match="input image is empty"):
+            run(np.zeros(shape))
 
     def test_negative(self):
         img = np.full((8, 8, 3), 0.5)
@@ -203,10 +213,8 @@ class TestFastPath:
         factor = int(np.ceil(max(img.shape[:2]) / cfg.target_edge))
         clusters, _ = adaptive_cluster(specular_free_field(box_downsample(img, factor), basis))
         field = specular_free_field(img, basis)
-        valid = field.valid_mask
-        assert np.array_equal(diag.labels[valid],
-                              nearest_hue(field.hue, clusters.hues)[valid])
-        assert np.array_equal(diag.labels[~valid], -field.flags[~valid].astype(np.int32))
+        assert np.array_equal(diag.labels,
+                              field.label_map(nearest_hue(field.hue, clusters.hues)))
 
     def test_run_dispatches_on_config(self):
         gt = synth.render(synth.builtin_scene("single-1", 280, 200))

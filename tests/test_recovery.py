@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import parallel_coeff
 from despec import errors, synth
 from despec.clustering import ClusterSet, adaptive_cluster, kmeans, specular_free_field
-from despec.model import WHITE, IlluminationBasis, l2_chromaticity
+from despec.model import WHITE, IlluminationBasis
 from despec.recovery import (
     MaterialModel,
     RecoveryConfig,
@@ -47,16 +48,23 @@ def model_of(img, clusters, cluster_id, white):
 
 
 def cluster_and_models(img, white):
-    """The pipeline's estimation stages on one field: adaptive clusters
-    and the material model of each."""
+    """The pipeline's estimation stages on one field: adaptive clusters,
+    the material model of each, and the (H, W) label map."""
     field = specular_free_field(img, white)
     clusters, _ = adaptive_cluster(field)
-    return clusters, estimate_models(field, clusters, white)
+    return clusters, estimate_models(field, clusters, white), field.label_map(clusters.labels)
+
+
+def separated(img, white, threads=1):
+    """The full-resolution pipeline path: estimate, then separate under
+    the label map."""
+    clusters, models, labels = cluster_and_models(img, white)
+    return separate_image(img, clusters, models, white, threads=threads, labels=labels)
 
 
 def gamma_of(img, white):
     """Illumination-parallel coefficient of each pixel's chromaticity."""
-    return white.parallel_coeff(img) / np.linalg.norm(img, axis=-1)
+    return parallel_coeff(img, white) / np.linalg.norm(img, axis=-1)
 
 
 def coefficient_counts(img, clusters, cluster_id, basis):
@@ -96,11 +104,11 @@ class TestHistogram:
         img = synth.add_noise(gt, 3.0, seed=2)
         field = specular_free_field(img, white)
         clusters, _ = adaptive_cluster(field)
+        labels = field.label_map(clusters.labels)
         for cid in range(clusters.n_clusters):
-            mask = clusters.labels == cid
-            px = img[mask]
-            expected = white.parallel_coeff(px) / np.linalg.norm(px, axis=-1)
-            assert np.abs(field.parallel[mask] - expected).max() <= 1e-15
+            px = img[labels == cid]
+            expected = parallel_coeff(px, white) / np.linalg.norm(px, axis=-1)
+            assert np.abs(field.parallel[clusters.labels == cid] - expected).max() <= 1e-15
 
     def test_three_spec_levels_occupy_expected_bins(self, white):
         img = olive_image([0.0] * 60 + [0.2] * 30 + [0.5] * 10, (10, 10))
@@ -174,7 +182,8 @@ class TestModelForCluster:
         assert model is not None
         assert model.diffuse_parallel == pytest.approx(OLIVE_PARALLEL, rel=1e-12)
         assert model.diffuse_ortho == pytest.approx(math.sqrt(2.0 / 27.0), rel=1e-12)
-        assert model.diffuse_chroma == pytest.approx(OLIVE, rel=1e-12)
+        rebuilt = model.diffuse_ortho * model.center + model.diffuse_parallel * WHITE
+        assert rebuilt == pytest.approx(OLIVE, rel=1e-12)
         o, p = model.diffuse_ortho, model.diffuse_parallel
         assert o * o + p * p == pytest.approx(1.0, abs=1e-12)
         assert model.ratio > 0
@@ -197,7 +206,7 @@ class TestModelForCluster:
 
     def test_estimate_models_covers_all_clusters(self, white):
         gt = synth.render(synth.builtin_scene("four-materials", 160, 112))
-        clusters, models = cluster_and_models(gt.input, white)
+        clusters, models, _ = cluster_and_models(gt.input, white)
         assert sorted(models) == list(range(clusters.n_clusters))
         assert all(m is not None for m in models.values())
 
@@ -210,12 +219,12 @@ class TestSeparatePixel:
         pixels = np.atleast_2d(pixels)
         ortho, ratio = estimate_ratio(OLIVE_PARALLEL)
         model = MaterialModel(center=OLIVE_DIR, diffuse_ortho=ortho,
-                              diffuse_parallel=OLIVE_PARALLEL, ratio=ratio,
-                              diffuse_chroma=OLIVE)
+                              diffuse_parallel=OLIVE_PARALLEL, ratio=ratio)
         n = len(pixels)
-        clusters = ClusterSet(labels=np.zeros((1, n), dtype=np.int32),
+        clusters = ClusterSet(labels=np.zeros(n, dtype=np.int32),
                               hues=np.array([OLIVE_HUE]), sizes=np.array([n]))
-        result = separate_image(pixels[None], clusters, {0: model}, white)
+        result = separate_image(pixels[None], clusters, {0: model}, white,
+                                labels=np.zeros((1, n), dtype=np.int32))
         return result.diffuse[0], result.specular[0]
 
     def test_worked_example(self, white):
@@ -259,11 +268,13 @@ class TestSeparateImage:
 
     def test_label_beyond_clusters_rejected(self, white):
         img = olive_image([0.0] * 16, (4, 4))
-        clusters = single_cluster(img, white)
+        field = specular_free_field(img, white)
+        clusters = kmeans(field, 1, seed=0)
         model = model_of(img, clusters, 0, white)
-        clusters.labels[3, 3] = 1  # one cluster, so label 1 has no model slot
+        labels = field.label_map(clusters.labels)
+        labels[3, 3] = 1  # one cluster, so label 1 has no model slot
         with pytest.raises(errors.ModelMissingError):
-            separate_image(img, clusters, {0: model, 1: model}, white)
+            separate_image(img, clusters, {0: model, 1: model}, white, labels=labels)
 
     def test_pass_through_model(self, white):
         chroma = synth.hue_chromaticity(0.0, saturation=0.005)
@@ -277,8 +288,7 @@ class TestSeparateImage:
         img = olive_image([0.1] * 64, (8, 8))
         img[0, 0] = 0.0
         img[0, 1] = [0.3, 0.3, 0.3]
-        clusters, models = cluster_and_models(img, white)
-        result = separate_image(img, clusters, models, white)
+        result = separated(img, white)
         assert np.array_equal(result.diffuse[0, 0], img[0, 0])
         assert np.array_equal(result.diffuse[0, 1], img[0, 1])
         assert np.all(result.specular[0, :2] == 0.0)
@@ -286,24 +296,21 @@ class TestSeparateImage:
     def test_additivity_and_nonnegativity_under_noise(self, white):
         gt = synth.render(synth.builtin_scene("single-1", 160, 120))
         img = synth.add_noise(gt, 6.0, seed=3)
-        clusters, models = cluster_and_models(img, white)
-        result = separate_image(img, clusters, models, white)
-        assert np.abs(result.diffuse + result.specular - img).max() <= 1e-12
+        result = separated(img, white)
+        assert np.array_equal(result.diffuse + result.specular, img)
         assert result.diffuse.min() >= 0.0
         assert result.specular.min() >= 0.0
 
     def test_idempotent_on_own_diffuse_output(self, white):
         gt = synth.render(synth.builtin_scene("single-2", 160, 120))
-        result = separate_image(gt.input, *cluster_and_models(gt.input, white), white)
-        again = separate_image(result.diffuse, *cluster_and_models(result.diffuse, white),
-                               white)
+        result = separated(gt.input, white)
+        again = separated(result.diffuse, white)
         assert np.abs(again.specular).max() <= 1e-6
         assert np.abs(again.diffuse - result.diffuse).max() <= 1e-6
 
     def test_specular_part_keeps_illumination_color(self, white):
         gt = synth.render(synth.builtin_scene("four-materials", 200, 140))
-        clusters, models = cluster_and_models(gt.input, white)
-        result = separate_image(gt.input, clusters, models, white)
+        result = separated(gt.input, white)
         mag = np.linalg.norm(result.specular, axis=-1)
         strong = mag > 0.02
         assert strong.any()
@@ -314,11 +321,11 @@ class TestSeparateImage:
         """Per material, the pixels at the bottom of the parallel-coefficient
         range are highlight-free in truth and must stay so in the output."""
         gt = synth.render(synth.builtin_scene("four-materials", 200, 140))
-        clusters, models = cluster_and_models(gt.input, white)
-        result = separate_image(gt.input, clusters, models, white)
+        clusters, models, labels = cluster_and_models(gt.input, white)
+        result = separate_image(gt.input, clusters, models, white, labels=labels)
         coeffs = gamma_of(gt.input, white)
         for cid in range(clusters.n_clusters):
-            mask = clusters.labels == cid
+            mask = labels == cid
             floor = coeffs[mask].min()
             lowest = mask & (coeffs <= floor + 1e-12)
             assert np.all(np.linalg.norm(gt.specular[lowest], axis=-1) == 0.0)
@@ -327,8 +334,7 @@ class TestSeparateImage:
     def test_threaded_separation_is_bitwise_identical(self, white):
         gt = synth.render(synth.builtin_scene("over-seg", 150, 100))
         img = synth.add_noise(gt, 3.0, seed=5)
-        clusters, models = cluster_and_models(img, white)
-        serial = separate_image(img, clusters, models, white, threads=1)
-        threaded = separate_image(img, clusters, models, white, threads=4)
+        serial = separated(img, white, threads=1)
+        threaded = separated(img, white, threads=4)
         assert np.array_equal(serial.diffuse, threaded.diffuse)
         assert np.array_equal(serial.specular, threaded.specular)
