@@ -1,10 +1,14 @@
-"""The ``key = value`` text grammar shared by config and scene files.
+"""The ``key = value`` text grammar shared by config and scene files,
+and the one writer for every text file despec emits.
 
 Each reader takes the caller's error class, so a bad config file raises
 ConfigError and a bad scene file InvalidSceneError; both exit with 4.
+A text file that cannot be written raises IoFailureError (exit 3).
 """
 
 from __future__ import annotations
+
+from .errors import IoFailureError
 
 
 def read_text(path, error: type[Exception], what: str) -> str:
@@ -14,6 +18,15 @@ def read_text(path, error: type[Exception], what: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8; an unwritable path raises IoFailureError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoFailureError(f"cannot write {path}: {exc}") from exc
 
 
 def key_values(text: str, error: type[Exception]):

@@ -15,14 +15,15 @@ import time
 import numpy as np
 
 from . import __version__, imgio, metrics, pipeline, synth
-from .errors import ConfigError, DespecError
+from ._keyvalue import write_text
+from .errors import ConfigError, DespecError, IoFailureError
 
 EXIT_CODES_HELP = """\
 exit codes:
   0  success
   1  unexpected internal error
   2  usage error (unknown or missing arguments, unusable input data)
-  3  file I/O error (unsupported format, corrupt header, truncated data)
+  3  file I/O error (unsupported format, corrupt header, truncated data, unwritable output)
   4  scene or configuration error (bad value, unreadable file)
   5  processing error (too few usable pixels, degenerate colors, out of memory)
   6  evaluation input mismatch
@@ -64,8 +65,7 @@ def cmd_remove(args) -> int:
     if clipped:
         print(f"clipped_samples = {clipped}", file=sys.stderr)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(diag.to_lines()) + "\n")
+        write_text(args.report, "\n".join(diag.to_lines()) + "\n")
     return 0
 
 
@@ -82,7 +82,10 @@ def cmd_synth(args) -> int:
     noisy = synth.add_noise(gt, args.sigma, seed=args.seed)
 
     out = args.output
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise IoFailureError(f"cannot create output directory {out}: {exc}") from exc
     fmt = args.format
     ext = "pfm" if fmt == "pfm" else "ppm"
     imgio.save(noisy, os.path.join(out, f"input.{ext}"), fmt)

@@ -7,6 +7,11 @@ had to be clipped from above (linear-light values above 1.0).  PFM is
 written as 32-bit little-endian floats, so a load/save cycle of a PFM
 file is byte-exact.
 
+Both formats share one header reader: a compiled token pattern skips
+whitespace and ``#`` comments (each runs to the end of its line) and
+yields width, height and the third value (PPM maxval, PFM scale), and
+exactly one whitespace byte separates the header from the raster.
+
 The raster is copied once each way: loading reads it through a
 memoryview of the file bytes and converts it with one ``astype`` (row
 flip included for PFM); saving converts it with one ``astype`` and
@@ -14,6 +19,8 @@ writes header and raster separately.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -23,8 +30,6 @@ from .errors import (
     TruncatedDataError,
     UnsupportedFormatError,
 )
-
-_WHITESPACE = b" \t\r\n\f\v"
 
 
 def _read_bytes(path) -> bytes:
@@ -46,96 +51,63 @@ def _write_parts(path, *parts) -> None:
         raise IoFailureError(f"cannot write {path}: {exc}") from exc
 
 
-class _Tokens:
-    """Whitespace/comment-aware token scanner over a PPM/PFM header."""
+# whitespace and whole-line comments, then one token: the token cannot
+# start with "#", and a comment always runs on to the end of its line
+_TOKEN = re.compile(rb"(?:[ \t\r\n\f\v]|#[^\r\n]*)*([^ \t\r\n\f\v#][^ \t\r\n\f\v]*)?")
 
-    def __init__(self, data: bytes, start: int):
-        self.data = data
-        self.pos = start
 
-    def next_token(self) -> bytes:
-        data, n = self.data, len(self.data)
-        i = self.pos
-        while i < n:
-            c = data[i:i + 1]
-            if c == b"#":
-                while i < n and data[i:i + 1] not in b"\r\n":
-                    i += 1
-            elif c in _WHITESPACE:
-                i += 1
-            else:
-                break
-        if i >= n:
+def _read_header(data: bytes, third: str, parse) -> tuple[int, int, object, int]:
+    """Width, height, the ``parse``d third value (maxval or scale) and
+    the raster offset of a P6/PF header.
+
+    The offset lies one separator byte past the third token; it exceeds
+    ``len(data)`` when the file ends right after that token.
+    """
+    values, pos = [], 2
+    for what, conv in (("width", int), ("height", int), (third, parse)):
+        match = _TOKEN.match(data, pos)
+        tok, pos = match.group(1), match.end()
+        if tok is None:
             raise CorruptHeaderError("header ended unexpectedly")
-        j = i
-        while j < n and data[j:j + 1] not in _WHITESPACE:
-            j += 1
-        self.pos = j
-        return data[i:j]
-
-    def skip_single_whitespace(self) -> None:
-        if self.pos >= len(self.data):
-            raise CorruptHeaderError("missing raster after header")
-        if self.data[self.pos:self.pos + 1] not in _WHITESPACE:
-            raise CorruptHeaderError("expected whitespace before raster")
-        self.pos += 1
-
-    def int_token(self, what: str) -> int:
-        tok = self.next_token()
         try:
-            return int(tok)
+            values.append(conv(tok))
         except ValueError as exc:
             raise CorruptHeaderError(f"bad {what}: {tok!r}") from exc
-
-    def float_token(self, what: str) -> float:
-        tok = self.next_token()
-        try:
-            return float(tok)
-        except ValueError as exc:
-            raise CorruptHeaderError(f"bad {what}: {tok!r}") from exc
-
-
-def _load_ppm(data: bytes) -> np.ndarray:
-    toks = _Tokens(data, 2)
-    width = toks.int_token("width")
-    height = toks.int_token("height")
-    maxval = toks.int_token("maxval")
+    width, height, value = values
     if width <= 0 or height <= 0:
         raise CorruptHeaderError(f"bad dimensions {width}x{height}")
-    if not 0 < maxval < 65536:
-        raise CorruptHeaderError(f"bad maxval {maxval}")
-    toks.skip_single_whitespace()
-    two_byte = maxval > 255
-    need = width * height * 3 * (2 if two_byte else 1)
-    raster = memoryview(data)[toks.pos:toks.pos + need]
+    return width, height, value, pos + 1
+
+
+def _read_raster(data: bytes, offset: int, width: int, height: int, dtype) -> np.ndarray:
+    """(height, width, 3) view of the raster at ``offset``, not a copy."""
+    if offset > len(data):
+        raise CorruptHeaderError("missing raster after header")
+    need = width * height * 3 * np.dtype(dtype).itemsize
+    raster = memoryview(data)[offset:offset + need]
     if len(raster) < need:
         raise TruncatedDataError(
             f"raster holds {len(raster)} bytes, header promises {need}"
         )
-    dtype = ">u2" if two_byte else np.uint8  # network byte order for 16 bit
-    img = np.frombuffer(raster, dtype=dtype).reshape(height, width, 3).astype(np.float64)
+    return np.frombuffer(raster, dtype=dtype).reshape(height, width, 3)
+
+
+def _load_ppm(data: bytes) -> np.ndarray:
+    width, height, maxval, offset = _read_header(data, "maxval", int)
+    if not 0 < maxval < 65536:
+        raise CorruptHeaderError(f"bad maxval {maxval}")
+    dtype = ">u2" if maxval > 255 else np.uint8  # network byte order for 16 bit
+    img = _read_raster(data, offset, width, height, dtype).astype(np.float64)
     img /= maxval
     return img
 
 
 def _load_pfm(data: bytes) -> np.ndarray:
-    toks = _Tokens(data, 2)
-    width = toks.int_token("width")
-    height = toks.int_token("height")
-    scale = toks.float_token("scale")
-    if width <= 0 or height <= 0:
-        raise CorruptHeaderError(f"bad dimensions {width}x{height}")
+    width, height, scale, offset = _read_header(data, "scale", float)
     if scale == 0:
         raise CorruptHeaderError("zero scale")
-    toks.skip_single_whitespace()
-    need = width * height * 3 * 4
-    raster = memoryview(data)[toks.pos:toks.pos + need]
-    if len(raster) < need:
-        raise TruncatedDataError(
-            f"raster holds {len(raster)} bytes, header promises {need}"
-        )
     dtype = "<f4" if scale < 0 else ">f4"  # scale sign encodes endianness
-    samples = np.frombuffer(raster, dtype=dtype).reshape(height, width, 3)
+    samples = _read_raster(data, offset, width, height, dtype)
     # PFM rows run bottom to top: flip while widening, in one copy
     return samples[::-1].astype(np.float64, order="C")
 
@@ -222,9 +194,7 @@ def load_labels(path) -> np.ndarray:
     """
     img = load(path)
     gray = np.round(img[..., 0] * 255).astype(np.int64)
-    flagged = gray == 255
-    values = np.unique(gray[~flagged])
+    kept = gray != 255
     out = np.full(gray.shape, -1, dtype=np.int32)
-    for i, v in enumerate(values):
-        out[gray == v] = i
+    out[kept] = np.unique(gray[kept], return_inverse=True)[1]
     return out

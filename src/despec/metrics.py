@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._keyvalue import write_text
 from .errors import DimensionMismatchError
 
 # Below this mean squared error the reconstruction counts as exact and
@@ -83,5 +84,4 @@ class EvalReport:
 
 
 def write_report(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_text())
+    write_text(path, report.to_text())

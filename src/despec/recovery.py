@@ -200,9 +200,12 @@ def separate_image(img, clusters: ClusterSet, models: dict,
 
     # per-cluster tables indexed by slot = max(label + 1, 0): slot 0 takes
     # the flagged pixels, slot cid + 1 cluster cid, and slot k + 1 every
-    # label >= k (take clips to it); only the cluster slots with a model
-    # have a center, an inverse ratio and a nonzero gain
-    cx, cy, cz, inv_ratio, gain = np.zeros((5, k + 2))
+    # label >= k (take clips to it).  A pixel's specular strength is its
+    # dot product with the slot's axis d - center / ratio, the parallel
+    # coefficient less the diffuse share the ortho one implies; flagged
+    # and pass-through slots keep a zero axis, so nothing is split off.
+    d = basis.direction
+    axis = np.zeros((3, k + 2))
     known = np.zeros(k + 2, dtype=bool)
     known[0] = True
     for cid, model in models.items():
@@ -210,11 +213,8 @@ def separate_image(img, clusters: ClusterSet, models: dict,
             continue
         known[cid + 1] = True
         if model is not None:
-            cx[cid + 1], cy[cid + 1], cz[cid + 1] = model.center
-            inv_ratio[cid + 1] = 1.0 / model.ratio
-            gain[cid + 1] = 1.0
+            axis[:, cid + 1] = d - model.center / model.ratio
 
-    d = basis.direction
     diffuse = np.empty_like(img)
     specular = np.empty_like(img)
 
@@ -231,12 +231,8 @@ def separate_image(img, clusters: ClusterSet, models: dict,
         missing = ~known.take(slot, mode="clip")
         if missing.any():
             raise ModelMissingError(f"no material model for cluster {int(lab[missing][0])}")
-        b0, b1, b2 = block[..., 0], block[..., 1], block[..., 2]
-        par = b0 * d[0] + b1 * d[1] + b2 * d[2]
-        p_ortho = (b0 * cx.take(slot, mode="clip") + b1 * cy.take(slot, mode="clip")
-                   + b2 * cz.take(slot, mode="clip"))
-        strength = par - p_ortho * inv_ratio.take(slot, mode="clip")
-        strength *= gain.take(slot, mode="clip")
+        ax, ay, az = (a.take(slot, mode="clip") for a in axis)
+        strength = block[..., 0] * ax + block[..., 1] * ay + block[..., 2] * az
         sp, dif = specular[rows], diffuse[rows]
         np.multiply(strength[..., None], d, out=sp)
         np.clip(sp, 0.0, block, out=sp)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._keyvalue import key_values, numbers, read_text
+from ._keyvalue import key_values, numbers, read_text, write_text
 from .errors import InvalidSceneError, UnknownSceneError
 from .model import WHITE, _norm3
 
@@ -333,5 +333,4 @@ def load_scene(path) -> SceneParams:
 
 
 def save_scene(params: SceneParams, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(params.to_text())
+    write_text(path, params.to_text())

@@ -18,6 +18,14 @@ def synth_dir(tmp_path, scene="single-1", extra=(), name="scene"):
     return out
 
 
+def one_error_line(capsys) -> str:
+    """The single ``despec: error:`` line a failed command printed."""
+    err = capsys.readouterr().err
+    assert err.startswith("despec: error: ") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    return err
+
+
 def stdout_value(capsys_text, key):
     for line in capsys_text.splitlines():
         if line.startswith(f"{key} = "):
@@ -106,6 +114,16 @@ class TestSynth:
         assert err.startswith("despec: error: cannot read scene")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("case", ["existing-file", "below-a-file"])
+    def test_unusable_output_directory_exits_3(self, tmp_path, capsys, case):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken if case == "existing-file" else taken / "sub"
+        rc = main(["synth", "single-1", "-o", str(out), "--width", "8", "--height", "8"])
+        assert rc == 3
+        assert "cannot create output directory" in one_error_line(capsys)
+        assert taken.read_text() == ""
+
 
 class TestRemove:
     def test_separates_and_reports(self, tmp_path, capsys):
@@ -145,6 +163,15 @@ class TestRemove:
         assert float(stdout_value(captured.out, "psnr_diffuse_db")) >= 60.0
         assert stdout_value(captured.out, "cluster_accuracy") == "1.000000"
         assert "psnr_diffuse_db" in (tmp_path / "scores.txt").read_text()
+
+    def test_unwritable_report_exits_3(self, tmp_path, capsys):
+        out = synth_dir(tmp_path)
+        capsys.readouterr()
+        report = tmp_path / "missing" / "report.txt"
+        rc = main(["remove", str(out / "input.pfm"), "--report", str(report),
+                   "-d", str(tmp_path / "d.pfm"), "-s", str(tmp_path / "s.pfm")])
+        assert rc == 3
+        assert f"cannot write {report}" in one_error_line(capsys)
 
     def test_missing_input_exits_3(self, tmp_path, capsys):
         rc = main(["remove", str(tmp_path / "absent.pfm"),
@@ -278,6 +305,14 @@ class TestEval:
                    "--truth-diffuse", str(tmp_path / "b.pfm")])
         assert rc == 6
         assert "error" in capsys.readouterr().err
+
+    def test_unwritable_record_exits_3(self, tmp_path, capsys):
+        imgio.save(np.full((4, 4, 3), 0.5), tmp_path / "a.pfm")
+        record = tmp_path / "missing" / "scores.txt"
+        rc = main(["eval", "--diffuse", str(tmp_path / "a.pfm"),
+                   "--truth-diffuse", str(tmp_path / "a.pfm"), "--record", str(record)])
+        assert rc == 3
+        assert f"cannot write {record}" in one_error_line(capsys)
 
 
 class TestBench:

@@ -1,6 +1,7 @@
 """Property tests for ``despec remove`` on small, odd and broken input
 files: empty, one-pixel, NaN, infinite, HDR, all-black and all-gray
-images, and PPM/PFM files with mangled headers.
+images, and PPM/PFM files with mangled headers; and how the header
+reader takes whitespace and comments.
 
 Every case ends in its documented exit code (2 unusable data, 3 file
 format, 5 processing) or in exit 0 with output that is exactly additive
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from despec import imgio, pipeline, synth
+from despec import errors, imgio, pipeline, synth
 from despec.cli import main
 
 ANY_DOCUMENTED = {0, 2, 3, 5}
@@ -196,3 +197,42 @@ def test_any_header_damage_ends_in_a_documented_exit(fmt, data, workdir):
     else:
         tokens[data.draw(st.integers(0, 3))] = data.draw(st.binary(max_size=8))
         remove(assemble(tokens, raster), workdir)
+
+
+# --- header layout ---
+
+WHITESPACE = st.lists(st.sampled_from(b" \t\r\n\f\v"), min_size=1, max_size=4).map(bytes)
+COMMENT_TEXT = st.binary(max_size=12).map(lambda b: b.replace(b"\r", b"").replace(b"\n", b""))
+
+
+@st.composite
+def separators(draw) -> bytes:
+    """What may stand between two header tokens: whitespace, then any mix
+    of whitespace runs and complete ``# ...\\n`` comments."""
+    parts = [draw(WHITESPACE)]
+    for _ in range(draw(st.integers(0, 3))):
+        parts.append(draw(st.one_of(WHITESPACE, COMMENT_TEXT.map(lambda b: b"#" + b + b"\n"))))
+    return b"".join(parts)
+
+
+@settings(max_examples=60)
+@given(fmt=FORMATS, data=st.data())
+def test_whitespace_and_comments_between_header_tokens_change_nothing(fmt, data, workdir):
+    tokens, raster = base_file(fmt)
+    plain, spaced = workdir / "plain", workdir / "spaced"
+    plain.write_bytes(assemble(tokens, raster))
+    header = tokens[0] + b"".join(data.draw(separators()) + t for t in tokens[1:])
+    separator = bytes([data.draw(st.sampled_from(b" \t\r\n\f\v"))])  # exactly one byte
+    spaced.write_bytes(header + separator + raster)
+    assert np.array_equal(imgio.load(spaced), imgio.load(plain))
+
+
+@settings(max_examples=40)
+@given(fmt=FORMATS, data=st.data())
+def test_comment_running_to_the_end_of_the_data_is_a_corrupt_header(fmt, data, workdir):
+    tokens, _ = base_file(fmt)
+    kept = tokens[:data.draw(st.integers(1, 3))]  # the comment hides the rest
+    path = workdir / "open-comment"
+    path.write_bytes(b" ".join(kept) + data.draw(WHITESPACE) + b"#" + data.draw(COMMENT_TEXT))
+    with pytest.raises(errors.CorruptHeaderError, match="header ended unexpectedly"):
+        imgio.load(path)

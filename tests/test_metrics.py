@@ -112,3 +112,7 @@ class TestEvalReport:
         write_report(EvalReport(psnr_diffuse=math.inf, cluster_accuracy=1.0), path)
         text = path.read_text()
         assert text == "psnr_diffuse_db = inf\ncluster_accuracy = 1.000000\n"
+
+    def test_write_report_into_missing_directory_raises_io_failure(self, tmp_path):
+        with pytest.raises(errors.IoFailureError, match="cannot write"):
+            write_report(EvalReport(psnr_diffuse=20.0), tmp_path / "missing" / "r.txt")

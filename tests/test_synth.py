@@ -253,6 +253,10 @@ class TestSceneText:
         assert loaded.width == 48 and loaded.height == 32
         assert np.allclose(loaded.materials, params.materials, atol=1e-9)
 
+    def test_save_into_missing_directory_raises_io_failure(self, tmp_path):
+        with pytest.raises(errors.IoFailureError, match="cannot write"):
+            save_scene(builtin_params("single-1"), tmp_path / "missing" / "scene.txt")
+
     def test_custom_scene(self):
         text = """
         # two stripes, one highlight
