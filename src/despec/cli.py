@@ -50,11 +50,22 @@ def _config_from_args(args) -> pipeline.PipelineConfig:
     return pipeline.config_from_values(given, cfg)
 
 
+def _check_outputs(*paths) -> None:
+    """Raise IoFailureError unless every given output path names a file
+    in an existing, writable directory, so a run that cannot write all
+    its outputs fails before it writes any."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+            raise IoFailureError(f"cannot write {path}: not a file in a writable directory")
+
+
 def cmd_remove(args) -> int:
     img = imgio.load(args.input)
     if args.gamma_decode:
         img = np.power(img, 2.2)  # lossy convenience path for gamma-encoded input
     cfg = _config_from_args(args)
+    _check_outputs(args.diffuse, args.specular, args.labels, args.report)
     result, diag = pipeline.run(img, cfg)
     clipped = imgio.save(result.diffuse, args.diffuse)
     clipped += imgio.save(result.specular, args.specular)

@@ -11,15 +11,20 @@ pixel carries, so k-means on the circle of hues groups pixels by
 material; :func:`nearest_hue` is the one assignment rule.  The cluster
 count is grown adaptively: a cluster whose pixels deviate too far from
 the unit circle in its (center, illumination) frame is mixing materials
-and votes to increase k.  The field keeps only the valid pixels, and
-cluster labels index that same set, so k-means, the fit check and model
-estimation all read it without going back to the image or masking it.
+and votes to increase k.
+
+The field keeps only the valid pixels, sorted by hue once per image.
+Nearest-center assignment on the circle cuts it into arcs, so every
+cluster is one contiguous run of the field, or two at the ±pi wrap: a
+Lloyd step is one searchsorted of the arc midpoints, its sums are
+segment sums, and the fit check and model estimation read slices.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +42,7 @@ LABEL_BLACK = -FLAG_BLACK
 LABEL_ACHROMATIC = -FLAG_ACHROMATIC
 
 KMEANS_MAX_ITER = 100  # Lloyd iterations per k-means run
+BLOCK = 32768          # field entries per block of per-entry temporaries
 
 
 @dataclass
@@ -44,8 +50,9 @@ class SpecularFreeField:
     """The pixels that carry a chroma, split against the illumination.
 
     ``flags`` (H, W) marks every pixel FLAG_VALID, FLAG_BLACK or
-    FLAG_ACHROMATIC.  The other three arrays are 1-D and hold the valid
-    pixels only, in row-major order.  For a valid pixel with unit
+    FLAG_ACHROMATIC.  The other four arrays are 1-D and hold one entry
+    per valid pixel, sorted by ``hue``; ``pixel`` (int32) is the entry's
+    flat index in the (H, W) image.  For a valid pixel with unit
     chromaticity ``c`` and illumination direction ``d``,
     ``c = amplitude * basis.orthogonal(hue) + parallel * d``: ``hue`` is
     the angle of c's orthogonal part in the basis's (u, v) frame, in
@@ -56,39 +63,61 @@ class SpecularFreeField:
     hue: np.ndarray
     amplitude: np.ndarray
     parallel: np.ndarray
+    pixel: np.ndarray
     flags: np.ndarray
 
     @property
     def valid_mask(self) -> np.ndarray:
         return self.flags == FLAG_VALID
 
+    @cached_property
+    def cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
+        """cos and sin of ``hue``, computed once per field."""
+        return np.cos(self.hue), np.sin(self.hue)
+
     def label_map(self, labels: np.ndarray) -> np.ndarray:
-        """(H, W) int32 map of per-valid-pixel ``labels``: the label at
-        valid pixels, minus the flag (LABEL_BLACK, LABEL_ACHROMATIC)
+        """(H, W) int32 map of per-entry ``labels``: the label at valid
+        pixels, minus the flag (LABEL_BLACK, LABEL_ACHROMATIC)
         elsewhere."""
         full = -self.flags.astype(np.int32)
-        full[self.valid_mask] = labels
+        full.reshape(-1)[self.pixel] = labels
         return full
 
 
 @dataclass
 class ClusterSet:
-    """A hard partition of the valid pixels.
+    """A hard partition of the field's entries into arcs of hue.
 
-    ``labels`` is 1-D int32, one cluster index per valid pixel in the
-    field's order; ``SpecularFreeField.label_map`` lays it out over the
-    image.  ``hues`` is (k,), each cluster's center angle;
-    ``basis.orthogonal(hues)`` gives the unit center directions
-    orthogonal to the illumination.
+    The field is sorted by hue, so each cluster is a contiguous run of
+    entries, or two runs when its arc crosses ±pi.  Run ``i`` holds the
+    entries ``bounds[i]:bounds[i + 1]`` and belongs to cluster
+    ``owner[i]``; ``bounds`` runs from 0 to the field's length, and
+    neighboring runs have different owners.  ``hues`` is (k,), each
+    cluster's center angle; ``basis.orthogonal(hues)`` gives the unit
+    center directions orthogonal to the illumination.  ``iterations``
+    counts the Lloyd updates of the k-means run that found it.
     """
 
-    labels: np.ndarray
+    bounds: np.ndarray
+    owner: np.ndarray
     hues: np.ndarray
     sizes: np.ndarray
+    iterations: int = 0
 
     @property
     def n_clusters(self) -> int:
         return len(self.hues)
+
+    @property
+    def labels(self) -> np.ndarray:
+        """1-D int32 cluster index of every field entry;
+        ``SpecularFreeField.label_map`` lays it out over the image."""
+        return np.repeat(self.owner, np.diff(self.bounds))
+
+    def members(self, cluster_id: int) -> list[slice]:
+        """The field slices that hold one cluster."""
+        b = self.bounds.tolist()
+        return [slice(b[i], b[i + 1]) for i in np.flatnonzero(self.owner == cluster_id)]
 
 
 @dataclass
@@ -100,6 +129,7 @@ class FitDiagnostics:
     iterations: int = 0
     converged: bool = True
     k_history: list = field(default_factory=list)
+    lloyd_iterations: list = field(default_factory=list)  # one count per round
 
 
 @dataclass
@@ -137,59 +167,144 @@ def split_block(block: np.ndarray, basis: IlluminationBasis):
 
 
 def specular_free_field(img, basis: IlluminationBasis, threads: int = 1) -> SpecularFreeField:
-    """Split every pixel against the illumination; see SpecularFreeField."""
+    """Split every pixel against the illumination and sort the valid
+    ones by hue; see SpecularFreeField."""
     img = np.asarray(img, dtype=np.float64)
+    width = img.shape[1]
     flags = np.empty(img.shape[:2], dtype=np.uint8)
-    parts = {}  # first row of a chunk -> its valid (hue, amplitude, parallel)
+    parts = {}  # first row of a chunk -> its valid [hue, amplitude, parallel, pixel]
 
     def fill(rows):
         hue, amp, par, flags[rows] = split_block(img[rows], basis)
         valid = flags[rows] == FLAG_VALID
-        parts[rows.start] = (hue[valid], amp[valid], par[valid])
+        pixel = (np.flatnonzero(valid) + rows.start * width).astype(np.int32)
+        parts[rows.start] = [hue[valid], amp[valid], par[valid], pixel]
 
     run_chunks(fill, img.shape[0], threads)
     chunks = [parts[start] for start in sorted(parts)]
-    hue, amplitude, parallel = (np.concatenate([np.empty(0), *(c[i] for c in chunks)])
-                                for i in range(3))
-    return SpecularFreeField(hue=hue, amplitude=amplitude, parallel=parallel, flags=flags)
+
+    def column(dtype=np.float64):
+        """The chunks' next array, joined in row-major order; the pieces go."""
+        return np.concatenate([np.empty(0, dtype), *(chunk.pop(0) for chunk in chunks)])
+
+    hue = column()
+    order = np.argsort(hue)
+    hue = hue[order]
+    amplitude, parallel = column()[order], column()[order]
+    pixel = column(np.int32)[order]
+    return SpecularFreeField(hue=hue, amplitude=amplitude, parallel=parallel,
+                             pixel=pixel, flags=flags)
 
 
-def nearest_hue(hue, centers) -> np.ndarray:
-    """Index (int32) of the center angle nearest to each hue on the circle.
+def _arcs(centers) -> tuple[np.ndarray, np.ndarray]:
+    """(midpoints, owner): the hues h with midpoints[i - 1] <= h <
+    midpoints[i] are nearest to center owner[i] on the circle.
 
-    The sorted centers cut the circle into arcs at the midpoints between
-    neighbors (plus the one across ±pi), so a single searchsorted labels
-    every hue.  Equal centers resolve to the lowest index, as an argmax
-    over cos(hue - centers) would.
+    The sorted centers cut the circle at the midpoints between neighbors,
+    plus one wrapped copy at each end to cover every hue in [-pi, pi].
+    Equal centers resolve to the lowest index, as an argmax over
+    cos(hue - centers) would.
     """
     centers = np.asarray(centers, dtype=np.float64)
     order = np.argsort(centers, kind="stable")
     s = centers[order]
     owner = order[np.searchsorted(s, s, side="left")].astype(np.int32)
-    # one wrapped copy at each end covers every hue in [-pi, pi]
     s = np.concatenate(([s[-1] - 2.0 * np.pi], s, [s[0] + 2.0 * np.pi]))
     owner = np.concatenate((owner[-1:], owner, owner[:1]))
-    return owner[np.searchsorted(0.5 * (s[:-1] + s[1:]), hue, side="right")]
+    return 0.5 * (s[:-1] + s[1:]), owner
 
 
-def _mean_hues(labels: np.ndarray, cos: np.ndarray, sin: np.ndarray, k: int):
-    """Per-cluster circular mean angle, member count, mean resultant length."""
-    counts = np.bincount(labels, minlength=k)
-    s = np.bincount(labels, weights=sin, minlength=k)
-    c = np.bincount(labels, weights=cos, minlength=k)
+def nearest_hue(hue, centers) -> np.ndarray:
+    """Index (int32) of the center angle nearest to each hue on the circle."""
+    midpoints, owner = _arcs(centers)
+    return owner[np.searchsorted(midpoints, hue, side="right")]
+
+
+def _merge_runs(bounds: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop empty runs and merge neighbors of one owner."""
+    keep = bounds[1:] > bounds[:-1]
+    starts, owner = bounds[:-1][keep], owner[keep]
+    first = np.concatenate(([True], owner[1:] != owner[:-1]))
+    return np.append(starts[first], bounds[-1]), owner[first]
+
+
+def _hue_runs(hue: np.ndarray, centers) -> tuple[np.ndarray, np.ndarray]:
+    """(bounds, owner) of the runs of the sorted ``hue`` nearest to each
+    center: the labels of nearest_hue, found by cutting at the arc
+    midpoints."""
+    midpoints, owner = _arcs(centers)
+    cuts = np.searchsorted(hue, midpoints, side="left")
+    return _merge_runs(np.concatenate(([0], cuts, [len(hue)])), owner)
+
+
+def _pieces(bounds: np.ndarray, *per_run):
+    """(slice, *values) for each block of at most BLOCK entries of each
+    run, where ``values`` are the run's entries of ``per_run``."""
+    edges = bounds.tolist()
+    for start, stop, *values in zip(edges[:-1], edges[1:], *per_run):
+        for a in range(start, stop, BLOCK):
+            yield (slice(a, min(a + BLOCK, stop)), *values)
+
+
+def _run_sizes(bounds: np.ndarray, owner: np.ndarray, k: int) -> np.ndarray:
+    return np.bincount(owner, weights=np.diff(bounds), minlength=k).astype(np.int64)
+
+
+def _run_means(field: SpecularFreeField, bounds: np.ndarray, owner: np.ndarray, k: int):
+    """Per-cluster circular mean angle, member count and mean resultant
+    length; each run is summed in hue order by one reduceat."""
+    cos, sin = field.cos_sin
+    counts = _run_sizes(bounds, owner, k)
+    s = np.bincount(owner, weights=np.add.reduceat(sin, bounds[:-1]), minlength=k)
+    c = np.bincount(owner, weights=np.add.reduceat(cos, bounds[:-1]), minlength=k)
     return np.arctan2(s, c), counts, np.hypot(s, c) / np.maximum(counts, 1)
+
+
+def _fold_chord2(d2: np.ndarray, field: SpecularFreeField, bounds: np.ndarray, cc, ss) -> None:
+    """Fold into ``d2``, by minimum, each entry's chord² 2 - 2·cos(hue -
+    center) to its run's center, whose cos and sin are ``cc[i]`` and
+    ``ss[i]`` for run ``i``; a block at a time, so temporaries stay small."""
+    cos, sin = field.cos_sin
+    for rows, c, s in _pieces(bounds, cc, ss):
+        np.minimum(d2[rows], 2.0 - 2.0 * (cos[rows] * c + sin[rows] * s), out=d2[rows])
+
+
+def _farthest(d2: np.ndarray, field: SpecularFreeField) -> int:
+    """Entry of the largest ``d2``; a tie goes to the first entry in
+    row-major pixel order, as an argmax over the image would."""
+    ties = np.flatnonzero(d2 == d2.max())
+    return int(ties[np.argmin(field.pixel[ties])])
+
+
+def _seed_centers(field: SpecularFreeField, k: int, seed: int) -> np.ndarray:
+    """Farthest-point seeding: the first center is the valid pixel of
+    row-major rank drawn from the seeded generator, then greedily the
+    entry farthest in chord² from every center chosen so far."""
+    hue = field.hue
+    cos, sin = field.cos_sin
+    rank = int(np.random.default_rng(seed).integers(len(hue)))
+    idx = int(np.flatnonzero(field.pixel == np.flatnonzero(field.valid_mask)[rank])[0])
+    centers = np.empty(k, dtype=np.float64)
+    centers[0] = hue[idx]
+    if k > 1:
+        d2 = np.full(len(hue), np.inf)  # chord² to the nearest center so far
+        whole = np.array([0, len(hue)])
+        for j in range(1, k):
+            _fold_chord2(d2, field, whole, [cos[idx]], [sin[idx]])
+            idx = _farthest(d2, field)
+            centers[j] = hue[idx]
+    return centers
 
 
 def kmeans(field: SpecularFreeField, k: int, seed: int = 0) -> ClusterSet:
     """At most KMEANS_MAX_ITER Lloyd iterations on the circle of valid
     field hues.
 
-    Farthest-point seeding: the first hue from the seeded generator, then
-    greedily the hue farthest in chord² 2 - 2·cos(hue - center).  Each
-    update is the members' circular mean.  An empty cluster, or one whose
-    hues cancel, is reseeded from the point farthest from its own center;
-    surplus clusters the data cannot support are dropped and labels
-    compacted.
+    Centers are seeded farthest-point (see ``_seed_centers``).  Each
+    update is the members' circular mean.  An empty cluster, or one
+    whose hues cancel, is reseeded from the point farthest from its own
+    center; surplus clusters the data cannot support are dropped and
+    labels compacted.  The loop stops when an assignment repeats.
     """
     hue = field.hue
     n = len(hue)
@@ -197,51 +312,39 @@ def kmeans(field: SpecularFreeField, k: int, seed: int = 0) -> ClusterSet:
         raise TooFewPixelsError("no clusterable pixels")
     if n < k:
         raise TooFewPixelsError(f"{n} clusterable pixels cannot support k={k}")
-    cos, sin = np.cos(hue), np.sin(hue)
 
-    rng = np.random.default_rng(seed)
-    centers = np.empty(k, dtype=np.float64)
-    idx = int(rng.integers(n))
-    centers[0] = hue[idx]
-    d2 = 2.0 - 2.0 * (cos * cos[idx] + sin * sin[idx])
-    for j in range(1, k):
-        idx = int(np.argmax(d2))
-        centers[j] = hue[idx]
-        d2 = np.minimum(d2, 2.0 - 2.0 * (cos * cos[idx] + sin * sin[idx]))
-
-    labels = np.full(n, -1, dtype=np.int32)
-    for _ in range(KMEANS_MAX_ITER):
-        new_labels = nearest_hue(hue, centers)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        means, counts, length = _mean_hues(labels, cos, sin, k)
+    centers = _seed_centers(field, k, seed)
+    bounds, owner = _hue_runs(hue, centers)
+    for iterations in range(1, KMEANS_MAX_ITER + 1):
+        means, counts, length = _run_means(field, bounds, owner, k)
         lost = (counts == 0) | (length <= 1e-12)
         if lost.any():
             # every lost center takes the point farthest from its own
             # (pre-update) center; if none is apart, the center stays and
             # its cluster may end up empty and is dropped below
-            d2_own = 2.0 - 2.0 * (cos * np.cos(centers)[labels]
-                                  + sin * np.sin(centers)[labels])
-            idx = int(np.argmax(d2_own))
-            means[lost] = hue[idx] if d2_own[idx] > 1e-12 else centers[lost]
+            d2 = np.full(n, np.inf)
+            _fold_chord2(d2, field, bounds, np.cos(centers)[owner], np.sin(centers)[owner])
+            idx = _farthest(d2, field)
+            means[lost] = hue[idx] if d2[idx] > 1e-12 else centers[lost]
         centers = means
-    else:  # no convergence: assign against the last update
-        labels = nearest_hue(hue, centers)
+        new_bounds, new_owner = _hue_runs(hue, centers)
+        if np.array_equal(new_bounds, bounds) and np.array_equal(new_owner, owner):
+            break
+        bounds, owner = new_bounds, new_owner
 
     # drop empty clusters, compact labels
-    counts = np.bincount(labels, minlength=k)
-    keep = np.flatnonzero(counts > 0)
-    labels = (np.cumsum(counts > 0, dtype=np.int32) - 1)[labels]
-    return ClusterSet(labels=labels, hues=centers[keep], sizes=counts[keep])
+    counts = _run_sizes(bounds, owner, k)
+    keep = counts > 0
+    compact = np.cumsum(keep, dtype=np.int32) - 1
+    return ClusterSet(bounds=bounds, owner=compact[owner], hues=centers[keep],
+                      sizes=counts[keep], iterations=iterations)
 
 
-def _cluster_residuals(field: SpecularFreeField, labels: np.ndarray,
-                       hues: np.ndarray) -> np.ndarray:
-    """Unit-circle residual of every valid pixel against its cluster
-    frame: the pixel's orthogonal part off the center's axis,
+def _cluster_residuals(hue: np.ndarray, amplitude: np.ndarray, center) -> np.ndarray:
+    """Unit-circle residual of field entries against their cluster
+    frame: the orthogonal part off the center's axis,
     amplitude² · sin²(hue − center hue)."""
-    off = field.amplitude * np.sin(field.hue - hues[labels])
+    off = amplitude * np.sin(hue - center)
     return off * off
 
 
@@ -253,15 +356,18 @@ def evaluate_fit(field: SpecularFreeField, clusters: ClusterSet,
     from the unit circle by more than ``tau_dev``; failing clusters mix
     materials and should be split.
     """
-    lab = clusters.labels
-    dev = _cluster_residuals(field, lab, clusters.hues)
     k = clusters.n_clusters
-    counts = np.bincount(lab, minlength=k).astype(np.float64)
-    bad = np.bincount(lab[dev > tau_dev], minlength=k).astype(np.float64)
+    bad = np.zeros(k)
+    total = 0.0
+    for rows, cid in _pieces(clusters.bounds, clusters.owner.tolist()):
+        dev = _cluster_residuals(field.hue[rows], field.amplitude[rows], clusters.hues[cid])
+        bad[cid] += np.count_nonzero(dev > tau_dev)
+        total += float(dev.sum())
+    counts = clusters.sizes.astype(np.float64)
     fractions = np.divide(bad, counts, out=np.zeros(k), where=counts > 0)
     return FitDiagnostics(
         failing_fractions=fractions,
-        total_error=float(dev.sum()),
+        total_error=total,
         converged=bool(np.all(fractions <= tau_frac)),
     )
 
@@ -284,13 +390,12 @@ def _merge_small_clusters(clusters: ClusterSet, field: SpecularFreeField,
     remap = np.full(clusters.n_clusters, -1, dtype=np.int32)
     remap[big] = np.arange(len(big), dtype=np.int32)
     remap[small] = remap[big[nearest_hue(hues[small], hues[big])]]
-    labels = remap[clusters.labels]
+    bounds, owner = _merge_runs(clusters.bounds, remap[clusters.owner])
 
     # refresh the surviving centers from their members
-    hue = field.hue
-    means, new_sizes, length = _mean_hues(labels, np.cos(hue), np.sin(hue), len(big))
+    means, new_sizes, length = _run_means(field, bounds, owner, len(big))
     new_hues = np.where(length > 1e-12, means, hues[big])
-    return ClusterSet(labels=labels, hues=new_hues, sizes=new_sizes)
+    return ClusterSet(bounds=bounds, owner=owner, hues=new_hues, sizes=new_sizes)
 
 
 def adaptive_cluster(field: SpecularFreeField,
@@ -317,11 +422,13 @@ def adaptive_cluster(field: SpecularFreeField,
     clusters = None
     diag = None
     history: list[int] = []
+    lloyd: list[int] = []
     iterations = 0
     for _ in range(cfg.max_iterations):
         iterations += 1
         history.append(k)
         clusters = kmeans(field, k, seed=cfg.seed)
+        lloyd.append(clusters.iterations)
         diag = evaluate_fit(field, clusters, cfg.tau_dev, cfg.tau_frac)
         failing = int(np.sum(diag.failing_fractions > cfg.tau_frac))
         if failing == 0:
@@ -346,4 +453,5 @@ def adaptive_cluster(field: SpecularFreeField,
     diag.iterations = iterations
     diag.converged = converged
     diag.k_history = history
+    diag.lloyd_iterations = lloyd
     return clusters, diag

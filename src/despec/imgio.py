@@ -11,6 +11,8 @@ Both formats share one header reader: a compiled token pattern skips
 whitespace and ``#`` comments (each runs to the end of its line) and
 yields width, height and the third value (PPM maxval, PFM scale), and
 exactly one whitespace byte separates the header from the raster.
+Width, height and maxval are ASCII digits only; the PFM scale is a
+finite, nonzero number.
 
 The raster is copied once each way: loading reads it through a
 memoryview of the file bytes and converts it with one ``astype`` (row
@@ -20,6 +22,7 @@ writes header and raster separately.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -56,6 +59,20 @@ def _write_parts(path, *parts) -> None:
 _TOKEN = re.compile(rb"(?:[ \t\r\n\f\v]|#[^\r\n]*)*([^ \t\r\n\f\v#][^ \t\r\n\f\v]*)?")
 
 
+def _digits(tok: bytes) -> int:
+    """A PNM integer: ASCII digits only, no sign, underscore or space."""
+    if not tok.isdigit():
+        raise ValueError(tok)
+    return int(tok)
+
+
+def _finite(tok: bytes) -> float:
+    value = float(tok)
+    if not math.isfinite(value):
+        raise ValueError(tok)
+    return value
+
+
 def _read_header(data: bytes, third: str, parse) -> tuple[int, int, object, int]:
     """Width, height, the ``parse``d third value (maxval or scale) and
     the raster offset of a P6/PF header.
@@ -64,7 +81,7 @@ def _read_header(data: bytes, third: str, parse) -> tuple[int, int, object, int]
     ``len(data)`` when the file ends right after that token.
     """
     values, pos = [], 2
-    for what, conv in (("width", int), ("height", int), (third, parse)):
+    for what, conv in (("width", _digits), ("height", _digits), (third, parse)):
         match = _TOKEN.match(data, pos)
         tok, pos = match.group(1), match.end()
         if tok is None:
@@ -93,7 +110,7 @@ def _read_raster(data: bytes, offset: int, width: int, height: int, dtype) -> np
 
 
 def _load_ppm(data: bytes) -> np.ndarray:
-    width, height, maxval, offset = _read_header(data, "maxval", int)
+    width, height, maxval, offset = _read_header(data, "maxval", _digits)
     if not 0 < maxval < 65536:
         raise CorruptHeaderError(f"bad maxval {maxval}")
     dtype = ">u2" if maxval > 255 else np.uint8  # network byte order for 16 bit
@@ -103,7 +120,7 @@ def _load_ppm(data: bytes) -> np.ndarray:
 
 
 def _load_pfm(data: bytes) -> np.ndarray:
-    width, height, scale, offset = _read_header(data, "scale", float)
+    width, height, scale, offset = _read_header(data, "scale", _finite)
     if scale == 0:
         raise CorruptHeaderError("zero scale")
     dtype = "<f4" if scale < 0 else ">f4"  # scale sign encodes endianness

@@ -54,6 +54,7 @@ class PipelineDiagnostics:
     total_seconds: float
     downsampled: bool = False
     labels: np.ndarray | None = None  # final per-pixel cluster labels
+    lloyd_iterations: list = field(default_factory=list)  # per adaptive round
 
     def to_lines(self) -> list[str]:
         return [
@@ -63,6 +64,7 @@ class PipelineDiagnostics:
             f"passthrough_clusters = {self.n_passthrough}",
             f"total_fit_error = {self.total_fit_error:.6g}",
             f"k_history = {','.join(str(k) for k in self.k_history)}",
+            f"lloyd_iterations = {','.join(str(n) for n in self.lloyd_iterations)}",
             f"clustering_seconds = {self.clustering_seconds:.6f}",
             f"total_seconds = {self.total_seconds:.6f}",
             f"downsampled = {str(self.downsampled).lower()}",
@@ -162,6 +164,7 @@ def run(img, cfg: PipelineConfig | None = None
         total_seconds=total_seconds,
         downsampled=factor > 1,
         labels=result.labels,
+        lloyd_iterations=list(fit.lloyd_iterations),
     )
     return result, diag
 

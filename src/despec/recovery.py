@@ -143,11 +143,12 @@ def model_for_cluster(field: SpecularFreeField, clusters: ClusterSet, cluster_id
     """MaterialModel for one cluster, or None when the material is too
     close to the illumination color to separate (those pixels pass
     through unchanged).  The cluster's coefficients are the field's
-    ``parallel`` values under its labels."""
+    ``parallel`` slices that hold it."""
     cfg = cfg or RecoveryConfig()
-    coeffs = field.parallel[clusters.labels == cluster_id]
-    if len(coeffs) == 0:
+    members = clusters.members(cluster_id)
+    if not members:
         raise EmptyClusterError(f"cluster {cluster_id} has no pixels")
+    coeffs = np.concatenate([field.parallel[rows] for rows in members])
     diffuse_parallel = _diffuse_parallel_for_cluster(coeffs, cfg)
     try:
         diffuse_ortho, ratio = estimate_ratio(diffuse_parallel)

@@ -23,8 +23,14 @@ def make_field(hues):
     pixel valid, each pixel's chromaticity being its unit direction."""
     hue = np.asarray(hues, dtype=np.float64)
     flags = np.zeros(hue.shape, dtype=np.uint8)
-    return SpecularFreeField(hue=hue.reshape(-1), amplitude=np.ones(hue.size),
-                             parallel=np.zeros(hue.size), flags=flags)
+    pixel = np.argsort(hue.reshape(-1)).astype(np.int32)
+    return SpecularFreeField(hue=hue.reshape(-1)[pixel], amplitude=np.ones(hue.size),
+                             parallel=np.zeros(hue.size), pixel=pixel, flags=flags)
+
+
+def row_major(field, values):
+    """Per-entry ``values`` of a field, reordered to row-major pixel order."""
+    return np.asarray(values)[np.argsort(field.pixel)]
 
 
 def parallel_coeff(v, basis):

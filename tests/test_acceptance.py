@@ -187,15 +187,20 @@ def test_unit_circle_coordinates_for_random_mixtures():
     lam = material / np.linalg.norm(material, axis=1, keepdims=True)
     alpha = 0.2 + 0.8 * draws[:, 3:4]
     beta = draws[:, 4:5]
-    # every material carries a chroma, so each field holds all n pixels in order
-    hues = specular_free_field(material[:, None, :], basis).hue
+    # every material carries a chroma, so each field holds all n pixels;
+    # field.pixel pairs each entry with its mixture
+    material_field = specular_free_field(material[:, None, :], basis)
+    hues = np.empty(n)
+    hues[material_field.pixel] = material_field.hue
     dirs = basis.orthogonal(hues)
-    labels = np.arange(n)
-    material_dev = _cluster_residuals(specular_free_field(lam[:, None, :], basis), labels, hues)
+
+    def deviation(field):
+        return _cluster_residuals(field.hue, field.amplitude, hues[field.pixel])
+
+    material_dev = deviation(specular_free_field(lam[:, None, :], basis))
     mixed = alpha * lam + beta * basis.direction
     chroma = mixed / np.linalg.norm(mixed, axis=1, keepdims=True)
-    mixture_dev = _cluster_residuals(
-        specular_free_field(chroma[:, None, :], basis), labels, hues)
+    mixture_dev = deviation(specular_free_field(chroma[:, None, :], basis))
     ortho = (chroma * dirs).sum(axis=1)
     d = basis.direction
     parallel = chroma[:, 0] * d[0] + chroma[:, 1] * d[1] + chroma[:, 2] * d[2]

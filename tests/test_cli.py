@@ -173,6 +173,25 @@ class TestRemove:
         assert rc == 3
         assert f"cannot write {report}" in one_error_line(capsys)
 
+    @pytest.mark.parametrize("flag", ["-d", "-s", "-l", "--report"])
+    def test_unwritable_output_leaves_no_partial_output(self, tmp_path, capsys, flag):
+        """Every output path is checked before the pipeline runs: a bad one
+        exits 3 with one error line, and nothing is written or printed."""
+        out = synth_dir(tmp_path)
+        capsys.readouterr()
+        paths = {"-d": tmp_path / "d.pfm", "-s": tmp_path / "sp.pfm",
+                 "-l": tmp_path / "l.ppm", "--report": tmp_path / "r.txt"}
+        paths[flag] = tmp_path / "missing" / paths[flag].name
+        argv = ["remove", str(out / "input.pfm")]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"despec: error: cannot write {paths[flag]}: " \
+                               "not a file in a writable directory\n"
+        assert not any(path.exists() for path in paths.values())
+
     def test_missing_input_exits_3(self, tmp_path, capsys):
         rc = main(["remove", str(tmp_path / "absent.pfm"),
                    "-d", str(tmp_path / "d.pfm"), "-s", str(tmp_path / "s.pfm")])

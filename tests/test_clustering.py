@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import block_image, make_field
+from conftest import block_image, make_field, row_major
 from despec import errors, synth
 from despec.clustering import (
     FLAG_ACHROMATIC,
@@ -66,7 +66,7 @@ class TestSpecularFreeField:
         assert np.abs(amp * amp + par * par - 1.0).max() <= 1e-12
         rebuilt = (amp[:, None] * basis.orthogonal(field.hue)
                    + par[:, None] * basis.direction)
-        px = img.reshape(-1, 3)  # every pixel is valid, in row-major order
+        px = img.reshape(-1, 3)[field.pixel]  # every pixel is valid
         chroma = px / np.linalg.norm(px, axis=-1, keepdims=True)
         assert np.abs(rebuilt - chroma).max() <= 1e-12
 
@@ -78,11 +78,13 @@ class TestSpecularFreeField:
         field = specular_free_field(img, white)
         assert (field.flags == FLAG_BLACK).sum() == 13
         assert field.flags[1, 2] == FLAG_ACHROMATIC
-        # the two valid pixels, in row-major order
+        # the two valid pixels
         assert field.hue.shape == field.amplitude.shape == field.parallel.shape == (2,)
-        assert field.hue[0] == pytest.approx(OLIVE_HUE, abs=1e-12)
+        assert sorted(field.pixel.tolist()) == [0, 13]
+        hue = row_major(field, field.hue)
+        assert hue[0] == pytest.approx(OLIVE_HUE, abs=1e-12)
         assert field.parallel == pytest.approx([OLIVE_PARALLEL] * 2, abs=1e-12)
-        assert field.hue[1] != pytest.approx(OLIVE_HUE, abs=1e-3)
+        assert hue[1] != pytest.approx(OLIVE_HUE, abs=1e-3)
 
     def test_direction_ignores_brightness_and_highlight(self, white):
         """Scaling a pixel or adding illumination-colored light must not
@@ -187,21 +189,23 @@ class TestKmeans:
             rows = slice(10 * i, 10 * (i + 1))
             grid[rows] = d
             truth[rows] = i
-        clusters = kmeans(make_field(grid), 4, seed=0)
+        field = make_field(grid)
+        clusters = kmeans(field, 4, seed=0)
         assert clusters.n_clusters == 4
-        labels = clusters.labels.reshape(grid.shape)  # every pixel is valid
+        labels = field.label_map(clusters.labels)  # every pixel is valid
         # each band is one label, and the four bands use four labels
         band_labels = [labels[10 * i, 0] for i in range(4)]
         assert sorted(band_labels) == [0, 1, 2, 3]
         for i in range(4):
             assert np.all(labels[10 * i:10 * (i + 1)] == band_labels[i])
         # labels agree with nearest-center assignment
-        flat = grid.reshape(-1)
-        nearest = np.argmax(np.cos(flat[:, None] - clusters.hues), axis=1)
+        nearest = np.argmax(np.cos(field.hue[:, None] - clusters.hues), axis=1)
         assert np.array_equal(nearest, clusters.labels)
         # centers match the generating hues
         for i, d in enumerate(hues):
             assert np.allclose(clusters.hues[band_labels[i]], d, atol=1e-9)
+        # seeded on the four values, one update changes nothing
+        assert clusters.iterations == 1
 
     def test_centers_stay_in_subspace(self, white):
         rng = np.random.default_rng(23)

@@ -60,6 +60,8 @@ class TestLoadPpm:
         b"P6\n1 1\n70000\n",     # maxval too large
         b"P6\nab 1\n255\n",      # non-integer
         b"P6\n1 1\n",            # header ends early
+        b"P6 1_0 +1 255\n",      # underscore and sign: digits only
+        b"P6 +2 1 255\n",
     ])
     def test_corrupt_headers(self, tmp_path, header):
         p = write(tmp_path / "a.ppm", header + bytes(6))
@@ -95,6 +97,12 @@ class TestLoadPfm:
     def test_zero_scale_rejected(self, tmp_path):
         p = write(tmp_path / "a.pfm", b"PF\n1 1\n0.0\n" + bytes(12))
         with pytest.raises(errors.CorruptHeaderError):
+            load(p)
+
+    @pytest.mark.parametrize("header", [b"PF\n1 1\nnan\n", b"PF 1 1 inf\n"])
+    def test_non_finite_scale_rejected(self, tmp_path, header):
+        p = write(tmp_path / "a.pfm", header + bytes(12))
+        with pytest.raises(errors.CorruptHeaderError, match="bad scale"):
             load(p)
 
     def test_truncated(self, tmp_path):

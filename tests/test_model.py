@@ -14,12 +14,11 @@ unit Euclidean norm.
 import numpy as np
 import pytest
 
-from conftest import parallel_coeff
+from conftest import parallel_coeff, row_major
 from despec import errors
 from despec.clustering import (
     FLAG_ACHROMATIC,
     FLAG_VALID,
-    SpecularFreeField,
     _cluster_residuals,
     specular_free_field,
     split_block,
@@ -142,19 +141,18 @@ def frame(chroma, basis):
     basis.orthogonal(hue) with the hue that specular_free_field computes."""
     chroma = np.atleast_2d(chroma)
     field = specular_free_field(chroma[:, None, :], basis)
-    dirs = basis.orthogonal(field.hue)
+    dirs = basis.orthogonal(row_major(field, field.hue))
     return field.flags[:, 0], dirs, (chroma * dirs).sum(axis=1), parallel_coeff(chroma, basis)
 
 
 def residual(chroma, center, basis):
     """Unit-circle residual of (N, 3) chromaticities in the frame of one
-    unit center direction orthogonal to the illumination.  The field is
-    built from split_block's coordinates of every pixel, so a chromaticity
-    the pipeline flags as achromatic still gets one."""
-    hue, amplitude, parallel, flags = split_block(np.atleast_2d(chroma), basis)
-    field = SpecularFreeField(hue=hue, amplitude=amplitude, parallel=parallel, flags=flags)
+    unit center direction orthogonal to the illumination.  The hue and
+    amplitude are split_block's coordinates of every pixel, so a
+    chromaticity the pipeline flags as achromatic still gets one."""
+    hue, amplitude, _, _ = split_block(np.atleast_2d(chroma), basis)
     center_hue = np.arctan2(center @ basis.v, center @ basis.u)
-    return _cluster_residuals(field, np.zeros(len(hue), dtype=np.int32), np.array([center_hue]))
+    return _cluster_residuals(hue, amplitude, center_hue)
 
 
 class TestDecompose:

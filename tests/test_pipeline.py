@@ -5,6 +5,7 @@ import pytest
 
 from despec import errors, synth
 from despec.clustering import (
+    KMEANS_MAX_ITER,
     LABEL_ACHROMATIC,
     LABEL_BLACK,
     adaptive_cluster,
@@ -161,6 +162,18 @@ class TestFullPipeline:
         assert "converged = true" in lines
         assert "downsampled = false" in lines
         assert any(line.startswith("clusters = 4") for line in lines)
+
+    @pytest.mark.parametrize("scene", ["single-1", "four-materials"])
+    def test_diagnostics_count_lloyd_iterations_per_round(self, scene):
+        """One count per adaptive round, as one value or a comma list."""
+        gt = synth.render(synth.builtin_scene(scene, 200, 140))
+        _, diag = run(synth.add_noise(gt, 3.0, seed=0), PipelineConfig(threads=1))
+        counts = diag.lloyd_iterations
+        assert len(counts) == len(diag.k_history) == diag.iterations
+        assert all(1 <= n <= KMEANS_MAX_ITER for n in counts)
+        line = f"lloyd_iterations = {','.join(str(n) for n in counts)}"
+        assert line in diag.to_lines()
+        assert ("," in line) == (len(counts) > 1)
 
     def test_colored_illumination_recovers_scene(self):
         illum = (0.62, 0.60, 0.55)

@@ -106,9 +106,11 @@ class TestHistogram:
         clusters, _ = adaptive_cluster(field)
         labels = field.label_map(clusters.labels)
         for cid in range(clusters.n_clusters):
-            px = img[labels == cid]
+            member = clusters.labels == cid
+            px = img.reshape(-1, 3)[field.pixel[member]]
+            assert np.array_equal(np.sort(field.pixel[member]), np.flatnonzero(labels == cid))
             expected = parallel_coeff(px, white) / np.linalg.norm(px, axis=-1)
-            assert np.abs(field.parallel[clusters.labels == cid] - expected).max() <= 1e-15
+            assert np.abs(field.parallel[member] - expected).max() <= 1e-15
 
     def test_three_spec_levels_occupy_expected_bins(self, white):
         img = olive_image([0.0] * 60 + [0.2] * 30 + [0.5] * 10, (10, 10))
@@ -221,7 +223,7 @@ class TestSeparatePixel:
         model = MaterialModel(center=OLIVE_DIR, diffuse_ortho=ortho,
                               diffuse_parallel=OLIVE_PARALLEL, ratio=ratio)
         n = len(pixels)
-        clusters = ClusterSet(labels=np.zeros(n, dtype=np.int32),
+        clusters = ClusterSet(bounds=np.array([0, n]), owner=np.zeros(1, dtype=np.int32),
                               hues=np.array([OLIVE_HUE]), sizes=np.array([n]))
         result = separate_image(pixels[None], clusters, {0: model}, white,
                                 labels=np.zeros((1, n), dtype=np.int32))
