@@ -65,6 +65,8 @@ class SpecularFreeField:
     parallel: np.ndarray
     pixel: np.ndarray
     flags: np.ndarray
+    # seed -> entry of k-means' first center; see first_entry
+    _first: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def valid_mask(self) -> np.ndarray:
@@ -74,6 +76,16 @@ class SpecularFreeField:
     def cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
         """cos and sin of ``hue``, computed once per field."""
         return np.cos(self.hue), np.sin(self.hue)
+
+    def first_entry(self, seed: int) -> int:
+        """Entry of the valid pixel whose row-major rank is drawn from a
+        generator seeded with ``seed``: the first center of every k-means
+        on this field with that seed, so it is found once per seed."""
+        if seed not in self._first:
+            rank = int(np.random.default_rng(seed).integers(len(self.hue)))
+            pixel = np.flatnonzero(self.valid_mask)[rank]
+            self._first[seed] = int(np.flatnonzero(self.pixel == pixel)[0])
+        return self._first[seed]
 
     def label_map(self, labels: np.ndarray) -> np.ndarray:
         """(H, W) int32 map of per-entry ``labels``: the label at valid
@@ -146,24 +158,33 @@ def split_block(block: np.ndarray, basis: IlluminationBasis):
     """(hue, amplitude, parallel, flags) of an (..., 3) block of pixels,
     each shaped like the block's pixel grid.  The first three are as in
     SpecularFreeField where ``flags == FLAG_VALID`` and meaningless
-    elsewhere."""
+    elsewhere.
+
+    The block's temporaries are a few grid-sized buffers, reused: the
+    norm becomes the divisor ``m`` in place, one buffer holds each
+    channel of ``c`` and one scratch buffer each product; ``amplitude``
+    is then built in ``m`` and ``hue`` in the ``c`` buffer.
+    """
     d, u, v = basis.direction, basis.u, basis.v
-    n = _norm3(block)
-    blk = n <= EPS_BLACK
-    m = np.where(blk, 1.0, n)
-    # one channel of c = block / n at a time, accumulated in c·d order
-    c = block[..., 0] / m
+    m = _norm3(block)
+    blk = m <= EPS_BLACK
+    m[blk] = 1.0
+    # one channel of c = block / m at a time, accumulated in c·d order
+    c = np.divide(block[..., 0], m)
     par, x, y = c * d[0], c * u[0], c * v[0]
+    scratch = np.empty_like(c)
     for i in (1, 2):
-        c = block[..., i] / m
-        par += c * d[i]
-        x += c * u[i]
-        y += c * v[i]
-    amp = np.sqrt(x * x + y * y)
+        np.divide(block[..., i], m, out=c)
+        par += np.multiply(c, d[i], out=scratch)
+        x += np.multiply(c, u[i], out=scratch)
+        y += np.multiply(c, v[i], out=scratch)
+    amp = np.multiply(x, x, out=m)
+    amp += np.multiply(y, y, out=scratch)
+    np.sqrt(amp, out=amp)
     flags = np.full(blk.shape, FLAG_VALID, dtype=np.uint8)
     flags[blk] = FLAG_BLACK
     flags[(amp <= EPS_GRAY) & ~blk] = FLAG_ACHROMATIC
-    return np.arctan2(y, x), amp, par, flags
+    return np.arctan2(y, x, out=c), amp, par, flags
 
 
 def specular_free_field(img, basis: IlluminationBasis, threads: int = 1) -> SpecularFreeField:
@@ -277,13 +298,12 @@ def _farthest(d2: np.ndarray, field: SpecularFreeField) -> int:
 
 
 def _seed_centers(field: SpecularFreeField, k: int, seed: int) -> np.ndarray:
-    """Farthest-point seeding: the first center is the valid pixel of
-    row-major rank drawn from the seeded generator, then greedily the
-    entry farthest in chord² from every center chosen so far."""
+    """Farthest-point seeding: the first center is ``field.first_entry``,
+    then greedily the entry farthest in chord² from every center chosen
+    so far."""
     hue = field.hue
     cos, sin = field.cos_sin
-    rank = int(np.random.default_rng(seed).integers(len(hue)))
-    idx = int(np.flatnonzero(field.pixel == np.flatnonzero(field.valid_mask)[rank])[0])
+    idx = field.first_entry(seed)
     centers = np.empty(k, dtype=np.float64)
     centers[0] = hue[idx]
     if k > 1:
@@ -340,11 +360,14 @@ def kmeans(field: SpecularFreeField, k: int, seed: int = 0) -> ClusterSet:
                       sizes=counts[keep], iterations=iterations)
 
 
-def _cluster_residuals(hue: np.ndarray, amplitude: np.ndarray, center) -> np.ndarray:
+def _cluster_residuals(cos: np.ndarray, sin: np.ndarray, amplitude: np.ndarray,
+                       center) -> np.ndarray:
     """Unit-circle residual of field entries against their cluster
     frame: the orthogonal part off the center's axis,
-    amplitude² · sin²(hue − center hue)."""
-    off = amplitude * np.sin(hue - center)
+    amplitude² · sin²(hue − center hue), with sin(hue − center) expanded
+    as sin·cos(center) − cos·sin(center) from the entries' ``cos`` and
+    ``sin`` of hue."""
+    off = amplitude * (sin * np.cos(center) - cos * np.sin(center))
     return off * off
 
 
@@ -357,10 +380,11 @@ def evaluate_fit(field: SpecularFreeField, clusters: ClusterSet,
     materials and should be split.
     """
     k = clusters.n_clusters
+    cos, sin = field.cos_sin
     bad = np.zeros(k)
     total = 0.0
     for rows, cid in _pieces(clusters.bounds, clusters.owner.tolist()):
-        dev = _cluster_residuals(field.hue[rows], field.amplitude[rows], clusters.hues[cid])
+        dev = _cluster_residuals(cos[rows], sin[rows], field.amplitude[rows], clusters.hues[cid])
         bad[cid] += np.count_nonzero(dev > tau_dev)
         total += float(dev.sum())
     counts = clusters.sizes.astype(np.float64)

@@ -14,10 +14,11 @@ exactly one whitespace byte separates the header from the raster.
 Width, height and maxval are ASCII digits only; the PFM scale is a
 finite, nonzero number.
 
-The raster is copied once each way: loading reads it through a
-memoryview of the file bytes and converts it with one ``astype`` (row
-flip included for PFM); saving converts it with one ``astype`` and
-writes header and raster separately.
+Loading reads the raster through a memoryview of the file bytes and
+converts it with one ``astype`` (row flip included for PFM).  Saving
+never holds a converted copy of the whole raster: it converts and writes
+BAND_ROWS rows at a time through one reused band buffer, bottom band
+first for PFM, so its working memory does not grow with the height.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .errors import (
     UnsupportedFormatError,
 )
 
+BAND_ROWS = 64  # image rows converted and written at a time by a save
+
 
 def _read_bytes(path) -> bytes:
     try:
@@ -43,15 +46,31 @@ def _read_bytes(path) -> bytes:
         raise IoFailureError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_parts(path, *parts) -> None:
-    """Write a header and a raster (bytes or C-contiguous arrays) in turn,
-    so neither is copied into one payload first."""
+def _write_parts(path, header: bytes, bands) -> None:
+    """Write ``header``, then each raster band of the iterable ``bands``
+    (C-contiguous arrays), so the raster is never joined into one
+    payload."""
     try:
         with open(path, "wb") as fh:
-            for part in parts:
-                fh.write(part)
+            fh.write(header)
+            for band in bands:
+                fh.write(band)
     except OSError as exc:
         raise IoFailureError(f"cannot write {path}: {exc}") from exc
+
+
+def _bands(height: int, width: int, dtype, fill, bottom_up: bool = False):
+    """The (height, width, 3) raster of ``dtype``, band by band: for each
+    slice of at most BAND_ROWS image rows, top band first or bottom band
+    first, ``fill(rows, out)`` converts those rows into ``out``, a view of
+    one reused buffer, which is then yielded."""
+    buf = np.empty((min(BAND_ROWS, height), width, 3), dtype=dtype)
+    starts = range(0, height, BAND_ROWS)
+    for start in reversed(starts) if bottom_up else starts:
+        rows = slice(start, min(start + BAND_ROWS, height))
+        out = buf[:rows.stop - start]
+        fill(rows, out)
+        yield out
 
 
 # whitespace and whole-line comments, then one token: the token cannot
@@ -143,18 +162,34 @@ def load(path) -> np.ndarray:
 
 
 def _save_ppm(img: np.ndarray, path, maxval: int) -> int:
-    quant = np.floor(img * maxval + 0.5)  # round half up
-    clipped = int(np.count_nonzero(quant > maxval))
-    quant = np.clip(quant, 0, maxval)
+    height, width = img.shape[:2]
+    quant = np.empty((min(BAND_ROWS, height), width, 3))
+    clipped = 0
+
+    def fill(rows, out):
+        nonlocal clipped
+        q = quant[:len(out)]
+        np.multiply(img[rows], maxval, out=q)
+        q += 0.5
+        np.floor(q, out=q)  # round half up
+        clipped += int(np.count_nonzero(q > maxval))
+        np.clip(q, 0, maxval, out=q)
+        np.copyto(out, q, casting="unsafe")
+
     dtype = ">u2" if maxval > 255 else np.uint8
-    header = b"P6\n%d %d\n%d\n" % (img.shape[1], img.shape[0], maxval)
-    _write_parts(path, header, quant.astype(dtype, order="C"))
+    header = b"P6\n%d %d\n%d\n" % (width, height, maxval)
+    _write_parts(path, header, _bands(height, width, dtype, fill))
     return clipped
 
 
 def _save_pfm(img: np.ndarray, path) -> int:
-    header = b"PF\n%d %d\n-1.0\n" % (img.shape[1], img.shape[0])
-    _write_parts(path, header, img[::-1].astype("<f4", order="C"))
+    height, width = img.shape[:2]
+
+    def fill(rows, out):
+        np.copyto(out, img[rows][::-1])  # PFM rows run bottom to top
+
+    header = b"PF\n%d %d\n-1.0\n" % (width, height)
+    _write_parts(path, header, _bands(height, width, "<f4", fill, bottom_up=True))
     return 0
 
 
@@ -195,12 +230,19 @@ def save_labels(labels, path) -> None:
     k = int(labels.max()) + 1 if labels.size and labels.max() >= 0 else 1
     if k > 255:
         raise UnsupportedFormatError(f"{k} labels exceed an 8-bit label map")
-    levels = (np.arange(k) * (254 // max(k - 1, 1))).astype(np.uint8) if k > 1 \
-        else np.zeros(1, dtype=np.uint8)
-    flat = np.where(labels >= 0, levels[np.clip(labels, 0, k - 1)], 255).astype(np.uint8)
-    gray = np.repeat(flat[..., None], 3, axis=-1)
-    header = b"P6\n%d %d\n255\n" % (labels.shape[1], labels.shape[0])
-    _write_parts(path, header, gray)
+    step = 254 // max(k - 1, 1)  # label i is gray level i * step
+
+    def fill(rows, out):
+        lab = labels[rows]
+        gray = out[..., 0]
+        np.multiply(lab, step, out=gray, casting="unsafe")
+        gray[lab < 0] = 255
+        out[..., 1] = gray
+        out[..., 2] = gray
+
+    height, width = labels.shape
+    header = b"P6\n%d %d\n255\n" % (width, height)
+    _write_parts(path, header, _bands(height, width, np.uint8, fill))
 
 
 def load_labels(path) -> np.ndarray:

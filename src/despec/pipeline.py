@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._keyvalue import key_values, numbers, read_text
-from ._parallel import resolve_threads
+from ._parallel import resolve_threads, run_chunks
 from .clustering import ClusterConfig, adaptive_cluster, specular_free_field
 from .errors import ConfigError
 from .model import IlluminationBasis, white_balance
@@ -96,24 +96,31 @@ def _validate_input(img: np.ndarray) -> np.ndarray:
     return img
 
 
-def box_downsample(img: np.ndarray, factor: int) -> np.ndarray:
+def box_downsample(img: np.ndarray, factor: int, threads: int = 1) -> np.ndarray:
     """Box-average over factor x factor blocks, cropping any remainder.
 
-    The slabs are summed one at a time in row-major block order, which
-    gives the same bits as ``mean(axis=(1, 3))`` over the blocked view
-    without its strided reduction.
+    Output rows are filled in threaded chunks; within a chunk the slabs
+    are summed one at a time in row-major block order, which gives the
+    same bits as ``mean(axis=(1, 3))`` over the blocked view without its
+    strided reduction, for any thread count.
     """
     if factor <= 1:
         return img
     h, w = img.shape[:2]
     hc, wc = (h // factor) * factor, (w // factor) * factor
     block = img[:hc, :wc].reshape(hc // factor, factor, wc // factor, factor, 3)
-    total = block[:, 0, :, 0, :].copy()
-    for i in range(factor):
-        for j in range(factor):
-            if i or j:
-                total += block[:, i, :, j, :]
-    total /= factor * factor
+    total = np.empty((hc // factor, wc // factor, 3))
+
+    def fill(rows):
+        part, out = block[rows], total[rows]
+        np.copyto(out, part[:, 0, :, 0, :])
+        for i in range(factor):
+            for j in range(factor):
+                if i or j:
+                    out += part[:, i, :, j, :]
+        out /= factor * factor
+
+    run_chunks(fill, len(total), threads)
     return total
 
 
@@ -143,7 +150,7 @@ def run(img, cfg: PipelineConfig | None = None
         img = white_balance(img, divide)
 
     t_cluster = time.perf_counter()
-    field = specular_free_field(box_downsample(img, factor), basis, threads=threads)
+    field = specular_free_field(box_downsample(img, factor, threads), basis, threads=threads)
     clusters, fit = adaptive_cluster(field, cfg.cluster)
     clustering_seconds = time.perf_counter() - t_cluster
 

@@ -123,15 +123,19 @@ def _diffuse_parallel_for_cluster(coeffs: np.ndarray, cfg: RecoveryConfig) -> fl
     keeps it usable.
     """
     edges = histogram_edges(cfg)
-    clipped = np.clip(coeffs, 0.0, edges[-1])
-    counts, _ = np.histogram(clipped, bins=edges)
+    ordered = np.clip(coeffs, 0.0, edges[-1])
+    ordered.sort()
+    # the sorted coefficients below each edge; their differences are the
+    # bin counts, and the last bin also holds its right edge, as in
+    # np.histogram
+    pos = np.searchsorted(ordered, edges, side="left")
+    counts = np.diff(pos)
+    counts[-1] += len(ordered) - pos[-1]
     try:
         i = _first_peak_index(counts, cfg)
     except NoPeakError:
         return float(np.percentile(coeffs, FALLBACK_PERCENTILE))
-    lo = edges[max(i - 1, 0)]
-    hi = edges[min(i + 2, len(edges) - 1)]
-    window = clipped[(clipped >= lo) & (clipped < hi)]
+    window = ordered[pos[max(i - 1, 0)]:pos[min(i + 2, len(edges) - 1)]]
     if len(window) == 0:  # smoothing can mark a raw-empty bin; widen never fails
         return float((edges[i] + edges[i + 1]) / 2.0)
     return float(np.median(window))
@@ -178,14 +182,19 @@ def separate_image(img, clusters: ClusterSet, models: dict,
                    labels: np.ndarray | None = None) -> SeparationResult:
     """Apply each cluster's material model to its pixels.
 
-    The image is walked once, in short row chunks.  ``labels`` is an
-    (H, W) label map of the image, as ``SpecularFreeField.label_map``
-    builds it; each pixel takes its label from there.  With ``labels``
-    None (clusters found on a downsampled copy), each chunk labels its
-    own pixels instead: every pixel is split against the illumination and
-    takes the nearest of ``clusters.hues``, while flagged pixels get minus
-    their flag.  The labels used are returned in
-    ``SeparationResult.labels``.
+    The image is walked once, in short row chunks, and each chunk works
+    in a few chunk-sized buffers: the specular strength is summed channel
+    by channel into one, and the specular part, its clip, the diffuse
+    part and the additivity repair go one channel at a time, so no
+    3-channel temporary is made.
+
+    ``labels`` is an (H, W) label map of the image, as
+    ``SpecularFreeField.label_map`` builds it; each pixel takes its label
+    from there.  With ``labels`` None (clusters found on a downsampled
+    copy), each chunk labels its own pixels instead, straight into the
+    returned map: every pixel is split against the illumination and takes
+    the nearest of ``clusters.hues``, while flagged pixels get minus their
+    flag.  The labels used are returned in ``SeparationResult.labels``.
 
     Flagged pixels and pass-through clusters keep their input value in
     the diffuse image with zero specular.  Raises ModelMissingError if a
@@ -218,32 +227,41 @@ def separate_image(img, clusters: ClusterSet, models: dict,
 
     diffuse = np.empty_like(img)
     specular = np.empty_like(img)
+    # a pixel lacks a model only where its slot does: some slot 0..k with
+    # no entry in ``models``, or slot k + 1, which only a given label >= k
+    # reaches; otherwise the per-pixel check is skipped
+    gaps = not known[:k + 1].all()
 
     def fill(rows):
         block = img[rows]
-        if given:
-            lab = labels[rows]
-        else:
+        lab = labels[rows]
+        if not given:
             hue, _, _, flags = split_block(block, basis)
-            lab = np.where(flags == FLAG_VALID, nearest_hue(hue, clusters.hues),
-                           -flags.astype(np.int32))
-            labels[rows] = lab
+            np.negative(flags, out=lab, dtype=np.int32)
+            np.copyto(lab, nearest_hue(hue, clusters.hues), where=flags == FLAG_VALID)
         slot = np.maximum(lab + 1, 0)
-        missing = ~known.take(slot, mode="clip")
-        if missing.any():
-            raise ModelMissingError(f"no material model for cluster {int(lab[missing][0])}")
-        ax, ay, az = (a.take(slot, mode="clip") for a in axis)
-        strength = block[..., 0] * ax + block[..., 1] * ay + block[..., 2] * az
-        sp, dif = specular[rows], diffuse[rows]
-        np.multiply(strength[..., None], d, out=sp)
-        np.clip(sp, 0.0, block, out=sp)
-        np.subtract(block, sp, out=dif)
-        # block - sp rounds, and adding sp back can miss block by an ulp.
-        # There dif >= block / 2, so block - dif is exact (Sterbenz) and
-        # taking it as the specular part makes the sum exact again.
-        miss = dif + sp != block
-        if miss.any():
-            np.subtract(block, dif, out=sp, where=miss)
+        if gaps or (given and lab.max() >= k):
+            missing = ~known.take(slot, mode="clip")
+            if missing.any():
+                raise ModelMissingError(f"no material model for cluster {int(lab[missing][0])}")
+        # strength = block · axis, summed channel by channel in one buffer
+        scratch = np.empty(lab.shape)
+        strength = block[..., 0] * axis[0].take(slot, mode="clip", out=scratch)
+        for i in (1, 2):
+            strength += np.multiply(block[..., i], axis[i].take(slot, mode="clip", out=scratch),
+                                    out=scratch)
+        miss = np.empty(lab.shape, dtype=bool)
+        for i in range(3):
+            b, sp, dif = block[..., i], specular[rows, :, i], diffuse[rows, :, i]
+            np.multiply(strength, d[i], out=sp)
+            np.clip(sp, 0.0, b, out=sp)
+            np.subtract(b, sp, out=dif)
+            # b - sp rounds, and adding sp back can miss b by an ulp.
+            # There dif >= b / 2, so b - dif is exact (Sterbenz) and
+            # taking it as the specular part makes the sum exact again.
+            np.not_equal(np.add(dif, sp, out=scratch), b, out=miss)
+            if miss.any():
+                np.subtract(b, dif, out=sp, where=miss)
 
     run_chunks(fill, img.shape[0], threads)
     return SeparationResult(diffuse=diffuse, specular=specular, labels=labels)

@@ -195,7 +195,7 @@ def test_unit_circle_coordinates_for_random_mixtures():
     dirs = basis.orthogonal(hues)
 
     def deviation(field):
-        return _cluster_residuals(field.hue, field.amplitude, hues[field.pixel])
+        return _cluster_residuals(*field.cos_sin, field.amplitude, hues[field.pixel])
 
     material_dev = deviation(specular_free_field(lam[:, None, :], basis))
     mixed = alpha * lam + beta * basis.direction

@@ -1,10 +1,12 @@
 """Binary PPM / float PFM reading and writing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from despec import errors
-from despec.imgio import load, load_labels, save, save_labels
+from despec.imgio import BAND_ROWS, load, load_labels, save, save_labels
 
 
 def write(path, payload: bytes):
@@ -213,3 +215,80 @@ class TestLabels:
         labels = np.arange(256, dtype=np.int32).reshape(16, 16)
         with pytest.raises(errors.UnsupportedFormatError):
             save_labels(labels, tmp_path / "labels.ppm")
+
+
+def whole_image_save(img, format):
+    """(file bytes, clipped count) of a save that converts the whole
+    raster at once: one astype, rows flipped for PFM."""
+    h, w = img.shape[:2]
+    if format == "pfm":
+        return b"PF\n%d %d\n-1.0\n" % (w, h) + img[::-1].astype("<f4").tobytes(), 0
+    maxval = 255 if format == "ppm8" else 65535
+    quant = np.floor(img * maxval + 0.5)
+    clipped = int(np.count_nonzero(quant > maxval))
+    raster = np.clip(quant, 0, maxval).astype(">u2" if maxval > 255 else np.uint8)
+    return b"P6\n%d %d\n%d\n" % (w, h, maxval) + raster.tobytes(), clipped
+
+
+def whole_label_map(labels):
+    """File bytes of save_labels' gray map, converted at once."""
+    k = int(labels.max()) + 1
+    levels = (np.arange(k) * (254 // max(k - 1, 1))).astype(np.uint8)
+    gray = np.where(labels >= 0, levels[np.clip(labels, 0, k - 1)], 255).astype(np.uint8)
+    header = b"P6\n%d %d\n255\n" % (labels.shape[1], labels.shape[0])
+    return header + np.repeat(gray[..., None], 3, axis=-1).tobytes()
+
+
+def peak_bytes(fn):
+    """tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+HEIGHTS = [1, BAND_ROWS - 1, BAND_ROWS, BAND_ROWS + 1, 2 * BAND_ROWS + 3]
+
+
+class TestBandedSave:
+    """Saves convert BAND_ROWS rows at a time; the bytes must not show it."""
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @pytest.mark.parametrize("format", ["pfm", "ppm8", "ppm16"])
+    def test_bytes_equal_whole_image_conversion(self, tmp_path, format, height):
+        rng = np.random.default_rng(height)
+        img = rng.uniform(-0.2, 1.3, (height, 5, 3))  # clips at both ends
+        img[::2, 1] = (rng.integers(0, 255, (len(img[::2]), 3)) + 0.5) / 255  # exact halves
+        p = tmp_path / "a.img"
+        clipped = save(img, p, format=format)
+        data, want_clipped = whole_image_save(img, format)
+        assert p.read_bytes() == data
+        assert clipped == want_clipped
+        assert format == "pfm" or clipped > 0
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    @pytest.mark.parametrize("top", [0, 5, 254])
+    def test_label_map_bytes_equal_whole_conversion(self, tmp_path, top, height):
+        labels = np.random.default_rng(height).integers(-2, top + 1, (height, 7)).astype(np.int32)
+        labels[0, 0] = top
+        p = tmp_path / "labels.ppm"
+        save_labels(labels, p)
+        assert p.read_bytes() == whole_label_map(labels)
+
+    def test_pfm_save_holds_no_converted_copy(self, tmp_path):
+        img = np.random.default_rng(9).random((1024, 1024, 3))
+        raster = img.size * 4  # the float32 PFM raster, 12.6 MB
+        assert peak_bytes(lambda: save(img, tmp_path / "a.pfm")) < raster / 8
+
+    @pytest.mark.parametrize("format", ["ppm8", "ppm16"])
+    def test_ppm_save_holds_no_quantized_copy(self, tmp_path, format):
+        img = np.random.default_rng(9).random((1024, 1024, 3))
+        # the whole-image conversion held a float64 quantized copy
+        assert peak_bytes(lambda: save(img, tmp_path / "a.ppm", format=format)) < img.nbytes / 8
+
+    def test_label_save_holds_no_gray_copy(self, tmp_path):
+        labels = np.random.default_rng(9).integers(-2, 6, (1024, 1024)).astype(np.int32)
+        raster = labels.size * 3  # the 8-bit gray raster, 3.1 MB
+        assert peak_bytes(lambda: save_labels(labels, tmp_path / "l.ppm")) < raster / 8

@@ -152,7 +152,7 @@ def residual(chroma, center, basis):
     chromaticity the pipeline flags as achromatic still gets one."""
     hue, amplitude, _, _ = split_block(np.atleast_2d(chroma), basis)
     center_hue = np.arctan2(center @ basis.v, center @ basis.u)
-    return _cluster_residuals(hue, amplitude, center_hue)
+    return _cluster_residuals(np.cos(hue), np.sin(hue), amplitude, center_hue)
 
 
 class TestDecompose:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from despec import errors, synth
 from despec.clustering import (
@@ -71,6 +73,13 @@ class TestBoxDownsample:
             hc, wc = (shape[0] // factor) * factor, (shape[1] // factor) * factor
             blocks = img[:hc, :wc].reshape(hc // factor, factor, wc // factor, factor, 3)
             assert np.array_equal(box_downsample(img, factor), blocks.mean(axis=(1, 3)))
+
+    @pytest.mark.parametrize("factor", [2, 3, 7])
+    def test_thread_count_does_not_change_bits(self, factor):
+        img = np.random.default_rng(factor).random((450, 333, 3))
+        one = box_downsample(img, factor)
+        for threads in (2, 3):
+            assert box_downsample(img, factor, threads).tobytes() == one.tobytes()
 
 
 def planted_image(width=400, height=300):
@@ -254,6 +263,31 @@ class TestDeterminism:
         for x, y in ((a.diffuse, b.diffuse), (a.specular, b.specular),
                      (da.labels, db.labels)):
             assert x.tobytes() == y.tobytes()
+
+    @settings(max_examples=30)
+    @given(scene=st.sampled_from(synth.BUILTIN_SCENES), height=st.integers(64, 160),
+           width=st.integers(6, 40), seed=st.integers(0, 2**16), fast=st.booleans(),
+           factor=st.sampled_from([2, 3]))
+    def test_thread_count_property(self, scene, height, width, seed, fast, factor):
+        """Generated images tall enough that every row-chunked stage
+        (field fill, downsample, separation kernel) starts threads: 1, 2
+        and 3 workers give the same bytes on both paths.  The fast path's
+        target edge makes it downsample by ``factor``."""
+        img = synth.add_noise(synth.render(synth.builtin_scene(scene, width, height)),
+                              3.0, seed=seed)
+        target = -(-height // factor) if fast else 200
+        outputs = []
+        for threads in (1, 2, 3):
+            try:
+                result, diag = run(img, PipelineConfig(fast=fast, target_edge=target,
+                                                       threads=threads))
+            except errors.DespecError as exc:  # each worker count must fail alike
+                outputs.append(repr(exc))
+                continue
+            assert diag.downsampled == fast
+            outputs.append(result.diffuse.tobytes() + result.specular.tobytes()
+                           + result.labels.tobytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 class TestConfigParsing:

@@ -278,6 +278,22 @@ class TestSeparateImage:
         with pytest.raises(errors.ModelMissingError):
             separate_image(img, clusters, {0: model, 1: model}, white, labels=labels)
 
+    def test_missing_model_of_an_unused_cluster_is_not_an_error(self, white):
+        """Only a pixel whose label lacks a model raises, on both paths."""
+        img = olive_image([0.0, 0.1, 0.2, 0.3] * 4, (4, 4))
+        field = specular_free_field(img, white)
+        one = kmeans(field, 1, seed=0)
+        model = model_of(img, one, 0, white)
+        far = np.angle(np.exp(1j * (one.hues[0] + np.pi)))  # nearest to no pixel
+        two = ClusterSet(bounds=one.bounds, owner=one.owner, hues=np.append(one.hues, far),
+                         sizes=np.append(one.sizes, 0))
+        want = separate_image(img, one, {0: model}, white)
+        for labels in (None, field.label_map(one.labels)):
+            got = separate_image(img, two, {0: model}, white, labels=labels)
+            assert np.array_equal(got.diffuse, want.diffuse)
+            assert np.array_equal(got.specular, want.specular)
+            assert np.array_equal(got.labels, want.labels)
+
     def test_pass_through_model(self, white):
         chroma = synth.hue_chromaticity(0.0, saturation=0.005)
         img = np.broadcast_to(0.6 * chroma, (8, 8, 3)).copy()
