@@ -49,9 +49,6 @@ def run_rows(fn, height: int, threads: int) -> None:
         fn(slice(0, height))
         return
     blocks = row_slices(height, threads)
-    if len(blocks) == 1:
-        fn(blocks[0])
-        return
     with ThreadPoolExecutor(max_workers=min(len(blocks), os.cpu_count() or 1)) as pool:
         # consume results so worker exceptions propagate
         list(pool.map(fn, blocks))

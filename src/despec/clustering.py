@@ -22,8 +22,9 @@ segment sums, and the fit check and model estimation read slices.
 
 from __future__ import annotations
 
+import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -132,16 +133,14 @@ class ClusterSet:
         return [slice(b[i], b[i + 1]) for i in np.flatnonzero(self.owner == cluster_id)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitDiagnostics:
     """How well a ClusterSet explains the image under the color model."""
 
     failing_fractions: np.ndarray  # per cluster: fraction of pixels deviating
     total_error: float             # sum of unit-circle residuals
-    iterations: int = 0
     converged: bool = True
-    k_history: list = field(default_factory=list)
-    lloyd_iterations: list = field(default_factory=list)  # one count per round
+    rounds: list = field(default_factory=list)  # adaptive_cluster's, one dict each
 
 
 @dataclass
@@ -431,6 +430,9 @@ def adaptive_cluster(field: SpecularFreeField,
     are merged into their nearest neighbor.  If the iteration cap is hit
     with failing clusters remaining, a NoConvergenceWarning is issued and
     the best clustering so far is returned with ``converged=False``.
+    The fit returned is the final clusters', with one dict per round in
+    ``rounds``: its ``k``, ``lloyd_iterations``, ``failing`` clusters,
+    ``fit_error`` and ``seconds``.
     """
     cfg = cfg or ClusterConfig()
     n_valid = len(field.hue)
@@ -443,18 +445,14 @@ def adaptive_cluster(field: SpecularFreeField,
         )
 
     k = cfg.initial_k
-    clusters = None
-    diag = None
-    history: list[int] = []
-    lloyd: list[int] = []
-    iterations = 0
+    rounds: list[dict] = []
     for _ in range(cfg.max_iterations):
-        iterations += 1
-        history.append(k)
+        start = time.perf_counter()
         clusters = kmeans(field, k, seed=cfg.seed)
-        lloyd.append(clusters.iterations)
-        diag = evaluate_fit(field, clusters, cfg.tau_dev, cfg.tau_frac)
-        failing = int(np.sum(diag.failing_fractions > cfg.tau_frac))
+        fit = evaluate_fit(field, clusters, cfg.tau_dev, cfg.tau_frac)
+        failing = int(np.sum(fit.failing_fractions > cfg.tau_frac))
+        rounds.append({"k": k, "lloyd_iterations": clusters.iterations, "failing": failing,
+                       "fit_error": fit.total_error, "seconds": time.perf_counter() - start})
         if failing == 0:
             break
         next_k = clusters.n_clusters + failing
@@ -462,20 +460,13 @@ def adaptive_cluster(field: SpecularFreeField,
             next_k = k + failing
         k = min(next_k, n_valid)
 
-    converged = bool(np.all(diag.failing_fractions <= cfg.tau_frac))
+    converged = fit.converged  # the last round's, not the merged set's
     if not converged:
-        warnings.warn(
-            f"adaptive clustering did not converge after {iterations} iterations",
-            NoConvergenceWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"adaptive clustering did not converge after {len(rounds)} iterations",
+                      NoConvergenceWarning, stacklevel=2)
 
     merged = _merge_small_clusters(clusters, field, min_size)
     if merged is not clusters:
         clusters = merged
-        diag = evaluate_fit(field, clusters, cfg.tau_dev, cfg.tau_frac)
-    diag.iterations = iterations
-    diag.converged = converged
-    diag.k_history = history
-    diag.lloyd_iterations = lloyd
-    return clusters, diag
+        fit = evaluate_fit(field, clusters, cfg.tau_dev, cfg.tau_frac)
+    return clusters, replace(fit, converged=converged, rounds=rounds)

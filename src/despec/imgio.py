@@ -169,7 +169,7 @@ def _save_ppm(img: np.ndarray, path, maxval: int) -> int:
     def fill(rows, out):
         nonlocal clipped
         q = quant[:len(out)]
-        np.multiply(img[rows], maxval, out=q)
+        np.multiply(img[rows], maxval, out=q, dtype=np.float64)  # widened first
         q += 0.5
         np.floor(q, out=q)  # round half up
         clipped += int(np.count_nonzero(q > maxval))
@@ -200,7 +200,7 @@ def save(img, path, format: str | None = None) -> int:
     extension (.pfm -> pfm, .ppm -> ppm16).  Only integer formats ever
     clip; values above 1.0 survive a PFM round trip untouched.
     """
-    img = np.asarray(img, dtype=np.float64)
+    img = np.asarray(img)  # each band converts as if from a float64 copy
     if img.ndim != 3 or img.shape[2] != 3:
         raise UnsupportedFormatError(f"image shape {img.shape} is not (H, W, 3)")
     if format is None:

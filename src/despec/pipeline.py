@@ -18,7 +18,7 @@ import numpy as np
 
 from ._keyvalue import key_values, numbers, read_text
 from ._parallel import resolve_threads, run_chunks
-from .clustering import ClusterConfig, adaptive_cluster, specular_free_field
+from .clustering import ClusterConfig, FitDiagnostics, adaptive_cluster, specular_free_field
 from .errors import ConfigError
 from .model import IlluminationBasis, white_balance
 from .recovery import RecoveryConfig, SeparationResult, estimate_models, separate_image
@@ -42,33 +42,47 @@ class PipelineConfig:
     threads: int = 0  # 0 = all available cores
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineDiagnostics:
-    iterations: int
-    converged: bool
+    """One run: the seconds of each stage of :func:`run`, in order, and the
+    final clusters' fit check, with its adaptive rounds in ``fit.rounds``."""
+
+    stages: dict
+    fit: FitDiagnostics
     n_clusters: int
     n_passthrough: int
-    total_fit_error: float
-    k_history: list
-    clustering_seconds: float
-    total_seconds: float
-    downsampled: bool = False
-    labels: np.ndarray | None = None  # final per-pixel cluster labels
-    lloyd_iterations: list = field(default_factory=list)  # per adaptive round
+    downsampled: bool
+    labels: np.ndarray  # (H, W) per-pixel cluster labels
+
+    @property
+    def k_history(self) -> list[int]:
+        return [r["k"] for r in self.fit.rounds]
+
+    @property
+    def clustering_seconds(self) -> float:
+        return sum(self.stages[name] for name in ("downsample", "field", "cluster"))
+
+    @property
+    def total_seconds(self) -> float:  # every stage after input validation
+        return sum(seconds for name, seconds in self.stages.items() if name != "validate")
 
     def to_lines(self) -> list[str]:
+        def per_round(key):
+            return ",".join(str(r[key]) for r in self.fit.rounds)
+
         return [
-            f"iterations = {self.iterations}",
-            f"converged = {str(self.converged).lower()}",
+            f"iterations = {len(self.fit.rounds)}",
+            f"converged = {str(self.fit.converged).lower()}",
             f"clusters = {self.n_clusters}",
             f"passthrough_clusters = {self.n_passthrough}",
-            f"total_fit_error = {self.total_fit_error:.6g}",
-            f"k_history = {','.join(str(k) for k in self.k_history)}",
-            f"lloyd_iterations = {','.join(str(n) for n in self.lloyd_iterations)}",
+            f"total_fit_error = {self.fit.total_error:.6g}",
+            f"k_history = {per_round('k')}",
+            f"lloyd_iterations = {per_round('lloyd_iterations')}",
             f"clustering_seconds = {self.clustering_seconds:.6f}",
             f"total_seconds = {self.total_seconds:.6f}",
             f"downsampled = {str(self.downsampled).lower()}",
-        ]
+            f"failing_clusters = {per_round('failing')}",
+        ] + [f"stage_{name}_seconds = {seconds:.6f}" for name, seconds in self.stages.items()]
 
 
 def parse_illumination(spec: str) -> tuple[IlluminationBasis, tuple[float, ...] | None]:
@@ -139,41 +153,40 @@ def run(img, cfg: PipelineConfig | None = None
     the working image (the input after any requested white balance)
     exactly, and both parts are nonnegative.
     """
+    stages: dict[str, float] = {}
+    marks = [time.perf_counter()]
+
+    def lap(stage: str) -> None:  # the seconds since the previous lap
+        marks.append(time.perf_counter())
+        stages[stage] = marks[-1] - marks[-2]
+
     cfg = cfg or PipelineConfig()
     _check_config(cfg)
     img = _validate_input(img)
     threads = resolve_threads(cfg.threads)
     basis, divide = parse_illumination(cfg.illumination)
     factor = int(np.ceil(max(img.shape[:2]) / cfg.target_edge)) if cfg.fast else 1
-    t0 = time.perf_counter()
+    lap("validate")
     if divide is not None:
         img = white_balance(img, divide)
-
-    t_cluster = time.perf_counter()
-    field = specular_free_field(box_downsample(img, factor, threads), basis, threads=threads)
+    lap("white_balance")
+    small = box_downsample(img, factor, threads)
+    lap("downsample")
+    field = specular_free_field(small, basis, threads=threads)
+    lap("field")
     clusters, fit = adaptive_cluster(field, cfg.cluster)
-    clustering_seconds = time.perf_counter() - t_cluster
-
+    lap("cluster")
     models = estimate_models(field, clusters, basis, cfg.recovery)
+    lap("models")
     labels = field.label_map(clusters.labels) if factor == 1 else None
-    del field  # not read again; free it before the full-resolution pass
+    del small, field  # not read again; free them before the full-resolution pass
+    lap("label_map")
     result = separate_image(img, clusters, models, basis, threads=threads, labels=labels)
-    total_seconds = time.perf_counter() - t0
-
-    diag = PipelineDiagnostics(
-        iterations=fit.iterations,
-        converged=fit.converged,
-        n_clusters=clusters.n_clusters,
+    lap("separate")
+    return result, PipelineDiagnostics(
+        stages=stages, fit=fit, n_clusters=clusters.n_clusters,
         n_passthrough=sum(1 for m in models.values() if m is None),
-        total_fit_error=fit.total_error,
-        k_history=list(fit.k_history),
-        clustering_seconds=clustering_seconds,
-        total_seconds=total_seconds,
-        downsampled=factor > 1,
-        labels=result.labels,
-        lloyd_iterations=list(fit.lloyd_iterations),
-    )
-    return result, diag
+        downsampled=factor > 1, labels=result.labels)
 
 
 # --- the pipeline's knobs: one table row each ---

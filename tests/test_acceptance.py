@@ -84,7 +84,7 @@ def corpus(scene: str, sigma: float) -> Measurement:
         psnr_diffuse=psnr(result.diffuse, gt.diffuse),
         psnr_specular=psnr(result.specular, gt.specular),
         accuracy=cluster_accuracy(diag.labels, gt.labels),
-        iterations=diag.iterations,
+        iterations=len(diag.fit.rounds),
         n_clusters=diag.n_clusters,
         clustering_seconds=diag.clustering_seconds,
         total_seconds=diag.total_seconds,

@@ -192,6 +192,22 @@ class TestRemove:
                                "not a file in a writable directory\n"
         assert not any(path.exists() for path in paths.values())
 
+    @pytest.mark.filterwarnings("ignore::despec.errors.NoConvergenceWarning")
+    def test_too_many_labels_leave_no_partial_output(self, tmp_path, capsys):
+        """A run that ends with more clusters than an 8-bit label map holds
+        exits 3 before it writes any of its outputs."""
+        assert main(["synth", "four-materials", "-o", str(tmp_path / "scene"),
+                     "--width", "64", "--height", "48", "--sigma", "3"]) == 0
+        capsys.readouterr()
+        paths = {"-d": tmp_path / "d.pfm", "-s": tmp_path / "s.pfm", "-l": tmp_path / "l.ppm"}
+        argv = ["remove", str(tmp_path / "scene" / "input.pfm"),
+                "--tau-dev", "0", "--min-cluster-size", "1"]
+        for flag, path in paths.items():
+            argv += [flag, str(path)]
+        assert main(argv) == 3
+        assert "labels exceed an 8-bit label map" in one_error_line(capsys)
+        assert not any(path.exists() for path in paths.values())
+
     def test_missing_input_exits_3(self, tmp_path, capsys):
         rc = main(["remove", str(tmp_path / "absent.pfm"),
                    "-d", str(tmp_path / "d.pfm"), "-s", str(tmp_path / "s.pfm")])
@@ -342,6 +358,10 @@ class TestBench:
         captured = capsys.readouterr()
         assert stdout_value(captured.out, "runs") == "2"
         assert float(stdout_value(captured.out, "median_seconds")) > 0.0
+        stages = [line for line in captured.out.splitlines() if line.startswith("stage_")]
+        assert [line.split("_seconds = ")[0] for line in stages] == [
+            f"stage_{name}" for name in ("validate", "white_balance", "downsample", "field",
+                                         "cluster", "models", "label_map", "separate")]
 
     @pytest.mark.parametrize("repeats", ["0", "-3"])
     def test_no_repeats_exits_4_before_any_run(self, capsys, monkeypatch, repeats):

@@ -298,17 +298,18 @@ class TestAdaptiveCluster:
         field = specular_free_field(gt.input, white)
         clusters, diag = adaptive_cluster(field)
         assert diag.converged
-        assert diag.iterations <= 5
+        assert len(diag.rounds) <= 5
         assert clusters.n_clusters == 4
-        assert diag.k_history == sorted(diag.k_history)
-        assert len(set(diag.k_history)) == len(diag.k_history)  # strictly growing
+        k_history = [r["k"] for r in diag.rounds]
+        assert k_history == sorted(k_history)
+        assert len(set(k_history)) == len(k_history)  # strictly growing
         assert cluster_accuracy(field.label_map(clusters.labels), gt.labels) >= 0.99
 
     def test_single_material_stops_at_one(self, white):
         gt = synth.render(synth.builtin_scene("single-1", 64, 48))
         clusters, diag = cluster(gt.input, white)
         assert clusters.n_clusters == 1
-        assert diag.iterations == 1
+        assert len(diag.rounds) == 1
         assert diag.converged
 
     def test_highlight_does_not_split_a_material(self, white):
@@ -351,7 +352,7 @@ class TestAdaptiveCluster:
         with pytest.warns(errors.NoConvergenceWarning):
             clusters, diag = cluster(gt.input, white, cfg)
         assert not diag.converged
-        assert diag.iterations == 1
+        assert len(diag.rounds) == 1
         assert clusters.n_clusters >= 1  # best effort still returned
 
     def test_all_flagged_image_rejected(self, white):

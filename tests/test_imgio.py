@@ -268,6 +268,16 @@ class TestBandedSave:
         assert clipped == want_clipped
         assert format == "pfm" or clipped > 0
 
+    @pytest.mark.parametrize("format", ["pfm", "ppm8", "ppm16"])
+    def test_float32_bytes_equal_float64_conversion(self, tmp_path, format):
+        """Each band is widened to float64 as it is written, with the bits
+        of converting the whole image first."""
+        rng = np.random.default_rng(4)
+        img = rng.uniform(-0.2, 1.3, (2 * BAND_ROWS + 3, 5, 3)).astype(np.float32)
+        clipped = save(img, tmp_path / "a.img", format=format)
+        assert clipped == save(img.astype(np.float64), tmp_path / "b.img", format=format)
+        assert (tmp_path / "a.img").read_bytes() == (tmp_path / "b.img").read_bytes()
+
     @pytest.mark.parametrize("height", HEIGHTS)
     @pytest.mark.parametrize("top", [0, 5, 254])
     def test_label_map_bytes_equal_whole_conversion(self, tmp_path, top, height):
@@ -287,6 +297,13 @@ class TestBandedSave:
         img = np.random.default_rng(9).random((1024, 1024, 3))
         # the whole-image conversion held a float64 quantized copy
         assert peak_bytes(lambda: save(img, tmp_path / "a.ppm", format=format)) < img.nbytes / 8
+
+    @pytest.mark.parametrize("format", ["pfm", "ppm8", "ppm16"])
+    def test_float32_save_holds_no_widened_copy(self, tmp_path, format):
+        # 2048 rows, so that one float64 band is 1/16 of the float32 raster
+        img = np.random.default_rng(9).random((2048, 512, 3), dtype=np.float32)
+        peak = peak_bytes(lambda: save(img, tmp_path / "a.img", format=format))
+        assert peak < img.nbytes / 8
 
     def test_label_save_holds_no_gray_copy(self, tmp_path):
         labels = np.random.default_rng(9).integers(-2, 6, (1024, 1024)).astype(np.int32)

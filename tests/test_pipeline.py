@@ -1,8 +1,10 @@
 """End-to-end pipeline, fast path, and configuration parsing."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from despec import errors, synth
@@ -15,7 +17,7 @@ from despec.clustering import (
     specular_free_field,
 )
 from despec.metrics import cluster_accuracy, psnr
-from despec.model import IlluminationBasis
+from despec.model import EPS_BLACK, IlluminationBasis, _norm3
 from despec.pipeline import (
     PipelineConfig,
     box_downsample,
@@ -163,7 +165,7 @@ class TestFullPipeline:
         result, diag = run(img)
         assert np.abs(result.diffuse + result.specular - img).max() <= 1e-12
         assert result.diffuse.min() >= 0 and result.specular.min() >= 0
-        assert diag.converged
+        assert diag.fit.converged
         assert diag.n_clusters == 4
         assert diag.labels.shape == img.shape[:2]
         assert diag.k_history[0] == 1
@@ -177,8 +179,8 @@ class TestFullPipeline:
         """One count per adaptive round, as one value or a comma list."""
         gt = synth.render(synth.builtin_scene(scene, 200, 140))
         _, diag = run(synth.add_noise(gt, 3.0, seed=0), PipelineConfig(threads=1))
-        counts = diag.lloyd_iterations
-        assert len(counts) == len(diag.k_history) == diag.iterations
+        counts = [r["lloyd_iterations"] for r in diag.fit.rounds]
+        assert len(counts) == len(diag.k_history) == len(diag.fit.rounds)
         assert all(1 <= n <= KMEANS_MAX_ITER for n in counts)
         line = f"lloyd_iterations = {','.join(str(n) for n in counts)}"
         assert line in diag.to_lines()
@@ -288,6 +290,37 @@ class TestDeterminism:
             outputs.append(result.diffuse.tobytes() + result.specular.tobytes()
                            + result.labels.tobytes())
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@lru_cache(maxsize=None)
+def scale_base(scene: str, fast: bool):
+    """(config, image, result, diagnostics) of one unscaled 200x120 run,
+    with a black and a gray pixel planted; the fast path downsamples by 4."""
+    img = synth.add_noise(synth.render(synth.builtin_scene(scene, 200, 120)), 3.0, seed=0)
+    img[0, 0] = 0.0
+    img[0, 1] = [0.4, 0.4, 0.4]
+    cfg = PipelineConfig(fast=fast, target_edge=60, threads=1)
+    return (cfg, img, *run(img, cfg))
+
+
+class TestScaleEquivariance:
+    @settings(max_examples=24)
+    @given(scene=st.sampled_from(["four-materials", "over-seg", "single-1"]),
+           fast=st.booleans(), j=st.integers(-24, 64))
+    def test_power_of_two_scale_property(self, scene, fast, j):
+        """Scaling the input by 2**j keeps every label and scales both
+        parts by exactly 2**j: chromaticity does not depend on scale, and
+        the kernel is products, clips and one subtraction.  It holds while
+        no pixel crosses EPS_BLACK; the drawn range of j keeps every value
+        far from overflow and from subnormals."""
+        cfg, img, base, base_diag = scale_base(scene, fast)
+        scale = 2.0 ** j
+        assume(np.array_equal(_norm3(img) <= EPS_BLACK, _norm3(img * scale) <= EPS_BLACK))
+        result, diag = run(img * scale, cfg)
+        assert diag.downsampled == fast
+        assert np.array_equal(diag.labels, base_diag.labels)
+        assert np.array_equal(result.diffuse, base.diffuse * scale)
+        assert np.array_equal(result.specular, base.specular * scale)
 
 
 class TestConfigParsing:
