@@ -1,12 +1,12 @@
-"""Row-blocked execution helper.
+"""Row-chunked execution on one fixed schedule.
 
-Per-pixel stages are written as functions over a row slice that write
-into preallocated output arrays.  Because every operation inside those
-functions is elementwise (no reductions across pixels), splitting the
-image into row blocks and running the blocks on a thread pool produces
-bit-identical results for any worker count.  :func:`run_chunks` walks
-each block in short row chunks, so a stage's temporaries stay small and
-cache-resident however large the image is.
+Per-pixel stages are written as functions over a row slice.  Every
+operation inside those functions is elementwise (no reductions across
+pixels), and the image is always cut into the same CHUNK_ROWS-row
+chunks at absolute rows 0, 16, 32, ..., whatever the worker count.  So
+each chunk computes the same bits on any thread, and results are
+byte-identical for any worker count.  Short chunks also keep a stage's
+temporaries small and cache-resident however large the image is.
 """
 
 from __future__ import annotations
@@ -33,31 +33,15 @@ def resolve_threads(requested: int) -> int:
     return os.cpu_count() or 1
 
 
-def row_slices(height: int, workers: int) -> list[slice]:
-    workers = max(1, min(workers, height))
-    step = (height + workers - 1) // workers
-    return [slice(i, min(i + step, height)) for i in range(0, height, step)]
+def run_rows(fn, height: int, threads: int) -> list:
+    """[fn(rows) for each CHUNK_ROWS-row slice of [0, height)], in row order.
 
-
-def run_rows(fn, height: int, threads: int) -> None:
-    """Call fn(rows) for contiguous row slices covering [0, height).
-
-    The rows are split into ``threads`` blocks, but the pool never holds
-    more workers than there are cores.
+    The chunks run on a pool of at most ``threads`` workers, never more
+    than there are chunks or cores; with one worker they run inline.
     """
-    if threads <= 1 or height < 64:
-        fn(slice(0, height))
-        return
-    blocks = row_slices(height, threads)
-    with ThreadPoolExecutor(max_workers=min(len(blocks), os.cpu_count() or 1)) as pool:
-        # consume results so worker exceptions propagate
-        list(pool.map(fn, blocks))
-
-
-def run_chunks(fn, height: int, threads: int) -> None:
-    """Like run_rows, but each block calls fn on CHUNK_ROWS-row slices."""
-    def walk(rows):
-        for r in range(rows.start, rows.stop, CHUNK_ROWS):
-            fn(slice(r, min(r + CHUNK_ROWS, rows.stop)))
-
-    run_rows(walk, height, threads)
+    chunks = [slice(r, min(r + CHUNK_ROWS, height)) for r in range(0, height, CHUNK_ROWS)]
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(rows) for rows in chunks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, chunks))

@@ -65,6 +65,8 @@ def cmd_remove(args) -> int:
         img = np.power(img, 2.2)  # lossy convenience path for gamma-encoded input
     cfg = _config_from_args(args)
     _check_outputs(args.diffuse, args.specular, args.labels, args.report)
+    for path in (args.diffuse, args.specular):
+        imgio.save_format(path)  # an unknown extension fails before the run
     result, diag = pipeline.run(img, cfg)
     if args.labels:  # first: it refuses over 255 labels before writing anything
         imgio.save_labels(diag.labels, args.labels)

@@ -29,8 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._parallel import run_chunks
-from .errors import NoConvergenceWarning, TooFewPixelsError
+from ._parallel import run_rows
+from .errors import ConfigError, NoConvergenceWarning, TooFewPixelsError
 from .model import EPS_BLACK, EPS_GRAY, IlluminationBasis, _norm3
 
 # flags marking pixels excluded from clustering
@@ -192,16 +192,15 @@ def specular_free_field(img, basis: IlluminationBasis, threads: int = 1) -> Spec
     img = np.asarray(img, dtype=np.float64)
     width = img.shape[1]
     flags = np.empty(img.shape[:2], dtype=np.uint8)
-    parts = {}  # first row of a chunk -> its valid [hue, amplitude, parallel, pixel]
 
     def fill(rows):
+        """The chunk's valid [hue, amplitude, parallel, pixel]."""
         hue, amp, par, flags[rows] = split_block(img[rows], basis)
         valid = flags[rows] == FLAG_VALID
         pixel = (np.flatnonzero(valid) + rows.start * width).astype(np.int32)
-        parts[rows.start] = [hue[valid], amp[valid], par[valid], pixel]
+        return [hue[valid], amp[valid], par[valid], pixel]
 
-    run_chunks(fill, img.shape[0], threads)
-    chunks = [parts[start] for start in sorted(parts)]
+    chunks = run_rows(fill, img.shape[0], threads)
 
     def column(dtype=np.float64):
         """The chunks' next array, joined in row-major order; the pieces go."""
@@ -324,7 +323,10 @@ def kmeans(field: SpecularFreeField, k: int, seed: int = 0) -> ClusterSet:
     whose hues cancel, is reseeded from the point farthest from its own
     center; surplus clusters the data cannot support are dropped and
     labels compacted.  The loop stops when an assignment repeats.
+    Raises ValueError when ``k`` is below 1.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k!r}")
     hue = field.hue
     n = len(hue)
     if n == 0:
@@ -432,9 +434,13 @@ def adaptive_cluster(field: SpecularFreeField,
     the best clustering so far is returned with ``converged=False``.
     The fit returned is the final clusters', with one dict per round in
     ``rounds``: its ``k``, ``lloyd_iterations``, ``failing`` clusters,
-    ``fit_error`` and ``seconds``.
+    ``fit_error`` and ``seconds``.  ``initial_k`` or ``max_iterations``
+    below 1 raises ConfigError.
     """
     cfg = cfg or ClusterConfig()
+    for name in ("initial_k", "max_iterations"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)!r}")
     n_valid = len(field.hue)
     min_size = cfg.min_cluster_size
     if min_size is None:

@@ -193,16 +193,14 @@ def _save_pfm(img: np.ndarray, path) -> int:
     return 0
 
 
-def save(img, path, format: str | None = None) -> int:
-    """Write an image; returns the count of clipped samples.
+_MAXVAL = {"pfm": None, "ppm16": 65535, "ppm8": 255}  # None: float samples
 
-    ``format`` is "ppm8", "ppm16" or "pfm"; None infers from the
-    extension (.pfm -> pfm, .ppm -> ppm16).  Only integer formats ever
-    clip; values above 1.0 survive a PFM round trip untouched.
-    """
-    img = np.asarray(img)  # each band converts as if from a float64 copy
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise UnsupportedFormatError(f"image shape {img.shape} is not (H, W, 3)")
+
+def save_format(path, format: str | None = None) -> str:
+    """The format ``save`` writes ``path`` in: ``format`` ("ppm8",
+    "ppm16" or "pfm") if given, else inferred from the extension (.pfm
+    -> pfm, .ppm -> ppm16).  Raises UnsupportedFormatError for an
+    unknown format or extension, so callers can check before any work."""
     if format is None:
         lower = str(path).lower()
         if lower.endswith(".pfm"):
@@ -211,13 +209,21 @@ def save(img, path, format: str | None = None) -> int:
             format = "ppm16"
         else:
             raise UnsupportedFormatError(f"cannot infer format for {path}")
-    if format == "pfm":
-        return _save_pfm(img, path)
-    if format == "ppm16":
-        return _save_ppm(img, path, 65535)
-    if format == "ppm8":
-        return _save_ppm(img, path, 255)
-    raise UnsupportedFormatError(f"unknown format {format!r}")
+    if format not in _MAXVAL:
+        raise UnsupportedFormatError(f"unknown format {format!r}")
+    return format
+
+
+def save(img, path, format: str | None = None) -> int:
+    """Write an image in ``save_format(path, format)``; returns the
+    count of clipped samples.  Only integer formats ever clip; values
+    above 1.0 survive a PFM round trip untouched.
+    """
+    img = np.asarray(img)  # each band converts as if from a float64 copy
+    if img.ndim != 3 or img.shape[2] != 3:
+        raise UnsupportedFormatError(f"image shape {img.shape} is not (H, W, 3)")
+    maxval = _MAXVAL[save_format(path, format)]
+    return _save_pfm(img, path) if maxval is None else _save_ppm(img, path, maxval)
 
 
 def save_labels(labels, path) -> None:

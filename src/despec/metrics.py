@@ -19,12 +19,16 @@ def psnr(result, truth) -> float:
     """Peak signal-to-noise ratio in dB against a peak of 1.0.
 
     Computed over all pixels and channels.  Returns math.inf when the
-    mean squared error is below MSE_EXACT.
+    mean squared error is below MSE_EXACT.  Raises ValueError when either
+    image holds a NaN or an infinity.
     """
     result = np.asarray(result, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if result.shape != truth.shape:
         raise DimensionMismatchError(f"shape {result.shape} vs {truth.shape}")
+    for name, img in (("result", result), ("truth", truth)):
+        if not np.isfinite(img).all():
+            raise ValueError(f"{name} image contains non-finite values (NaN or inf)")
     mse = float(np.mean((result - truth) ** 2))
     if mse < MSE_EXACT:
         return math.inf
@@ -32,19 +36,20 @@ def psnr(result, truth) -> float:
 
 
 def cluster_accuracy(labels, truth_labels) -> float:
-    """Fraction of non-flagged pixels whose cluster maps onto the right
-    material.
+    """Fraction of pixels, flagged in neither map, whose cluster maps
+    onto the right material.
 
     Every predicted cluster claims the ground-truth material it overlaps
     most; a material may be claimed by several clusters, so splitting a
     material across clusters is not penalized, only mixing materials is.
-    Pixels with negative predicted labels (flagged) are excluded.
+    Pixels flagged (negative) in either map are excluded: flagged
+    predictions, and truth pixels that ``load_labels`` reads as -1.
     """
     labels = np.asarray(labels)
     truth_labels = np.asarray(truth_labels)
     if labels.shape != truth_labels.shape:
         raise DimensionMismatchError(f"shape {labels.shape} vs {truth_labels.shape}")
-    valid = labels >= 0
+    valid = (labels >= 0) & (truth_labels >= 0)
     n_valid = int(valid.sum())
     if n_valid == 0:
         return 0.0

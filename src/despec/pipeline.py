@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._keyvalue import key_values, numbers, read_text
-from ._parallel import resolve_threads, run_chunks
+from ._parallel import resolve_threads, run_rows
 from .clustering import ClusterConfig, FitDiagnostics, adaptive_cluster, specular_free_field
 from .errors import ConfigError
 from .model import IlluminationBasis, white_balance
@@ -134,7 +134,7 @@ def box_downsample(img: np.ndarray, factor: int, threads: int = 1) -> np.ndarray
                     out += part[:, i, :, j, :]
         out /= factor * factor
 
-    run_chunks(fill, len(total), threads)
+    run_rows(fill, len(total), threads)
     return total
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import run_chunks
+from ._parallel import run_rows
 from .errors import (
     DegenerateRatioError,
     EmptyClusterError,
@@ -263,5 +263,5 @@ def separate_image(img, clusters: ClusterSet, models: dict,
             if miss.any():
                 np.subtract(b, dif, out=sp, where=miss)
 
-    run_chunks(fill, img.shape[0], threads)
+    run_rows(fill, img.shape[0], threads)
     return SeparationResult(diffuse=diffuse, specular=specular, labels=labels)

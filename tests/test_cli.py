@@ -192,6 +192,23 @@ class TestRemove:
                                "not a file in a writable directory\n"
         assert not any(path.exists() for path in paths.values())
 
+    @pytest.mark.parametrize("flag", ["-d", "-s"])
+    def test_unknown_output_format_leaves_no_partial_output(self, tmp_path, capsys, flag):
+        """An image output whose format cannot be inferred exits 3 before
+        the pipeline runs, so the other output is not written either."""
+        out = synth_dir(tmp_path)
+        capsys.readouterr()
+        paths = {"-d": tmp_path / "d.pfm", "-s": tmp_path / "s.pfm", "-l": tmp_path / "l.ppm"}
+        paths[flag] = paths[flag].with_suffix(".png")
+        argv = ["remove", str(out / "input.pfm")]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"despec: error: cannot infer format for {paths[flag]}\n"
+        assert not any(path.exists() for path in paths.values())
+
     @pytest.mark.filterwarnings("ignore::despec.errors.NoConvergenceWarning")
     def test_too_many_labels_leave_no_partial_output(self, tmp_path, capsys):
         """A run that ends with more clusters than an 8-bit label map holds
@@ -340,6 +357,20 @@ class TestEval:
                    "--truth-diffuse", str(tmp_path / "b.pfm")])
         assert rc == 6
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_result_exits_2(self, tmp_path, capsys, bad):
+        img = np.full((4, 4, 3), 0.5)
+        imgio.save(img, tmp_path / "truth.pfm")
+        img[2, 1, 1] = bad
+        imgio.save(img, tmp_path / "d.pfm")
+        rc = main(["eval", "--diffuse", str(tmp_path / "d.pfm"),
+                   "--truth-diffuse", str(tmp_path / "truth.pfm")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "despec: error: result image contains non-finite values " \
+                               "(NaN or inf)\n"
 
     def test_unwritable_record_exits_3(self, tmp_path, capsys):
         imgio.save(np.full((4, 4, 3), 0.5), tmp_path / "a.pfm")

@@ -179,6 +179,12 @@ class TestKmeans:
         assert clusters.sizes.tolist() == [100]
         assert np.allclose(clusters.hues[0], OLIVE_HUE, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_count_below_one_rejected(self, k):
+        field = make_field(np.full((4, 4), OLIVE_HUE))
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            kmeans(field, k)
+
     def test_four_separated_values_exact_partition(self, white):
         """Four directions 90 degrees apart must be recovered exactly;
         the oracle is brute-force nearest-center assignment."""
@@ -304,6 +310,13 @@ class TestAdaptiveCluster:
         assert k_history == sorted(k_history)
         assert len(set(k_history)) == len(k_history)  # strictly growing
         assert cluster_accuracy(field.label_map(clusters.labels), gt.labels) >= 0.99
+
+    @pytest.mark.parametrize("name", ["initial_k", "max_iterations"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_count_below_one_is_a_config_error(self, name, value):
+        field = make_field(np.full((4, 4), OLIVE_HUE))
+        with pytest.raises(errors.ConfigError, match=f"{name} must be >= 1, got {value}"):
+            adaptive_cluster(field, ClusterConfig(**{name: value}))
 
     def test_single_material_stops_at_one(self, white):
         gt = synth.render(synth.builtin_scene("single-1", 64, 48))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from despec import errors
-from despec.imgio import BAND_ROWS, load, load_labels, save, save_labels
+from despec.imgio import BAND_ROWS, load, load_labels, save, save_format, save_labels
 
 
 def write(path, payload: bytes):
@@ -180,6 +180,15 @@ class TestSave:
             save(img, tmp_path / "a.jpg")
         with pytest.raises(errors.UnsupportedFormatError):
             save(img, tmp_path / "a.ppm", format="png")
+
+    def test_save_format(self):
+        """The format a save would use, resolved before any image exists."""
+        assert save_format("a.PFM") == "pfm"
+        assert save_format("a.ppm") == "ppm16"
+        assert save_format("a.jpg", "ppm8") == "ppm8"
+        for args in (("a.jpg",), ("a.ppm", "png")):
+            with pytest.raises(errors.UnsupportedFormatError):
+                save_format(*args)
 
     def test_bad_shape(self, tmp_path):
         with pytest.raises(errors.UnsupportedFormatError):

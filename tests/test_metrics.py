@@ -31,6 +31,14 @@ class TestPsnr:
         truth = np.full((8, 8, 3), 0.4)
         assert psnr(truth + 1e-12, truth) == math.inf  # MSE 1e-24 under the floor
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("side", ["result", "truth"])
+    def test_non_finite_input_rejected(self, bad, side):
+        images = {"result": np.full((4, 4, 3), 0.5), "truth": np.full((4, 4, 3), 0.5)}
+        images[side][1, 2, 0] = bad
+        with pytest.raises(ValueError, match=f"{side} image contains non-finite values"):
+            psnr(images["result"], images["truth"])
+
     def test_shape_mismatch(self):
         with pytest.raises(errors.DimensionMismatchError):
             psnr(np.zeros((4, 4, 3)), np.zeros((4, 5, 3)))
@@ -83,6 +91,14 @@ class TestClusterAccuracy:
         assert cluster_accuracy(pred, truth) == 1.0
         pred[1, :] = 1     # ten genuinely wrong pixels out of 95 valid
         assert cluster_accuracy(pred, truth) == pytest.approx(85 / 95, rel=1e-12)
+
+    def test_flagged_truth_pixels_excluded(self):
+        """A truth pixel read back as -1 (gray 255 in a label map) is no
+        material: it neither counts as one nor breaks the tally."""
+        truth = np.array([[0, -1], [1, 1]])
+        assert cluster_accuracy(np.array([[0, 1], [1, 1]]), truth) == 1.0
+        assert cluster_accuracy(np.array([[0, 0], [1, 0]]), truth) == pytest.approx(2 / 3)
+        assert cluster_accuracy(np.array([[0, 1], [1, 1]]), np.full((2, 2), -1)) == 0.0
 
     def test_all_flagged(self):
         truth = np.zeros((4, 4), dtype=int)

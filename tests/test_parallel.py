@@ -1,23 +1,25 @@
-"""Row-blocked execution: block partition, chunking and worker pool size."""
+"""Row-chunked execution: the fixed chunk schedule and the worker pool size."""
 
 import threading
 
 import pytest
 
 from despec import _parallel
-from despec._parallel import CHUNK_ROWS, row_slices, run_chunks, run_rows
+from despec._parallel import CHUNK_ROWS, run_rows
 
 
 @pytest.mark.parametrize("cores, threads, workers", [
-    (2, 7, 2),     # more blocks than cores: pool capped at the core count
-    (8, 4, 4),     # fewer blocks than cores: one worker per block
-    (None, 3, 1),  # core count unknown: one worker
+    (2, 7, 2),        # more chunks than cores: pool capped at the core count
+    (8, 4, 4),        # fewer threads than cores: one worker per thread
+    (64, 12, 8),      # fewer chunks than threads: one worker per chunk
+    (None, 3, 1),     # core count unknown: one worker, inline
+    (4, 10**9, 4),    # a huge request still gets at most one worker per core
 ])
 def test_pool_capped_at_core_count(monkeypatch, cores, threads, workers):
     sizes = []
 
     class InlinePool:
-        """Records its size and runs the blocks on the calling thread."""
+        """Records its size and runs the chunks on the calling thread."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -33,24 +35,39 @@ def test_pool_capped_at_core_count(monkeypatch, cores, threads, workers):
 
     monkeypatch.setattr(_parallel, "ThreadPoolExecutor", InlinePool)
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: cores)
-    seen = []
     before = threading.active_count()
-    run_rows(seen.append, 128, threads)
+    out = run_rows(lambda rows: rows, 128, threads)
     assert threading.active_count() == before
-    assert sizes == [workers]
-    # the partition follows the requested count, not the pool size
-    assert seen == row_slices(128, threads)
-    assert len(seen) == threads
+    assert sizes == ([workers] if workers > 1 else [])
+    # the chunks follow the height alone, not the pool size
+    assert out == [slice(r, r + CHUNK_ROWS) for r in range(0, 128, CHUNK_ROWS)]
 
 
 @pytest.mark.parametrize("height", [0, 1, 15, 16, 17, 100, 300])
-@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("threads", [1, 2, 3, 7])
 def test_chunks_tile_each_block(height, threads):
+    expected = [slice(r, min(r + CHUNK_ROWS, height)) for r in range(0, height, CHUNK_ROWS)]
     seen = []
-    run_chunks(seen.append, height, threads)
-    rows = sorted(r for s in seen for r in range(s.start, s.stop))
-    assert rows == list(range(height))
-    assert all(0 < s.stop - s.start <= CHUNK_ROWS for s in seen)
-    # no chunk straddles a block boundary
-    blocks = row_slices(height, threads) if threads > 1 and height >= 64 else [slice(0, height)]
-    assert all(any(b.start <= s.start and s.stop <= b.stop for b in blocks) for s in seen)
+    lock = threading.Lock()
+
+    def fn(rows):
+        with lock:
+            seen.append(rows)
+        return rows.start
+
+    out = run_rows(fn, height, threads)
+    assert CHUNK_ROWS == 16
+    assert sorted(seen, key=lambda s: s.start) == expected
+    assert len(seen) == len(expected)
+    assert out == [s.start for s in expected]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_worker_exception_propagates(threads):
+    def fn(rows):
+        if rows.start == 32:
+            raise ZeroDivisionError("chunk 2")
+        return rows.start
+
+    with pytest.raises(ZeroDivisionError, match="chunk 2"):
+        run_rows(fn, 100, threads)

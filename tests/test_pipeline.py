@@ -19,6 +19,7 @@ from despec.clustering import (
 from despec.metrics import cluster_accuracy, psnr
 from despec.model import EPS_BLACK, IlluminationBasis, _norm3
 from despec.pipeline import (
+    OPTIONS,
     PipelineConfig,
     box_downsample,
     config_from_values,
@@ -86,7 +87,7 @@ class TestBoxDownsample:
 
 def planted_image(width=400, height=300):
     """Noisy four-materials scene with a black pixel at (0, 0) and a gray
-    one at (0, 1); tall enough that run_rows starts threads."""
+    one at (0, 1); many 16-row chunks tall, so threaded runs start a pool."""
     gt = synth.render(synth.builtin_scene("four-materials", width, height))
     img = synth.add_noise(gt, 3.0, seed=4)
     img[0, 0] = 0.0
@@ -271,10 +272,11 @@ class TestDeterminism:
            width=st.integers(6, 40), seed=st.integers(0, 2**16), fast=st.booleans(),
            factor=st.sampled_from([2, 3]))
     def test_thread_count_property(self, scene, height, width, seed, fast, factor):
-        """Generated images tall enough that every row-chunked stage
-        (field fill, downsample, separation kernel) starts threads: 1, 2
-        and 3 workers give the same bytes on both paths.  The fast path's
-        target edge makes it downsample by ``factor``."""
+        """Generated images several 16-row chunks tall, so every
+        row-chunked stage (field fill, downsample, separation kernel)
+        starts a pool: 1, 2 and 3 workers give the same bytes on both
+        paths.  The fast path's target edge makes it downsample by
+        ``factor``."""
         img = synth.add_noise(synth.render(synth.builtin_scene(scene, width, height)),
                               3.0, seed=seed)
         target = -(-height // factor) if fast else 200
@@ -290,6 +292,47 @@ class TestDeterminism:
             outputs.append(result.diffuse.tobytes() + result.specular.tobytes()
                            + result.labels.tobytes())
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def option_values(key: str, cap):
+    """Values of option ``key`` from its table range, capped at ``cap``
+    where the table sets no maximum."""
+    opt = next(opt for opt in OPTIONS if opt.key == key)
+    hi = cap if opt.hi is None else opt.hi
+    if opt.kind == "number":
+        return st.floats(opt.lo, hi)
+    return st.integers(int(opt.lo), int(hi))
+
+
+class TestGeneratedSettings:
+    @pytest.mark.filterwarnings("ignore::despec.errors.NoConvergenceWarning")
+    @settings(max_examples=30)
+    @given(scene=st.sampled_from(synth.BUILTIN_SCENES), height=st.integers(17, 48),
+           width=st.integers(4, 24), seed=st.integers(0, 2**16), fast=st.booleans(),
+           target_edge=option_values("target_edge", 60),
+           initial_k=option_values("initial_k", 12),
+           min_cluster_size=st.none() | option_values("min_cluster_size", 300),
+           tau_dev=option_values("tau_dev", 1.5))
+    def test_settings_property(self, scene, height, width, seed, fast, target_edge,
+                               initial_k, min_cluster_size, tau_dev):
+        """Any in-range settings on an image taller than one 16-row chunk,
+        with 2 workers, either fail with a processing error (exit 5) or
+        split the image exactly into nonnegative parts."""
+        img = synth.add_noise(synth.render(synth.builtin_scene(scene, width, height)),
+                              3.0, seed=seed)
+        values = {"fast": str(fast), "target_edge": str(target_edge),
+                  "initial_k": str(initial_k), "tau_dev": repr(tau_dev), "threads": "2",
+                  "min_cluster_size": "auto" if min_cluster_size is None
+                  else str(min_cluster_size)}
+        cfg = config_from_values(values)
+        try:
+            result, diag = run(img, cfg)
+        except errors.DespecError as exc:
+            assert exc.exit_code == 5, repr(exc)
+            return
+        assert np.array_equal(result.diffuse + result.specular, img)
+        assert result.diffuse.min() >= 0.0 and result.specular.min() >= 0.0
+        assert diag.labels.shape == img.shape[:2]
 
 
 @lru_cache(maxsize=None)
