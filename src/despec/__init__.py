@@ -29,7 +29,6 @@ from .clustering import (  # noqa: F401
 )
 from .recovery import (  # noqa: F401
     MaterialModel,
-    RecoveryConfig,
     SeparationResult,
     estimate_models,
     estimate_ratio,

@@ -14,23 +14,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-_ENV_THREADS = "DESPEC_THREADS"
 CHUNK_ROWS = 16
-
-
-def resolve_threads(requested: int) -> int:
-    """Turn a requested worker count into an actual one (0 = auto)."""
-    if requested and requested > 0:
-        return requested
-    env = os.environ.get(_ENV_THREADS)
-    if env:
-        try:
-            n = int(env)
-            if n > 0:
-                return n
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def run_rows(fn, height: int, threads: int) -> list:

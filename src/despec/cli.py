@@ -21,7 +21,7 @@ EXIT_CODES_HELP = """\
 exit codes:
   0  success
   1  unexpected internal error
-  2  usage error (unknown or missing arguments, unusable input data)
+  2  usage error (unknown or missing arguments, unusable input data, two outputs naming one file)
   3  file I/O error (unsupported format, corrupt header, truncated data, unwritable output)
   4  scene or configuration error (bad value, unreadable file)
   5  processing error (too few usable pixels, degenerate colors, out of memory)
@@ -49,14 +49,22 @@ def _config_from_args(args) -> pipeline.PipelineConfig:
     return pipeline.config_from_values(given, cfg)
 
 
-def _check_outputs(*paths) -> None:
-    """Raise IoFailureError unless every given output path names a file
-    in an existing, writable directory, so a run that cannot write all
-    its outputs fails before it writes any."""
-    for path in filter(None, paths):
+def _check_outputs(paths: dict) -> None:
+    """Check the output paths given, keyed by flag, so a run that cannot
+    write all its outputs fails before it writes any: IoFailureError
+    unless each names a file in an existing, writable directory, and
+    ValueError if two name the same file."""
+    flag_of: dict[str, str] = {}
+    for flag, path in paths.items():
+        if path is None:
+            continue
         folder = os.path.dirname(path) or "."
         if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
             raise IoFailureError(f"cannot write {path}: not a file in a writable directory")
+        real = os.path.realpath(path)
+        if real in flag_of:
+            raise ValueError(f"{flag_of[real]} and {flag} both name {path}")
+        flag_of[real] = flag
 
 
 def cmd_remove(args) -> int:
@@ -64,7 +72,8 @@ def cmd_remove(args) -> int:
     if args.gamma_decode:
         img = np.power(img, 2.2)  # lossy convenience path for gamma-encoded input
     cfg = _config_from_args(args)
-    _check_outputs(args.diffuse, args.specular, args.labels, args.report)
+    _check_outputs({"-d": args.diffuse, "-s": args.specular, "-l": args.labels,
+                    "--report": args.report})
     for path in (args.diffuse, args.specular):
         imgio.save_format(path)  # an unknown extension fails before the run
     result, diag = pipeline.run(img, cfg)

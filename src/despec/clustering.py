@@ -43,6 +43,7 @@ LABEL_BLACK = -FLAG_BLACK
 LABEL_ACHROMATIC = -FLAG_ACHROMATIC
 
 KMEANS_MAX_ITER = 100  # Lloyd iterations per k-means run
+TAU_FRAC = 0.1         # failing fraction above which a cluster splits
 BLOCK = 32768          # field entries per block of per-entry temporaries
 
 
@@ -147,7 +148,6 @@ class FitDiagnostics:
 class ClusterConfig:
     initial_k: int = 1
     tau_dev: float = 0.1        # per-pixel unit-circle deviation threshold
-    tau_frac: float = 0.1       # failing fraction above which a cluster splits
     min_cluster_size: int | None = None  # None = adaptive floor
     seed: int = 0
     max_iterations: int = 10    # outer adaptive iterations
@@ -373,11 +373,11 @@ def _cluster_residuals(cos: np.ndarray, sin: np.ndarray, amplitude: np.ndarray,
 
 
 def evaluate_fit(field: SpecularFreeField, clusters: ClusterSet,
-                 tau_dev: float = 0.1, tau_frac: float = 0.1) -> FitDiagnostics:
+                 tau_dev: float = 0.1) -> FitDiagnostics:
     """Per-cluster unit-circle fit check.
 
-    A cluster fails when more than ``tau_frac`` of its pixels deviate
-    from the unit circle by more than ``tau_dev``; failing clusters mix
+    A cluster fails when more than TAU_FRAC of its pixels deviate from
+    the unit circle by more than ``tau_dev``; failing clusters mix
     materials and should be split.
     """
     k = clusters.n_clusters
@@ -393,7 +393,7 @@ def evaluate_fit(field: SpecularFreeField, clusters: ClusterSet,
     return FitDiagnostics(
         failing_fractions=fractions,
         total_error=total,
-        converged=bool(np.all(fractions <= tau_frac)),
+        converged=bool(np.all(fractions <= TAU_FRAC)),
     )
 
 
@@ -455,8 +455,8 @@ def adaptive_cluster(field: SpecularFreeField,
     for _ in range(cfg.max_iterations):
         start = time.perf_counter()
         clusters = kmeans(field, k, seed=cfg.seed)
-        fit = evaluate_fit(field, clusters, cfg.tau_dev, cfg.tau_frac)
-        failing = int(np.sum(fit.failing_fractions > cfg.tau_frac))
+        fit = evaluate_fit(field, clusters, cfg.tau_dev)
+        failing = int(np.sum(fit.failing_fractions > TAU_FRAC))
         rounds.append({"k": k, "lloyd_iterations": clusters.iterations, "failing": failing,
                        "fit_error": fit.total_error, "seconds": time.perf_counter() - start})
         if failing == 0:
@@ -474,5 +474,5 @@ def adaptive_cluster(field: SpecularFreeField,
     merged = _merge_small_clusters(clusters, field, min_size)
     if merged is not clusters:
         clusters = merged
-        fit = evaluate_fit(field, clusters, cfg.tau_dev, cfg.tau_frac)
+        fit = evaluate_fit(field, clusters, cfg.tau_dev)
     return clusters, replace(fit, converged=converged, rounds=rounds)

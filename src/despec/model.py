@@ -96,7 +96,8 @@ def white_balance(img, illum) -> np.ndarray:
     After balancing, the effective illumination direction is white.  The
     result is rescaled by the max illumination component so the brightest
     channel keeps its range.  Raises InvalidIlluminantError if any
-    component of ``illum`` is zero or negative.
+    component of ``illum`` is zero or negative, or so small against the
+    image that the balanced image overflows.
     """
     img = np.asarray(img, dtype=np.float64)
     illum = np.asarray(illum, dtype=np.float64)
@@ -106,4 +107,9 @@ def white_balance(img, illum) -> np.ndarray:
         raise InvalidIlluminantError(
             "illumination color must have strictly positive finite components"
         )
-    return img / illum * float(illum.max())
+    with np.errstate(over="ignore"):
+        balanced = img / illum * float(illum.max())
+    if not np.all(np.isfinite(balanced)):
+        raise InvalidIlluminantError(
+            "white balance overflows: the balanced image has non-finite values")
+    return balanced

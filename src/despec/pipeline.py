@@ -10,6 +10,7 @@ separation is where the output quality lives.
 
 from __future__ import annotations
 
+import os
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -17,11 +18,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._keyvalue import key_values, numbers, read_text
-from ._parallel import resolve_threads, run_rows
+from ._parallel import run_rows
 from .clustering import ClusterConfig, FitDiagnostics, adaptive_cluster, specular_free_field
 from .errors import ConfigError
 from .model import IlluminationBasis, white_balance
-from .recovery import RecoveryConfig, SeparationResult, estimate_models, separate_image
+from .recovery import SeparationResult, estimate_models, separate_image
 
 
 @dataclass
@@ -36,7 +37,6 @@ class PipelineConfig:
 
     illumination: str = "white"
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
-    recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
     fast: bool = False
     target_edge: int = 200
     threads: int = 0  # 0 = all available cores
@@ -144,7 +144,8 @@ def run(img, cfg: PipelineConfig | None = None
 
     With ``cfg.fast`` set, the image is box-filtered by the smallest
     integer factor that brings its long side to at most
-    ``cfg.target_edge``; clusters and material models come from that
+    ``cfg.target_edge``, but never by more than its short side, which
+    keeps one row or column; clusters and material models come from that
     small copy, and the separation labels each full-resolution pixel with
     its nearest center hue as it splits it.  The separation always runs at
     full resolution, in one pass over the image.
@@ -163,9 +164,10 @@ def run(img, cfg: PipelineConfig | None = None
     cfg = cfg or PipelineConfig()
     _check_config(cfg)
     img = _validate_input(img)
-    threads = resolve_threads(cfg.threads)
+    threads = cfg.threads or os.cpu_count() or 1
     basis, divide = parse_illumination(cfg.illumination)
-    factor = int(np.ceil(max(img.shape[:2]) / cfg.target_edge)) if cfg.fast else 1
+    h, w = img.shape[:2]
+    factor = min(int(np.ceil(max(h, w) / cfg.target_edge)), h, w) if cfg.fast else 1
     lap("validate")
     if divide is not None:
         img = white_balance(img, divide)
@@ -176,7 +178,7 @@ def run(img, cfg: PipelineConfig | None = None
     lap("field")
     clusters, fit = adaptive_cluster(field, cfg.cluster)
     lap("cluster")
-    models = estimate_models(field, clusters, basis, cfg.recovery)
+    models = estimate_models(field, clusters, basis)
     lap("models")
     labels = field.label_map(clusters.labels) if factor == 1 else None
     del small, field  # not read again; free them before the full-resolution pass
@@ -212,8 +214,8 @@ class Option:
     ``_`` turned into ``-``.  ``target`` is its place in PipelineConfig
     ("field" or "section.field").  ``parse`` turns text into a value and
     raises ValueError on malformed text; ``kind`` names what it accepts.
-    With ``lo`` set, a value below ``lo``, above ``hi`` (if set) or NaN is
-    rejected; None ("auto") is not checked.
+    With ``lo`` set, a value below ``lo`` or NaN is rejected; None
+    ("auto") is not checked.
     """
 
     key: str
@@ -223,7 +225,6 @@ class Option:
     help: str
     metavar: str | None = None
     lo: float | None = None
-    hi: float | None = None
 
     @property
     def switch(self) -> bool:
@@ -243,23 +244,17 @@ OPTIONS = (
            "starting cluster count (default 1)", "K", lo=1),
     Option("tau_dev", "cluster.tau_dev", float, "number",
            "per-pixel unit-circle deviation threshold (default 0.1)", "T", lo=0),
-    Option("tau_frac", "cluster.tau_frac", float, "number",
-           "failing fraction that splits a cluster (default 0.1)", "F", lo=0, hi=1),
     Option("min_cluster_size", "cluster.min_cluster_size", _parse_size, "integer or 'auto'",
            "size floor for clusters, or 'auto'", "N", lo=1),
     Option("seed", "cluster.seed", int, "integer", "clustering seed (default 0)", "S", lo=0),
     Option("max_iterations", "cluster.max_iterations", int, "integer",
            "adaptive iteration cap (default 10)", "N", lo=1),
-    Option("bin_width", "recovery.bin_width", float, "number",
-           "coefficient histogram bin width (default 0.005)", "W", lo=1e-4, hi=1),
-    Option("peak_floor", "recovery.peak_floor", int, "integer",
-           "absolute histogram peak floor (default 5)", "N", lo=0),
     Option("fast", "fast", _parse_bool, "boolean",
            "estimate clusters/models on a downsampled copy"),
     Option("target_edge", "target_edge", int, "integer",
            "long-edge target for --fast (default 200)", "PX", lo=1),
     Option("threads", "threads", int, "integer",
-           "worker cap; 0 = all cores (default; DESPEC_THREADS honored)", "N", lo=0),
+           "worker cap; 0 = all cores (default)", "N", lo=0),
 )
 _OPTION_BY_KEY = {opt.key: opt for opt in OPTIONS}
 
@@ -270,9 +265,8 @@ def _check_config(cfg: PipelineConfig) -> None:
         value = getattr(*opt.locate(cfg))
         if opt.lo is None or value is None:
             continue
-        if not (value >= opt.lo and (opt.hi is None or value <= opt.hi)):
-            need = f">= {opt.lo:g}" if opt.hi is None else f"in [{opt.lo:g}, {opt.hi:g}]"
-            raise ConfigError(f"{opt.key} must be {need}, got {value!r}")
+        if not value >= opt.lo:
+            raise ConfigError(f"{opt.key} must be >= {opt.lo:g}, got {value!r}")
 
 
 def parse_config_text(text: str) -> dict:
@@ -289,7 +283,7 @@ def config_from_values(values: dict, base: PipelineConfig | None = None) -> Pipe
     """Apply raw config strings, keyed by option key, on top of a base
     PipelineConfig.  The base is not modified."""
     cfg = base or PipelineConfig()
-    cfg = replace(cfg, cluster=replace(cfg.cluster), recovery=replace(cfg.recovery))
+    cfg = replace(cfg, cluster=replace(cfg.cluster))
     for key, text in values.items():
         opt = _OPTION_BY_KEY.get(key)
         if opt is None:

@@ -25,15 +25,15 @@ from .model import EPS_GRAY, IlluminationBasis
 from .clustering import FLAG_VALID, ClusterSet, SpecularFreeField, nearest_hue, split_block
 
 
+BIN_WIDTH = 0.005            # coefficient histogram bin width
 HIST_OVERSHOOT = 0.001       # histogram range extends to 1 + overshoot
+PEAK_FLOOR = 5               # absolute smoothed-count floor for a peak
 PEAK_FRAC = 0.005            # relative peak floor, fraction of cluster size
 FALLBACK_PERCENTILE = 2.0    # used when no peak qualifies
 
-
-@dataclass
-class RecoveryConfig:
-    bin_width: float = 0.005
-    peak_floor: int = 5           # absolute smoothed-count floor for a peak
+# the coefficient histogram's bin edges, 0 to 1 + overshoot
+EDGES = np.arange(int(np.ceil((1.0 + HIST_OVERSHOOT) / BIN_WIDTH)) + 1,
+                  dtype=np.float64) * BIN_WIDTH
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,6 @@ class SeparationResult:
     labels: np.ndarray  # the per-pixel cluster labels the split used
 
 
-def histogram_edges(cfg: RecoveryConfig) -> np.ndarray:
-    n_bins = int(np.ceil((1.0 + HIST_OVERSHOOT) / cfg.bin_width))
-    return np.arange(n_bins + 1, dtype=np.float64) * cfg.bin_width
-
-
 def _smooth3(counts: np.ndarray) -> np.ndarray:
     """3-bin box filter with zero padding at the ends."""
     padded = np.zeros(len(counts) + 2, dtype=np.float64)
@@ -70,15 +65,15 @@ def _smooth3(counts: np.ndarray) -> np.ndarray:
     return (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0
 
 
-def _first_peak_index(counts: np.ndarray, cfg: RecoveryConfig) -> int:
+def _first_peak_index(counts: np.ndarray) -> int:
     """Bin index of the lowest-coefficient local maximum of a histogram.
 
     The counts are box-smoothed over 3 bins first, and a candidate must
-    hold at least max(peak_floor, PEAK_FRAC * cluster size) smoothed
+    hold at least max(PEAK_FLOOR, PEAK_FRAC * cluster size) smoothed
     counts; tiny leading bumps are not peaks.  Raises NoPeakError when
     nothing qualifies.
     """
-    floor = max(float(cfg.peak_floor), PEAK_FRAC * float(counts.sum()))
+    floor = max(PEAK_FLOOR, PEAK_FRAC * float(counts.sum()))
     smooth = _smooth3(counts)
     left = np.empty_like(smooth)
     right = np.empty_like(smooth)
@@ -109,7 +104,7 @@ def estimate_ratio(diffuse_parallel: float) -> tuple[float, float]:
     return diffuse_ortho, diffuse_ortho / diffuse_parallel
 
 
-def _diffuse_parallel_for_cluster(coeffs: np.ndarray, cfg: RecoveryConfig) -> float:
+def _diffuse_parallel_for_cluster(coeffs: np.ndarray) -> float:
     """Pure-diffuse parallel coefficient of one cluster.
 
     The histogram's first peak locates the pure-diffuse population; the
@@ -122,38 +117,35 @@ def _diffuse_parallel_for_cluster(coeffs: np.ndarray, cfg: RecoveryConfig) -> fl
     cluster), falls back to a low percentile, which biases the split but
     keeps it usable.
     """
-    edges = histogram_edges(cfg)
-    ordered = np.clip(coeffs, 0.0, edges[-1])
+    ordered = np.clip(coeffs, 0.0, EDGES[-1])
     ordered.sort()
     # the sorted coefficients below each edge; their differences are the
     # bin counts, and the last bin also holds its right edge, as in
     # np.histogram
-    pos = np.searchsorted(ordered, edges, side="left")
+    pos = np.searchsorted(ordered, EDGES, side="left")
     counts = np.diff(pos)
     counts[-1] += len(ordered) - pos[-1]
     try:
-        i = _first_peak_index(counts, cfg)
+        i = _first_peak_index(counts)
     except NoPeakError:
         return float(np.percentile(coeffs, FALLBACK_PERCENTILE))
-    window = ordered[pos[max(i - 1, 0)]:pos[min(i + 2, len(edges) - 1)]]
+    window = ordered[pos[max(i - 1, 0)]:pos[min(i + 2, len(EDGES) - 1)]]
     if len(window) == 0:  # smoothing can mark a raw-empty bin; widen never fails
-        return float((edges[i] + edges[i + 1]) / 2.0)
+        return float((EDGES[i] + EDGES[i + 1]) / 2.0)
     return float(np.median(window))
 
 
 def model_for_cluster(field: SpecularFreeField, clusters: ClusterSet, cluster_id: int,
-                      basis: IlluminationBasis,
-                      cfg: RecoveryConfig | None = None) -> MaterialModel | None:
+                      basis: IlluminationBasis) -> MaterialModel | None:
     """MaterialModel for one cluster, or None when the material is too
     close to the illumination color to separate (those pixels pass
     through unchanged).  The cluster's coefficients are the field's
     ``parallel`` slices that hold it."""
-    cfg = cfg or RecoveryConfig()
     members = clusters.members(cluster_id)
     if not members:
         raise EmptyClusterError(f"cluster {cluster_id} has no pixels")
     coeffs = np.concatenate([field.parallel[rows] for rows in members])
-    diffuse_parallel = _diffuse_parallel_for_cluster(coeffs, cfg)
+    diffuse_parallel = _diffuse_parallel_for_cluster(coeffs)
     try:
         diffuse_ortho, ratio = estimate_ratio(diffuse_parallel)
     except DegenerateRatioError:
@@ -167,12 +159,10 @@ def model_for_cluster(field: SpecularFreeField, clusters: ClusterSet, cluster_id
 
 
 def estimate_models(field: SpecularFreeField, clusters: ClusterSet,
-                    basis: IlluminationBasis,
-                    cfg: RecoveryConfig | None = None) -> dict[int, MaterialModel | None]:
+                    basis: IlluminationBasis) -> dict[int, MaterialModel | None]:
     """Material models for every cluster id, None marking pass-through."""
-    cfg = cfg or RecoveryConfig()
     return {
-        cid: model_for_cluster(field, clusters, cid, basis, cfg)
+        cid: model_for_cluster(field, clusters, cid, basis)
         for cid in range(clusters.n_clusters)
     }
 

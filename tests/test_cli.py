@@ -260,17 +260,10 @@ class TestRemove:
     @pytest.mark.parametrize("flags", [
         "--max-iterations 0",
         "--initial-k 0",
-        "--bin-width 0",
         "--fast --target-edge 0",
         "--min-cluster-size -5",
         "--tau-dev -1",
-        "--tau-frac -1",
-        "--tau-frac 1.5",
-        "--tau-frac nan",
-        "--bin-width inf",
-        "--bin-width 1e-5",
-        "--bin-width 2",
-        "--peak-floor -1",
+        "--tau-dev nan",
         "--threads -4",
         "--seed -1",
         "--initial-k two",
@@ -283,6 +276,57 @@ class TestRemove:
                    "-d", str(tmp_path / "d.pfm"), "-s", str(tmp_path / "s.pfm")])
         assert rc == 4
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["tau_frac", "bin_width", "peak_floor"])
+    def test_fixed_constants_are_not_knobs(self, tmp_path, capsys, key):
+        """The failing fraction, bin width and peak floor are constants:
+        as a flag they are unknown (exit 2), as a config key too (exit 4)."""
+        outputs = ["-d", str(tmp_path / "d.pfm"), "-s", str(tmp_path / "s.pfm")]
+        with pytest.raises(SystemExit) as exc:
+            main(["remove", "in.pfm", "--" + key.replace("_", "-"), "1", *outputs])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        cfg = tmp_path / "despec.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        out = synth_dir(tmp_path)
+        capsys.readouterr()
+        assert main(["remove", str(out / "input.pfm"), "--config", str(cfg), *outputs]) == 4
+        assert f"unknown key '{key}'" in one_error_line(capsys)
+        assert not (tmp_path / "d.pfm").exists()
+
+    def test_divide_overflow_exits_5_and_writes_nothing(self, tmp_path, capsys):
+        out = synth_dir(tmp_path)
+        capsys.readouterr()
+        paths = {"-d": tmp_path / "d.pfm", "-s": tmp_path / "s.pfm",
+                 "-l": tmp_path / "l.ppm", "--report": tmp_path / "r.txt"}
+        argv = ["remove", str(out / "input.pfm"), "--illum", "divide:1e-320,1,1"]
+        for flag, path in paths.items():
+            argv += [flag, str(path)]
+        assert main(argv) == 5
+        assert "non-finite" in one_error_line(capsys)
+        assert not any(path.exists() for path in paths.values())
+
+    @pytest.mark.parametrize("first, second", [("-d", "-s"), ("-s", "-l"), ("-l", "--report"),
+                                               ("-d", "--report")])
+    def test_same_output_twice_exits_2(self, tmp_path, capsys, first, second):
+        """Two output flags that resolve to one file are a usage error,
+        raised before anything is written; the second is spelled through
+        a '..' detour so only the resolved paths match."""
+        out = synth_dir(tmp_path)
+        capsys.readouterr()
+        (tmp_path / "sub").mkdir()
+        paths = {"-d": tmp_path / "d.pfm", "-s": tmp_path / "s.pfm",
+                 "-l": tmp_path / "l.ppm", "--report": tmp_path / "r.txt"}
+        paths[second] = tmp_path / "sub" / ".." / paths[first].name
+        argv = ["remove", str(out / "input.pfm")]
+        for flag, path in paths.items():
+            argv += [flag, str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"despec: error: {first} and {second} both name " \
+                               f"{paths[second]}\n"
+        assert not any(path.exists() for path in paths.values())
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         out = synth_dir(tmp_path)
@@ -312,8 +356,7 @@ class TestRemove:
     # one valid, non-default value per option
     SAMPLE_VALUES = {
         "illum": "divide:0.9,1,0.8", "initial_k": "3", "tau_dev": "0.05",
-        "tau_frac": "0.2", "min_cluster_size": "64", "seed": "7",
-        "max_iterations": "4", "bin_width": "0.01", "peak_floor": "9",
+        "min_cluster_size": "64", "seed": "7", "max_iterations": "4",
         "fast": "on", "target_edge": "150", "threads": "2",
     }
 

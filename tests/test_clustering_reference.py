@@ -15,6 +15,7 @@ from conftest import make_field
 from despec import synth
 from despec.clustering import (
     KMEANS_MAX_ITER,
+    TAU_FRAC,
     ClusterConfig,
     adaptive_cluster,
     adaptive_min_cluster_size,
@@ -79,7 +80,7 @@ def reference_adaptive(hue, amplitude, cfg):
         counts = np.bincount(labels, minlength=len(hues))
         bad = np.bincount(labels[dev > cfg.tau_dev], minlength=len(hues))
         fractions = np.divide(bad, counts, out=np.zeros(len(hues)), where=counts > 0)
-        failing = int(np.sum(fractions > cfg.tau_frac))
+        failing = int(np.sum(fractions > TAU_FRAC))
         if failing == 0:
             break
         next_k = len(hues) + failing

@@ -1,6 +1,10 @@
 """Property tests for the pipeline option table: every key is reachable
 from a config file and a flag, and no text makes parsing or the range
-check fail with anything but ConfigError."""
+check fail with anything but ConfigError; the README names exactly the
+table's keys."""
+
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -45,3 +49,13 @@ def test_every_key_has_a_config_line_and_a_flag(opt):
     for argv in (["remove", "in.pfm", "-d", "d.pfm", "-s", "s.pfm"],
                  ["bench", "--scene", "single-1"]):
         assert getattr(parser.parse_args(argv + [given_flag]), opt.key) == expected
+
+
+def test_readme_lists_exactly_the_option_keys():
+    """The README's "Config files" key list, its parenthetical notes
+    left out, names each row of the option table once."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config files", 1)[1]
+    keys = section.split("Keys:", 1)[1].split(". Each key", 1)[0]
+    named = re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", keys))
+    assert sorted(named) == sorted(KEYS)

@@ -283,3 +283,10 @@ class TestWhiteBalance:
     def test_shape_checked(self):
         with pytest.raises(errors.InvalidIlluminantError):
             white_balance(np.ones((2, 2, 3)), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("illum", [[1e-320, 1.0, 1.0], [1e300, 1e-300, 1.0]])
+    def test_overflow_rejected(self, illum):
+        """Positive finite components whose quotient overflows: the
+        balanced image would hold inf."""
+        with pytest.raises(errors.InvalidIlluminantError, match="non-finite"):
+            white_balance(np.full((2, 2, 3), 0.5), np.array(illum))

@@ -17,7 +17,7 @@ from despec.clustering import (
     specular_free_field,
 )
 from despec.metrics import cluster_accuracy, psnr
-from despec.model import EPS_BLACK, IlluminationBasis, _norm3
+from despec.model import EPS_BLACK, IlluminationBasis, _norm3, white_balance
 from despec.pipeline import (
     OPTIONS,
     PipelineConfig,
@@ -209,6 +209,13 @@ class TestFullPipeline:
         assert psnr(result.diffuse, gt.diffuse) >= 50.0
         assert diag.n_clusters == 4
 
+    def test_divide_overflow_is_rejected(self):
+        """A divide color that makes the balanced image overflow is an
+        illuminant error, raised before any clustering."""
+        gt = synth.render(synth.builtin_scene("single-1", 64, 48))
+        with pytest.raises(errors.InvalidIlluminantError, match="non-finite"):
+            run(gt.input, PipelineConfig(illumination="divide:1e-320,1,1"))
+
 
 class TestFastPath:
     def test_small_image_falls_back_to_full(self):
@@ -216,6 +223,20 @@ class TestFastPath:
         result, diag = run(gt.input, PipelineConfig(fast=True))
         assert not diag.downsampled
         assert np.abs(result.diffuse + result.specular - gt.input).max() <= 1e-12
+
+    def test_factor_stops_at_the_short_side(self):
+        """The default target edge asks for factor 5 on a 1000x4 image;
+        capped at 4, the copy keeps one row and clusters like the full
+        path.  A 4x1000 image keeps one column."""
+        gt = synth.render(synth.builtin_scene("over-seg", 1000, 4))
+        result, diag = run(gt.input, PipelineConfig(fast=True))
+        assert diag.downsampled and diag.n_clusters == 5
+        assert np.array_equal(result.diffuse + result.specular, gt.input)
+        assert cluster_accuracy(diag.labels, gt.labels) == 1.0
+        tall = synth.render(synth.builtin_scene("over-seg", 4, 1000)).input
+        result, diag = run(tall, PipelineConfig(fast=True))
+        assert diag.downsampled and diag.labels.shape == (1000, 4)
+        assert np.array_equal(result.diffuse + result.specular, tall)
 
     def test_downsampled_clustering_keeps_quality(self):
         gt = synth.render(synth.builtin_scene("four-materials", 800, 560))
@@ -295,13 +316,15 @@ class TestDeterminism:
 
 
 def option_values(key: str, cap):
-    """Values of option ``key`` from its table range, capped at ``cap``
-    where the table sets no maximum."""
+    """Values of option ``key`` from its table minimum up to ``cap``."""
     opt = next(opt for opt in OPTIONS if opt.key == key)
-    hi = cap if opt.hi is None else opt.hi
     if opt.kind == "number":
-        return st.floats(opt.lo, hi)
-    return st.integers(int(opt.lo), int(hi))
+        return st.floats(opt.lo, cap)
+    return st.integers(int(opt.lo), int(cap))
+
+
+RGB = st.tuples(*[st.floats(1e-3, 1.0)] * 3).map(lambda rgb: ",".join(map(repr, rgb)))
+ILLUMINATIONS = st.just("white") | RGB | RGB.map("divide:".__add__)
 
 
 class TestGeneratedSettings:
@@ -312,24 +335,34 @@ class TestGeneratedSettings:
            target_edge=option_values("target_edge", 60),
            initial_k=option_values("initial_k", 12),
            min_cluster_size=st.none() | option_values("min_cluster_size", 300),
-           tau_dev=option_values("tau_dev", 1.5))
+           tau_dev=option_values("tau_dev", 1.5),
+           cluster_seed=option_values("seed", 2**16),
+           max_iterations=option_values("max_iterations", 12),
+           illum=ILLUMINATIONS)
     def test_settings_property(self, scene, height, width, seed, fast, target_edge,
-                               initial_k, min_cluster_size, tau_dev):
+                               initial_k, min_cluster_size, tau_dev, cluster_seed,
+                               max_iterations, illum):
         """Any in-range settings on an image taller than one 16-row chunk,
         with 2 workers, either fail with a processing error (exit 5) or
-        split the image exactly into nonnegative parts."""
+        split the working image exactly into nonnegative parts."""
         img = synth.add_noise(synth.render(synth.builtin_scene(scene, width, height)),
                               3.0, seed=seed)
         values = {"fast": str(fast), "target_edge": str(target_edge),
                   "initial_k": str(initial_k), "tau_dev": repr(tau_dev), "threads": "2",
                   "min_cluster_size": "auto" if min_cluster_size is None
-                  else str(min_cluster_size)}
+                  else str(min_cluster_size),
+                  "seed": str(cluster_seed), "max_iterations": str(max_iterations),
+                  "illum": illum}
         cfg = config_from_values(values)
+        assert {opt.key for opt in OPTIONS} == set(values)
         try:
             result, diag = run(img, cfg)
         except errors.DespecError as exc:
             assert exc.exit_code == 5, repr(exc)
             return
+        _, divide = parse_illumination(illum)
+        if divide is not None:
+            img = white_balance(img, divide)
         assert np.array_equal(result.diffuse + result.specular, img)
         assert result.diffuse.min() >= 0.0 and result.specular.min() >= 0.0
         assert diag.labels.shape == img.shape[:2]
@@ -372,12 +405,9 @@ class TestConfigParsing:
     illum = divide:0.9,1.0,0.8
     initial_k = 2
     tau_dev = 0.12
-    tau_frac = 0.08
     min_cluster_size = 64
     seed = 7
     max_iterations = 6
-    bin_width = 0.01
-    peak_floor = 9
     fast = yes
     target_edge = 150
     threads = 2
@@ -388,12 +418,9 @@ class TestConfigParsing:
         assert cfg.illumination == "divide:0.9,1.0,0.8"
         assert cfg.cluster.initial_k == 2
         assert cfg.cluster.tau_dev == 0.12
-        assert cfg.cluster.tau_frac == 0.08
         assert cfg.cluster.min_cluster_size == 64
         assert cfg.cluster.seed == 7
         assert cfg.cluster.max_iterations == 6
-        assert cfg.recovery.bin_width == 0.01
-        assert cfg.recovery.peak_floor == 9
         assert cfg.fast is True
         assert cfg.target_edge == 150
         assert cfg.threads == 2

@@ -10,12 +10,11 @@ from despec import errors, synth
 from despec.clustering import ClusterSet, adaptive_cluster, kmeans, specular_free_field
 from despec.model import WHITE, IlluminationBasis
 from despec.recovery import (
+    EDGES,
     MaterialModel,
-    RecoveryConfig,
     _first_peak_index,
     estimate_models,
     estimate_ratio,
-    histogram_edges,
     model_for_cluster,
     separate_image,
 )
@@ -70,26 +69,23 @@ def gamma_of(img, white):
 def coefficient_counts(img, clusters, cluster_id, basis):
     """Histogram counts of one cluster's parallel coefficients, binned
     the way the recovery stage bins them."""
-    edges = histogram_edges(RecoveryConfig())
     coeffs = specular_free_field(img, basis).parallel[clusters.labels == cluster_id]
-    counts, _ = np.histogram(np.clip(coeffs, 0.0, edges[-1]), bins=edges)
+    counts, _ = np.histogram(np.clip(coeffs, 0.0, EDGES[-1]), bins=EDGES)
     return counts
 
 
 def peak_center(counts):
     """Center of the first-peak bin of ``counts``."""
-    edges = histogram_edges(RecoveryConfig())
-    i = _first_peak_index(counts, RecoveryConfig())
-    return float((edges[i] + edges[i + 1]) / 2.0)
+    i = _first_peak_index(counts)
+    return float((EDGES[i] + EDGES[i + 1]) / 2.0)
 
 
 class TestHistogram:
     def test_edges(self):
-        edges = histogram_edges(RecoveryConfig())
-        assert len(edges) == 202
-        assert edges[0] == 0.0
-        assert edges[-1] == pytest.approx(1.005, abs=1e-15)
-        assert np.allclose(np.diff(edges), 0.005)
+        assert len(EDGES) == 202
+        assert EDGES[0] == 0.0
+        assert EDGES[-1] == pytest.approx(1.005, abs=1e-15)
+        assert np.allclose(np.diff(EDGES), 0.005)
 
     def test_counts_sum_to_cluster_size(self, white):
         gt = synth.render(synth.builtin_scene("four-materials", 160, 112))
@@ -127,7 +123,7 @@ class TestHistogram:
 
 class TestFirstPeak:
     def make_counts(self, placed):
-        counts = np.zeros(len(histogram_edges(RecoveryConfig())) - 1, dtype=np.int64)
+        counts = np.zeros(len(EDGES) - 1, dtype=np.int64)
         for b, c in placed.items():
             counts[b] = c
         return counts
@@ -153,7 +149,7 @@ class TestFirstPeak:
     def test_no_peak(self):
         counts = self.make_counts({i: 1 for i in range(0, 36, 3)})
         with pytest.raises(errors.NoPeakError):
-            _first_peak_index(counts, RecoveryConfig())
+            _first_peak_index(counts)
 
 
 class TestEstimateRatio:
