@@ -22,7 +22,8 @@ exit codes:
   0  success
   1  unexpected internal error
   2  usage error (unknown or missing arguments, unusable input data, two outputs naming one file)
-  3  file I/O error (unsupported format, corrupt header, truncated data, unwritable output)
+  3  file I/O error (unsupported format, corrupt header, truncated data, unwritable output,
+     a sample a PFM cannot hold)
   4  scene or configuration error (bad value, unreadable file)
   5  processing error (too few usable pixels, degenerate colors, out of memory)
   6  evaluation input mismatch

@@ -153,11 +153,13 @@ class ClusterConfig:
     max_iterations: int = 10    # outer adaptive iterations
 
 
-def split_block(block: np.ndarray, basis: IlluminationBasis):
+def split_block(block: np.ndarray, basis: IlluminationBasis, parallel: bool = True):
     """(hue, amplitude, parallel, flags) of an (..., 3) block of pixels,
     each shaped like the block's pixel grid.  The first three are as in
     SpecularFreeField where ``flags == FLAG_VALID`` and meaningless
-    elsewhere.
+    elsewhere.  With ``parallel`` False the parallel coefficient is not
+    summed and None stands in its place; the other three are the same
+    bits.
 
     The block's temporaries are a few grid-sized buffers, reused: the
     norm becomes the divisor ``m`` in place, one buffer holds each
@@ -170,11 +172,13 @@ def split_block(block: np.ndarray, basis: IlluminationBasis):
     m[blk] = 1.0
     # one channel of c = block / m at a time, accumulated in c·d order
     c = np.divide(block[..., 0], m)
-    par, x, y = c * d[0], c * u[0], c * v[0]
+    par = c * d[0] if parallel else None
+    x, y = c * u[0], c * v[0]
     scratch = np.empty_like(c)
     for i in (1, 2):
         np.divide(block[..., i], m, out=c)
-        par += np.multiply(c, d[i], out=scratch)
+        if parallel:
+            par += np.multiply(c, d[i], out=scratch)
         x += np.multiply(c, u[i], out=scratch)
         y += np.multiply(c, v[i], out=scratch)
     amp = np.multiply(x, x, out=m)

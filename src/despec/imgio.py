@@ -19,12 +19,18 @@ converts it with one ``astype`` (row flip included for PFM).  Saving
 never holds a converted copy of the whole raster: it converts and writes
 BAND_ROWS rows at a time through one reused band buffer, bottom band
 first for PFM, so its working memory does not grow with the height.
+A save rewrites an existing file in place and cuts it to length after;
+a PFM sample beyond the float32 range is an error, not an inf; and a
+failed save removes the file it was writing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import re
+import stat
 
 import numpy as np
 
@@ -49,14 +55,31 @@ def _read_bytes(path) -> bytes:
 def _write_parts(path, header: bytes, bands) -> None:
     """Write ``header``, then each raster band of the iterable ``bands``
     (C-contiguous arrays), so the raster is never joined into one
-    payload."""
+    payload.
+
+    An existing file is rewritten in place, not truncated at the open (a
+    truncating rewrite frees and reallocates its blocks), and a regular
+    file is then cut to the bytes written; other targets (``/dev/null``,
+    a pipe) are only written.  If anything fails, a regular file that was
+    opened is removed, so a failed save leaves no partial file."""
+    regular = False
     try:
-        with open(path, "wb") as fh:
-            fh.write(header)
+        # "wb" without O_TRUNC; the umask still applies to a new file
+        with open(path, "wb", opener=lambda p, fl: os.open(p, fl & ~os.O_TRUNC, 0o666)) as fh:
+            before = os.fstat(fh.fileno())
+            regular = stat.S_ISREG(before.st_mode)
+            size = fh.write(header)
             for band in bands:
-                fh.write(band)
-    except OSError as exc:
-        raise IoFailureError(f"cannot write {path}: {exc}") from exc
+                size += fh.write(band)
+            if regular and before.st_size > size:
+                fh.truncate(size)
+    except BaseException as exc:
+        if regular:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            raise IoFailureError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def _bands(height: int, width: int, dtype, fill, bottom_up: bool = False):
@@ -189,7 +212,12 @@ def _save_pfm(img: np.ndarray, path) -> int:
         np.copyto(out, img[rows][::-1])  # PFM rows run bottom to top
 
     header = b"PF\n%d %d\n-1.0\n" % (width, height)
-    _write_parts(path, header, _bands(height, width, "<f4", fill, bottom_up=True))
+    try:
+        with np.errstate(over="raise"):  # each band's cast; no inf is written
+            _write_parts(path, header, _bands(height, width, "<f4", fill, bottom_up=True))
+    except FloatingPointError:
+        raise UnsupportedFormatError(
+            f"cannot write {path}: a sample exceeds the float32 range of PFM") from None
     return 0
 
 

@@ -102,7 +102,12 @@ def _validate_input(img: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected an (H, W, 3) image, got shape {img.shape}")
     if img.size == 0:
         raise ValueError(f"input image is empty, got shape {img.shape}")
-    lo, hi = img.min(), img.max()  # NaN or inf in the image shows up in these
+    # both bounds of each row chunk while it is in cache, on one thread (a
+    # pool costs more than it saves on this memory-bound pass); NaN or inf
+    # in the image shows up in them, and np.min/np.max pass a NaN on
+    bounds = np.array(run_rows(lambda rows: (img[rows].min(), img[rows].max()),
+                               img.shape[0], 1))
+    lo, hi = np.min(bounds[:, 0]), np.max(bounds[:, 1])
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("input image contains non-finite values")
     if lo < 0:

@@ -182,8 +182,9 @@ def separate_image(img, clusters: ClusterSet, models: dict,
     ``SpecularFreeField.label_map`` builds it; each pixel takes its label
     from there.  With ``labels`` None (clusters found on a downsampled
     copy), each chunk labels its own pixels instead, straight into the
-    returned map: every pixel is split against the illumination and takes
-    the nearest of ``clusters.hues``, while flagged pixels get minus their
+    returned map: every pixel is split against the illumination (hue and
+    flags only; the parallel coefficient is not summed) and takes the
+    nearest of ``clusters.hues``, while flagged pixels get minus their
     flag.  The labels used are returned in ``SeparationResult.labels``.
 
     Flagged pixels and pass-through clusters keep their input value in
@@ -226,7 +227,7 @@ def separate_image(img, clusters: ClusterSet, models: dict,
         block = img[rows]
         lab = labels[rows]
         if not given:
-            hue, _, _, flags = split_block(block, basis)
+            hue, _, _, flags = split_block(block, basis, parallel=False)
             np.negative(flags, out=lab, dtype=np.int32)
             np.copyto(lab, nearest_hue(hue, clusters.hues), where=flags == FLAG_VALID)
         slot = np.maximum(lab + 1, 0)

@@ -82,6 +82,18 @@ class TestSynth:
         assert "error" in capsys.readouterr().err
         assert not (out / "input.pfm").exists()
 
+    def test_noise_beyond_pfm_range_exits_3(self, tmp_path, capsys, recwarn):
+        """Noise of sigma 1e308 counts drives samples past the float32
+        range: one error line naming the file, no inf written."""
+        out = tmp_path / "x"
+        rc = main(["synth", "four-materials", "-o", str(out), "--width", "40",
+                   "--height", "30", "--sigma", "1e308"])
+        assert rc == 3
+        err = one_error_line(capsys)
+        assert str(out / "input.pfm") in err and "float32 range" in err
+        assert not (out / "input.pfm").exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("lobe", [
         "nan 0.5 0.1 0.4", "0.5 inf 0.1 0.4", "0.5 0.5 nan 0.4", "0.5 0.5 0.1 inf",
     ])
@@ -305,6 +317,23 @@ class TestRemove:
         assert main(argv) == 5
         assert "non-finite" in one_error_line(capsys)
         assert not any(path.exists() for path in paths.values())
+
+    def test_diffuse_beyond_pfm_range_exits_3(self, tmp_path, capsys, recwarn):
+        """Balancing a near-float32-max input by 0.5 in red lifts diffuse
+        samples past what a PFM can hold: exit 3 with one error line
+        naming the file, and no partial output."""
+        out = synth_dir(tmp_path, scene="four-materials")
+        big = tmp_path / "big.pfm"
+        imgio.save(imgio.load(out / "input.pfm") * 3e38, big)
+        capsys.readouterr()
+        diffuse, specular = tmp_path / "d.pfm", tmp_path / "s.pfm"
+        rc = main(["remove", str(big), "-d", str(diffuse), "-s", str(specular),
+                   "--illum", "divide:0.5,1,1"])
+        assert rc == 3
+        err = one_error_line(capsys)
+        assert str(diffuse) in err and "float32 range" in err
+        assert not diffuse.exists() and not specular.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("first, second", [("-d", "-s"), ("-s", "-l"), ("-l", "--report"),
                                                ("-d", "--report")])

@@ -18,6 +18,7 @@ from despec.clustering import (
     kmeans,
     nearest_hue,
     specular_free_field,
+    split_block,
 )
 from despec.metrics import cluster_accuracy
 from despec.model import WHITE, IlluminationBasis
@@ -69,6 +70,26 @@ class TestSpecularFreeField:
         px = img.reshape(-1, 3)[field.pixel]  # every pixel is valid
         chroma = px / np.linalg.norm(px, axis=-1, keepdims=True)
         assert np.abs(rebuilt - chroma).max() <= 1e-12
+
+    @pytest.mark.parametrize("illum", [None, [0.600, 0.588, 0.542]])
+    def test_split_without_parallel_keeps_hue_and_flags(self, white, illum):
+        """split_block(..., parallel=False) skips the parallel sum only:
+        hue, amplitude and flags are the full call's bits, black and
+        gray pixels included."""
+        basis = white if illum is None else IlluminationBasis.from_rgb(illum)
+        rng = np.random.default_rng(31)
+        block = rng.random((23, 17, 3))
+        block[rng.random((23, 17)) < 0.1] = 0.0                     # black
+        block[rng.random((23, 17)) < 0.1] *= 1e-12                  # below EPS_BLACK
+        gray = rng.random((23, 17)) < 0.15
+        block[gray] = rng.random((int(gray.sum()), 1)) * basis.direction  # achromatic
+        hue, amp, par, flags = split_block(block, basis)
+        cheap = split_block(block, basis, parallel=False)
+        assert cheap[2] is None and par is not None
+        assert {FLAG_VALID, FLAG_BLACK, FLAG_ACHROMATIC} <= set(np.unique(flags).tolist())
+        assert np.array_equal(cheap[3], flags)
+        assert np.array_equal(cheap[0], hue)
+        assert np.array_equal(cheap[1], amp)
 
     def test_flagged_pixels_are_left_out(self, white):
         img = np.zeros((4, 4, 3))

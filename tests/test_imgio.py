@@ -1,5 +1,8 @@
 """Binary PPM / float PFM reading and writing."""
 
+import os
+import stat
+import threading
 import tracemalloc
 
 import numpy as np
@@ -318,3 +321,90 @@ class TestBandedSave:
         labels = np.random.default_rng(9).integers(-2, 6, (1024, 1024)).astype(np.int32)
         raster = labels.size * 3  # the 8-bit gray raster, 3.1 MB
         assert peak_bytes(lambda: save_labels(labels, tmp_path / "l.ppm")) < raster / 8
+
+
+def save_as(kind, path, height=2 * BAND_ROWS + 3):
+    """Save one fixed random image, or for kind "labels" one fixed label
+    map, to ``path`` in format ``kind``."""
+    rng = np.random.default_rng(12)
+    if kind == "labels":
+        save_labels(rng.integers(-2, 6, (height, 7)).astype(np.int32), path)
+    else:
+        save(rng.uniform(-0.2, 1.3, (height, 7, 3)), path, format=kind)
+
+
+KINDS = ["pfm", "ppm8", "ppm16", "labels"]
+
+
+class TestInPlaceSave:
+    """A save over an existing file rewrites it in place, then cuts it to
+    length; the bytes are those of a save to a new path."""
+
+    @pytest.mark.parametrize("prior", ["longer", "shorter"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_overwrite_equals_fresh_save(self, tmp_path, kind, prior):
+        fresh, target = tmp_path / "fresh.img", tmp_path / "target.img"
+        save_as(kind, fresh)
+        want = fresh.read_bytes()
+        size = 2 * len(want) + 5 if prior == "longer" else len(want) // 3
+        target.write_bytes(b"\xab" * size)
+        inode = target.stat().st_ino
+        save_as(kind, target)
+        assert target.read_bytes() == want
+        assert target.stat().st_ino == inode  # the same file, as O_TRUNC kept it
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull) or os.name != "posix",
+                        reason="needs a POSIX null device")
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_save_to_null_device(self, kind):
+        save_as(kind, os.devnull)
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_save_to_fifo(self, tmp_path, kind):
+        """A pipe is written, never truncated or sought."""
+        fresh, fifo = tmp_path / "fresh.img", tmp_path / "pipe"
+        save_as(kind, fresh)
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        save_as(kind, fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [fresh.read_bytes()]
+
+    @pytest.mark.skipif(not hasattr(os, "symlink") or os.name != "posix",
+                        reason="needs symlinks")
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_save_through_symlink_writes_target(self, tmp_path, kind):
+        fresh, target, link = tmp_path / "fresh.img", tmp_path / "target.img", tmp_path / "link"
+        save_as(kind, fresh)
+        target.write_bytes(b"\xab" * (3 * len(fresh.read_bytes())))
+        link.symlink_to(target)
+        save_as(kind, link)
+        assert link.is_symlink()
+        assert target.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("prior", [None, "longer"])
+    def test_pfm_sample_beyond_float32_leaves_no_file(self, tmp_path, prior, recwarn):
+        """The top band is written last (PFM runs bottom up), so the
+        bands below it are on disk when its overflow is found; the file
+        is removed all the same."""
+        img = np.full((2 * BAND_ROWS + 3, 5, 3), 0.5)
+        img[0, 2, 1] = 1e39
+        path = tmp_path / "a.pfm"
+        if prior:
+            path.write_bytes(b"\xab" * 10**6)
+        with pytest.raises(errors.UnsupportedFormatError, match="a.pfm.*float32 range"):
+            save(img, path)
+        assert not path.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_pfm_keeps_float32_extremes_and_inf(self, tmp_path):
+        """Only a finite sample the float32 range cannot hold is refused."""
+        top = float(np.finfo(np.float32).max)
+        img = np.array([[[top, np.inf, 0.0], [-top, -np.inf, 1e-46]]])
+        save(img, tmp_path / "a.pfm")
+        assert np.array_equal(load(tmp_path / "a.pfm"), img.astype(np.float32))
