@@ -1,8 +1,8 @@
 """Material clustering in the subspace orthogonal to the illumination.
 
 :func:`specular_free_field` splits each pixel's unit chromaticity once
-into a coefficient along the illumination and an orthogonal part, stored
-as an amplitude and a hue angle in the basis's fixed (u, v) frame.
+against the illumination and keeps the orthogonal part, as an amplitude
+and a hue angle in the basis's fixed (u, v) frame.
 :func:`split_block` is that split for one block of pixels; the
 separation kernel calls it too when it labels a full-resolution image
 against clusters found on a downsampled copy.  The
@@ -43,6 +43,11 @@ LABEL_BLACK = -FLAG_BLACK
 LABEL_ACHROMATIC = -FLAG_ACHROMATIC
 
 KMEANS_MAX_ITER = 100  # Lloyd iterations per k-means run
+# center hues at most this far apart (rad) are one center: far above the
+# ulp of pi (4.4e-16), the scale at which rounding parts the circular
+# means of one material's identical hues, and far below the hue spread
+# that sensor noise gives one material (about 0.03 rad at sigma 3)
+HUE_TOL = 1e-9
 TAU_FRAC = 0.1         # failing fraction above which a cluster splits
 BLOCK = 32768          # field entries per block of per-entry temporaries
 
@@ -52,19 +57,18 @@ class SpecularFreeField:
     """The pixels that carry a chroma, split against the illumination.
 
     ``flags`` (H, W) marks every pixel FLAG_VALID, FLAG_BLACK or
-    FLAG_ACHROMATIC.  The other four arrays are 1-D and hold one entry
+    FLAG_ACHROMATIC.  The other three arrays are 1-D and hold one entry
     per valid pixel, sorted by ``hue``; ``pixel`` (int32) is the entry's
     flat index in the (H, W) image.  For a valid pixel with unit
     chromaticity ``c`` and illumination direction ``d``,
-    ``c = amplitude * basis.orthogonal(hue) + parallel * d``: ``hue`` is
-    the angle of c's orthogonal part in the basis's (u, v) frame, in
-    [-pi, pi]; ``amplitude`` is that part's norm and ``parallel`` the
-    illumination coefficient, so amplitude² + parallel² = 1.
+    ``c = amplitude * basis.orthogonal(hue) + p * d``: ``hue`` is the
+    angle of c's orthogonal part in the (u, v) frame, in [-pi, pi], and
+    ``amplitude`` its norm; ``p = sqrt(1 - amplitude²)`` is not stored but
+    derived by ``recovery.parallel_coefficients``.
     """
 
     hue: np.ndarray
     amplitude: np.ndarray
-    parallel: np.ndarray
     pixel: np.ndarray
     flags: np.ndarray
     # seed -> entry of k-means' first center; see first_entry
@@ -153,32 +157,27 @@ class ClusterConfig:
     max_iterations: int = 10    # outer adaptive iterations
 
 
-def split_block(block: np.ndarray, basis: IlluminationBasis, parallel: bool = True):
-    """(hue, amplitude, parallel, flags) of an (..., 3) block of pixels,
-    each shaped like the block's pixel grid.  The first three are as in
+def split_block(block: np.ndarray, basis: IlluminationBasis):
+    """(hue, amplitude, flags) of an (..., 3) block of pixels, each
+    shaped like the block's pixel grid.  The first two are as in
     SpecularFreeField where ``flags == FLAG_VALID`` and meaningless
-    elsewhere.  With ``parallel`` False the parallel coefficient is not
-    summed and None stands in its place; the other three are the same
-    bits.
+    elsewhere.
 
     The block's temporaries are a few grid-sized buffers, reused: the
     norm becomes the divisor ``m`` in place, one buffer holds each
     channel of ``c`` and one scratch buffer each product; ``amplitude``
     is then built in ``m`` and ``hue`` in the ``c`` buffer.
     """
-    d, u, v = basis.direction, basis.u, basis.v
+    u, v = basis.u, basis.v
     m = _norm3(block)
     blk = m <= EPS_BLACK
     m[blk] = 1.0
-    # one channel of c = block / m at a time, accumulated in c·d order
+    # one channel of c = block / m at a time
     c = np.divide(block[..., 0], m)
-    par = c * d[0] if parallel else None
     x, y = c * u[0], c * v[0]
     scratch = np.empty_like(c)
     for i in (1, 2):
         np.divide(block[..., i], m, out=c)
-        if parallel:
-            par += np.multiply(c, d[i], out=scratch)
         x += np.multiply(c, u[i], out=scratch)
         y += np.multiply(c, v[i], out=scratch)
     amp = np.multiply(x, x, out=m)
@@ -187,7 +186,7 @@ def split_block(block: np.ndarray, basis: IlluminationBasis, parallel: bool = Tr
     flags = np.full(blk.shape, FLAG_VALID, dtype=np.uint8)
     flags[blk] = FLAG_BLACK
     flags[(amp <= EPS_GRAY) & ~blk] = FLAG_ACHROMATIC
-    return np.arctan2(y, x, out=c), amp, par, flags
+    return np.arctan2(y, x, out=c), amp, flags
 
 
 def specular_free_field(img, basis: IlluminationBasis, threads: int = 1) -> SpecularFreeField:
@@ -198,11 +197,11 @@ def specular_free_field(img, basis: IlluminationBasis, threads: int = 1) -> Spec
     flags = np.empty(img.shape[:2], dtype=np.uint8)
 
     def fill(rows):
-        """The chunk's valid [hue, amplitude, parallel, pixel]."""
-        hue, amp, par, flags[rows] = split_block(img[rows], basis)
+        """The chunk's valid [hue, amplitude, pixel]."""
+        hue, amp, flags[rows] = split_block(img[rows], basis)
         valid = flags[rows] == FLAG_VALID
         pixel = (np.flatnonzero(valid) + rows.start * width).astype(np.int32)
-        return [hue[valid], amp[valid], par[valid], pixel]
+        return [hue[valid], amp[valid], pixel]
 
     chunks = run_rows(fill, img.shape[0], threads)
 
@@ -213,10 +212,8 @@ def specular_free_field(img, basis: IlluminationBasis, threads: int = 1) -> Spec
     hue = column()
     order = np.argsort(hue)
     hue = hue[order]
-    amplitude, parallel = column()[order], column()[order]
-    pixel = column(np.int32)[order]
-    return SpecularFreeField(hue=hue, amplitude=amplitude, parallel=parallel,
-                             pixel=pixel, flags=flags)
+    amplitude, pixel = column()[order], column(np.int32)[order]
+    return SpecularFreeField(hue=hue, amplitude=amplitude, pixel=pixel, flags=flags)
 
 
 def _arcs(centers) -> tuple[np.ndarray, np.ndarray]:
@@ -225,13 +222,19 @@ def _arcs(centers) -> tuple[np.ndarray, np.ndarray]:
 
     The sorted centers cut the circle at the midpoints between neighbors,
     plus one wrapped copy at each end to cover every hue in [-pi, pi].
-    Equal centers resolve to the lowest index, as an argmax over
-    cos(hue - centers) would.
+    Sorted centers whose gap is at most HUE_TOL, across ±pi too, form one
+    group, and all of its arcs go to the group's lowest index, as an
+    argmax over cos(hue - centers) gives equal centers to the first.
     """
     centers = np.asarray(centers, dtype=np.float64)
     order = np.argsort(centers, kind="stable")
     s = centers[order]
-    owner = order[np.searchsorted(s, s, side="left")].astype(np.int32)
+    group = np.cumsum(np.concatenate(([True], s[1:] - s[:-1] > HUE_TOL))) - 1
+    if s[0] + 2.0 * np.pi - s[-1] <= HUE_TOL:
+        group[group == group[-1]] = 0
+    lowest = np.full(len(s), len(s))
+    np.minimum.at(lowest, group, order)
+    owner = lowest[group].astype(np.int32)
     s = np.concatenate(([s[-1] - 2.0 * np.pi], s, [s[0] + 2.0 * np.pi]))
     owner = np.concatenate((owner[-1:], owner, owner[:1]))
     return 0.5 * (s[:-1] + s[1:]), owner
@@ -326,8 +329,9 @@ def kmeans(field: SpecularFreeField, k: int, seed: int = 0) -> ClusterSet:
     update is the members' circular mean.  An empty cluster, or one
     whose hues cancel, is reseeded from the point farthest from its own
     center; surplus clusters the data cannot support are dropped and
-    labels compacted.  The loop stops when an assignment repeats.
-    Raises ValueError when ``k`` is below 1.
+    labels compacted.  The loop stops when an assignment repeats; a run
+    that reaches the cap first issues a NoConvergenceWarning.  Raises
+    ValueError when ``k`` is below 1.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
@@ -356,6 +360,9 @@ def kmeans(field: SpecularFreeField, k: int, seed: int = 0) -> ClusterSet:
         if np.array_equal(new_bounds, bounds) and np.array_equal(new_owner, owner):
             break
         bounds, owner = new_bounds, new_owner
+    else:
+        warnings.warn(f"k-means at k={k} did not converge in {KMEANS_MAX_ITER} Lloyd iterations",
+                      NoConvergenceWarning, stacklevel=2)
 
     # drop empty clusters, compact labels
     counts = _run_sizes(bounds, owner, k)

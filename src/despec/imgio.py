@@ -192,7 +192,8 @@ def _save_ppm(img: np.ndarray, path, maxval: int) -> int:
     def fill(rows, out):
         nonlocal clipped
         q = quant[:len(out)]
-        np.multiply(img[rows], maxval, out=q, dtype=np.float64)  # widened first
+        with np.errstate(over="ignore"):  # an inf clips to maxval and is counted
+            np.multiply(img[rows], maxval, out=q, dtype=np.float64)  # widened first
         q += 0.5
         np.floor(q, out=q)  # round half up
         clipped += int(np.count_nonzero(q > maxval))

@@ -117,14 +117,11 @@ def _diffuse_parallel_for_cluster(coeffs: np.ndarray) -> float:
     cluster), falls back to a low percentile, which biases the split but
     keeps it usable.
     """
-    ordered = np.clip(coeffs, 0.0, EDGES[-1])
-    ordered.sort()
+    ordered = np.sort(coeffs)
     # the sorted coefficients below each edge; their differences are the
-    # bin counts, and the last bin also holds its right edge, as in
-    # np.histogram
+    # bin counts (every coefficient is in [0, 1], below the last edge)
     pos = np.searchsorted(ordered, EDGES, side="left")
     counts = np.diff(pos)
-    counts[-1] += len(ordered) - pos[-1]
     try:
         i = _first_peak_index(counts)
     except NoPeakError:
@@ -135,17 +132,26 @@ def _diffuse_parallel_for_cluster(coeffs: np.ndarray) -> float:
     return float(np.median(window))
 
 
+def parallel_coefficients(field: SpecularFreeField, clusters: ClusterSet,
+                          cluster_id: int) -> np.ndarray:
+    """Parallel coefficient sqrt(1 - amplitude²) of each of one cluster's
+    field entries, in ``members`` order; EmptyClusterError if it has none."""
+    members = clusters.members(cluster_id)
+    if not members:
+        raise EmptyClusterError(f"cluster {cluster_id} has no pixels")
+    coeffs = np.concatenate([field.amplitude[rows] for rows in members])
+    coeffs *= coeffs
+    np.subtract(1.0, coeffs, out=coeffs)
+    return np.sqrt(np.maximum(coeffs, 0.0, out=coeffs), out=coeffs)
+
+
 def model_for_cluster(field: SpecularFreeField, clusters: ClusterSet, cluster_id: int,
                       basis: IlluminationBasis) -> MaterialModel | None:
     """MaterialModel for one cluster, or None when the material is too
     close to the illumination color to separate (those pixels pass
-    through unchanged).  The cluster's coefficients are the field's
-    ``parallel`` slices that hold it."""
-    members = clusters.members(cluster_id)
-    if not members:
-        raise EmptyClusterError(f"cluster {cluster_id} has no pixels")
-    coeffs = np.concatenate([field.parallel[rows] for rows in members])
-    diffuse_parallel = _diffuse_parallel_for_cluster(coeffs)
+    through unchanged); its coefficients come from parallel_coefficients."""
+    diffuse_parallel = _diffuse_parallel_for_cluster(
+        parallel_coefficients(field, clusters, cluster_id))
     try:
         diffuse_ortho, ratio = estimate_ratio(diffuse_parallel)
     except DegenerateRatioError:
@@ -182,8 +188,7 @@ def separate_image(img, clusters: ClusterSet, models: dict,
     ``SpecularFreeField.label_map`` builds it; each pixel takes its label
     from there.  With ``labels`` None (clusters found on a downsampled
     copy), each chunk labels its own pixels instead, straight into the
-    returned map: every pixel is split against the illumination (hue and
-    flags only; the parallel coefficient is not summed) and takes the
+    returned map: every pixel is split by ``split_block`` and takes the
     nearest of ``clusters.hues``, while flagged pixels get minus their
     flag.  The labels used are returned in ``SeparationResult.labels``.
 
@@ -227,7 +232,7 @@ def separate_image(img, clusters: ClusterSet, models: dict,
         block = img[rows]
         lab = labels[rows]
         if not given:
-            hue, _, _, flags = split_block(block, basis, parallel=False)
+            hue, _, flags = split_block(block, basis)
             np.negative(flags, out=lab, dtype=np.int32)
             np.copyto(lab, nearest_hue(hue, clusters.hues), where=flags == FLAG_VALID)
         slot = np.maximum(lab + 1, 0)

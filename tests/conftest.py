@@ -25,7 +25,7 @@ def make_field(hues):
     flags = np.zeros(hue.shape, dtype=np.uint8)
     pixel = np.argsort(hue.reshape(-1)).astype(np.int32)
     return SpecularFreeField(hue=hue.reshape(-1)[pixel], amplitude=np.ones(hue.size),
-                             parallel=np.zeros(hue.size), pixel=pixel, flags=flags)
+                             pixel=pixel, flags=flags)
 
 
 def row_major(field, values):
@@ -35,7 +35,7 @@ def row_major(field, values):
 
 def parallel_coeff(v, basis):
     """Dot product of (..., 3) vectors with the illumination direction,
-    summed in the same order as the field's ``parallel``."""
+    summed channel by channel in order."""
     d = basis.direction
     v = np.asarray(v, dtype=np.float64)
     return v[..., 0] * d[0] + v[..., 1] * d[1] + v[..., 2] * d[2]

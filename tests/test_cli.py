@@ -94,6 +94,18 @@ class TestSynth:
         assert not (out / "input.pfm").exists()
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_noise_beyond_ppm_range_saves_without_warning(self, tmp_path):
+        """Under -W error, inf samples quantize to maxval in a PPM save
+        with no overflow warning, and the save succeeds."""
+        out = tmp_path / "x"
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "despec.cli", "synth",
+                               "single-1", "--width", "8", "--height", "8", "--format", "ppm16",
+                               "--sigma", "1e308", "-o", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        assert imgio.load(out / "input.ppm").max() == 1.0
+
     @pytest.mark.parametrize("lobe", [
         "nan 0.5 0.1 0.4", "0.5 inf 0.1 0.4", "0.5 0.5 nan 0.4", "0.5 0.5 0.1 inf",
     ])

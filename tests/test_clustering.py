@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import block_image, make_field, row_major
-from despec import errors, synth
+from despec import clustering, errors, synth
 from despec.clustering import (
     FLAG_ACHROMATIC,
     FLAG_BLACK,
@@ -12,6 +12,7 @@ from despec.clustering import (
     LABEL_ACHROMATIC,
     LABEL_BLACK,
     ClusterConfig,
+    ClusterSet,
     adaptive_cluster,
     adaptive_min_cluster_size,
     evaluate_fit,
@@ -22,6 +23,7 @@ from despec.clustering import (
 )
 from despec.metrics import cluster_accuracy
 from despec.model import WHITE, IlluminationBasis
+from despec.recovery import parallel_coefficients
 
 OLIVE_DIR = np.array([0.4082482904638624, 0.4082482904638624, -0.8164965809277266])
 OLIVE_HUE = np.pi / 3.0  # OLIVE_DIR in the white basis's (u, v) frame
@@ -40,6 +42,13 @@ def white():
     return IlluminationBasis.white()
 
 
+def parallel_of(field):
+    """Parallel coefficient of every field entry, in field order."""
+    whole = ClusterSet(bounds=np.array([0, len(field.hue)]), owner=np.zeros(1, np.int32),
+                       hues=np.zeros(1), sizes=np.array([len(field.hue)]))
+    return parallel_coefficients(field, whole, 0)
+
+
 def cluster(img, basis, cfg=None):
     return adaptive_cluster(specular_free_field(img, basis), cfg)
 
@@ -52,7 +61,7 @@ class TestSpecularFreeField:
         assert np.allclose(field.hue, OLIVE_HUE, atol=1e-12)
         assert np.allclose(white.orthogonal(field.hue), OLIVE_DIR, atol=1e-12)
         assert np.allclose(field.amplitude, OLIVE_ORTHO, atol=1e-12)
-        assert np.allclose(field.parallel, OLIVE_PARALLEL, atol=1e-12)
+        assert np.allclose(parallel_of(field), OLIVE_PARALLEL, atol=1e-12)
 
     @pytest.mark.parametrize("illum", [None, [0.600, 0.588, 0.542]])
     def test_amplitude_and_parallel_rebuild_the_chromaticity(self, white, illum):
@@ -63,7 +72,7 @@ class TestSpecularFreeField:
         img = rng.random((40, 30, 3)) + 0.02
         field = specular_free_field(img, basis)
         assert field.valid_mask.all()
-        amp, par = field.amplitude, field.parallel
+        amp, par = field.amplitude, parallel_of(field)
         assert np.abs(amp * amp + par * par - 1.0).max() <= 1e-12
         rebuilt = (amp[:, None] * basis.orthogonal(field.hue)
                    + par[:, None] * basis.direction)
@@ -71,25 +80,23 @@ class TestSpecularFreeField:
         chroma = px / np.linalg.norm(px, axis=-1, keepdims=True)
         assert np.abs(rebuilt - chroma).max() <= 1e-12
 
-    @pytest.mark.parametrize("illum", [None, [0.600, 0.588, 0.542]])
-    def test_split_without_parallel_keeps_hue_and_flags(self, white, illum):
-        """split_block(..., parallel=False) skips the parallel sum only:
-        hue, amplitude and flags are the full call's bits, black and
-        gray pixels included."""
-        basis = white if illum is None else IlluminationBasis.from_rgb(illum)
+    def test_split_flags_black_and_gray_pixels(self, white):
+        """split_block's one form: (hue, amplitude, flags) of a block with
+        black, near-black and achromatic pixels, as the field stores them."""
         rng = np.random.default_rng(31)
         block = rng.random((23, 17, 3))
         block[rng.random((23, 17)) < 0.1] = 0.0                     # black
         block[rng.random((23, 17)) < 0.1] *= 1e-12                  # below EPS_BLACK
         gray = rng.random((23, 17)) < 0.15
-        block[gray] = rng.random((int(gray.sum()), 1)) * basis.direction  # achromatic
-        hue, amp, par, flags = split_block(block, basis)
-        cheap = split_block(block, basis, parallel=False)
-        assert cheap[2] is None and par is not None
+        block[gray] = rng.random((int(gray.sum()), 1)) * white.direction  # achromatic
+        hue, amp, flags = split_block(block, white)
         assert {FLAG_VALID, FLAG_BLACK, FLAG_ACHROMATIC} <= set(np.unique(flags).tolist())
-        assert np.array_equal(cheap[3], flags)
-        assert np.array_equal(cheap[0], hue)
-        assert np.array_equal(cheap[1], amp)
+        field = specular_free_field(block, white)
+        assert np.array_equal(flags, field.flags)
+        valid = np.flatnonzero(flags.reshape(-1) == FLAG_VALID)
+        assert np.array_equal(np.sort(field.pixel), valid)
+        assert np.array_equal(row_major(field, field.hue), hue.reshape(-1)[valid])
+        assert np.array_equal(row_major(field, field.amplitude), amp.reshape(-1)[valid])
 
     def test_flagged_pixels_are_left_out(self, white):
         img = np.zeros((4, 4, 3))
@@ -100,11 +107,11 @@ class TestSpecularFreeField:
         assert (field.flags == FLAG_BLACK).sum() == 13
         assert field.flags[1, 2] == FLAG_ACHROMATIC
         # the two valid pixels
-        assert field.hue.shape == field.amplitude.shape == field.parallel.shape == (2,)
+        assert field.hue.shape == field.amplitude.shape == field.pixel.shape == (2,)
         assert sorted(field.pixel.tolist()) == [0, 13]
         hue = row_major(field, field.hue)
         assert hue[0] == pytest.approx(OLIVE_HUE, abs=1e-12)
-        assert field.parallel == pytest.approx([OLIVE_PARALLEL] * 2, abs=1e-12)
+        assert parallel_of(field) == pytest.approx([OLIVE_PARALLEL] * 2, abs=1e-12)
         assert hue[1] != pytest.approx(OLIVE_HUE, abs=1e-3)
 
     def test_direction_ignores_brightness_and_highlight(self, white):
@@ -388,6 +395,18 @@ class TestAdaptiveCluster:
         assert not diag.converged
         assert len(diag.rounds) == 1
         assert clusters.n_clusters >= 1  # best effort still returned
+
+    def test_lloyd_cap_warns(self, white, monkeypatch):
+        """A k-means run that reaches KMEANS_MAX_ITER says so, naming k
+        and the cap."""
+        img = synth.add_noise(synth.render(synth.builtin_scene("over-seg", 100, 60)), 3.0,
+                              seed=1)
+        field = specular_free_field(img, white)
+        assert kmeans(field, 8).iterations > 1
+        monkeypatch.setattr(clustering, "KMEANS_MAX_ITER", 1)
+        with pytest.warns(errors.NoConvergenceWarning, match=r"k=8 .* 1 Lloyd iterations"):
+            clusters = kmeans(field, 8)
+        assert clusters.iterations == 1
 
     def test_all_flagged_image_rejected(self, white):
         img = np.broadcast_to([0.5, 0.5, 0.5], (16, 16, 3)).copy()

@@ -8,8 +8,12 @@ pixel-order loops.  The hue-ordered implementation must give the same
 label map, and center hues within 1e-12, on every case below.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_field
 from despec import synth
@@ -23,6 +27,7 @@ from despec.clustering import (
     nearest_hue,
     specular_free_field,
 )
+from despec.errors import NoConvergenceWarning
 from despec.model import IlluminationBasis
 
 HUE_TOL = 1e-12
@@ -133,6 +138,45 @@ def test_over_segmented_start():
     img = synth.add_noise(synth.render(synth.builtin_scene("over-seg")), 3.0, seed=1)
     field = specular_free_field(img, IlluminationBasis.white())
     assert_matches_reference(field, ClusterConfig(initial_k=8))
+
+
+def test_clean_over_segmented_start():
+    """Clean over-seg at k=8: surplus centers land on a material's hues,
+    an ulp from its other center, and must merge into it rather than
+    split it, so the first assignment already repeats."""
+    field = specular_free_field(synth.render(synth.builtin_scene("over-seg")).input,
+                                IlluminationBasis.white())
+    assert kmeans(field, 8).iterations == 1
+    assert_matches_reference(field, ClusterConfig(initial_k=8))
+    clusters, _ = adaptive_cluster(field, ClusterConfig(initial_k=8))
+    assert clusters.n_clusters == 5
+
+
+@settings(max_examples=60)
+@given(hues=st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=5),
+       k=st.integers(1, 8), seed=st.integers(0, 3), shuffle=st.integers(0, 2**32 - 1))
+def test_ulp_jittered_hues_stay_in_one_cluster(hues, k, seed, shuffle):
+    """Each drawn hue, copied many times within a few ulps: k-means at
+    any k stops before the cap and keeps every copy of a hue in one
+    cluster."""
+    copies = []
+    for h in hues:
+        up, down = [h], [h]
+        for _ in range(3):
+            up.append(np.nextafter(up[-1], np.inf))
+            down.append(np.nextafter(down[-1], -np.inf))
+        copies.append(np.clip(np.tile(up + down[1:], 30), -np.pi, np.pi))
+    group = np.repeat(np.arange(len(hues)), [len(c) for c in copies])
+    order = np.random.default_rng(shuffle).permutation(len(group))
+    grid, group = np.concatenate(copies)[order], group[order]
+    field = make_field(grid.reshape(1, -1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NoConvergenceWarning)
+        clusters = kmeans(field, k, seed=seed)
+    assert clusters.iterations < KMEANS_MAX_ITER
+    per_entry = group[field.pixel]
+    for g in range(len(hues)):
+        assert len(np.unique(clusters.labels[per_entry == g])) == 1
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6])

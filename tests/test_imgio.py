@@ -143,6 +143,17 @@ class TestSave:
         assert clipped == 3
         assert np.all(load(tmp_path / "a.ppm") == 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("format", ["ppm8", "ppm16"])
+    def test_samples_past_float64_over_maxval_clip_quietly(self, tmp_path, format):
+        """A sample times maxval overflows to inf: it clips to maxval and
+        is counted, with no RuntimeWarning."""
+        img = np.full((2, 3, 3), 0.25)
+        img[0, 1] = 1e308
+        clipped = save(img, tmp_path / "a.ppm", format=format)
+        assert clipped == 3
+        assert np.all(load(tmp_path / "a.ppm")[0, 1] == 1.0)
+
     @pytest.mark.parametrize("format,maxval", [("ppm8", 255), ("ppm16", 65535)])
     def test_integer_round_trip_error_bound(self, tmp_path, format, maxval):
         rng = np.random.default_rng(2)

@@ -150,7 +150,7 @@ def residual(chroma, center, basis):
     unit center direction orthogonal to the illumination.  The hue and
     amplitude are split_block's coordinates of every pixel, so a
     chromaticity the pipeline flags as achromatic still gets one."""
-    hue, amplitude, _, _ = split_block(np.atleast_2d(chroma), basis)
+    hue, amplitude, _ = split_block(np.atleast_2d(chroma), basis)
     center_hue = np.arctan2(center @ basis.v, center @ basis.u)
     return _cluster_residuals(np.cos(hue), np.sin(hue), amplitude, center_hue)
 

@@ -1,13 +1,15 @@
 """End-to-end pipeline, fast path, and configuration parsing."""
 
+import re
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from despec import errors, synth
+from despec import errors, imgio, synth
 from despec.clustering import (
     KMEANS_MAX_ITER,
     LABEL_ACHROMATIC,
@@ -463,3 +465,23 @@ class TestConfigParsing:
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(errors.ConfigError):
             load_config(tmp_path / "absent.cfg")
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
+    """The README's "Library use" code blocks, run in order in one
+    namespace on a small synthetic input.pfm, so the attributes they
+    name cannot drift from the code."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    gt = synth.render(synth.builtin_scene("four-materials", 64, 48))
+    monkeypatch.chdir(tmp_path)
+    imgio.save(gt.input, "input.pfm")
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert (tmp_path / "diffuse.pfm").exists()
+    assert np.array_equal(namespace["result"].diffuse + namespace["result"].specular,
+                          namespace["img"])
+    assert "validate" in capsys.readouterr().out

@@ -16,6 +16,7 @@ from despec.recovery import (
     estimate_models,
     estimate_ratio,
     model_for_cluster,
+    parallel_coefficients,
     separate_image,
 )
 
@@ -69,8 +70,8 @@ def gamma_of(img, white):
 def coefficient_counts(img, clusters, cluster_id, basis):
     """Histogram counts of one cluster's parallel coefficients, binned
     the way the recovery stage bins them."""
-    coeffs = specular_free_field(img, basis).parallel[clusters.labels == cluster_id]
-    counts, _ = np.histogram(np.clip(coeffs, 0.0, EDGES[-1]), bins=EDGES)
+    coeffs = parallel_coefficients(specular_free_field(img, basis), clusters, cluster_id)
+    counts, _ = np.histogram(coeffs, bins=EDGES)
     return counts
 
 
@@ -102,11 +103,27 @@ class TestHistogram:
         clusters, _ = adaptive_cluster(field)
         labels = field.label_map(clusters.labels)
         for cid in range(clusters.n_clusters):
-            member = clusters.labels == cid
-            px = img.reshape(-1, 3)[field.pixel[member]]
-            assert np.array_equal(np.sort(field.pixel[member]), np.flatnonzero(labels == cid))
+            pixel = np.concatenate([field.pixel[rows] for rows in clusters.members(cid)])
+            assert np.array_equal(np.sort(pixel), np.flatnonzero(labels == cid))
+            px = img.reshape(-1, 3)[pixel]
             expected = parallel_coeff(px, white) / np.linalg.norm(px, axis=-1)
-            assert np.abs(field.parallel[member] - expected).max() <= 1e-15
+            coeffs = parallel_coefficients(field, clusters, cid)
+            assert np.abs(coeffs - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("illum", [(1.0, 1.0, 0.01), (1.0, 0.001, 0.001)])
+    def test_coefficients_under_a_strong_illuminant(self, illum):
+        """Derived from the amplitude, the coefficients still match c·d
+        when the illuminant leaves some pixels almost orthogonal to it."""
+        basis = IlluminationBasis.from_rgb(illum)
+        rng = np.random.default_rng(37)
+        img = rng.random((40, 30, 3)) ** 4 + 1e-3
+        field = specular_free_field(img, basis)
+        clusters = kmeans(field, 1, seed=0)
+        px = img.reshape(-1, 3)[field.pixel]
+        expected = parallel_coeff(px, basis) / np.linalg.norm(px, axis=-1)
+        coeffs = parallel_coefficients(field, clusters, 0)
+        assert expected.min() < 0.05  # some pixels sit near the orthogonal plane
+        assert np.abs(coeffs - expected).max() <= 1e-12
 
     def test_three_spec_levels_occupy_expected_bins(self, white):
         img = olive_image([0.0] * 60 + [0.2] * 30 + [0.5] * 10, (10, 10))
