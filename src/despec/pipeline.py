@@ -25,6 +25,9 @@ from .model import IlluminationBasis, white_balance
 from .recovery import SeparationResult, estimate_models, separate_image
 
 
+FAST_MIN_EDGE = 8  # --fast keeps at least this many pixels on the copy's short side
+
+
 @dataclass
 class PipelineConfig:
     """Knobs for the full pipeline.
@@ -149,11 +152,10 @@ def run(img, cfg: PipelineConfig | None = None
 
     With ``cfg.fast`` set, the image is box-filtered by the smallest
     integer factor that brings its long side to at most
-    ``cfg.target_edge``, but never by more than its short side, which
-    keeps one row or column; clusters and material models come from that
-    small copy, and the separation labels each full-resolution pixel with
-    its nearest center hue as it splits it.  The separation always runs at
-    full resolution, in one pass over the image.
+    ``cfg.target_edge`` and keeps FAST_MIN_EDGE pixels on its short side
+    (factor 1 is the full path); clusters and models come from that copy,
+    and the separation labels each full-resolution pixel with its nearest
+    center hue as it splits it, at full resolution in one pass.
 
     Returns the separation plus diagnostics.  diffuse + specular equals
     the working image (the input after any requested white balance)
@@ -172,7 +174,8 @@ def run(img, cfg: PipelineConfig | None = None
     threads = cfg.threads or os.cpu_count() or 1
     basis, divide = parse_illumination(cfg.illumination)
     h, w = img.shape[:2]
-    factor = min(int(np.ceil(max(h, w) / cfg.target_edge)), h, w) if cfg.fast else 1
+    cap = max(1, min(h, w) // FAST_MIN_EDGE)
+    factor = min(int(np.ceil(max(h, w) / cfg.target_edge)), cap) if cfg.fast else 1
     lap("validate")
     if divide is not None:
         img = white_balance(img, divide)

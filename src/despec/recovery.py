@@ -126,10 +126,8 @@ def _diffuse_parallel_for_cluster(coeffs: np.ndarray) -> float:
         i = _first_peak_index(counts)
     except NoPeakError:
         return float(np.percentile(coeffs, FALLBACK_PERCENTILE))
-    window = ordered[pos[max(i - 1, 0)]:pos[min(i + 2, len(EDGES) - 1)]]
-    if len(window) == 0:  # smoothing can mark a raw-empty bin; widen never fails
-        return float((EDGES[i] + EDGES[i + 1]) / 2.0)
-    return float(np.median(window))
+    # the window holds 3x the peak's smoothed count, >= 3 * PEAK_FLOOR
+    return float(np.median(ordered[pos[max(i - 1, 0)]:pos[min(i + 2, len(EDGES) - 1)]]))
 
 
 def parallel_coefficients(field: SpecularFreeField, clusters: ClusterSet,
@@ -181,8 +179,8 @@ def separate_image(img, clusters: ClusterSet, models: dict,
     The image is walked once, in short row chunks, and each chunk works
     in a few chunk-sized buffers: the specular strength is summed channel
     by channel into one, and the specular part, its clip, the diffuse
-    part and the additivity repair go one channel at a time, so no
-    3-channel temporary is made.
+    part input - specular and the exact specular part input - diffuse
+    go one channel at a time, so no 3-channel temporary is made.
 
     ``labels`` is an (H, W) label map of the image, as
     ``SpecularFreeField.label_map`` builds it; each pixel takes its label
@@ -246,18 +244,15 @@ def separate_image(img, clusters: ClusterSet, models: dict,
         for i in (1, 2):
             strength += np.multiply(block[..., i], axis[i].take(slot, mode="clip", out=scratch),
                                     out=scratch)
-        miss = np.empty(lab.shape, dtype=bool)
         for i in range(3):
             b, sp, dif = block[..., i], specular[rows, :, i], diffuse[rows, :, i]
             np.multiply(strength, d[i], out=sp)
             np.clip(sp, 0.0, b, out=sp)
             np.subtract(b, sp, out=dif)
-            # b - sp rounds, and adding sp back can miss b by an ulp.
-            # There dif >= b / 2, so b - dif is exact (Sterbenz) and
-            # taking it as the specular part makes the sum exact again.
-            np.not_equal(np.add(dif, sp, out=scratch), b, out=miss)
-            if miss.any():
-                np.subtract(b, dif, out=sp, where=miss)
+            # b - dif is exact (Sterbenz): if sp >= b / 2, b - sp is exact,
+            # so dif = b - sp and b - dif = sp; if sp < b / 2, dif >= b / 2.
+            # So dif + sp == b, b - dif == sp and b - sp == dif, bit for bit.
+            np.subtract(b, dif, out=sp)
 
     run_rows(fill, img.shape[0], threads)
     return SeparationResult(diffuse=diffuse, specular=specular, labels=labels)

@@ -28,6 +28,16 @@ def make_field(hues):
                              pixel=pixel, flags=flags)
 
 
+def assert_exact_split(result, img):
+    """diffuse + specular == img, img - diffuse == specular and
+    img - specular == diffuse, bit for bit; both parts nonnegative."""
+    diffuse, specular = result.diffuse, result.specular
+    assert np.array_equal(diffuse + specular, img)
+    assert np.array_equal(img - diffuse, specular)
+    assert np.array_equal(img - specular, diffuse)
+    assert diffuse.min() >= 0 and specular.min() >= 0
+
+
 def row_major(field, values):
     """Per-entry ``values`` of a field, reordered to row-major pixel order."""
     return np.asarray(values)[np.argsort(field.pixel)]

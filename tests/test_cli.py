@@ -1,13 +1,15 @@
 """Command line interface: subcommands, outputs, exit codes."""
 
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from despec import imgio, pipeline, synth
-from despec.cli import _config_from_args, build_parser, main
+from despec import errors, imgio, pipeline, synth
+from despec.cli import EXIT_CODES_HELP, _config_from_args, build_parser, main
 
 
 def synth_dir(tmp_path, scene="single-1", extra=(), name="scene"):
@@ -514,3 +516,15 @@ class TestParsing:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "despec" in proc.stdout
+
+    def test_exit_codes_agree_with_the_readme_and_the_errors(self):
+        """The README's exit-code table and the CLI help list the codes 0-6,
+        and every error class's exit code is among them."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("### Exit codes", 1)[1].split("\n#", 1)[0]
+        documented = [int(code) for code in re.findall(r"^\| (\d+) \|", table, re.M)]
+        helped = [int(code) for code in re.findall(r"^  (\d+)  ", EXIT_CODES_HELP, re.M)]
+        assert documented == helped == list(range(7))
+        raised = {cls.exit_code for cls in vars(errors).values()
+                  if isinstance(cls, type) and issubclass(cls, errors.DespecError)}
+        assert raised <= set(documented)

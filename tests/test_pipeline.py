@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_exact_split
 from despec import errors, imgio, synth
 from despec.clustering import (
     KMEANS_MAX_ITER,
@@ -21,6 +22,7 @@ from despec.clustering import (
 from despec.metrics import cluster_accuracy, psnr
 from despec.model import EPS_BLACK, IlluminationBasis, _norm3, white_balance
 from despec.pipeline import (
+    FAST_MIN_EDGE,
     OPTIONS,
     PipelineConfig,
     box_downsample,
@@ -227,18 +229,35 @@ class TestFastPath:
         assert np.abs(result.diffuse + result.specular - gt.input).max() <= 1e-12
 
     def test_factor_stops_at_the_short_side(self):
-        """The default target edge asks for factor 5 on a 1000x4 image;
-        capped at 4, the copy keeps one row and clusters like the full
-        path.  A 4x1000 image keeps one column."""
+        """The default target edge asks for factor 5 on a 1000x4 image,
+        but a copy must keep FAST_MIN_EDGE pixels on its short side, so
+        the image takes the full path.  So does a 4x1000 image."""
         gt = synth.render(synth.builtin_scene("over-seg", 1000, 4))
         result, diag = run(gt.input, PipelineConfig(fast=True))
-        assert diag.downsampled and diag.n_clusters == 5
-        assert np.array_equal(result.diffuse + result.specular, gt.input)
+        assert not diag.downsampled and diag.n_clusters == 5
+        assert_exact_split(result, gt.input)
         assert cluster_accuracy(diag.labels, gt.labels) == 1.0
         tall = synth.render(synth.builtin_scene("over-seg", 4, 1000)).input
         result, diag = run(tall, PipelineConfig(fast=True))
-        assert diag.downsampled and diag.labels.shape == (1000, 4)
-        assert np.array_equal(result.diffuse + result.specular, tall)
+        assert not diag.downsampled and diag.labels.shape == (1000, 4)
+        assert_exact_split(result, tall)
+
+    @pytest.mark.parametrize("scene, width, height, downsampled", [
+        ("four-materials", 1000, 4, False),
+        ("four-materials", 4, 1000, False),
+        ("four-materials", 8, 1000, False),
+        ("over-seg", 16, 1000, True),   # factor 2, not 5
+        ("over-seg", 64, 2000, True),   # factor 8, not 10
+    ])
+    def test_thin_image_keeps_its_materials_apart(self, scene, width, height, downsampled):
+        """A copy averaged down to a row or two mixes materials laid side
+        by side across it; capping the factor at the short side over
+        FAST_MIN_EDGE keeps every material as the full path finds it."""
+        gt = synth.render(synth.builtin_scene(scene, width, height))
+        result, diag = run(gt.input, PipelineConfig(fast=True))
+        assert diag.downsampled == downsampled
+        assert cluster_accuracy(diag.labels, gt.labels) == 1.0
+        assert_exact_split(result, gt.input)
 
     def test_downsampled_clustering_keeps_quality(self):
         gt = synth.render(synth.builtin_scene("four-materials", 800, 560))
@@ -272,6 +291,19 @@ class TestFastPath:
         assert fast_diag.downsampled
 
 
+class TestExactSplit:
+    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_three_identities_bit_for_bit(self, fast, threads):
+        """Noisy four-materials, several 16-row chunks tall, on both paths:
+        every sample splits so that d + s == b, b - d == s and b - s == d."""
+        gt = synth.render(synth.builtin_scene("four-materials", 240, 170))
+        img = synth.add_noise(gt, 3.0, seed=4)
+        result, diag = run(img, PipelineConfig(fast=fast, target_edge=60, threads=threads))
+        assert diag.downsampled == fast
+        assert_exact_split(result, img)
+
+
 class TestDeterminism:
     def test_thread_count_does_not_change_output(self):
         gt = synth.render(synth.builtin_scene("over-seg", 130, 97))
@@ -299,7 +331,8 @@ class TestDeterminism:
         row-chunked stage (field fill, downsample, separation kernel)
         starts a pool: 1, 2 and 3 workers give the same bytes on both
         paths.  The fast path's target edge makes it downsample by
-        ``factor``."""
+        ``factor``, at most the width over FAST_MIN_EDGE: an image under
+        twice that wide takes the full path."""
         img = synth.add_noise(synth.render(synth.builtin_scene(scene, width, height)),
                               3.0, seed=seed)
         target = -(-height // factor) if fast else 200
@@ -311,7 +344,7 @@ class TestDeterminism:
             except errors.DespecError as exc:  # each worker count must fail alike
                 outputs.append(repr(exc))
                 continue
-            assert diag.downsampled == fast
+            assert diag.downsampled == (fast and width >= 2 * FAST_MIN_EDGE)
             outputs.append(result.diffuse.tobytes() + result.specular.tobytes()
                            + result.labels.tobytes())
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]

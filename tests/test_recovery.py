@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import parallel_coeff
+from conftest import assert_exact_split, parallel_coeff
 from despec import errors, synth
 from despec.clustering import ClusterSet, adaptive_cluster, kmeans, specular_free_field
 from despec.model import WHITE, IlluminationBasis
 from despec.recovery import (
     EDGES,
+    PEAK_FLOOR,
     MaterialModel,
     _first_peak_index,
     estimate_models,
@@ -167,6 +171,19 @@ class TestFirstPeak:
         counts = self.make_counts({i: 1 for i in range(0, 36, 3)})
         with pytest.raises(errors.NoPeakError):
             _first_peak_index(counts)
+
+    @settings(max_examples=200)
+    @given(counts=arrays(np.int64, st.integers(1, len(EDGES) - 1),
+                         elements=st.integers(0, 12) | st.integers(0, 10**4)))
+    def test_peak_window_holds_three_floors(self, counts):
+        """A peak's smoothed count is at least PEAK_FLOOR, so the peak bin
+        and its neighbors (clipped at the ends), the window whose median
+        sets the diffuse coefficient, hold at least 3 * PEAK_FLOOR."""
+        try:
+            i = _first_peak_index(counts)
+        except errors.NoPeakError:
+            return
+        assert counts[max(i - 1, 0):i + 2].sum() >= 3 * PEAK_FLOOR
 
 
 class TestEstimateRatio:
@@ -327,10 +344,7 @@ class TestSeparateImage:
     def test_additivity_and_nonnegativity_under_noise(self, white):
         gt = synth.render(synth.builtin_scene("single-1", 160, 120))
         img = synth.add_noise(gt, 6.0, seed=3)
-        result = separated(img, white)
-        assert np.array_equal(result.diffuse + result.specular, img)
-        assert result.diffuse.min() >= 0.0
-        assert result.specular.min() >= 0.0
+        assert_exact_split(separated(img, white), img)
 
     def test_idempotent_on_own_diffuse_output(self, white):
         gt = synth.render(synth.builtin_scene("single-2", 160, 120))
