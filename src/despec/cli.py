@@ -71,7 +71,9 @@ def _check_outputs(paths: dict) -> None:
 def cmd_remove(args) -> int:
     img = imgio.load(args.input)
     if args.gamma_decode:
-        img = np.power(img, 2.2)  # lossy convenience path for gamma-encoded input
+        # lossy convenience path for gamma-encoded input; float64, so a
+        # float32 PFM is not powered in float32
+        img = np.power(img, 2.2, dtype=np.float64)
     cfg = _config_from_args(args)
     _check_outputs({"-d": args.diffuse, "-s": args.specular, "-l": args.labels,
                     "--report": args.report})

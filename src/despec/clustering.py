@@ -166,8 +166,11 @@ def split_block(block: np.ndarray, basis: IlluminationBasis):
     The block's temporaries are a few grid-sized buffers, reused: the
     norm becomes the divisor ``m`` in place, one buffer holds each
     channel of ``c`` and one scratch buffer each product; ``amplitude``
-    is then built in ``m`` and ``hue`` in the ``c`` buffer.
+    is then built in ``m`` and ``hue`` in the ``c`` buffer.  A float32
+    block is widened to float64 first, so it gives the bits of its
+    float64 copy.
     """
+    block = np.asarray(block, dtype=np.float64)  # a no-op for float64
     u, v = basis.u, basis.v
     m = _norm3(block)
     blk = m <= EPS_BLACK
@@ -191,8 +194,9 @@ def split_block(block: np.ndarray, basis: IlluminationBasis):
 
 def specular_free_field(img, basis: IlluminationBasis, threads: int = 1) -> SpecularFreeField:
     """Split every pixel against the illumination and sort the valid
-    ones by hue; see SpecularFreeField."""
-    img = np.asarray(img, dtype=np.float64)
+    ones by hue; see SpecularFreeField.  split_block widens a float32
+    image chunk by chunk, so no float64 copy of it is made."""
+    img = np.asarray(img)
     width = img.shape[1]
     flags = np.empty(img.shape[:2], dtype=np.uint8)
 

@@ -1,7 +1,8 @@
 """Minimal image I/O: binary PPM (8/16 bit) and float PFM.
 
-Loading always yields (H, W, 3) float64 in linear light: integer PPM
-samples are divided by their maxval, PFM floats are taken verbatim.
+Loading yields (H, W, 3) linear light: integer PPM samples are divided
+by their maxval into float64 (k/maxval is not exact in float32), PFM
+floats are taken verbatim as float32.
 Saving to an integer format rounds half up and reports how many samples
 had to be clipped from above (linear-light values above 1.0).  PFM is
 written as 32-bit little-endian floats, so a load/save cycle of a PFM
@@ -167,12 +168,13 @@ def _load_pfm(data: bytes) -> np.ndarray:
         raise CorruptHeaderError("zero scale")
     dtype = "<f4" if scale < 0 else ">f4"  # scale sign encodes endianness
     samples = _read_raster(data, offset, width, height, dtype)
-    # PFM rows run bottom to top: flip while widening, in one copy
-    return samples[::-1].astype(np.float64, order="C")
+    # PFM rows run bottom to top: flip while converting to native order, in one copy
+    return samples[::-1].astype(np.float32, order="C")
 
 
 def load(path) -> np.ndarray:
-    """Read a PPM (P6) or PFM (PF) image as (H, W, 3) float64."""
+    """Read a PPM (P6) image as (H, W, 3) float64 or a PFM (PF) image as
+    (H, W, 3) float32, C-contiguous and writable."""
     data = _read_bytes(path)
     magic = data[:2]
     if magic == b"P6":

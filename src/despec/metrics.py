@@ -22,14 +22,17 @@ def psnr(result, truth) -> float:
     mean squared error is below MSE_EXACT.  Raises ValueError when either
     image holds a NaN or an infinity.
     """
-    result = np.asarray(result, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
+    result = np.asarray(result)
+    truth = np.asarray(truth)
     if result.shape != truth.shape:
         raise DimensionMismatchError(f"shape {result.shape} vs {truth.shape}")
     for name, img in (("result", result), ("truth", truth)):
         if not np.isfinite(img).all():
             raise ValueError(f"{name} image contains non-finite values (NaN or inf)")
-    mse = float(np.mean((result - truth) ** 2))
+    # one float64 temporary; float32 samples widen to float64 exactly
+    diff = np.subtract(result, truth, dtype=np.float64)
+    diff *= diff
+    mse = float(diff.mean())
     if mse < MSE_EXACT:
         return math.inf
     return 10.0 * math.log10(1.0 / mse)

@@ -22,7 +22,7 @@ from ._parallel import run_rows
 from .clustering import ClusterConfig, FitDiagnostics, adaptive_cluster, specular_free_field
 from .errors import ConfigError
 from .model import IlluminationBasis, white_balance
-from .recovery import SeparationResult, estimate_models, separate_image
+from .recovery import SeparationResult, estimate_models, separate_image, working_image
 
 
 FAST_MIN_EDGE = 8  # --fast keeps at least this many pixels on the copy's short side
@@ -100,7 +100,7 @@ def parse_illumination(spec: str) -> tuple[IlluminationBasis, tuple[float, ...] 
 
 
 def _validate_input(img: np.ndarray) -> np.ndarray:
-    img = np.asarray(img, dtype=np.float64)
+    img = working_image(img)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError(f"expected an (H, W, 3) image, got shape {img.shape}")
     if img.size == 0:
@@ -157,9 +157,11 @@ def run(img, cfg: PipelineConfig | None = None
     and the separation labels each full-resolution pixel with its nearest
     center hue as it splits it, at full resolution in one pass.
 
-    Returns the separation plus diagnostics.  diffuse + specular equals
-    the working image (the input after any requested white balance)
-    exactly, and both parts are nonnegative.
+    A float32 image stays float32, any other becomes float64 (see
+    ``working_image``).  Returns the separation plus diagnostics.  The
+    parts have the working image's dtype (the input after any requested
+    white balance, which widens to float64); diffuse + specular equals
+    it bit for bit in that dtype, and both parts are nonnegative.
     """
     stages: dict[str, float] = {}
     marks = [time.perf_counter()]

@@ -171,6 +171,13 @@ def estimate_models(field: SpecularFreeField, clusters: ClusterSet,
     }
 
 
+def working_image(img) -> np.ndarray:
+    """``img`` as an array the pipeline works on: float32 as it is, so a
+    PFM image is never widened whole, and anything else as float64."""
+    img = np.asarray(img)
+    return img if img.dtype == np.float32 else img.astype(np.float64, copy=False)
+
+
 def separate_image(img, clusters: ClusterSet, models: dict,
                    basis: IlluminationBasis, threads: int = 1,
                    labels: np.ndarray | None = None) -> SeparationResult:
@@ -181,6 +188,13 @@ def separate_image(img, clusters: ClusterSet, models: dict,
     by channel into one, and the specular part, its clip, the diffuse
     part input - specular and the exact specular part input - diffuse
     go one channel at a time, so no 3-channel temporary is made.
+
+    A float32 image gives float32 parts, any other image float64 parts.
+    The strength and the clipped specular part are computed in float64;
+    for a float32 image the specular part is then rounded to float32 and
+    the two subtractions run in float32.  Either way diffuse + specular
+    == input, input - diffuse == specular and input - specular ==
+    diffuse hold bit for bit in the image's dtype.
 
     ``labels`` is an (H, W) label map of the image, as
     ``SpecularFreeField.label_map`` builds it; each pixel takes its label
@@ -194,7 +208,7 @@ def separate_image(img, clusters: ClusterSet, models: dict,
     the diffuse image with zero specular.  Raises ModelMissingError if a
     usable label has no entry in ``models``.
     """
-    img = np.asarray(img, dtype=np.float64)
+    img = working_image(img)
     k = clusters.n_clusters
     given = labels is not None
     if not given:
@@ -238,7 +252,8 @@ def separate_image(img, clusters: ClusterSet, models: dict,
             missing = ~known.take(slot, mode="clip")
             if missing.any():
                 raise ModelMissingError(f"no material model for cluster {int(lab[missing][0])}")
-        # strength = block · axis, summed channel by channel in one buffer
+        # strength = block · axis, summed channel by channel in one
+        # float64 buffer (a float32 block is widened exactly by the ufuncs)
         scratch = np.empty(lab.shape)
         strength = block[..., 0] * axis[0].take(slot, mode="clip", out=scratch)
         for i in (1, 2):
@@ -246,8 +261,10 @@ def separate_image(img, clusters: ClusterSet, models: dict,
                                     out=scratch)
         for i in range(3):
             b, sp, dif = block[..., i], specular[rows, :, i], diffuse[rows, :, i]
-            np.multiply(strength, d[i], out=sp)
-            np.clip(sp, 0.0, b, out=sp)
+            # the specular part is clipped in float64 and rounded into sp;
+            # rounding is monotone and b is representable, so 0 <= sp <= b
+            np.multiply(strength, d[i], out=scratch)
+            np.clip(scratch, 0.0, b, out=sp)
             np.subtract(b, sp, out=dif)
             # b - dif is exact (Sterbenz): if sp >= b / 2, b - sp is exact,
             # so dif = b - sp and b - dif = sp; if sp < b / 2, dif >= b / 2.

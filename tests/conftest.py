@@ -9,7 +9,9 @@ import sys
 import numpy as np
 from hypothesis import settings
 
+from despec import imgio
 from despec.clustering import SpecularFreeField
+from despec.recovery import SeparationResult
 
 # The one profile of every property test: the same examples on each run,
 # no example database left behind, and no per-example deadline, which a
@@ -36,6 +38,15 @@ def assert_exact_split(result, img):
     assert np.array_equal(img - diffuse, specular)
     assert np.array_equal(img - specular, diffuse)
     assert diffuse.min() >= 0 and specular.min() >= 0
+
+
+def assert_exact_files(src, diffuse, specular):
+    """The PFM files ``diffuse`` and ``specular`` split the PFM file
+    ``src`` exactly: assert_exact_split on their float32 samples."""
+    img = imgio.load(src)
+    assert img.dtype == np.float32
+    parts = SeparationResult(imgio.load(diffuse), imgio.load(specular), labels=None)
+    assert_exact_split(parts, img)
 
 
 def row_major(field, values):

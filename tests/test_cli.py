@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import assert_exact_files
 from despec import errors, imgio, pipeline, synth
 from despec.cli import EXIT_CODES_HELP, _config_from_args, build_parser, main
 
@@ -171,6 +172,19 @@ class TestRemove:
         truth = imgio.load(out / "input.pfm")
         assert np.abs(diffuse + specular - truth).max() <= 1e-6  # float32 files
         assert (tmp_path / "l.ppm").exists()
+
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_written_files_split_the_input_exactly(self, tmp_path, capsys, fast):
+        """A PFM input stays float32 through the run, so the written
+        parts satisfy d + s == b, b - d == s and b - s == d for every
+        float32 sample, on both paths."""
+        out = synth_dir(tmp_path, scene="four-materials", extra=["--sigma", "3"])
+        d, s = tmp_path / "d.pfm", tmp_path / "s.pfm"
+        flags = ["--fast", "--target-edge", "24"] if fast else []
+        rc = main(["remove", str(out / "input.pfm"), "-d", str(d), "-s", str(s), *flags])
+        assert rc == 0
+        assert stdout_value(capsys.readouterr().out, "downsampled") == str(fast).lower()
+        assert_exact_files(out / "input.pfm", d, s)
 
     def test_eval_of_remove_output(self, tmp_path, capsys):
         out = synth_dir(tmp_path, scene="four-materials")
@@ -428,6 +442,21 @@ class TestRemove:
         capsys.readouterr()
         decoded = imgio.load(tmp_path / "d.pfm") + imgio.load(tmp_path / "s.pfm")
         assert np.abs(decoded - linear).max() <= 1e-5  # float32 + power round trip
+
+    def test_gamma_decode_powers_in_float64(self, tmp_path, capsys):
+        """--gamma-decode raises the float32 samples to 2.2 in float64, so
+        the run is the library run on the float64 decoded image."""
+        out = synth_dir(tmp_path, scene="four-materials", extra=["--sigma", "3"])
+        d, s = tmp_path / "d.pfm", tmp_path / "s.pfm"
+        rc = main(["remove", str(out / "input.pfm"), "--gamma-decode",
+                   "-d", str(d), "-s", str(s), "--threads", "1"])
+        assert rc == 0
+        capsys.readouterr()
+        decoded = np.power(imgio.load(out / "input.pfm").astype(np.float64), 2.2)
+        result, _ = pipeline.run(decoded, pipeline.PipelineConfig(threads=1))
+        assert result.diffuse.dtype == np.float64
+        assert np.array_equal(imgio.load(d), result.diffuse.astype(np.float32))
+        assert np.array_equal(imgio.load(s), result.specular.astype(np.float32))
 
 
 class TestEval:

@@ -119,12 +119,14 @@ class TestLoadPfm:
 class TestLoadLayout:
     @pytest.mark.parametrize("format", ["pfm", "ppm8", "ppm16"])
     def test_c_contiguous_writable_float64(self, tmp_path, format):
+        """PFM loads as float32, PPM as float64 (k/maxval is not exact in
+        float32); either way a C-contiguous, writable copy."""
         img = np.random.default_rng(1).random((5, 7, 3))
         p = tmp_path / "a.img"
         save(img, p, format)
         out = load(p)
         assert out.shape == (5, 7, 3)
-        assert out.dtype == np.float64
+        assert out.dtype == (np.float32 if format == "pfm" else np.float64)
         assert out.flags.c_contiguous and out.flags.writeable
         out[0, 0, 0] = 2.0  # not a view of the read-only file bytes
 

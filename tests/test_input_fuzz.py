@@ -6,7 +6,8 @@ reader takes whitespace and comments.
 Every case ends in its documented exit code (2 unusable data, 3 file
 format, 5 processing) or in exit 0 with output that is nonnegative and
 exactly additive: input - diffuse and input - specular also give the
-other part back bit for bit.  None exits 1 or prints a traceback.
+other part back bit for bit.  For a PFM input that holds for the
+written files too.  None exits 1 or prints a traceback.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import assert_exact_split
+from conftest import assert_exact_files, assert_exact_split
 from despec import errors, imgio, pipeline, synth
 from despec.cli import main
 
@@ -58,6 +59,8 @@ def remove(data: bytes, workdir) -> int:
         assert_exact_split(result, img)
         for path in (dif, spe):
             assert imgio.load(path).shape == img.shape
+        if data[:2] == b"PF":  # float32 in, float32 out: the files split exactly too
+            assert_exact_files(src, dif, spe)
     else:
         assert err.startswith("despec: error: ") and len(err.splitlines()) == 1, err
         assert not dif.exists()

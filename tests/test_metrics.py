@@ -43,6 +43,19 @@ class TestPsnr:
         with pytest.raises(errors.DimensionMismatchError):
             psnr(np.zeros((4, 4, 3)), np.zeros((4, 5, 3)))
 
+    def test_float32_scores_as_its_float64_widening(self):
+        rng = np.random.default_rng(1)
+        a, b = (rng.random((30, 40, 3)).astype(np.float32) for _ in range(2))
+        wide = psnr(a.astype(np.float64), b.astype(np.float64))
+        assert psnr(a, b) == wide
+        assert psnr(a, b.astype(np.float64)) == wide
+
+    def test_float32_non_finite_rejected(self):
+        bad = np.full((4, 4, 3), 0.5, dtype=np.float32)
+        bad[0, 0, 1] = np.inf
+        with pytest.raises(ValueError, match="result image contains non-finite values"):
+            psnr(bad, np.full((4, 4, 3), 0.5, dtype=np.float32))
+
 
 class TestClusterAccuracy:
     def quadrant_truth(self, n=40):

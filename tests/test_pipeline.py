@@ -304,6 +304,29 @@ class TestExactSplit:
         assert_exact_split(result, img)
 
 
+class TestFloat32Input:
+    @pytest.mark.parametrize("scene", synth.BUILTIN_SCENES)
+    @pytest.mark.parametrize("sigma", [0.0, 3.0])
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_float32_and_float64_agree(self, scene, sigma, fast):
+        """A float32 image and its float64 copy give the same labels, and
+        diffuse parts within one float32 spacing of the input sample;
+        each run's parts have its input's dtype and split it exactly."""
+        gt = synth.render(synth.builtin_scene(scene, 120, 90))
+        img32 = synth.add_noise(gt, sigma, seed=5).astype(np.float32)
+        img64 = img32.astype(np.float64)
+        cfg = PipelineConfig(fast=fast, target_edge=40, threads=2)
+        (a, da), (b, db) = run(img32, cfg), run(img64, cfg)
+        assert da.downsampled == db.downsampled == fast
+        assert a.labels.tobytes() == b.labels.tobytes()
+        assert a.diffuse.dtype == a.specular.dtype == np.float32
+        assert b.diffuse.dtype == b.specular.dtype == np.float64
+        gap = np.abs(a.diffuse.astype(np.float64) - b.diffuse)
+        assert np.all(gap <= np.spacing(img32).astype(np.float64))
+        assert_exact_split(a, img32)
+        assert_exact_split(b, img64)
+
+
 class TestDeterminism:
     def test_thread_count_does_not_change_output(self):
         gt = synth.render(synth.builtin_scene("over-seg", 130, 97))
@@ -325,16 +348,16 @@ class TestDeterminism:
     @settings(max_examples=30)
     @given(scene=st.sampled_from(synth.BUILTIN_SCENES), height=st.integers(64, 160),
            width=st.integers(6, 40), seed=st.integers(0, 2**16), fast=st.booleans(),
-           factor=st.sampled_from([2, 3]))
-    def test_thread_count_property(self, scene, height, width, seed, fast, factor):
-        """Generated images several 16-row chunks tall, so every
-        row-chunked stage (field fill, downsample, separation kernel)
-        starts a pool: 1, 2 and 3 workers give the same bytes on both
-        paths.  The fast path's target edge makes it downsample by
-        ``factor``, at most the width over FAST_MIN_EDGE: an image under
-        twice that wide takes the full path."""
+           factor=st.sampled_from([2, 3]), dtype=st.sampled_from([np.float64, np.float32]))
+    def test_thread_count_property(self, scene, height, width, seed, fast, factor, dtype):
+        """Generated float64 or float32 images several 16-row chunks
+        tall, so every row-chunked stage (field fill, downsample,
+        separation kernel) starts a pool: 1, 2 and 3 workers give the
+        same bytes on both paths.  The fast path's target edge makes it
+        downsample by ``factor``, at most the width over FAST_MIN_EDGE:
+        an image under twice that wide takes the full path."""
         img = synth.add_noise(synth.render(synth.builtin_scene(scene, width, height)),
-                              3.0, seed=seed)
+                              3.0, seed=seed).astype(dtype)
         target = -(-height // factor) if fast else 200
         outputs = []
         for threads in (1, 2, 3):
@@ -345,6 +368,7 @@ class TestDeterminism:
                 outputs.append(repr(exc))
                 continue
             assert diag.downsampled == (fast and width >= 2 * FAST_MIN_EDGE)
+            assert result.diffuse.dtype == result.specular.dtype == dtype
             outputs.append(result.diffuse.tobytes() + result.specular.tobytes()
                            + result.labels.tobytes())
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
