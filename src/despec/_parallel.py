@@ -7,25 +7,81 @@ chunks at absolute rows 0, 16, 32, ..., whatever the worker count.  So
 each chunk computes the same bits on any thread, and results are
 byte-identical for any worker count.  Short chunks also keep a stage's
 temporaries small and cache-resident however large the image is.
+
+The helpers come from one thread pool per process, built on first use
+with at most ``os.cpu_count()`` threads and reused by every call; a
+forked child builds its own.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 CHUNK_ROWS = 16
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """Drop the parent's pool in a forked child, whose threads it lacks."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1,
+                                       thread_name_prefix="despec-rows")
+        return _pool
 
 
 def run_rows(fn, height: int, threads: int) -> list:
     """[fn(rows) for each CHUNK_ROWS-row slice of [0, height)], in row order.
 
-    The chunks run on a pool of at most ``threads`` workers, never more
-    than there are chunks or cores; with one worker they run inline.
+    The chunks run on at most ``threads`` workers, never more than there
+    are chunks or cores; with one worker they run inline.  Otherwise the
+    calling thread and up to ``workers - 1`` pool helpers take chunks in
+    turn from one shared counter.  After a chunk raises, each worker
+    stops at its next turn, and the exception is raised once every
+    running helper has stopped.  A helper the pool has not started when the caller runs out
+    of chunks is cancelled, never waited for, so nested or concurrent
+    calls cannot deadlock on a busy pool.
     """
     chunks = [slice(r, min(r + CHUNK_ROWS, height)) for r in range(0, height, CHUNK_ROWS)]
     workers = min(threads, len(chunks), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(rows) for rows in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, chunks))
+    out = [None] * len(chunks)
+    turns = iter(range(len(chunks)))  # next() on it is atomic under the GIL
+    failed = []
+
+    def work():
+        for i in turns:
+            if failed:
+                return
+            try:
+                out[i] = fn(chunks[i])
+            except BaseException:
+                failed.append(i)
+                raise
+
+    pool = _executor()
+    helpers = [pool.submit(work) for _ in range(workers - 1)]
+    try:
+        work()
+    finally:
+        # cancel the helpers not yet started and wait for the others
+        errors = [helper.exception() for helper in helpers if not helper.cancel()]
+    for error in errors:
+        if error is not None:
+            raise error
+    return out

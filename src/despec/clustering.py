@@ -8,7 +8,8 @@ separation kernel calls it too when it labels a full-resolution image
 against clusters found on a downsampled copy.  The
 hue depends only on the material color, not on how much highlight the
 pixel carries, so k-means on the circle of hues groups pixels by
-material; :func:`nearest_hue` is the one assignment rule.  The cluster
+material; :func:`nearest_hue` is the one assignment rule, and
+:func:`hue_lookup` builds its bucket table once per set of centers.  The cluster
 count is grown adaptively: a cluster whose pixels deviate too far from
 the unit circle in its (center, illumination) frame is mixing materials
 and votes to increase k.
@@ -50,6 +51,7 @@ KMEANS_MAX_ITER = 100  # Lloyd iterations per k-means run
 HUE_TOL = 1e-9
 TAU_FRAC = 0.1         # failing fraction above which a cluster splits
 BLOCK = 32768          # field entries per block of per-entry temporaries
+BUCKETS = 4096         # hue buckets of nearest_hue's lookup table
 
 
 @dataclass
@@ -244,10 +246,49 @@ def _arcs(centers) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (s[:-1] + s[1:]), owner
 
 
-def nearest_hue(hue, centers) -> np.ndarray:
-    """Index (int32) of the center angle nearest to each hue on the circle."""
+def _bucket(hue) -> np.ndarray:
+    """Lookup-table bucket of each hue, trunc((hue + pi) * BUCKETS / 2pi)
+    clipped to [0, BUCKETS - 1].  Every step is monotone, so the bucket
+    never decreases as the hue grows; a NaN, which sorts last, takes the
+    last bucket."""
+    pos = np.empty(np.shape(hue))
+    np.add(hue, np.pi, out=pos)
+    pos *= BUCKETS / (2.0 * np.pi)
+    np.fmin(pos, BUCKETS - 1, out=pos)
+    np.fmax(pos, 0.0, out=pos)
+    return pos.astype(np.intp)
+
+
+def hue_lookup(centers):
+    """nearest_hue against fixed ``centers``, as a function of the hues
+    alone; the table behind it is built once, here.
+
+    Hues in one bucket share the count of midpoints at or below them
+    unless a midpoint falls in that bucket too: the bucket never
+    decreases as the hue grows, so a bucket with no midpoint lies above
+    exactly the midpoints of lower buckets.  The table holds the owner
+    of such buckets and -1 for the at most k + 1 that hold a midpoint,
+    whose hues take the searchsorted of the midpoints instead.
+    """
     midpoints, owner = _arcs(centers)
-    return owner[np.searchsorted(midpoints, hue, side="right")]
+    counts = np.bincount(_bucket(midpoints), minlength=BUCKETS)
+    table = np.where(counts > 0, -1, owner[np.cumsum(counts) - counts])
+
+    def nearest(hue) -> np.ndarray:
+        labels = table.take(_bucket(hue))
+        near = labels < 0
+        if near.any():
+            labels[near] = owner[np.searchsorted(midpoints, hue[near], side="right")]
+        return labels
+
+    return nearest
+
+
+def nearest_hue(hue, centers) -> np.ndarray:
+    """Index (int32) of the center angle nearest to each hue on the circle:
+    ``owner[searchsorted(midpoints, hue, side="right")]`` over ``_arcs``,
+    read from the lookup table of hue_lookup."""
+    return hue_lookup(centers)(hue)
 
 
 def _merge_runs(bounds: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -445,8 +486,9 @@ def adaptive_cluster(field: SpecularFreeField,
     Starts at ``cfg.initial_k`` and adds one cluster per failing cluster
     each round.  After termination, clusters smaller than the size floor
     are merged into their nearest neighbor.  If the iteration cap is hit
-    with failing clusters remaining, a NoConvergenceWarning is issued and
-    the best clustering so far is returned with ``converged=False``.
+    with failing clusters remaining, or k can grow no further (it has
+    reached the number of valid pixels), a NoConvergenceWarning is issued
+    and the best clustering so far is returned with ``converged=False``.
     The fit returned is the final clusters', with one dict per round in
     ``rounds``: its ``k``, ``lloyd_iterations``, ``failing`` clusters,
     ``fit_error`` and ``seconds``.  ``initial_k`` or ``max_iterations``
@@ -479,7 +521,10 @@ def adaptive_cluster(field: SpecularFreeField,
         next_k = clusters.n_clusters + failing
         if next_k <= k:  # collapsed clusters; still force progress
             next_k = k + failing
-        k = min(next_k, n_valid)
+        next_k = min(next_k, n_valid)
+        if next_k == k:  # k-means is deterministic: every later round would repeat this one
+            break
+        k = next_k
 
     converged = fit.converged  # the last round's, not the merged set's
     if not converged:

@@ -99,17 +99,17 @@ def parse_illumination(spec: str) -> tuple[IlluminationBasis, tuple[float, ...] 
     return IlluminationBasis.from_rgb(numbers(spec, 3, "illumination", ConfigError)), None
 
 
-def _validate_input(img: np.ndarray) -> np.ndarray:
+def _validate_input(img: np.ndarray, threads: int) -> np.ndarray:
     img = working_image(img)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError(f"expected an (H, W, 3) image, got shape {img.shape}")
     if img.size == 0:
         raise ValueError(f"input image is empty, got shape {img.shape}")
-    # both bounds of each row chunk while it is in cache, on one thread (a
-    # pool costs more than it saves on this memory-bound pass); NaN or inf
-    # in the image shows up in them, and np.min/np.max pass a NaN on
+    # both bounds of each row chunk while it is in cache, on ``threads``
+    # workers of the reused pool; NaN or inf in the image shows up in
+    # them, and np.min/np.max pass a NaN on
     bounds = np.array(run_rows(lambda rows: (img[rows].min(), img[rows].max()),
-                               img.shape[0], 1))
+                               img.shape[0], threads))
     lo, hi = np.min(bounds[:, 0]), np.max(bounds[:, 1])
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("input image contains non-finite values")
@@ -121,10 +121,12 @@ def _validate_input(img: np.ndarray) -> np.ndarray:
 def box_downsample(img: np.ndarray, factor: int, threads: int = 1) -> np.ndarray:
     """Box-average over factor x factor blocks, cropping any remainder.
 
-    Output rows are filled in threaded chunks; within a chunk the slabs
-    are summed one at a time in row-major block order, which gives the
-    same bits as ``mean(axis=(1, 3))`` over the blocked view without its
-    strided reduction, for any thread count.
+    Output rows are filled in threaded chunks.  Within a chunk the slabs
+    are summed one at a time, in row-major block order, into a
+    channel-planar (rows, 3, W / factor) buffer, so each add runs along
+    a whole output row.  That gives the same bits as
+    ``mean(axis=(1, 3))`` over the blocked view without its strided
+    reduction, for any thread count.
     """
     if factor <= 1:
         return img
@@ -134,13 +136,15 @@ def box_downsample(img: np.ndarray, factor: int, threads: int = 1) -> np.ndarray
     total = np.empty((hc // factor, wc // factor, 3))
 
     def fill(rows):
-        part, out = block[rows], total[rows]
-        np.copyto(out, part[:, 0, :, 0, :])
+        # (rows, i, channel, column, j): each slab add runs along a row
+        part = block[rows].transpose(0, 1, 4, 2, 3)
+        acc = np.empty(part.shape[:1] + part.shape[2:4])
+        np.copyto(acc, part[:, 0, :, :, 0])
         for i in range(factor):
             for j in range(factor):
                 if i or j:
-                    out += part[:, i, :, j, :]
-        out /= factor * factor
+                    acc += part[:, i, :, :, j]
+        np.divide(acc, factor * factor, out=total[rows].transpose(0, 2, 1))
 
     run_rows(fill, len(total), threads)
     return total
@@ -172,8 +176,8 @@ def run(img, cfg: PipelineConfig | None = None
 
     cfg = cfg or PipelineConfig()
     _check_config(cfg)
-    img = _validate_input(img)
     threads = cfg.threads or os.cpu_count() or 1
+    img = _validate_input(img, threads)
     basis, divide = parse_illumination(cfg.illumination)
     h, w = img.shape[:2]
     cap = max(1, min(h, w) // FAST_MIN_EDGE)

@@ -22,7 +22,7 @@ from .errors import (
     NoPeakError,
 )
 from .model import EPS_GRAY, IlluminationBasis
-from .clustering import FLAG_VALID, ClusterSet, SpecularFreeField, nearest_hue, split_block
+from .clustering import FLAG_VALID, ClusterSet, SpecularFreeField, hue_lookup, split_block
 
 
 BIN_WIDTH = 0.005            # coefficient histogram bin width
@@ -201,7 +201,8 @@ def separate_image(img, clusters: ClusterSet, models: dict,
     from there.  With ``labels`` None (clusters found on a downsampled
     copy), each chunk labels its own pixels instead, straight into the
     returned map: every pixel is split by ``split_block`` and takes the
-    nearest of ``clusters.hues``, while flagged pixels get minus their
+    nearest of ``clusters.hues`` (``nearest_hue``, read from one
+    ``hue_lookup`` table per call), while flagged pixels get minus their
     flag.  The labels used are returned in ``SeparationResult.labels``.
 
     Flagged pixels and pass-through clusters keep their input value in
@@ -239,6 +240,8 @@ def separate_image(img, clusters: ClusterSet, models: dict,
     # no entry in ``models``, or slot k + 1, which only a given label >= k
     # reaches; otherwise the per-pixel check is skipped
     gaps = not known[:k + 1].all()
+    if not given:
+        nearest = hue_lookup(clusters.hues)
 
     def fill(rows):
         block = img[rows]
@@ -246,7 +249,7 @@ def separate_image(img, clusters: ClusterSet, models: dict,
         if not given:
             hue, _, flags = split_block(block, basis)
             np.negative(flags, out=lab, dtype=np.int32)
-            np.copyto(lab, nearest_hue(hue, clusters.hues), where=flags == FLAG_VALID)
+            np.copyto(lab, nearest(hue), where=flags == FLAG_VALID)
         slot = np.maximum(lab + 1, 0)
         if gaps or (given and lab.max() >= k):
             missing = ~known.take(slot, mode="clip")
@@ -263,8 +266,10 @@ def separate_image(img, clusters: ClusterSet, models: dict,
             b, sp, dif = block[..., i], specular[rows, :, i], diffuse[rows, :, i]
             # the specular part is clipped in float64 and rounded into sp;
             # rounding is monotone and b is representable, so 0 <= sp <= b
+            # (maximum then minimum: np.clip's bits at a third of its time)
             np.multiply(strength, d[i], out=scratch)
-            np.clip(scratch, 0.0, b, out=sp)
+            np.maximum(scratch, 0.0, out=scratch)
+            np.minimum(scratch, b, out=sp)
             np.subtract(b, sp, out=dif)
             # b - dif is exact (Sterbenz): if sp >= b / 2, b - sp is exact,
             # so dif = b - sp and b - dif = sp; if sp < b / 2, dif >= b / 2.

@@ -396,6 +396,22 @@ class TestAdaptiveCluster:
         assert len(diag.rounds) == 1
         assert clusters.n_clusters >= 1  # best effort still returned
 
+    def test_stops_once_k_can_grow_no_further(self, white):
+        """With tau_dev 0 every mixed cluster fails, so k climbs to the
+        valid-pixel count.  A round at that k again would find the same
+        clusters, so the loop stops there, warning, instead of repeating
+        the round up to the cap."""
+        gt = synth.render(synth.builtin_scene("four-materials", 64, 48))
+        field = specular_free_field(gt.input, white)
+        n = len(field.hue)
+        cfg = ClusterConfig(tau_dev=0.0, initial_k=n - 6, max_iterations=6)
+        with pytest.warns(errors.NoConvergenceWarning):
+            clusters, diag = adaptive_cluster(field, cfg)
+        k_history = [r["k"] for r in diag.rounds]
+        assert k_history[-1] == n and len(k_history) < cfg.max_iterations
+        assert len(set(k_history)) == len(k_history)
+        assert not diag.converged and clusters.n_clusters >= 1
+
     def test_lloyd_cap_warns(self, white, monkeypatch):
         """A k-means run that reaches KMEANS_MAX_ITER says so, naming k
         and the cap."""

@@ -17,9 +17,13 @@ from hypothesis import strategies as st
 
 from conftest import make_field
 from despec import synth
+from despec import clustering
 from despec.clustering import (
+    BUCKETS,
     KMEANS_MAX_ITER,
     TAU_FRAC,
+    _arcs,
+    _bucket,
     ClusterConfig,
     adaptive_cluster,
     adaptive_min_cluster_size,
@@ -31,6 +35,13 @@ from despec.errors import NoConvergenceWarning
 from despec.model import IlluminationBasis
 
 HUE_TOL = 1e-12
+
+
+def reference_nearest_hue(hue, centers):
+    """nearest_hue by binary search: the owner of the arc whose midpoints
+    bracket each hue."""
+    midpoints, owner = _arcs(centers)
+    return owner[np.searchsorted(midpoints, hue, side="right")]
 
 
 def _mean_hues(labels, cos, sin, k):
@@ -55,7 +66,7 @@ def reference_kmeans(hue, k, seed):
         d2 = np.minimum(d2, 2.0 - 2.0 * (cos * cos[idx] + sin * sin[idx]))
     labels = np.full(n, -1, dtype=np.int32)
     for _ in range(KMEANS_MAX_ITER):
-        new_labels = nearest_hue(hue, centers)
+        new_labels = reference_nearest_hue(hue, centers)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -67,7 +78,7 @@ def reference_kmeans(hue, k, seed):
             means[lost] = hue[idx] if d2_own[idx] > 1e-12 else centers[lost]
         centers = means
     else:
-        labels = nearest_hue(hue, centers)
+        labels = reference_nearest_hue(hue, centers)
     counts = np.bincount(labels, minlength=k)
     keep = np.flatnonzero(counts > 0)
     labels = (np.cumsum(counts > 0, dtype=np.int32) - 1)[labels]
@@ -95,7 +106,7 @@ def reference_adaptive(hue, amplitude, cfg):
     if len(small) and len(big):
         remap = np.full(len(hues), -1, dtype=np.int32)
         remap[big] = np.arange(len(big), dtype=np.int32)
-        remap[small] = remap[big[nearest_hue(hues[small], hues[big])]]
+        remap[small] = remap[big[reference_nearest_hue(hues[small], hues[big])]]
         labels = remap[labels]
         means, _, length = _mean_hues(labels, np.cos(hue), np.sin(hue), len(big))
         hues = np.where(length > 1e-12, means, hues[big])
@@ -150,6 +161,36 @@ def test_clean_over_segmented_start():
     assert_matches_reference(field, ClusterConfig(initial_k=8))
     clusters, _ = adaptive_cluster(field, ClusterConfig(initial_k=8))
     assert clusters.n_clusters == 5
+
+
+@settings(max_examples=100)
+@given(k=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       edge=st.sampled_from([None, -np.pi, np.pi]), twins=st.integers(0, 4))
+def test_hue_table_matches_the_binary_search(k, seed, edge, twins):
+    """nearest_hue's bucket table against the searchsorted one-liner, on
+    ±pi, ±inf, NaN, every arc midpoint and bucket edge and the floats next
+    to each, and random hues; centers include groups within HUE_TOL, one at ±pi
+    and a group across the wrap."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-np.pi, np.pi, k)
+    for i in range(min(twins, k - 1)):  # a center within HUE_TOL of another
+        centers[k - 1 - i] = np.clip(centers[i] + rng.uniform(-1.0, 1.0) * clustering.HUE_TOL,
+                                     -np.pi, np.pi)
+    if edge is not None:
+        centers[0] = edge
+        if k > 1:  # its twin just across the wrap
+            centers[1] = -edge + np.sign(edge) * rng.uniform(0.0, clustering.HUE_TOL)
+    midpoints, _ = _arcs(centers)
+    edges = np.arange(BUCKETS + 1) * (2.0 * np.pi / BUCKETS) - np.pi
+    points = np.concatenate([midpoints, edges])
+    hue = np.concatenate([[-np.pi, np.pi, -np.inf, np.inf, np.nan], points,
+                          np.nextafter(points, -np.inf), np.nextafter(points, np.inf),
+                          rng.uniform(-np.pi, np.pi, 2000)])
+    want = reference_nearest_hue(hue, centers)
+    got = nearest_hue(hue, centers)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the midpoints' own buckets take the fallback branch
+    assert np.isin(_bucket(hue), _bucket(midpoints)).any()
 
 
 @settings(max_examples=60)

@@ -1,6 +1,10 @@
-"""Row-chunked execution: the fixed chunk schedule and the worker pool size."""
+"""Row-chunked execution: the fixed chunk schedule and the reused worker pool."""
 
+import os
+import signal
+import sys
 import threading
+import time
 
 import pytest
 
@@ -8,39 +12,164 @@ from despec import _parallel
 from despec._parallel import CHUNK_ROWS, run_rows
 
 
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """run_rows builds its pool anew inside the test, under the test's
+    patches; that pool is shut down afterwards and the old one restored."""
+    monkeypatch.setattr(_parallel, "_pool", None)
+    yield
+    if _parallel._pool is not None:
+        _parallel._pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _chunk_threads(workers):
+    """(fn, seen): fn returns its rows and records in ``seen`` the thread
+    that ran it; each thread's first chunk waits until ``workers`` threads
+    hold one, so a call on ``workers`` workers runs on exactly that many."""
+    arrived = threading.Barrier(workers)
+    seen = set()
+    lock = threading.Lock()
+
+    def fn(rows):
+        me = threading.get_ident()
+        with lock:
+            first = me not in seen
+            seen.add(me)
+        if first:
+            arrived.wait(timeout=10)
+        return rows
+
+    return fn, seen
+
+
 @pytest.mark.parametrize("cores, threads, workers", [
-    (2, 7, 2),        # more chunks than cores: pool capped at the core count
+    (2, 7, 2),        # more chunks than cores: capped at the core count
     (8, 4, 4),        # fewer threads than cores: one worker per thread
     (64, 12, 8),      # fewer chunks than threads: one worker per chunk
     (None, 3, 1),     # core count unknown: one worker, inline
     (4, 10**9, 4),    # a huge request still gets at most one worker per core
 ])
-def test_pool_capped_at_core_count(monkeypatch, cores, threads, workers):
-    sizes = []
-
-    class InlinePool:
-        """Records its size and runs the chunks on the calling thread."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", InlinePool)
+def test_pool_capped_at_core_count(fresh_pool, monkeypatch, cores, threads, workers):
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: cores)
-    before = threading.active_count()
-    out = run_rows(lambda rows: rows, 128, threads)
-    assert threading.active_count() == before
-    assert sizes == ([workers] if workers > 1 else [])
-    # the chunks follow the height alone, not the pool size
+    before = set(threading.enumerate())
+    fn, seen = _chunk_threads(workers)
+    out = run_rows(fn, 128, threads)
+    # the caller and workers - 1 helpers, each on its own new pool thread
+    assert len(seen) == workers and threading.get_ident() in seen
+    started = set(threading.enumerate()) - before
+    assert len(started) == workers - 1
+    # the chunks follow the height alone, not the worker count
     assert out == [slice(r, r + CHUNK_ROWS) for r in range(0, 128, CHUNK_ROWS)]
+
+    # a second call reuses the pool's threads and starts none
+    fn, seen = _chunk_threads(workers)
+    assert run_rows(fn, 128, threads) == out
+    assert len(seen) == workers
+    assert set(threading.enumerate()) - before == started
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_builds_its_own_pool(fresh_pool, monkeypatch):
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    run_rows(lambda rows: rows, 64, 2)  # the parent's pool now has a thread
+    pid = os.fork()
+    if pid == 0:
+        # the first two chunks each wait for the other, so the child
+        # finishes only if a helper runs next to the caller
+        code = 1
+        try:
+            fn, seen = _chunk_threads(2)
+            if run_rows(fn, 32, 2) == [slice(0, 16), slice(16, 32)] and len(seen) == 2:
+                code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_failed_chunk_stops_the_rest(fresh_pool, monkeypatch):
+    """The caller's chunk raises while the helper is inside the other one."""
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    caller = threading.get_ident()
+    helper_busy = threading.Event()
+    started = []
+    running = [0]
+    lock = threading.Lock()
+
+    def fn(rows):
+        with lock:
+            started.append(rows.start // CHUNK_ROWS)
+            running[0] += 1
+        try:
+            if threading.get_ident() == caller:
+                assert helper_busy.wait(timeout=10)
+                raise ZeroDivisionError("the caller's chunk")
+            helper_busy.set()
+            time.sleep(0.05)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    with pytest.raises(ZeroDivisionError, match="the caller's chunk"):
+        run_rows(fn, 10 * CHUNK_ROWS, 2)
+    # the two threads took chunks 0 and 1; the helper finds the failure
+    # when its chunk is done and starts no other, and run_rows raises only
+    # once the helper has stopped
+    assert running[0] == 0
+    assert sorted(started) == [0, 1]
+
+
+def test_nested_calls_finish(fresh_pool, monkeypatch):
+    """Chunks that call run_rows themselves, three deep, on a pool of two
+    threads: every caller runs its own chunks and cancels the helpers the
+    busy pool never started, so none waits for a thread that cannot come."""
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+
+    def level(depth):
+        def fn(rows):
+            return rows.start if depth == 0 else sum(run_rows(level(depth - 1), 48, 2))
+        return fn
+
+    result = []
+    caller = threading.Thread(target=lambda: result.append(run_rows(level(2), 48, 2)),
+                              daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert result == [[3 * 48] * 3]
+
+
+def test_concurrent_calls_run_each_chunk_once(fresh_pool, monkeypatch):
+    """Four callers at once, each on eight workers over two cores, with
+    a thread switch every microsecond: every call runs each of its
+    chunks exactly once, so no turn of the shared counter is lost or
+    repeated."""
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 8)
+    height = 2000 * CHUNK_ROWS
+    expected = list(range(0, height, CHUNK_ROWS))
+    results = []
+
+    def call():
+        runs = []
+        out = run_rows(lambda rows: runs.append(rows.start) or rows.start, height, 8)
+        results.append((out, sorted(runs)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call) for _ in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == [(expected, expected)] * 4
 
 
 @pytest.mark.parametrize("height", [0, 1, 15, 16, 17, 100, 300])

@@ -10,7 +10,17 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import assert_exact_split, parallel_coeff
 from despec import errors, synth
-from despec.clustering import ClusterSet, adaptive_cluster, kmeans, specular_free_field
+from despec.clustering import (
+    FLAG_VALID,
+    ClusterSet,
+    _arcs,
+    _bucket,
+    adaptive_cluster,
+    kmeans,
+    nearest_hue,
+    specular_free_field,
+    split_block,
+)
 from despec.model import WHITE, IlluminationBasis
 from despec.recovery import (
     EDGES,
@@ -375,6 +385,28 @@ class TestSeparateImage:
             lowest = mask & (coeffs <= floor + 1e-12)
             assert np.all(np.linalg.norm(gt.specular[lowest], axis=-1) == 0.0)
             assert np.linalg.norm(result.specular[lowest], axis=-1).max() <= 1e-12
+
+    @pytest.mark.parametrize("illum", [(1.0, 1.0, 1.0), (1.0, 0.8, 0.6)])
+    def test_self_labels_at_arc_midpoints(self, illum):
+        """Pixels whose hues sit on the arc midpoints and a few ulps off
+        them, where the lookup table hands over to its binary search: the
+        kernel's own labels are nearest_hue of split_block's hue."""
+        basis = IlluminationBasis.from_rgb(illum)
+        centers = np.array([-2.5, -0.4, 0.9, 2.2, np.pi])
+        midpoints, owner = _arcs(centers)
+        mid = midpoints[np.abs(midpoints) <= np.pi]
+        aim = mid[:, None] + np.arange(-64, 65) / 4 * np.spacing(np.abs(mid))[:, None]
+        pixels = 0.3 * basis.orthogonal(aim) + math.sqrt(0.91) * basis.direction
+        img = (pixels[:, :, None] * np.array([1.0, 0.7, 0.3])[:, None]).reshape(len(mid), -1, 3)
+        clusters = ClusterSet(bounds=np.array([0]), owner=np.empty(0, dtype=np.int32),
+                              hues=centers, sizes=np.zeros(len(centers), dtype=np.int64))
+        result = separate_image(img, clusters, dict.fromkeys(range(len(centers))), basis)
+        hue, _, flags = split_block(img, basis)
+        assert np.all(flags == FLAG_VALID)
+        assert np.array_equal(result.labels, nearest_hue(hue, centers))
+        assert np.array_equal(result.labels,
+                              owner[np.searchsorted(midpoints, hue, side="right")])
+        assert np.isin(hue, mid).any() and np.isin(_bucket(hue), _bucket(mid)).mean() > 0.9
 
     def test_threaded_separation_is_bitwise_identical(self, white):
         gt = synth.render(synth.builtin_scene("over-seg", 150, 100))
