@@ -77,8 +77,13 @@ def cmd_remove(args) -> int:
     cfg = _config_from_args(args)
     _check_outputs({"-d": args.diffuse, "-s": args.specular, "-l": args.labels,
                     "--report": args.report})
-    for path in (args.diffuse, args.specular):
-        imgio.save_format(path)  # an unknown extension fails before the run
+    # an unknown extension fails before the run
+    formats = {imgio.save_format(path) for path in (args.diffuse, args.specular)}
+    if (formats == {"pfm"} and not args.gamma_decode
+            and not cfg.illumination.strip().startswith("divide:")):
+        # both parts are written as float32: split the input rounded to
+        # float32 (a no-op for a PFM), so the parts add up to it exactly
+        img = img.astype(np.float32, copy=False)
     result, diag = pipeline.run(img, cfg)
     if args.labels:  # first: it refuses over 255 labels before writing anything
         imgio.save_labels(diag.labels, args.labels)

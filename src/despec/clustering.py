@@ -16,9 +16,13 @@ and votes to increase k.
 
 The field keeps only the valid pixels, sorted by hue once per image.
 Nearest-center assignment on the circle cuts it into arcs, so every
-cluster is one contiguous run of the field, or two at the ±pi wrap: a
-Lloyd step is one searchsorted of the arc midpoints, its sums are
-segment sums, and the fit check and model estimation read slices.
+cluster is one contiguous run of the field, or two at the ±pi wrap, and
+the fit check and model estimation read slices.  A Lloyd step is one
+searchsorted of the arc midpoints, and its sums read O(k) of the
+field's per-block sums plus the partial block at each cut, not every
+hue (see ``_run_sums``).  Farthest-point seeding reads only windows of
+entries around the midpoints of the gaps between the centers chosen so
+far, where the farthest entry must lie (see ``_window_farthest``).
 """
 
 from __future__ import annotations
@@ -51,6 +55,12 @@ KMEANS_MAX_ITER = 100  # Lloyd iterations per k-means run
 HUE_TOL = 1e-9
 TAU_FRAC = 0.1         # failing fraction above which a cluster splits
 BLOCK = 32768          # field entries per block of per-entry temporaries
+SUB = 64               # field entries per block of SpecularFreeField.block_sums
+# seeding widens a gap's window while an edge entry reads within this of
+# the window's largest chord²: far above the rounding of one chord²
+# (about 1e-15); a larger margin only widens windows further
+SEED_MARGIN = 1e-12
+SEED_WIDTH = 2         # first half-width, in entries, of every gap's window
 BUCKETS = 4096         # hue buckets of nearest_hue's lookup table
 
 
@@ -81,18 +91,31 @@ class SpecularFreeField:
         return self.flags == FLAG_VALID
 
     @cached_property
-    def cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
-        """cos and sin of ``hue``, computed once per field."""
-        return np.cos(self.hue), np.sin(self.hue)
+    def cos_sin(self) -> np.ndarray:
+        """(2, n): cos and sin of ``hue``, computed once per field."""
+        cs = np.empty((2, len(self.hue)))
+        np.cos(self.hue, out=cs[0])
+        np.sin(self.hue, out=cs[1])
+        return cs
+
+    @cached_property
+    def block_sums(self) -> np.ndarray:
+        """(2, m + 1): ``cos_sin`` summed over each of the m consecutive
+        blocks of SUB entries, the last block possibly shorter, then 0.0;
+        computed once per field."""
+        sums = np.zeros((2, -(-len(self.hue) // SUB) + 1))
+        np.add.reduceat(self.cos_sin, np.arange(0, len(self.hue), SUB), axis=1, out=sums[:, :-1])
+        return sums
 
     def first_entry(self, seed: int) -> int:
         """Entry of the valid pixel whose row-major rank is drawn from a
         generator seeded with ``seed``: the first center of every k-means
-        on this field with that seed, so it is found once per seed."""
+        on this field with that seed, so it is found once per seed.  The
+        valid pixel of rank r is the r-th smallest of ``pixel``."""
         if seed not in self._first:
             rank = int(np.random.default_rng(seed).integers(len(self.hue)))
-            pixel = np.flatnonzero(self.valid_mask)[rank]
-            self._first[seed] = int(np.flatnonzero(self.pixel == pixel)[0])
+            pixel = np.partition(self.pixel, rank)[rank]
+            self._first[seed] = int((self.pixel == pixel).argmax())
         return self._first[seed]
 
     def label_map(self, labels: np.ndarray) -> np.ndarray:
@@ -233,14 +256,15 @@ def _arcs(centers) -> tuple[np.ndarray, np.ndarray]:
     argmax over cos(hue - centers) gives equal centers to the first.
     """
     centers = np.asarray(centers, dtype=np.float64)
-    order = np.argsort(centers, kind="stable")
+    order = centers.argsort(kind="stable")
     s = centers[order]
-    group = np.cumsum(np.concatenate(([True], s[1:] - s[:-1] > HUE_TOL))) - 1
-    if s[0] + 2.0 * np.pi - s[-1] <= HUE_TOL:
-        group[group == group[-1]] = 0
-    lowest = np.full(len(s), len(s))
-    np.minimum.at(lowest, group, order)
-    owner = lowest[group].astype(np.int32)
+    new = np.empty(len(s), dtype=bool)  # the first center of each group
+    new[0] = True
+    np.greater(s[1:] - s[:-1], HUE_TOL, out=new[1:])
+    lowest = np.minimum.reduceat(order, new.nonzero()[0]).astype(np.int32)
+    if s[0] + 2.0 * np.pi - s[-1] <= HUE_TOL:  # the last group wraps into the first
+        lowest[0] = lowest[-1] = min(lowest[0], lowest[-1])
+    owner = lowest[new.cumsum() - 1]
     s = np.concatenate(([s[-1] - 2.0 * np.pi], s, [s[0] + 2.0 * np.pi]))
     owner = np.concatenate((owner[-1:], owner, owner[:1]))
     return 0.5 * (s[:-1] + s[1:]), owner
@@ -295,8 +319,10 @@ def _merge_runs(bounds: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.n
     """Drop empty runs and merge neighbors of one owner."""
     keep = bounds[1:] > bounds[:-1]
     starts, owner = bounds[:-1][keep], owner[keep]
-    first = np.concatenate(([True], owner[1:] != owner[:-1]))
-    return np.append(starts[first], bounds[-1]), owner[first]
+    first = np.empty(len(owner), dtype=bool)
+    first[0] = True
+    np.not_equal(owner[1:], owner[:-1], out=first[1:])
+    return np.concatenate((starts[first], bounds[-1:])), owner[first]
 
 
 def _hue_runs(hue: np.ndarray, centers) -> tuple[np.ndarray, np.ndarray]:
@@ -304,8 +330,10 @@ def _hue_runs(hue: np.ndarray, centers) -> tuple[np.ndarray, np.ndarray]:
     center: the labels of nearest_hue, found by cutting at the arc
     midpoints."""
     midpoints, owner = _arcs(centers)
-    cuts = np.searchsorted(hue, midpoints, side="left")
-    return _merge_runs(np.concatenate(([0], cuts, [len(hue)])), owner)
+    bounds = np.empty(len(midpoints) + 2, dtype=np.intp)
+    bounds[0], bounds[-1] = 0, len(hue)
+    bounds[1:-1] = np.searchsorted(hue, midpoints, side="left")
+    return _merge_runs(bounds, owner)
 
 
 def _pieces(bounds: np.ndarray, *per_run):
@@ -318,16 +346,40 @@ def _pieces(bounds: np.ndarray, *per_run):
 
 
 def _run_sizes(bounds: np.ndarray, owner: np.ndarray, k: int) -> np.ndarray:
-    return np.bincount(owner, weights=np.diff(bounds), minlength=k).astype(np.int64)
+    return np.bincount(owner, weights=bounds[1:] - bounds[:-1], minlength=k).astype(np.int64)
+
+
+def _run_sums(field: SpecularFreeField, bounds: np.ndarray) -> np.ndarray:
+    """(2, runs): each run's sum of ``field.cos_sin``.
+
+    Each bound x falls in block x // SUB, and the part of that block
+    before x is summed entry by entry.  A run from a to b then sums to
+    its blocks of ``field.block_sums`` from a's up to b's (one reduceat
+    of O(k) block sums), plus the part of b's block before b, minus the
+    part of a's block before a.  The subtraction cancels at most one
+    block's sum, so a run's sum is off by a few ulps of SUB at most.
+    Bounds that outnumber the blocks would read more than the whole
+    field that way, so then one reduceat over the field sums the runs.
+    """
+    if len(bounds) * SUB > len(field.hue):
+        return np.add.reduceat(field.cos_sin, bounds[:-1], axis=1)
+    q = bounds // SUB
+    rows = (q * SUB)[:, None] + np.arange(SUB)  # past the end: not before any bound
+    before = np.where(rows < bounds[:, None], field.cos_sin.take(rows, axis=1, mode="clip"),
+                      0.0).sum(axis=2)
+    runs = np.add.reduceat(field.block_sums, q, axis=1)[:, :-1]
+    runs[:, q[1:] == q[:-1]] = 0.0  # a run within one block holds none of them
+    runs += before[:, 1:]
+    runs -= before[:, :-1]
+    return runs
 
 
 def _run_means(field: SpecularFreeField, bounds: np.ndarray, owner: np.ndarray, k: int):
     """Per-cluster circular mean angle, member count and mean resultant
-    length; each run is summed in hue order by one reduceat."""
-    cos, sin = field.cos_sin
+    length, from ``_run_sums``."""
+    c, s = np.bincount(np.concatenate((owner, owner + k)), _run_sums(field, bounds).ravel(),
+                       2 * k).reshape(2, k)
     counts = _run_sizes(bounds, owner, k)
-    s = np.bincount(owner, weights=np.add.reduceat(sin, bounds[:-1]), minlength=k)
-    c = np.bincount(owner, weights=np.add.reduceat(cos, bounds[:-1]), minlength=k)
     return np.arctan2(s, c), counts, np.hypot(s, c) / np.maximum(counts, 1)
 
 
@@ -347,23 +399,80 @@ def _farthest(d2: np.ndarray, field: SpecularFreeField) -> int:
     return int(ties[np.argmin(field.pixel[ties])])
 
 
+def _window_farthest(field: SpecularFreeField, chosen: list) -> int | None:
+    """``_farthest`` of each entry's chord² to the nearest ``chosen``
+    entry, evaluated on windows around the gaps' midpoints only; None
+    once the windows would cost more than one full pass, or more than
+    BLOCK entries of temporaries.
+
+    The sorted chosen entries cut the circular field into gaps: the run
+    of entries from one chosen entry to the next, both included.  A
+    gap's window is the ``width`` entries on either side of the place of
+    its midpoint hue in the field; past a short gap's ends it holds
+    entries of the neighbours too, which are merely more candidates.
+    Each window entry gets d², the minimum over every chosen entry of
+    2 - 2·(cos·c + sin·s), exactly as ``_fold_chord2`` computes it.
+
+    Why every entry at the largest d² lies in a window: in exact
+    arithmetic an entry's chord² to its nearest center is its chord² to
+    the nearer end of its gap, since every other center lies beyond one
+    of the ends, so it falls monotonically away from the gap's midpoint.
+    The computed d² is within rounding delta (about 1e-15) of that, and
+    the computed midpoint is off by a few ulps of pi, which moves the
+    exact value by at most twice as much.  All windows double while one
+    has an edge entry e, with more of its gap beyond it, that reads
+    within SEED_MARGIN of that window's largest d², M.  Once none does,
+    every entry y of the gap beyond e is no nearer the midpoint than e,
+    up to those ulps, so d²(y) <= d²(e) + 2·delta + 1e-14 < M.  Every
+    entry lies in a gap, so the entries outside the windows stay below
+    the largest d² of all, and the pixel tie rule over the window
+    entries at it picks ``_farthest``'s entry bit for bit.
+    """
+    hue = field.hue
+    cos, sin = field.cos_sin
+    n = len(hue)
+    lo = np.sort(chosen)
+    hi = np.concatenate((lo[1:], lo[:1] + n))  # the last gap wraps: entry n + i is entry i
+    ends = hue[lo]
+    mid = 0.5 * (ends + np.concatenate((ends[1:], ends[:1] + 2.0 * np.pi)))
+    at = hue.searchsorted(mid)  # the first entry at or past the midpoint
+    if mid[-1] > np.pi:
+        at[-1] = hue.searchsorted(mid[-1] - 2.0 * np.pi) + n
+    at = at.clip(lo, hi)
+    cc, ss = cos[lo], sin[lo]
+    width = SEED_WIDTH
+    while len(lo) * len(lo) * 2 * width <= min(n, BLOCK):
+        rows = (at[:, None] + np.arange(-width, width)) % n
+        d2 = (2.0 - 2.0 * (cos[rows][..., None] * cc + sin[rows][..., None] * ss)).min(axis=2)
+        near = d2.max(axis=1) - SEED_MARGIN
+        grow = (((at - width > lo) & (d2[:, 0] >= near))
+                | ((at + width - 1 < hi) & (d2[:, -1] >= near)))
+        if not grow.any():
+            ties = rows[d2 == d2.max()]
+            return int(ties[field.pixel[ties].argmin()])
+        width *= 2
+    return None
+
+
 def _seed_centers(field: SpecularFreeField, k: int, seed: int) -> np.ndarray:
     """Farthest-point seeding: the first center is ``field.first_entry``,
     then greedily the entry farthest in chord² from every center chosen
-    so far."""
-    hue = field.hue
+    so far.  Each pick reads gap windows (``_window_farthest``) until
+    they would cost more than a full pass; the rest of the seeding folds
+    every center into a full d² array and takes ``_farthest`` of it."""
     cos, sin = field.cos_sin
-    idx = field.first_entry(seed)
-    centers = np.empty(k, dtype=np.float64)
-    centers[0] = hue[idx]
-    if k > 1:
-        d2 = np.full(len(hue), np.inf)  # chord² to the nearest center so far
-        whole = np.array([0, len(hue)])
+    n = len(field.hue)
+    chosen = [field.first_entry(seed)]
+    while len(chosen) < k and (idx := _window_farthest(field, chosen)) is not None:
+        chosen.append(idx)
+    if len(chosen) < k:
+        d2 = np.full(n, np.inf)  # chord² to the nearest center so far
+        whole = np.array([0, n])
         for j in range(1, k):
-            _fold_chord2(d2, field, whole, [cos[idx]], [sin[idx]])
-            idx = _farthest(d2, field)
-            centers[j] = hue[idx]
-    return centers
+            _fold_chord2(d2, field, whole, [cos[chosen[j - 1]]], [sin[chosen[j - 1]]])
+            if j == len(chosen):
+                chosen.append(_farthest(d2, field))
+    return field.hue[chosen]
 
 
 def kmeans(field: SpecularFreeField, k: int, seed: int = 0) -> ClusterSet:

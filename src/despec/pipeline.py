@@ -11,6 +11,7 @@ separation is where the output quality lives.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -26,6 +27,9 @@ from .recovery import SeparationResult, estimate_models, separate_image, working
 
 
 FAST_MIN_EDGE = 8  # --fast keeps at least this many pixels on the copy's short side
+# the largest sample whose pixel norm, a root of three squares summed in
+# float64, cannot overflow
+MAX_SAMPLE = (sys.float_info.max / 3.0) ** 0.5
 
 
 @dataclass
@@ -115,6 +119,9 @@ def _validate_input(img: np.ndarray, threads: int) -> np.ndarray:
         raise ValueError("input image contains non-finite values")
     if lo < 0:
         raise ValueError("linear-light input must be nonnegative")
+    if float(hi) > MAX_SAMPLE:  # in float64: MAX_SAMPLE overflows float32
+        raise ValueError(f"input sample {hi:.6g} overflows the pixel norm; "
+                         f"samples must be at most {MAX_SAMPLE:.6g}")
     return img
 
 

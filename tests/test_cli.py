@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_exact_files
+from conftest import assert_exact_files, assert_exact_split
 from despec import errors, imgio, pipeline, synth
 from despec.cli import EXIT_CODES_HELP, _config_from_args, build_parser, main
+from despec.recovery import SeparationResult
 
 
 def synth_dir(tmp_path, scene="single-1", extra=(), name="scene"):
@@ -185,6 +186,30 @@ class TestRemove:
         assert rc == 0
         assert stdout_value(capsys.readouterr().out, "downsampled") == str(fast).lower()
         assert_exact_files(out / "input.pfm", d, s)
+
+    @pytest.mark.parametrize("fmt", ["ppm8", "ppm16"])
+    def test_ppm_input_pfm_parts_split_it_exactly(self, tmp_path, capsys, fmt):
+        """PPM samples load as float64, which a PFM cannot hold.  With both
+        parts going to PFM the run splits the input rounded to float32, so
+        the written parts add up to that image exactly."""
+        out = synth_dir(tmp_path, scene="four-materials", extra=["--sigma", "3", "--format", fmt])
+        d, s = tmp_path / "d.pfm", tmp_path / "s.pfm"
+        assert main(["remove", str(out / "input.ppm"), "-d", str(d), "-s", str(s)]) == 0
+        img = imgio.load(out / "input.ppm").astype(np.float32)
+        assert_exact_split(SeparationResult(imgio.load(d), imgio.load(s), labels=None), img)
+
+    @pytest.mark.parametrize("suffixes", [("ppm", "ppm"), ("ppm", "pfm"), ("pfm", "ppm")])
+    def test_a_ppm_part_comes_from_the_float64_input(self, tmp_path, capsys, suffixes):
+        """With a PPM part the run keeps the float64 PPM samples: each
+        written file equals the same part of a library run on them."""
+        out = synth_dir(tmp_path, scene="four-materials", extra=["--sigma", "3", "--format", "ppm16"])
+        paths = [tmp_path / f"{name}.{suffix}" for name, suffix in zip("ds", suffixes)]
+        assert main(["remove", str(out / "input.ppm"), "-d", str(paths[0]), "-s", str(paths[1])]) == 0
+        result, _ = pipeline.run(imgio.load(out / "input.ppm"))
+        for part, path in zip((result.diffuse, result.specular), paths):
+            want = tmp_path / f"want.{path.suffix[1:]}"
+            imgio.save(part, want)
+            assert path.read_bytes() == want.read_bytes()
 
     def test_eval_of_remove_output(self, tmp_path, capsys):
         out = synth_dir(tmp_path, scene="four-materials")

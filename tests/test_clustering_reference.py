@@ -6,6 +6,11 @@ farthest-point seeding by argmax (first index in row-major order on a
 tie).  Its fit check and small-cluster merge are the matching
 pixel-order loops.  The hue-ordered implementation must give the same
 label map, and center hues within 1e-12, on every case below.
+
+Two parts of a Lloyd run have their own references: the full-pass
+farthest-point seeding, which the gap-window seeding must match bit for
+bit, and per-run ``reduceat`` sums, which the block sums must match to
+1e-12 in each mean.
 """
 
 import warnings
@@ -21,9 +26,13 @@ from despec import clustering
 from despec.clustering import (
     BUCKETS,
     KMEANS_MAX_ITER,
+    SUB,
     TAU_FRAC,
     _arcs,
     _bucket,
+    _run_means,
+    _seed_centers,
+    _window_farthest,
     ClusterConfig,
     adaptive_cluster,
     adaptive_min_cluster_size,
@@ -246,3 +255,149 @@ def test_cluster_straddling_the_wrap():
     wrapped = clusters.owner[0]
     assert clusters.owner[-1] == wrapped and len(clusters.members(wrapped)) == 2
     assert_matches_reference(field, ClusterConfig(initial_k=2, tau_dev=0.001))
+
+
+def reference_seed_centers(field, k, seed):
+    """The full-pass farthest-point seeding: each new center's chord² is
+    folded into one d² array over the whole field, and the next center
+    is its largest entry, the first in row-major pixel order on a tie."""
+    hue, pixel = field.hue, field.pixel
+    cos, sin = field.cos_sin
+    idx = field.first_entry(seed)
+    centers = [hue[idx]]
+    d2 = np.full(len(hue), np.inf)
+    for _ in range(1, k):
+        d2 = np.minimum(d2, 2.0 - 2.0 * (cos * cos[idx] + sin * sin[idx]))
+        ties = np.flatnonzero(d2 == d2.max())
+        idx = int(ties[np.argmin(pixel[ties])])
+        centers.append(hue[idx])
+    return np.array(centers)
+
+
+def assert_same_seeds(field, k, seed):
+    got = _seed_centers(field, k, seed)
+    want = reference_seed_centers(field, k, seed)
+    assert got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def seeding_grids(draw):
+    """A shuffled row of hues, each of a few values drawn many times, in
+    one of five layouts: random values; a ring of equal steps and its
+    mirror image, so that equal chord² span windows; values at ±pi; a
+    cluster straddling the wrap; runs of ulp neighbours of a hue and of
+    its antipode, whose chord² differ by rounding alone."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["random", "ring", "edges", "wrap", "ulps"]))
+    m = draw(st.integers(1, 24))
+    if layout == "ulps":
+        hues = rng.uniform(-np.pi, np.pi, 2)
+        ends = np.concatenate([hues, np.angle(np.exp(1j * (hues + np.pi)))])
+        up, down, chain = ends, ends, [ends]
+        for _ in range(m):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            chain += [up, down]
+        values = np.clip(np.concatenate(chain), -np.pi, np.pi)
+    elif layout == "ring":
+        steps = np.pi * np.arange(m) / m
+        values = np.concatenate([steps, -steps])
+    elif layout == "edges":
+        values = np.concatenate([[-np.pi, np.pi], rng.uniform(-np.pi, np.pi, m)])
+    elif layout == "wrap":
+        values = np.concatenate([np.angle(np.exp(1j * (np.pi + rng.normal(0.0, 0.05, m)))),
+                                 rng.uniform(-np.pi, np.pi, 2)])
+    else:
+        values = rng.uniform(-np.pi, np.pi, m)
+    return rng.choice(values, draw(st.integers(1, 400)))
+
+
+@settings(max_examples=150)
+@given(grid=seeding_grids(), data=st.data())
+def test_window_seeding_matches_the_full_pass(grid, data):
+    """Seeds equal the full-pass reference bit for bit, for k from 1 to
+    the entry count: the gap windows for the first picks, the full-pass
+    fallback once windows would cost more."""
+    field = make_field(grid.reshape(1, -1))
+    k = data.draw(st.integers(1, len(grid)), label="k")
+    assert_same_seeds(field, k, data.draw(st.integers(0, 3), label="seed"))
+
+
+@pytest.mark.parametrize("k", [2, 5, 16, 60])
+@pytest.mark.parametrize("scene", synth.BUILTIN_SCENES)
+def test_window_seeding_on_scenes(scene, k):
+    """Noisy float32 scenes, whose hues repeat, at k small enough that
+    the first picks read gap windows."""
+    img = synth.add_noise(synth.render(synth.builtin_scene(scene, 160, 120)), 3.0, seed=2)
+    field = specular_free_field(img.astype(np.float32), IlluminationBasis.white())
+    assert k * k * 2 * clustering.SEED_WIDTH <= min(len(field.hue), clustering.BLOCK)
+    for seed in (0, 5):
+        assert_same_seeds(field, k, seed)
+
+
+def test_window_seeding_falls_back_near_every_entry():
+    """With nearly every entry a center, the windows would cost more than
+    a full pass: _window_farthest declines and the fold takes over."""
+    field = make_field(np.random.default_rng(3).uniform(-np.pi, np.pi, (10, 10)))
+    assert _window_farthest(field, list(range(40))) is None
+    assert_same_seeds(field, 97, 0)
+
+
+N_BLOCKED = 16 * SUB + 37  # the last block is short
+
+
+def reference_run_means(field, bounds, owner, k):
+    """Per-cluster mean angle, count and mean resultant length from one
+    reduceat over every entry."""
+    cos, sin = field.cos_sin
+    counts = np.bincount(owner, weights=np.diff(bounds), minlength=k).astype(np.int64)
+    s = np.bincount(owner, weights=np.add.reduceat(sin, bounds[:-1]), minlength=k)
+    c = np.bincount(owner, weights=np.add.reduceat(cos, bounds[:-1]), minlength=k)
+    return np.arctan2(s, c), counts, np.hypot(s, c) / np.maximum(counts, 1)
+
+
+def assert_block_means(cuts, shared=False):
+    rng = np.random.default_rng(len(cuts))
+    # hues on a 2 rad arc, so no run's sum cancels
+    field = make_field(rng.permutation(rng.uniform(-1.0, 1.0, N_BLOCKED)).reshape(1, -1))
+    bounds = np.array([0, *cuts, N_BLOCKED])
+    owner = np.arange(len(bounds) - 1, dtype=np.int32)
+    k = len(owner)
+    if shared:  # every other run shares one cluster
+        owner[1::2] = k
+        k += 1
+    got, want = _run_means(field, bounds, owner, k), reference_run_means(field, bounds, owner, k)
+    assert np.array_equal(got[1], want[1])
+    assert np.abs(got[0] - want[0]).max() <= 1e-12
+    assert np.abs(got[2] - want[2]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("cuts", [
+    [10, 20],                        # shorter than a block, inside one
+    [SUB, 2 * SUB],                  # exactly one block
+    [SUB - 5, 3 * SUB + 7],          # longer than a block, across edges
+    [3 * SUB, 3 * SUB + 1],          # one entry, starting on an edge
+    [5, SUB],                        # ending on an edge
+    [SUB - 1, SUB + 1],              # two entries across an edge
+    [],                              # the whole field
+    [N_BLOCKED - 3],                 # inside the short last block
+    [16 * SUB],                      # the short last block alone
+], ids=["short", "one-block", "long", "from-edge", "to-edge", "across-edge", "whole",
+        "last-block", "last-alone"])
+def test_block_sum_means_match_reduceat(cuts):
+    """Means from the field's block sums stay within 1e-12 of one
+    reduceat over the run's entries, counts equal."""
+    assert (len(cuts) + 2) * SUB <= N_BLOCKED  # the block path
+    assert_block_means(cuts)
+
+
+@settings(max_examples=80)
+@given(cuts=st.sets(st.one_of(st.integers(1, N_BLOCKED - 1),
+                              st.integers(1, 16).flatmap(
+                                  lambda q: st.sampled_from([q * SUB - 1, q * SUB, q * SUB + 1]))),
+                    max_size=40),
+       shared=st.booleans())
+def test_block_sum_means_property(cuts, shared):
+    """Random cuts, many on or next to a block edge, and clusters of one
+    or several runs; past N_BLOCKED / SUB bounds the sums come from one
+    reduceat over the field instead."""
+    assert_block_means(sorted(c for c in cuts if 0 < c < N_BLOCKED), shared)

@@ -1,6 +1,7 @@
 """End-to-end pipeline, fast path, and configuration parsing."""
 
 import re
+import warnings
 from functools import lru_cache
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from despec.metrics import cluster_accuracy, psnr
 from despec.model import EPS_BLACK, IlluminationBasis, _norm3, white_balance
 from despec.pipeline import (
     FAST_MIN_EDGE,
+    MAX_SAMPLE,
     OPTIONS,
     PipelineConfig,
     box_downsample,
@@ -152,6 +154,28 @@ class TestInputValidation:
         img[0, 0, 0] = -0.1
         with pytest.raises(ValueError):
             run(img)
+
+    def test_norm_overflow_is_named(self):
+        """Squaring a sample of 1e160 overflows float64, which would flag
+        every pixel achromatic; the run names the overflow instead."""
+        img = synth.render(synth.builtin_scene("four-materials", 64, 48)).input * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="overflows the pixel norm"):
+                run(img)
+
+    def test_largest_sample_separates(self):
+        """An image whose brightest sample is MAX_SAMPLE runs without an
+        overflow, keeps the labels of its unscaled copy and splits
+        exactly."""
+        gt = synth.render(synth.builtin_scene("four-materials", 64, 48))
+        img = gt.input * (MAX_SAMPLE / gt.input.max())
+        assert MAX_SAMPLE / 2 < img.max() <= MAX_SAMPLE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result, diag = run(img, PipelineConfig(threads=1))
+        assert np.array_equal(diag.labels, run(gt.input, PipelineConfig(threads=1))[1].labels)
+        assert_exact_split(result, img)
 
 
 class TestFullPipeline:
