@@ -14,6 +14,7 @@ split itself is vectorized in :func:`despec.clustering.split_block`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,11 @@ EPS_GRAY = 1e-4
 
 # Unit-norm white: equal-energy illumination direction.
 WHITE = np.full(3, 1.0 / np.sqrt(3.0))
+
+
+# the largest sample whose pixel norm, a root of three squares summed in
+# float64 by _norm3, cannot overflow
+MAX_SAMPLE = (sys.float_info.max / 3.0) ** 0.5
 
 
 def _norm3(v: np.ndarray) -> np.ndarray:
@@ -97,7 +103,8 @@ def white_balance(img, illum) -> np.ndarray:
     result is rescaled by the max illumination component so the brightest
     channel keeps its range.  Raises InvalidIlluminantError if any
     component of ``illum`` is zero or negative, or so small against the
-    image that the balanced image overflows.
+    image that the balanced image overflows or holds a sample above
+    MAX_SAMPLE, whose pixel norm would.
     """
     img = np.asarray(img, dtype=np.float64)
     illum = np.asarray(illum, dtype=np.float64)
@@ -109,7 +116,8 @@ def white_balance(img, illum) -> np.ndarray:
         )
     with np.errstate(over="ignore"):
         balanced = img / illum * float(illum.max())
-    if not np.all(np.isfinite(balanced)):
+    if not balanced.max(initial=0.0) <= MAX_SAMPLE:  # inf, or a norm that overflows
         raise InvalidIlluminantError(
-            "white balance overflows: the balanced image has non-finite values")
+            "white balance overflows: the balanced image has non-finite values "
+            f"or samples above {MAX_SAMPLE:.6g}")
     return balanced

@@ -11,7 +11,6 @@ separation is where the output quality lives.
 from __future__ import annotations
 
 import os
-import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -22,14 +21,11 @@ from ._keyvalue import key_values, numbers, read_text
 from ._parallel import run_rows
 from .clustering import ClusterConfig, FitDiagnostics, adaptive_cluster, specular_free_field
 from .errors import ConfigError
-from .model import IlluminationBasis, white_balance
+from .model import MAX_SAMPLE, IlluminationBasis, white_balance
 from .recovery import SeparationResult, estimate_models, separate_image, working_image
 
 
 FAST_MIN_EDGE = 8  # --fast keeps at least this many pixels on the copy's short side
-# the largest sample whose pixel norm, a root of three squares summed in
-# float64, cannot overflow
-MAX_SAMPLE = (sys.float_info.max / 3.0) ** 0.5
 
 
 @dataclass

@@ -21,10 +21,9 @@ from despec.clustering import (
     specular_free_field,
 )
 from despec.metrics import cluster_accuracy, psnr
-from despec.model import EPS_BLACK, IlluminationBasis, _norm3, white_balance
+from despec.model import EPS_BLACK, MAX_SAMPLE, IlluminationBasis, _norm3, white_balance
 from despec.pipeline import (
     FAST_MIN_EDGE,
-    MAX_SAMPLE,
     OPTIONS,
     PipelineConfig,
     box_downsample,
