@@ -387,9 +387,9 @@ def _fold_chord2(d2: np.ndarray, field: SpecularFreeField, bounds: np.ndarray, c
     """Fold into ``d2``, by minimum, each entry's chord² 2 - 2·cos(hue -
     center) to its run's center, whose cos and sin are ``cc[i]`` and
     ``ss[i]`` for run ``i``; a block at a time, so temporaries stay small."""
-    cos, sin = field.cos_sin
+    cs = field.cos_sin
     for rows, c, s in _pieces(bounds, cc, ss):
-        np.minimum(d2[rows], 2.0 - 2.0 * (cos[rows] * c + sin[rows] * s), out=d2[rows])
+        np.minimum(d2[rows], 2.0 - 2.0 * (cs[0, rows] * c + cs[1, rows] * s), out=d2[rows])
 
 
 def _farthest(d2: np.ndarray, field: SpecularFreeField) -> int:
