@@ -80,7 +80,7 @@ def cmd_remove(args) -> int:
     # an unknown extension fails before the run
     formats = {imgio.save_format(path) for path in (args.diffuse, args.specular)}
     if (formats == {"pfm"} and not args.gamma_decode
-            and not cfg.illumination.strip().startswith("divide:")):
+            and pipeline.parse_illumination(cfg.illumination)[1] is None):
         # both parts are written as float32: split the input rounded to
         # float32 (a no-op for a PFM), so the parts add up to it exactly
         img = img.astype(np.float32, copy=False)

@@ -101,8 +101,9 @@ class SpecularFreeField:
     @cached_property
     def block_sums(self) -> np.ndarray:
         """(2, m + 1): ``cos_sin`` summed over each of the m consecutive
-        blocks of SUB entries, the last block possibly shorter, then 0.0;
-        computed once per field."""
+        blocks of SUB entries, the last block possibly shorter, then 0.0
+        for the block a bound at the field's end falls in; computed once
+        per field."""
         sums = np.zeros((2, -(-len(self.hue) // SUB) + 1))
         np.add.reduceat(self.cos_sin, np.arange(0, len(self.hue), SUB), axis=1, out=sums[:, :-1])
         return sums
