@@ -259,9 +259,7 @@ def _arcs(centers) -> tuple[np.ndarray, np.ndarray]:
     centers = np.asarray(centers, dtype=np.float64)
     order = centers.argsort(kind="stable")
     s = centers[order]
-    new = np.empty(len(s), dtype=bool)  # the first center of each group
-    new[0] = True
-    np.greater(s[1:] - s[:-1], HUE_TOL, out=new[1:])
+    new = np.concatenate(([True], s[1:] - s[:-1] > HUE_TOL))  # each group's first center
     lowest = np.minimum.reduceat(order, new.nonzero()[0]).astype(np.int32)
     if s[0] + 2.0 * np.pi - s[-1] <= HUE_TOL:  # the last group wraps into the first
         lowest[0] = lowest[-1] = min(lowest[0], lowest[-1])
@@ -320,9 +318,7 @@ def _merge_runs(bounds: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.n
     """Drop empty runs and merge neighbors of one owner."""
     keep = bounds[1:] > bounds[:-1]
     starts, owner = bounds[:-1][keep], owner[keep]
-    first = np.empty(len(owner), dtype=bool)
-    first[0] = True
-    np.not_equal(owner[1:], owner[:-1], out=first[1:])
+    first = np.concatenate(([True], owner[1:] != owner[:-1]))
     return np.concatenate((starts[first], bounds[-1:])), owner[first]
 
 
@@ -331,10 +327,8 @@ def _hue_runs(hue: np.ndarray, centers) -> tuple[np.ndarray, np.ndarray]:
     center: the labels of nearest_hue, found by cutting at the arc
     midpoints."""
     midpoints, owner = _arcs(centers)
-    bounds = np.empty(len(midpoints) + 2, dtype=np.intp)
-    bounds[0], bounds[-1] = 0, len(hue)
-    bounds[1:-1] = np.searchsorted(hue, midpoints, side="left")
-    return _merge_runs(bounds, owner)
+    cuts = np.searchsorted(hue, midpoints, side="left")
+    return _merge_runs(np.concatenate(([0], cuts, [len(hue)])), owner)
 
 
 def _pieces(bounds: np.ndarray, *per_run):
