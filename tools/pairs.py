@@ -113,8 +113,12 @@ def main(argv=None) -> int:
     tmp = Path(tempfile.mkdtemp(prefix="despec-pairs-"))
     results: dict = {}
     try:
-        roots = {"parent": export(args.parent, tmp / "parent"),
-                 "change": export(args.change, tmp / "change") if args.change else ROOT}
+        try:
+            roots = {"parent": export(args.parent, tmp / "parent"),
+                     "change": export(args.change, tmp / "change") if args.change else ROOT}
+        except subprocess.CalledProcessError as exc:
+            print(f"error: git archive failed: {exc.stderr.decode().strip()}", file=sys.stderr)
+            return 2
         for workload in workloads:
             pairs = results.setdefault(workload, [])
             for i in range(args.pairs):
