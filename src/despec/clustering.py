@@ -353,10 +353,15 @@ def _run_sums(field: SpecularFreeField, bounds: np.ndarray) -> np.ndarray:
     of O(k) block sums), plus the part of b's block before b, minus the
     part of a's block before a.  The subtraction cancels at most one
     block's sum, so a run's sum is off by a few ulps of SUB at most.
-    Bounds that outnumber the blocks would read more than the whole
-    field that way, so then one reduceat over the field sums the runs.
+    The parts gather SUB entries per bound, and a gathered entry costs
+    about as much as ten entries of one reduceat over the field, which
+    also costs some BLOCK entries' worth less to start (on a 2-vCPU host:
+    150,000 entries broke even near 190 bounds, 19,500 entries at none).
+    So one reduceat over the field sums the runs once the gathered
+    entries pass a tenth of the field beyond BLOCK, or pass BLOCK, which
+    also keeps their temporaries as small as the module's others.
     """
-    if len(bounds) * SUB > len(field.hue):
+    if len(bounds) * SUB > min((len(field.hue) - BLOCK) // 10, BLOCK):
         return np.add.reduceat(field.cos_sin, bounds[:-1], axis=1)
     q = bounds // SUB
     rows = (q * SUB)[:, None] + np.arange(SUB)  # past the end: not before any bound

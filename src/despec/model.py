@@ -14,6 +14,7 @@ split itself is vectorized in :func:`despec.clustering.split_block`.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -33,8 +34,10 @@ WHITE = np.full(3, 1.0 / np.sqrt(3.0))
 
 
 # the largest sample whose pixel norm, a root of three squares summed in
-# float64 by _norm3, cannot overflow
-MAX_SAMPLE = (sys.float_info.max / 3.0) ** 0.5
+# float64 by _norm3, cannot overflow; max / 3 rounds up, so with all three
+# channels at sqrt(max / 3) the sum of squares would, and one step below
+# it does not
+MAX_SAMPLE = math.nextafter((sys.float_info.max / 3.0) ** 0.5, 0.0)
 
 
 def _norm3(v: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from conftest import make_field
 from despec import synth
 from despec import clustering
 from despec.clustering import (
+    BLOCK,
     BUCKETS,
     KMEANS_MAX_ITER,
     SUB,
@@ -342,7 +343,10 @@ def test_window_seeding_falls_back_near_every_entry():
     assert_same_seeds(field, 97, 0)
 
 
-N_BLOCKED = 16 * SUB + 37  # the last block is short
+# entries of the block-sum fields: their last block is short, and up to
+# 48 bounds take the block path, where _run_sums needs
+# BLOCK + 10 * SUB * bounds entries
+N_BLOCKED = BLOCK + 10 * SUB * 48 + 37
 
 
 def reference_run_means(field, bounds, owner, k):
@@ -355,11 +359,13 @@ def reference_run_means(field, bounds, owner, k):
     return np.arctan2(s, c), counts, np.hypot(s, c) / np.maximum(counts, 1)
 
 
-def assert_block_means(cuts, shared=False):
+def assert_block_means(cuts, shared=False, n=N_BLOCKED):
+    """_run_means of runs cut at ``cuts`` from a field of ``n`` entries
+    against reference_run_means; returns the field."""
     rng = np.random.default_rng(len(cuts))
     # hues on a 2 rad arc, so no run's sum cancels
-    field = make_field(rng.permutation(rng.uniform(-1.0, 1.0, N_BLOCKED)).reshape(1, -1))
-    bounds = np.array([0, *cuts, N_BLOCKED])
+    field = make_field(rng.permutation(rng.uniform(-1.0, 1.0, n)).reshape(1, -1))
+    bounds = np.array([0, *cuts, n])
     owner = np.arange(len(bounds) - 1, dtype=np.int32)
     k = len(owner)
     if shared:  # every other run shares one cluster
@@ -369,6 +375,7 @@ def assert_block_means(cuts, shared=False):
     assert np.array_equal(got[1], want[1])
     assert np.abs(got[0] - want[0]).max() <= 1e-12
     assert np.abs(got[2] - want[2]).max() <= 1e-12
+    return field
 
 
 @pytest.mark.parametrize("cuts", [
@@ -380,24 +387,37 @@ def assert_block_means(cuts, shared=False):
     [SUB - 1, SUB + 1],              # two entries across an edge
     [],                              # the whole field
     [N_BLOCKED - 3],                 # inside the short last block
-    [16 * SUB],                      # the short last block alone
+    [N_BLOCKED // SUB * SUB],        # the short last block alone
 ], ids=["short", "one-block", "long", "from-edge", "to-edge", "across-edge", "whole",
         "last-block", "last-alone"])
 def test_block_sum_means_match_reduceat(cuts):
     """Means from the field's block sums stay within 1e-12 of one
     reduceat over the run's entries, counts equal."""
-    assert (len(cuts) + 2) * SUB <= N_BLOCKED  # the block path
-    assert_block_means(cuts)
+    assert "block_sums" in vars(assert_block_means(cuts))  # the block path
 
 
 @settings(max_examples=80)
 @given(cuts=st.sets(st.one_of(st.integers(1, N_BLOCKED - 1),
-                              st.integers(1, 16).flatmap(
+                              st.integers(1, N_BLOCKED // SUB).flatmap(
                                   lambda q: st.sampled_from([q * SUB - 1, q * SUB, q * SUB + 1]))),
                     max_size=40),
        shared=st.booleans())
 def test_block_sum_means_property(cuts, shared):
     """Random cuts, many on or next to a block edge, and clusters of one
-    or several runs; past N_BLOCKED / SUB bounds the sums come from one
-    reduceat over the field instead."""
+    or several runs, all on the block path."""
     assert_block_means(sorted(c for c in cuts if 0 < c < N_BLOCKED), shared)
+
+
+@pytest.mark.parametrize("n, bounds, blocked", [
+    (N_BLOCKED, 48, True),
+    (N_BLOCKED, 49, False),
+    (11 * BLOCK + 10 * SUB, BLOCK // SUB, True),
+    (11 * BLOCK + 10 * SUB, BLOCK // SUB + 1, False),
+], ids=["field-below", "field-above", "block-below", "block-above"])
+def test_block_sum_path_cutoff(n, bounds, blocked):
+    """On each side of the cutoff, from a tenth of the field beyond BLOCK
+    and from BLOCK itself, the means match the reference; only below it
+    do they come from the field's block sums."""
+    cuts = np.random.default_rng(bounds).choice(np.arange(1, n), bounds - 2, replace=False)
+    field = assert_block_means(sorted(cuts.tolist()), n=n)
+    assert ("block_sums" in vars(field)) == blocked

@@ -176,6 +176,28 @@ class TestInputValidation:
         assert np.array_equal(diag.labels, run(gt.input, PipelineConfig(threads=1))[1].labels)
         assert_exact_split(result, img)
 
+    def test_max_sample_is_the_largest_finite_norm(self):
+        """A pixel with all three channels at MAX_SAMPLE has a finite norm,
+        and one a step above it does not."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.isfinite(_norm3(np.full(3, MAX_SAMPLE)))
+        with np.errstate(over="ignore"):
+            assert np.isinf(_norm3(np.full(3, np.nextafter(MAX_SAMPLE, np.inf))))
+
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_pixels_at_the_bound_in_every_channel_separate(self, fast):
+        """Pixels with every channel at MAX_SAMPLE, colored and gray, run
+        without an overflow and split exactly."""
+        gt = synth.render(synth.builtin_scene("four-materials", 64, 48))
+        img = gt.input * (MAX_SAMPLE / gt.input.max())
+        img[0, :4] = [MAX_SAMPLE, MAX_SAMPLE, 0.9 * MAX_SAMPLE]
+        img[1, :4] = MAX_SAMPLE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result, _ = run(img, PipelineConfig(fast=fast, target_edge=FAST_MIN_EDGE, threads=1))
+        assert_exact_split(result, img)
+
 
 class TestFullPipeline:
     def test_zero_specular_input_is_untouched(self):

@@ -13,7 +13,6 @@ that drifts over minutes moves both runs of a pair alike.
 For every workload and metric the summary prints each side's median and
 quartiles over the pairs, and the pairs the change won by the metric's
 ``better`` direction in BENCHMARK.json; a tie wins for neither side.
-``--out FILE`` also writes every run's result line as JSON.
 """
 
 from __future__ import annotations
@@ -104,7 +103,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair; pair i adds i")
-    parser.add_argument("--out", type=Path, help="write every run's result line here as JSON")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -135,8 +133,6 @@ def main(argv=None) -> int:
                       f"image_s.p50 parent {shown['parent']} change {shown['change']}", flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-        if args.out:
-            args.out.write_text(json.dumps(results, indent=1), encoding="utf-8")
     for workload, pairs in results.items():
         print("\n".join(summarize(workload, pairs, better)))
     return 0
