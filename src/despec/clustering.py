@@ -20,7 +20,8 @@ cluster is one contiguous run of the field, or two at the ±pi wrap, and
 the fit check and model estimation read slices.  A Lloyd step is one
 searchsorted of the arc midpoints, and its sums read O(k) of the
 field's per-block sums plus the partial block at each cut, not every
-hue (see ``_run_sums``).  Farthest-point seeding reads only windows of
+hue, unless the field is small or the cuts many enough that one pass
+costs less (see ``_run_sums``).  Farthest-point seeding reads only windows of
 entries around the midpoints of the gaps between the centers chosen so
 far, where the farthest entry must lie (see ``_window_farthest``).
 """
