@@ -15,11 +15,18 @@ exactly one whitespace byte separates the header from the raster.
 Width, height and maxval are ASCII digits only; the PFM scale is a
 finite, nonzero number.
 
-Loading reads the raster through a memoryview of the file bytes and
-converts it with one ``astype`` (row flip included for PFM).  Saving
-never holds a converted copy of the whole raster: it converts and writes
-BAND_ROWS rows at a time through one reused band buffer, bottom band
-first for PFM, so its working memory does not grow with the height.
+Loading parses the header from a prefix of the file (HEADER_BYTES,
+doubled while the header runs on), then reads the raster with
+``os.readv`` straight into the rows of the image array, bottom row first
+for PFM, so the row flip costs nothing and a little-endian PFM is used
+as read; a big-endian PFM or a PPM converts with one ``astype``.  A
+regular file shorter than the raster its header promises is refused
+before the array is allocated.  Saving never holds a converted copy of
+the whole raster: a little-endian float32, C-contiguous image goes to a
+PFM straight from its own rows, bottom row first, and any other image
+converts and writes BAND_ROWS rows at a time through one reused band
+buffer, bottom band first for PFM.  Reads and writes pass at most
+IOV_MAX buffers per call and go on after short counts (a pipe's).
 A save rewrites an existing file in place and cuts it to length after;
 a PFM sample beyond the float32 range is an error, not an inf; and a
 failed save removes the file it was writing.
@@ -43,20 +50,53 @@ from .errors import (
 )
 
 BAND_ROWS = 64  # image rows converted and written at a time by a save
+HEADER_BYTES = 64  # first read of a header; doubled while the header runs on
+IOV_MAX = os.sysconf("SC_IOV_MAX")  # buffers per readv/writev call
 
 
-def _read_bytes(path) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise IoFailureError(f"cannot read {path}: {exc}") from exc
+def _bytes(arr: np.ndarray) -> memoryview:
+    """Flat byte view of the C-contiguous array ``arr``."""
+    return memoryview(arr.reshape(-1).view(np.uint8))
+
+
+def _row_batches(img: np.ndarray, bottom_up: bool = False):
+    """Byte views of the rows of the C-contiguous (H, W, 3) array ``img``,
+    top row first or bottom row first, in lists of at most IOV_MAX."""
+    flat = _bytes(img)
+    step = img.shape[1] * 3 * img.itemsize
+    order = range(len(img))[::-1 if bottom_up else 1]
+    for start in range(0, len(order), IOV_MAX):
+        yield [flat[r * step:(r + 1) * step] for r in order[start:start + IOV_MAX]]
+
+
+def _drop(bufs: list, n: int) -> list:
+    """The byte buffers ``bufs`` less their first ``n`` bytes."""
+    i = 0
+    while i < len(bufs) and n >= len(bufs[i]):
+        n -= len(bufs[i])
+        i += 1
+    bufs = bufs[i:]
+    if n:
+        bufs[0] = bufs[0][n:]
+    return bufs
+
+
+def _vectored(call, fd: int, bufs: list) -> int:
+    """Bytes that ``call``, ``os.readv`` or ``os.writev``, moves between
+    ``fd`` and the byte buffers ``bufs`` (at most IOV_MAX), in order, call
+    after call, as a pipe may move part of them each time; fewer than all
+    only where a read meets the end of the file."""
+    moved = 0
+    while bufs and (n := call(fd, bufs)):
+        moved += n
+        bufs = _drop(bufs, n)
+    return moved
 
 
 def _write_parts(path, header: bytes, bands) -> None:
-    """Write ``header``, then each raster band of the iterable ``bands``
-    (C-contiguous arrays), so the raster is never joined into one
-    payload.
+    """Write ``header``, then each band of the iterable ``bands``, a list
+    of at most IOV_MAX byte buffers (image rows, or one converted band),
+    with ``os.writev``, so the raster is never joined into one payload.
 
     An existing file is rewritten in place, not truncated at the open (a
     truncating rewrite frees and reallocates its blocks), and a regular
@@ -66,12 +106,14 @@ def _write_parts(path, header: bytes, bands) -> None:
     regular = False
     try:
         # "wb" without O_TRUNC; the umask still applies to a new file
-        with open(path, "wb", opener=lambda p, fl: os.open(p, fl & ~os.O_TRUNC, 0o666)) as fh:
-            before = os.fstat(fh.fileno())
+        with open(path, "wb", buffering=0,
+                  opener=lambda p, fl: os.open(p, fl & ~os.O_TRUNC, 0o666)) as fh:
+            fd = fh.fileno()
+            before = os.fstat(fd)
             regular = stat.S_ISREG(before.st_mode)
-            size = fh.write(header)
+            size = _vectored(os.writev, fd, [header])
             for band in bands:
-                size += fh.write(band)
+                size += _vectored(os.writev, fd, band)
             if regular and before.st_size > size:
                 fh.truncate(size)
     except BaseException as exc:
@@ -87,14 +129,14 @@ def _bands(height: int, width: int, dtype, fill, bottom_up: bool = False):
     """The (height, width, 3) raster of ``dtype``, band by band: for each
     slice of at most BAND_ROWS image rows, top band first or bottom band
     first, ``fill(rows, out)`` converts those rows into ``out``, a view of
-    one reused buffer, which is then yielded."""
+    one reused buffer, whose bytes are then yielded as a one-buffer band."""
     buf = np.empty((min(BAND_ROWS, height), width, 3), dtype=dtype)
     starts = range(0, height, BAND_ROWS)
     for start in reversed(starts) if bottom_up else starts:
         rows = slice(start, min(start + BAND_ROWS, height))
         out = buf[:rows.stop - start]
         fill(rows, out)
-        yield out
+        yield [_bytes(out)]
 
 
 # whitespace and whole-line comments, then one token: the token cannot
@@ -116,17 +158,21 @@ def _finite(tok: bytes) -> float:
     return value
 
 
-def _read_header(data: bytes, third: str, parse) -> tuple[int, int, object, int]:
+def _parse_header(data: bytes, final: bool, third: str, parse):
     """Width, height, the ``parse``d third value (maxval or scale) and
-    the raster offset of a P6/PF header.
+    the raster offset of the P6/PF header at the start of ``data``.
 
     The offset lies one separator byte past the third token; it exceeds
-    ``len(data)`` when the file ends right after that token.
+    ``len(data)`` when the file ends right after that token.  Unless
+    ``data`` is ``final`` (the whole file), returns None where a token, a
+    comment or that separator byte may run on past ``data``.
     """
     values, pos = [], 2
     for what, conv in (("width", _digits), ("height", _digits), (third, parse)):
         match = _TOKEN.match(data, pos)
         tok, pos = match.group(1), match.end()
+        if pos == len(data) and not final:
+            return None
         if tok is None:
             raise CorruptHeaderError("header ended unexpectedly")
         try:
@@ -139,48 +185,90 @@ def _read_header(data: bytes, third: str, parse) -> tuple[int, int, object, int]
     return width, height, value, pos + 1
 
 
-def _read_raster(data: bytes, offset: int, width: int, height: int, dtype) -> np.ndarray:
-    """(height, width, 3) view of the raster at ``offset``, not a copy."""
-    if offset > len(data):
+def _read_more(fh, data: bytes, size: int) -> bytes:
+    """``data`` followed by the file's next bytes, ``size`` bytes in all
+    unless the file ends first."""
+    while len(data) < size and (more := fh.read(size - len(data))):
+        data += more
+    return data
+
+
+def _read_header(fh, data: bytes, third: str, parse):
+    """``_parse_header`` of the file ``fh``, whose first bytes, read to
+    HEADER_BYTES, are ``data``: the prefix doubles until the header is
+    inside it.  Returns the header's four values and the prefix."""
+    size = HEADER_BYTES
+    while (header := _parse_header(data, len(data) < size, third, parse)) is None:
+        size *= 2
+        data = _read_more(fh, data, size)
+    return *header, data
+
+
+def _read_raster(fh, data: bytes, offset: int, width: int, height: int, dtype,
+                 bottom_up: bool = False) -> np.ndarray:
+    """The (height, width, 3) raster of ``dtype`` at ``offset``, whose
+    first bytes may already be in ``data``, read straight into the rows
+    of a new array (bottom row first for PFM).  A regular file's size is
+    checked before the array is allocated; any other file is read to its
+    end first, as its length shows only there."""
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode):
+        end = st.st_size
+    else:
+        data += fh.read()
+        end = len(data)
+    if offset > end:
         raise CorruptHeaderError("missing raster after header")
     need = width * height * 3 * np.dtype(dtype).itemsize
-    raster = memoryview(data)[offset:offset + need]
-    if len(raster) < need:
-        raise TruncatedDataError(
-            f"raster holds {len(raster)} bytes, header promises {need}"
-        )
-    return np.frombuffer(raster, dtype=dtype).reshape(height, width, 3)
+    if end - offset < need:
+        raise TruncatedDataError(f"raster holds {end - offset} bytes, header promises {need}")
+    img = np.empty((height, width, 3), dtype=dtype)
+    lead = memoryview(data)[offset:offset + need]  # raster bytes read with the header
+    done = len(lead)
+    for rows in _row_batches(img, bottom_up):
+        while lead and rows:
+            n = min(len(rows[0]), len(lead))
+            rows[0][:n] = lead[:n]
+            lead, rows = lead[n:], _drop(rows, n)
+        done += _vectored(os.readv, fh.fileno(), rows)
+    if done < need:  # the file shrank after its size was read
+        raise TruncatedDataError(f"raster holds {done} bytes, header promises {need}")
+    return img
 
 
-def _load_ppm(data: bytes) -> np.ndarray:
-    width, height, maxval, offset = _read_header(data, "maxval", _digits)
+def _load_ppm(fh, data: bytes) -> np.ndarray:
+    width, height, maxval, offset, data = _read_header(fh, data, "maxval", _digits)
     if not 0 < maxval < 65536:
         raise CorruptHeaderError(f"bad maxval {maxval}")
     dtype = ">u2" if maxval > 255 else np.uint8  # network byte order for 16 bit
-    img = _read_raster(data, offset, width, height, dtype).astype(np.float64)
+    img = _read_raster(fh, data, offset, width, height, dtype).astype(np.float64)
     img /= maxval
     return img
 
 
-def _load_pfm(data: bytes) -> np.ndarray:
-    width, height, scale, offset = _read_header(data, "scale", _finite)
+def _load_pfm(fh, data: bytes) -> np.ndarray:
+    width, height, scale, offset, data = _read_header(fh, data, "scale", _finite)
     if scale == 0:
         raise CorruptHeaderError("zero scale")
     dtype = "<f4" if scale < 0 else ">f4"  # scale sign encodes endianness
-    samples = _read_raster(data, offset, width, height, dtype)
-    # PFM rows run bottom to top: flip while converting to native order, in one copy
-    return samples[::-1].astype(np.float32, order="C")
+    # PFM rows run bottom to top; a native-order raster is the image itself
+    samples = _read_raster(fh, data, offset, width, height, dtype, bottom_up=True)
+    return samples.astype(np.float32, copy=False)
 
 
 def load(path) -> np.ndarray:
     """Read a PPM (P6) image as (H, W, 3) float64 or a PFM (PF) image as
     (H, W, 3) float32, C-contiguous and writable."""
-    data = _read_bytes(path)
-    magic = data[:2]
-    if magic == b"P6":
-        return _load_ppm(data)
-    if magic == b"PF":
-        return _load_pfm(data)
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            data = _read_more(fh, b"", HEADER_BYTES)
+            magic = data[:2]
+            if magic == b"P6":
+                return _load_ppm(fh, data)
+            if magic == b"PF":
+                return _load_pfm(fh, data)
+    except OSError as exc:
+        raise IoFailureError(f"cannot read {path}: {exc}") from exc
     if magic == b"Pf":
         raise UnsupportedFormatError("grayscale PFM is not supported")
     raise UnsupportedFormatError(f"unrecognized magic {magic!r}")
@@ -210,11 +298,15 @@ def _save_ppm(img: np.ndarray, path, maxval: int) -> int:
 
 def _save_pfm(img: np.ndarray, path) -> int:
     height, width = img.shape[:2]
+    header = b"PF\n%d %d\n-1.0\n" % (width, height)
+    if img.dtype == np.dtype("<f4") and img.flags.c_contiguous:
+        # already the file's bytes: its rows go out as they are, bottom first
+        _write_parts(path, header, _row_batches(img, bottom_up=True))
+        return 0
 
     def fill(rows, out):
         np.copyto(out, img[rows][::-1])  # PFM rows run bottom to top
 
-    header = b"PF\n%d %d\n-1.0\n" % (width, height)
     try:
         with np.errstate(over="raise"):  # each band's cast; no inf is written
             _write_parts(path, header, _bands(height, width, "<f4", fill, bottom_up=True))

@@ -126,8 +126,12 @@ def _diffuse_parallel_for_cluster(coeffs: np.ndarray) -> float:
         i = _first_peak_index(counts)
     except NoPeakError:
         return float(np.percentile(coeffs, FALLBACK_PERCENTILE))
-    # the window holds 3x the peak's smoothed count, >= 3 * PEAK_FLOOR
-    return float(np.median(ordered[pos[max(i - 1, 0)]:pos[min(i + 2, len(EDGES) - 1)]]))
+    # the window holds 3x the peak's smoothed count, >= 3 * PEAK_FLOOR;
+    # it is sorted, so its median is read by index, with np.median's bits
+    # (the mean of the middle pair for an even length)
+    window = ordered[pos[max(i - 1, 0)]:pos[min(i + 2, len(EDGES) - 1)]]
+    h = len(window) // 2
+    return float(window[h] if len(window) % 2 else (window[h - 1] + window[h]) / 2)
 
 
 def parallel_coefficients(field: SpecularFreeField, clusters: ClusterSet,
@@ -184,10 +188,12 @@ def separate_image(img, clusters: ClusterSet, models: dict,
     """Apply each cluster's material model to its pixels.
 
     The image is walked once, in short row chunks, and each chunk works
-    in a few chunk-sized buffers: the specular strength is summed channel
-    by channel into one, and the specular part, its clip, the diffuse
-    part input - specular and the exact specular part input - diffuse
-    go one channel at a time, so no 3-channel temporary is made.
+    in a few chunk-sized buffers and its own output rows: the specular
+    strength is summed channel by channel into one buffer, the clipped
+    specular part goes one channel at a time into the specular rows, and
+    then the diffuse part input - specular and the exact specular part
+    input - diffuse each run once over the chunk's whole pixels, so no
+    3-channel temporary is made.
 
     A float32 image gives float32 parts, any other image float64 parts.
     The strength and the clipped specular part are computed in float64;
@@ -250,7 +256,8 @@ def separate_image(img, clusters: ClusterSet, models: dict,
             hue, _, flags = split_block(block, basis)
             np.negative(flags, out=lab, dtype=np.int32)
             np.copyto(lab, nearest(hue), where=flags == FLAG_VALID)
-        slot = np.maximum(lab + 1, 0)
+        slot = np.add(lab, 1, dtype=np.intp)  # intp, so no take below casts it
+        np.maximum(slot, 0, out=slot)
         if gaps or (given and lab.max() >= k):
             missing = ~known.take(slot, mode="clip")
             if missing.any():
@@ -262,19 +269,21 @@ def separate_image(img, clusters: ClusterSet, models: dict,
         for i in (1, 2):
             strength += np.multiply(block[..., i], axis[i].take(slot, mode="clip", out=scratch),
                                     out=scratch)
+        sp, dif = specular[rows], diffuse[rows]
         for i in range(3):
-            b, sp, dif = block[..., i], specular[rows, :, i], diffuse[rows, :, i]
             # the specular part is clipped in float64 and rounded into sp;
-            # rounding is monotone and b is representable, so 0 <= sp <= b
+            # rounding is monotone and the sample b is representable, so
+            # 0 <= sp <= b
             # (maximum then minimum: np.clip's bits at a third of its time)
             np.multiply(strength, d[i], out=scratch)
             np.maximum(scratch, 0.0, out=scratch)
-            np.minimum(scratch, b, out=sp)
-            np.subtract(b, sp, out=dif)
-            # b - dif is exact (Sterbenz): if sp >= b / 2, b - sp is exact,
-            # so dif = b - sp and b - dif = sp; if sp < b / 2, dif >= b / 2.
-            # So dif + sp == b, b - dif == sp and b - sp == dif, bit for bit.
-            np.subtract(b, dif, out=sp)
+            np.minimum(scratch, block[..., i], out=sp[..., i])
+        np.subtract(block, sp, out=dif)
+        # b - dif is exact (Sterbenz), sample by sample: if sp >= b / 2,
+        # b - sp is exact, so dif = b - sp and b - dif = sp; if sp < b / 2,
+        # dif >= b / 2.  So dif + sp == b, b - dif == sp and b - sp == dif,
+        # bit for bit.
+        np.subtract(block, dif, out=sp)
 
     run_rows(fill, img.shape[0], threads)
     return SeparationResult(diffuse=diffuse, specular=specular, labels=labels)

@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 
 from despec import errors
-from despec.imgio import BAND_ROWS, load, load_labels, save, save_format, save_labels
+from despec.imgio import (
+    BAND_ROWS,
+    HEADER_BYTES,
+    IOV_MAX,
+    load,
+    load_labels,
+    save,
+    save_format,
+    save_labels,
+)
 
 
 def write(path, payload: bytes):
@@ -82,6 +91,10 @@ class TestLoadPpm:
     def test_missing_file(self, tmp_path):
         with pytest.raises(errors.IoFailureError):
             load(tmp_path / "nope.ppm")
+
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(errors.IoFailureError):
+            load(tmp_path)  # a directory
 
 
 class TestLoadPfm:
@@ -342,11 +355,13 @@ def save_as(kind, path, height=2 * BAND_ROWS + 3):
     rng = np.random.default_rng(12)
     if kind == "labels":
         save_labels(rng.integers(-2, 6, (height, 7)).astype(np.int32), path)
+    elif kind == "pfm32":  # written straight from the image rows
+        save(rng.uniform(-0.2, 1.3, (height, 7, 3)).astype(np.float32), path, format="pfm")
     else:
         save(rng.uniform(-0.2, 1.3, (height, 7, 3)), path, format=kind)
 
 
-KINDS = ["pfm", "ppm8", "ppm16", "labels"]
+KINDS = ["pfm", "pfm32", "ppm8", "ppm16", "labels"]
 
 
 class TestInPlaceSave:
@@ -410,8 +425,9 @@ class TestInPlaceSave:
         path = tmp_path / "a.pfm"
         if prior:
             path.write_bytes(b"\xab" * 10**6)
-        with pytest.raises(errors.UnsupportedFormatError, match="a.pfm.*float32 range"):
+        with pytest.raises(errors.UnsupportedFormatError, match="a.pfm.*float32 range") as exc:
             save(img, path)
+        assert exc.value.exit_code == 3
         assert not path.exists()
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
@@ -421,3 +437,165 @@ class TestInPlaceSave:
         img = np.array([[[top, np.inf, 0.0], [-top, -np.inf, 1e-46]]])
         save(img, tmp_path / "a.pfm")
         assert np.array_equal(load(tmp_path / "a.pfm"), img.astype(np.float32))
+
+
+def pfm_bytes(img, big_endian=False):
+    """A PFM file of ``img``, rows bottom to top, in either byte order."""
+    h, w = img.shape[:2]
+    scale, dtype = (b"1.0", ">f4") if big_endian else (b"-1.0", "<f4")
+    return b"PF\n%d %d\n%s\n" % (w, h, scale) + img[::-1].astype(dtype).tobytes()
+
+
+def ppm_bytes(raw, maxval):
+    """A P6 file of the integer samples ``raw``."""
+    h, w = raw.shape[:2]
+    dtype = ">u2" if maxval > 255 else np.uint8
+    return b"P6\n%d %d\n%d\n" % (w, h, maxval) + raw.astype(dtype).tobytes()
+
+
+class TestRowReads:
+    """Loads read the raster straight into the image rows, after a header
+    read from a prefix of HEADER_BYTES that grows while the header runs on."""
+
+    @pytest.mark.parametrize("comment", [HEADER_BYTES - 12, HEADER_BYTES, 5 * HEADER_BYTES])
+    @pytest.mark.parametrize("format", ["pfm", "ppm"])
+    def test_comment_longer_than_the_first_read(self, tmp_path, format, comment):
+        rng = np.random.default_rng(comment)
+        if format == "pfm":
+            plain = pfm_bytes(rng.random((9, 11, 3)).astype(np.float32))
+        else:
+            plain = ppm_bytes(rng.integers(0, 65536, (9, 11, 3)), 65535)
+        magic, rest = plain.split(b"\n", 1)
+        long = magic + b" #" + b"c" * comment + b"\n" + rest  # past the first read
+        a, b = write(tmp_path / "plain", plain), write(tmp_path / "long", long)
+        got, want = load(b), load(a)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("header", [b"PF\n100000 100000\n-1.0\n", b"P6 100000 100000 255\n"])
+    def test_huge_header_in_a_small_file_allocates_nothing(self, tmp_path, header):
+        p = write(tmp_path / "huge", header + bytes(1000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors.TruncatedDataError, match="header promises"):
+                load(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_big_endian_pfm(self, tmp_path):
+        img = np.random.default_rng(5).uniform(-3, 3, (40, 17, 3)).astype(np.float32)
+        got = load(write(tmp_path / "be.pfm", pfm_bytes(img, big_endian=True)))
+        assert got.dtype == np.float32 and got.flags.c_contiguous and got.flags.writeable
+        assert np.array_equal(got, img)
+
+    @pytest.mark.parametrize("maxval", [255, 300, 65535])
+    def test_ppm_samples_scale_by_maxval(self, tmp_path, maxval):
+        raw = np.random.default_rng(maxval).integers(0, maxval + 1, (40, 17, 3))
+        got = load(write(tmp_path / "a.ppm", ppm_bytes(raw, maxval)))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, raw / maxval)
+
+    def test_pfm_load_holds_one_raster(self, tmp_path):
+        """The file bytes are not held beside the image (a second raster)."""
+        img = np.random.default_rng(6).random((512, 512, 3), dtype=np.float32)
+        p = write(tmp_path / "a.pfm", pfm_bytes(img))
+        assert peak_bytes(lambda: load(p)) < 1.25 * img.nbytes
+
+    @pytest.mark.parametrize("format", ["pfm", "ppm8", "ppm16"])
+    def test_image_taller_than_iov_max_round_trips(self, tmp_path, format):
+        height = max(3000, IOV_MAX + 7)
+        img = np.random.default_rng(7).random((height, 1, 3)).astype(np.float32)
+        a, b = tmp_path / "a.img", tmp_path / "b.img"
+        save(img, a, format=format)
+        assert a.read_bytes() == whole_image_save(img.astype(np.float64), format)[0]
+        save(load(a), b, format=format)
+        assert b.read_bytes() == a.read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("format", ["pfm", "ppm16"])
+    def test_load_from_fifo(self, tmp_path, format):
+        """A pipe has no size to check up front; it is read to its end."""
+        a, fifo = tmp_path / "a.img", tmp_path / "pipe"
+        save(np.random.default_rng(8).random((70, 90, 3)), a, format=format)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(a.read_bytes()), daemon=True)
+        writer.start()
+        got = load(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(got, load(a))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_truncated_fifo(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(b"PF\n2 2\n-1.0\n" + bytes(12)),
+                                  daemon=True)
+        writer.start()
+        with pytest.raises(errors.TruncatedDataError, match="raster holds 12 bytes"):
+            load(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_short_reads_and_writes(self, tmp_path, monkeypatch, kind):
+        """readv and writev may move fewer bytes than asked, as on a pipe:
+        the reader and the writer go on from where each call stopped."""
+        fresh, short = tmp_path / "fresh.img", tmp_path / "short.img"
+        save_as(kind, fresh, height=9)
+
+        def readv(fd, bufs):
+            data = os.read(fd, min(7, len(bufs[0])))
+            bufs[0][:len(data)] = data
+            return len(data)
+
+        monkeypatch.setattr(os, "readv", readv)
+        monkeypatch.setattr(os, "writev", lambda fd, bufs: os.write(fd, bytes(bufs[0][:5])))
+        save_as(kind, short, height=9)
+        assert short.read_bytes() == fresh.read_bytes()
+        got = load(short)
+        monkeypatch.undo()
+        assert np.array_equal(got, load(fresh))
+
+    def test_file_ending_while_read(self, tmp_path, monkeypatch):
+        """A file that ends before the size it showed is truncated data:
+        here every read after the header's meets the end."""
+        img = np.random.default_rng(13).random((40, 17, 3)).astype(np.float32)
+        data = pfm_bytes(img)
+        p = write(tmp_path / "a.pfm", data)
+        monkeypatch.setattr(os, "readv", lambda fd, bufs: 0)
+        held = HEADER_BYTES - data.index(b"-1.0\n") - 5
+        with pytest.raises(errors.TruncatedDataError, match=f"raster holds {held} bytes"):
+            load(p)
+
+
+class TestRowWrites:
+    """A little-endian float32, C-contiguous image is written straight
+    from its rows; every other image converts band by band."""
+
+    @pytest.mark.parametrize("view", [
+        lambda a: a[:, ::2], lambda a: a[::-1], lambda a: a[..., ::-1], lambda a: a.astype(">f4"),
+    ])
+    def test_float32_view_saves_as_its_contiguous_copy(self, tmp_path, view):
+        img = view(np.random.default_rng(10).uniform(-2, 2, (2 * BAND_ROWS + 3, 12, 3))
+                   .astype(np.float32))
+        assert not (img.dtype == "<f4" and img.flags.c_contiguous)
+        save(img, tmp_path / "view.pfm")
+        save(np.ascontiguousarray(img, dtype=np.float32), tmp_path / "copy.pfm")
+        assert (tmp_path / "view.pfm").read_bytes() == (tmp_path / "copy.pfm").read_bytes()
+
+    def test_float32_save_allocates_no_band(self, tmp_path):
+        img = np.random.default_rng(11).random((256, 2048, 3), dtype=np.float32)
+        band = BAND_ROWS * img[0].nbytes  # the band buffer a converting save needs
+        assert peak_bytes(lambda: save(img, tmp_path / "a.pfm")) < band / 8
+
+    @pytest.mark.parametrize("format", ["pfm", "ppm8"])
+    def test_tall_narrow_image_holds_no_view_per_row(self, tmp_path, format):
+        """Row views are made IOV_MAX at a time, so a load or save of a
+        one-pixel-wide image does not hold one per row of it."""
+        img = np.random.default_rng(12).random((16 * IOV_MAX, 1, 3), dtype=np.float32)
+        p = tmp_path / "a.img"
+        peak = peak_bytes(lambda: save(img, p, format=format))
+        peak = max(peak, peak_bytes(lambda: load(p)) - load(p).nbytes)
+        assert peak < 8 * img.nbytes

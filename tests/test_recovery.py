@@ -1,6 +1,10 @@
 """Pure-diffuse peak finding and per-pixel highlight separation."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import assert_exact_split, parallel_coeff
+import despec
 from despec import errors, synth
 from despec.clustering import (
     FLAG_VALID,
@@ -26,12 +31,14 @@ from despec.recovery import (
     EDGES,
     PEAK_FLOOR,
     MaterialModel,
+    _diffuse_parallel_for_cluster,
     _first_peak_index,
     estimate_models,
     estimate_ratio,
     model_for_cluster,
     parallel_coefficients,
     separate_image,
+    working_image,
 )
 
 OLIVE = np.array([2.0, 2.0, 1.0]) / 3.0
@@ -253,6 +260,51 @@ class TestModelForCluster:
         assert all(m is not None for m in models.values())
 
 
+def median_diffuse_parallel(coeffs):
+    """_diffuse_parallel_for_cluster with the window median taken by
+    np.median: the reference the by-index median must equal bit for bit."""
+    ordered = np.sort(coeffs)
+    pos = np.searchsorted(ordered, EDGES, side="left")
+    try:
+        i = _first_peak_index(np.diff(pos))
+    except errors.NoPeakError:
+        return float(np.percentile(coeffs, 2.0))
+    return float(np.median(ordered[pos[max(i - 1, 0)]:pos[min(i + 2, len(EDGES) - 1)]]))
+
+
+class TestPeakWindowMedian:
+    @settings(max_examples=300)
+    @given(n=st.integers(15, 120), centre=st.floats(0.01, 0.99), data=st.data())
+    def test_median_by_index_is_np_median(self, n, centre, data):
+        """A cluster of n coefficients in and around one bin (windows of
+        odd and even length) plus a scattered rest."""
+        jitter = data.draw(arrays(np.float64, n, elements=st.floats(-0.006, 0.006)))
+        rest = data.draw(arrays(np.float64, st.integers(0, 40), elements=st.floats(0.0, 1.0)))
+        coeffs = np.concatenate([np.clip(centre + jitter, 0.0, 1.0), rest])
+        assert _diffuse_parallel_for_cluster(coeffs) == median_diffuse_parallel(coeffs)
+
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_one_bin(self, n):
+        coeffs = 0.5 + np.arange(n) * 1e-6
+        assert _diffuse_parallel_for_cluster(coeffs) == float(np.median(coeffs))
+
+    def test_pipeline_imports_no_masked_arrays(self):
+        """np.median imports numpy.ma on its first call, which a cold run
+        pays for; a run, on either path, leaves it unimported."""
+        code = ("import sys\n"
+                "from despec import pipeline, synth\n"
+                "img = synth.render(synth.builtin_scene('four-materials', 160, 120)).input\n"
+                "pipeline.run(img)\n"
+                "pipeline.run(img, pipeline.PipelineConfig(fast=True, target_edge=64))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(despec.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
+
 class TestSeparatePixel:
     """Worked single-pixel examples, run through separate_image on a 1xN
     image labeled with one hand-built olive material."""
@@ -299,6 +351,33 @@ class TestSeparatePixel:
         assert diffuse.min() >= 0.0
         assert specular.min() >= 0.0
         assert diffuse[0] + specular[0] == pytest.approx(pixel, abs=0)
+
+
+def per_channel_split(img, models, basis, labels):
+    """(diffuse, specular) of separate_image under ``labels``, one
+    channel at a time over the whole image: the clip, then input -
+    specular, then the exact specular part input - diffuse."""
+    img = working_image(img)
+    d = basis.direction
+    axis = np.zeros((3, max(models) + 3))
+    for cid, model in models.items():
+        if model is not None:
+            axis[:, cid + 1] = d - model.center / model.ratio
+    slot = np.maximum(labels + 1, 0)
+    scratch = np.empty(labels.shape)
+    strength = img[..., 0] * axis[0].take(slot, mode="clip", out=scratch)
+    for i in (1, 2):
+        strength += np.multiply(img[..., i], axis[i].take(slot, mode="clip", out=scratch),
+                                out=scratch)
+    diffuse, specular = np.empty_like(img), np.empty_like(img)
+    for i in range(3):
+        b, sp, dif = img[..., i], specular[..., i], diffuse[..., i]
+        np.multiply(strength, d[i], out=scratch)
+        np.maximum(scratch, 0.0, out=scratch)
+        np.minimum(scratch, b, out=sp)
+        np.subtract(b, sp, out=dif)
+        np.subtract(b, dif, out=sp)
+    return diffuse, specular
 
 
 class TestSeparateImage:
@@ -407,6 +486,43 @@ class TestSeparateImage:
         assert np.array_equal(result.labels,
                               owner[np.searchsorted(midpoints, hue, side="right")])
         assert np.isin(hue, mid).any() and np.isin(_bucket(hue), _bucket(mid)).mean() > 0.9
+
+    @settings(max_examples=60, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
+    def test_whole_pixel_subtractions_keep_the_per_channel_bits(self, dtype, data):
+        """The kernel's two exact subtractions run once over whole pixels;
+        its parts equal those of the per-channel sequence bit for bit, at
+        ±0, subnormals, the clip bound (gray pixels), on flagged and
+        pass-through slots, at any thread count."""
+        rows, width = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 6))
+        tiny = float(np.finfo(dtype).smallest_subnormal)
+        sample = st.one_of(st.sampled_from([0.0, -0.0, tiny, 2 * tiny, 1.0]),
+                           st.floats(0.0, 4.0, width=np.finfo(dtype).bits,
+                                     allow_subnormal=True))
+        img = data.draw(arrays(dtype, (rows, width, 3), elements=sample))
+        gray = data.draw(arrays(np.bool_, (rows, width)))
+        img[gray] = img[gray][:, :1]  # the strength puts these at the clip bound
+        basis = IlluminationBasis.from_rgb(data.draw(st.sampled_from([(1, 1, 1), (1, 0.8, 0.6)])))
+        hues = np.array([-2.0, 0.5, 2.5])
+        models = {0: None}  # cluster 0 passes through
+        for cid in (1, 2):
+            parallel = data.draw(st.floats(0.05, 0.95))
+            ortho, ratio = estimate_ratio(parallel)
+            models[cid] = MaterialModel(center=basis.orthogonal(hues[cid]), diffuse_ortho=ortho,
+                                        diffuse_parallel=parallel, ratio=ratio)
+        clusters = ClusterSet(bounds=np.array([0]), owner=np.empty(0, dtype=np.int32),
+                              hues=hues, sizes=np.zeros(3, dtype=np.int64))
+        labels = data.draw(arrays(np.int32, (rows, width), elements=st.integers(-2, 3)))
+        threads = data.draw(st.sampled_from([1, 2]))
+        if labels.max() >= 3:  # a given label with no cluster
+            with pytest.raises(errors.ModelMissingError):
+                separate_image(img, clusters, models, basis, threads=threads, labels=labels)
+            labels[labels >= 3] = -1
+        got = separate_image(img, clusters, models, basis, threads=threads, labels=labels)
+        want = per_channel_split(img, models, basis, labels)
+        for part, ref in zip((got.diffuse, got.specular), want):
+            assert part.dtype == dtype
+            assert part.tobytes() == ref.tobytes()
 
     def test_threaded_separation_is_bitwise_identical(self, white):
         gt = synth.render(synth.builtin_scene("over-seg", 150, 100))
