@@ -1,21 +1,20 @@
 """Command line interface.
 
 Subcommands: remove (separate an image), synth (render a test scene),
-eval (score results against ground truth), bench (timing runs).
+eval (score results against ground truth).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import sys
 
 import numpy as np
 
 from . import __version__, imgio, metrics, pipeline, synth
 from ._keyvalue import write_text
-from .errors import ConfigError, DespecError, IoFailureError
+from .errors import DespecError, IoFailureError
 
 EXIT_CODES_HELP = """\
 exit codes:
@@ -150,26 +149,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    if args.repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {args.repeats}")
-    cfg = _config_from_args(args)
-    if args.scene:
-        gt = synth.render(synth.builtin_scene(args.scene, args.width, args.height))
-        img = synth.add_noise(gt, args.sigma, seed=cfg.cluster.seed)
-    else:
-        img = imgio.load(args.input)
-    runs = [pipeline.run(img, cfg)[1].stages for _ in range(args.repeats)]
-    times = [sum(stages.values()) for stages in runs]
-    print(f"runs = {len(runs)}")
-    print(f"median_seconds = {statistics.median(times):.6f}")
-    print(f"min_seconds = {min(times):.6f}")
-    print(f"max_seconds = {max(times):.6f}")
-    for name in runs[0]:
-        print(f"stage_{name}_seconds = {statistics.median(s[name] for s in runs):.6f}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="despec",
@@ -214,24 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--record", metavar="FILE", help="also write a key=value record")
     sp.set_defaults(func=cmd_eval)
 
-    sp = sub.add_parser("bench", help="repeat timing runs, report the median")
-    sp.add_argument("input", nargs="?", help="input image; or use --scene")
-    sp.add_argument("--scene", help="builtin scene to render and time")
-    sp.add_argument("--width", type=int)
-    sp.add_argument("--height", type=int)
-    sp.add_argument("--sigma", type=float, default=0.0)
-    sp.add_argument("--repeats", type=int, default=5)
-    _add_pipeline_flags(sp)
-    sp.set_defaults(func=cmd_bench)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "bench" and not args.input and not args.scene:
-        parser.error("bench needs an input image or --scene")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DespecError as exc:

@@ -49,6 +49,7 @@ LABEL_BLACK = -FLAG_BLACK
 LABEL_ACHROMATIC = -FLAG_ACHROMATIC
 
 KMEANS_MAX_ITER = 100  # Lloyd iterations per k-means run
+MAX_ROUNDS = 10        # k-means rounds per adaptive_cluster
 # center hues at most this far apart (rad) are one center: far above the
 # ulp of pi (4.4e-16), the scale at which rounding parts the circular
 # means of one material's identical hues, and far below the hue spread
@@ -86,10 +87,6 @@ class SpecularFreeField:
     flags: np.ndarray
     # seed -> entry of k-means' first center; see first_entry
     _first: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def valid_mask(self) -> np.ndarray:
-        return self.flags == FLAG_VALID
 
     @cached_property
     def cos_sin(self) -> np.ndarray:
@@ -179,9 +176,6 @@ class FitDiagnostics:
 class ClusterConfig:
     initial_k: int = 1
     tau_dev: float = 0.1        # per-pixel unit-circle deviation threshold
-    min_cluster_size: int | None = None  # None = adaptive floor
-    seed: int = 0
-    max_iterations: int = 10    # outer adaptive iterations
 
 
 def split_block(block: np.ndarray, basis: IlluminationBasis):
@@ -519,8 +513,14 @@ def kmeans(field: SpecularFreeField, k: int, seed: int = 0) -> ClusterSet:
         warnings.warn(f"k-means at k={k} did not converge in {KMEANS_MAX_ITER} Lloyd iterations",
                       NoConvergenceWarning, stacklevel=2)
 
-    # drop empty clusters, compact labels
-    counts = _run_sizes(bounds, owner, k)
+    return _drop_empty(bounds, owner, centers, iterations)
+
+
+def _drop_empty(bounds: np.ndarray, owner: np.ndarray, centers: np.ndarray,
+                iterations: int = 0) -> ClusterSet:
+    """The ClusterSet of runs owned by indices into ``centers``, with
+    the clusters that own no entry dropped and the labels compacted."""
+    counts = _run_sizes(bounds, owner, len(centers))
     keep = counts > 0
     compact = np.cumsum(keep, dtype=np.int32) - 1
     return ClusterSet(bounds=bounds, owner=compact[owner], hues=centers[keep],
@@ -570,7 +570,12 @@ def adaptive_min_cluster_size(n_valid: int) -> int:
 
 def _merge_small_clusters(clusters: ClusterSet, field: SpecularFreeField,
                           min_size: int) -> ClusterSet:
-    """Fold clusters below the size floor into the nearest big cluster."""
+    """Fold clusters below the size floor into the nearest big cluster.
+
+    The surviving centers are refreshed from their merged members, and
+    every entry then goes to its nearest refreshed center, the rule by
+    which the separation labels pixels; a center left with no entry is
+    dropped."""
     sizes = clusters.sizes
     big = np.flatnonzero(sizes >= min_size)
     small = np.flatnonzero(sizes < min_size)
@@ -583,10 +588,9 @@ def _merge_small_clusters(clusters: ClusterSet, field: SpecularFreeField,
     remap[small] = remap[big[nearest_hue(hues[small], hues[big])]]
     bounds, owner = _merge_runs(clusters.bounds, remap[clusters.owner])
 
-    # refresh the surviving centers from their members
-    means, new_sizes, length = _run_means(field, bounds, owner, len(big))
+    means, _, length = _run_means(field, bounds, owner, len(big))
     new_hues = np.where(length > 1e-12, means, hues[big])
-    return ClusterSet(bounds=bounds, owner=owner, hues=new_hues, sizes=new_sizes)
+    return _drop_empty(*_hue_runs(field.hue, new_hues), new_hues)
 
 
 def adaptive_cluster(field: SpecularFreeField,
@@ -594,24 +598,22 @@ def adaptive_cluster(field: SpecularFreeField,
     """Grow the cluster count until every cluster passes the fit check.
 
     Starts at ``cfg.initial_k`` and adds one cluster per failing cluster
-    each round.  After termination, clusters smaller than the size floor
-    are merged into their nearest neighbor.  If the iteration cap is hit
+    each round, for at most MAX_ROUNDS rounds.  After termination,
+    clusters smaller than the size floor (``adaptive_min_cluster_size``)
+    are merged into their nearest neighbor.  If the round cap is hit
     with failing clusters remaining, or k can grow no further (it has
     reached the number of valid pixels), a NoConvergenceWarning is issued
     and the best clustering so far is returned with ``converged=False``.
     The fit returned is the final clusters', with one dict per round in
     ``rounds``: its ``k``, ``lloyd_iterations``, ``failing`` clusters,
-    ``fit_error`` and ``seconds``.  ``initial_k`` or ``max_iterations``
-    below 1 raises ConfigError.
+    ``fit_error`` and ``seconds``.  ``initial_k`` below 1 raises
+    ConfigError.
     """
     cfg = cfg or ClusterConfig()
-    for name in ("initial_k", "max_iterations"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)!r}")
+    if cfg.initial_k < 1:
+        raise ConfigError(f"initial_k must be >= 1, got {cfg.initial_k!r}")
     n_valid = len(field.hue)
-    min_size = cfg.min_cluster_size
-    if min_size is None:
-        min_size = adaptive_min_cluster_size(n_valid)
+    min_size = adaptive_min_cluster_size(n_valid)
     if n_valid < max(min_size, cfg.initial_k):
         raise TooFewPixelsError(
             f"{n_valid} clusterable pixels; need at least {max(min_size, cfg.initial_k)}"
@@ -619,9 +621,9 @@ def adaptive_cluster(field: SpecularFreeField,
 
     k = cfg.initial_k
     rounds: list[dict] = []
-    for _ in range(cfg.max_iterations):
+    for _ in range(MAX_ROUNDS):
         start = time.perf_counter()
-        clusters = kmeans(field, k, seed=cfg.seed)
+        clusters = kmeans(field, k)
         fit = evaluate_fit(field, clusters, cfg.tau_dev)
         failing = int(np.sum(fit.failing_fractions > TAU_FRAC))
         rounds.append({"k": k, "lloyd_iterations": clusters.iterations, "failing": failing,

@@ -26,6 +26,7 @@ from .recovery import SeparationResult, estimate_models, separate_image, working
 
 
 FAST_MIN_EDGE = 8  # --fast keeps at least this many pixels on the copy's short side
+TARGET_EDGE = 200  # --fast brings the copy's long side to at most this many pixels
 
 
 @dataclass
@@ -41,7 +42,6 @@ class PipelineConfig:
     illumination: str = "white"
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     fast: bool = False
-    target_edge: int = 200
     threads: int = 0  # 0 = all available cores
 
 
@@ -158,11 +158,11 @@ def run(img, cfg: PipelineConfig | None = None
     """Separate an image into diffuse and specular parts.
 
     With ``cfg.fast`` set, the image is box-filtered by the smallest
-    integer factor that brings its long side to at most
-    ``cfg.target_edge`` and keeps FAST_MIN_EDGE pixels on its short side
-    (factor 1 is the full path); clusters and models come from that copy,
-    and the separation labels each full-resolution pixel with its nearest
-    center hue as it splits it, at full resolution in one pass.
+    integer factor that brings its long side to at most TARGET_EDGE and
+    keeps FAST_MIN_EDGE pixels on its short side (factor 1 is the full
+    path); clusters and models come from that copy, and the separation
+    labels each full-resolution pixel with its nearest center hue as it
+    splits it, at full resolution in one pass.
 
     A float32 image stays float32, any other becomes float64 (see
     ``working_image``).  Returns the separation plus diagnostics.  The
@@ -184,7 +184,7 @@ def run(img, cfg: PipelineConfig | None = None
     basis, divide = parse_illumination(cfg.illumination)
     h, w = img.shape[:2]
     cap = max(1, min(h, w) // FAST_MIN_EDGE)
-    factor = min(int(np.ceil(max(h, w) / cfg.target_edge)), cap) if cfg.fast else 1
+    factor = min(int(np.ceil(max(h, w) / TARGET_EDGE)), cap) if cfg.fast else 1
     lap("validate")
     if divide is not None:
         img = white_balance(img, divide)
@@ -219,10 +219,6 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(text)
 
 
-def _parse_size(text: str) -> int | None:
-    return None if text.lower() == "auto" else int(text)
-
-
 @dataclass(frozen=True)
 class Option:
     """One pipeline knob.
@@ -231,8 +227,7 @@ class Option:
     ``_`` turned into ``-``.  ``target`` is its place in PipelineConfig
     ("field" or "section.field").  ``parse`` turns text into a value and
     raises ValueError on malformed text; ``kind`` names what it accepts.
-    With ``lo`` set, a value below ``lo`` or NaN is rejected; None
-    ("auto") is not checked.
+    With ``lo`` set, a value below ``lo`` or NaN is rejected.
     """
 
     key: str
@@ -261,15 +256,8 @@ OPTIONS = (
            "starting cluster count (default 1)", "K", lo=1),
     Option("tau_dev", "cluster.tau_dev", float, "number",
            "per-pixel unit-circle deviation threshold (default 0.1)", "T", lo=0),
-    Option("min_cluster_size", "cluster.min_cluster_size", _parse_size, "integer or 'auto'",
-           "size floor for clusters, or 'auto'", "N", lo=1),
-    Option("seed", "cluster.seed", int, "integer", "clustering seed (default 0)", "S", lo=0),
-    Option("max_iterations", "cluster.max_iterations", int, "integer",
-           "adaptive iteration cap (default 10)", "N", lo=1),
     Option("fast", "fast", _parse_bool, "boolean",
            "estimate clusters/models on a downsampled copy"),
-    Option("target_edge", "target_edge", int, "integer",
-           "long-edge target for --fast (default 200)", "PX", lo=1),
     Option("threads", "threads", int, "integer",
            "worker cap; 0 = all cores (default)", "N", lo=0),
 )
@@ -280,9 +268,7 @@ def _check_config(cfg: PipelineConfig) -> None:
     """Reject out-of-range knobs before any work starts."""
     for opt in OPTIONS:
         value = getattr(*opt.locate(cfg))
-        if opt.lo is None or value is None:
-            continue
-        if not value >= opt.lo:
+        if opt.lo is not None and not value >= opt.lo:
             raise ConfigError(f"{opt.key} must be >= {opt.lo:g}, got {value!r}")
 
 

@@ -4,12 +4,13 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import assert_exact_files, assert_exact_split
-from despec import errors, imgio, pipeline, synth
+from despec import clustering, errors, imgio, pipeline, synth
 from despec.cli import EXIT_CODES_HELP, _config_from_args, build_parser, main
 from despec.recovery import SeparationResult
 
@@ -165,6 +166,10 @@ class TestRemove:
         captured = capsys.readouterr()
         assert stdout_value(captured.out, "converged") == "true"
         assert stdout_value(captured.out, "clusters") == "4"
+        stages = [line for line in captured.out.splitlines() if line.startswith("stage_")]
+        assert [line.split("_seconds = ")[0] for line in stages] == [
+            f"stage_{name}" for name in ("validate", "white_balance", "downsample", "field",
+                                         "cluster", "models", "label_map", "separate")]
         report = (tmp_path / "report.txt").read_text()
         assert "iterations = " in report and "downsampled = false" in report
 
@@ -181,8 +186,9 @@ class TestRemove:
         float32 sample, on both paths."""
         out = synth_dir(tmp_path, scene="four-materials", extra=["--sigma", "3"])
         d, s = tmp_path / "d.pfm", tmp_path / "s.pfm"
-        flags = ["--fast", "--target-edge", "24"] if fast else []
-        rc = main(["remove", str(out / "input.pfm"), "-d", str(d), "-s", str(s), *flags])
+        flags = ["--fast"] if fast else []
+        with mock.patch.object(pipeline, "TARGET_EDGE", 24):
+            rc = main(["remove", str(out / "input.pfm"), "-d", str(d), "-s", str(s), *flags])
         assert rc == 0
         assert stdout_value(capsys.readouterr().out, "downsampled") == str(fast).lower()
         assert_exact_files(out / "input.pfm", d, s)
@@ -277,16 +283,17 @@ class TestRemove:
     @pytest.mark.filterwarnings("ignore::despec.errors.NoConvergenceWarning")
     def test_too_many_labels_leave_no_partial_output(self, tmp_path, capsys):
         """A run that ends with more clusters than an 8-bit label map holds
-        exits 3 before it writes any of its outputs."""
+        exits 3 before it writes any of its outputs; a size floor of 1
+        keeps every cluster the rounds grow."""
         assert main(["synth", "four-materials", "-o", str(tmp_path / "scene"),
                      "--width", "64", "--height", "48", "--sigma", "3"]) == 0
         capsys.readouterr()
         paths = {"-d": tmp_path / "d.pfm", "-s": tmp_path / "s.pfm", "-l": tmp_path / "l.ppm"}
-        argv = ["remove", str(tmp_path / "scene" / "input.pfm"),
-                "--tau-dev", "0", "--min-cluster-size", "1"]
+        argv = ["remove", str(tmp_path / "scene" / "input.pfm"), "--tau-dev", "0"]
         for flag, path in paths.items():
             argv += [flag, str(path)]
-        assert main(argv) == 3
+        with mock.patch.object(clustering, "adaptive_min_cluster_size", lambda n_valid: 1):
+            assert main(argv) == 3
         assert "labels exceed an 8-bit label map" in one_error_line(capsys)
         assert not any(path.exists() for path in paths.values())
 
@@ -323,17 +330,12 @@ class TestRemove:
         assert not (tmp_path / "d.pfm").exists()
 
     @pytest.mark.parametrize("flags", [
-        "--max-iterations 0",
         "--initial-k 0",
-        "--fast --target-edge 0",
-        "--min-cluster-size -5",
         "--tau-dev -1",
         "--tau-dev nan",
         "--threads -4",
-        "--seed -1",
         "--initial-k two",
         "--tau-dev lots",
-        "--min-cluster-size some",
     ])
     def test_out_of_range_config_exits_4(self, tmp_path, capsys, flags):
         out = synth_dir(tmp_path)
@@ -342,10 +344,12 @@ class TestRemove:
         assert rc == 4
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["tau_frac", "bin_width", "peak_floor"])
+    @pytest.mark.parametrize("key", ["tau_frac", "bin_width", "peak_floor", "seed",
+                                     "max_iterations", "min_cluster_size", "target_edge"])
     def test_fixed_constants_are_not_knobs(self, tmp_path, capsys, key):
-        """The failing fraction, bin width and peak floor are constants:
-        as a flag they are unknown (exit 2), as a config key too (exit 4)."""
+        """The failing fraction, bin width, peak floor, k-means seed, round
+        cap, size floor and --fast target edge are constants: as a flag
+        they are unknown (exit 2), as a config key too (exit 4)."""
         outputs = ["-d", str(tmp_path / "d.pfm"), "-s", str(tmp_path / "s.pfm")]
         with pytest.raises(SystemExit) as exc:
             main(["remove", "in.pfm", "--" + key.replace("_", "-"), "1", *outputs])
@@ -413,7 +417,7 @@ class TestRemove:
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         out = synth_dir(tmp_path)
         cfg = tmp_path / "despec.cfg"
-        cfg.write_text("initial_k = 3\nseed = 0\n")
+        cfg.write_text("initial_k = 3\ntau_dev = 0.1\n")
         rc = main(["remove", str(out / "input.pfm"),
                    "-d", str(tmp_path / "d.pfm"), "-s", str(tmp_path / "s.pfm"),
                    "--config", str(cfg), "--initial-k", "1",
@@ -426,7 +430,7 @@ class TestRemove:
     def test_non_utf8_config_exits_4(self, tmp_path, capsys):
         out = synth_dir(tmp_path)
         cfg = tmp_path / "despec.cfg"
-        cfg.write_bytes(b"seed = 3  # caf\xe9\n")
+        cfg.write_bytes(b"initial_k = 3  # caf\xe9\n")
         rc = main(["remove", str(out / "input.pfm"), "--config", str(cfg),
                    "-d", str(tmp_path / "d.pfm"), "-s", str(tmp_path / "s.pfm")])
         assert rc == 4
@@ -438,8 +442,7 @@ class TestRemove:
     # one valid, non-default value per option
     SAMPLE_VALUES = {
         "illum": "divide:0.9,1,0.8", "initial_k": "3", "tau_dev": "0.05",
-        "min_cluster_size": "64", "seed": "7", "max_iterations": "4",
-        "fast": "on", "target_edge": "150", "threads": "2",
+        "fast": "on", "threads": "2",
     }
 
     @pytest.mark.parametrize("opt", pipeline.OPTIONS, ids=lambda opt: opt.key)
@@ -521,43 +524,18 @@ class TestEval:
         assert f"cannot write {record}" in one_error_line(capsys)
 
 
-class TestBench:
-    def test_scene_timing(self, capsys):
-        rc = main(["bench", "--scene", "single-1", "--width", "64",
-                   "--height", "48", "--repeats", "2", "--threads", "1"])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert stdout_value(captured.out, "runs") == "2"
-        assert float(stdout_value(captured.out, "median_seconds")) > 0.0
-        stages = [line for line in captured.out.splitlines() if line.startswith("stage_")]
-        assert [line.split("_seconds = ")[0] for line in stages] == [
-            f"stage_{name}" for name in ("validate", "white_balance", "downsample", "field",
-                                         "cluster", "models", "label_map", "separate")]
-
-    @pytest.mark.parametrize("repeats", ["0", "-3"])
-    def test_no_repeats_exits_4_before_any_run(self, capsys, monkeypatch, repeats):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("rendered or timed before the check")
-
-        monkeypatch.setattr(synth, "render", must_not_run)
-        monkeypatch.setattr(pipeline, "run", must_not_run)
-        rc = main(["bench", "--scene", "single-1", f"--repeats={repeats}"])
-        assert rc == 4
-        captured = capsys.readouterr()
-        assert "runs =" not in captured.out
-        assert "repeats must be >= 1" in captured.err
-
-    def test_needs_input_or_scene(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench"])
-        assert exc.value.code == 2
-
-
 class TestParsing:
     def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["remove", "--frobnicate"])
         assert exc.value.code == 2
+
+    def test_bench_is_not_a_subcommand(self, capsys):
+        """Stage timings come from remove's stage_* lines; bench is gone."""
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--scene", "single-1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

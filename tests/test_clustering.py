@@ -71,7 +71,7 @@ class TestSpecularFreeField:
         rng = np.random.default_rng(29)
         img = rng.random((40, 30, 3)) + 0.02
         field = specular_free_field(img, basis)
-        assert field.valid_mask.all()
+        assert np.all(field.flags == FLAG_VALID)
         amp, par = field.amplitude, parallel_of(field)
         assert np.abs(amp * amp + par * par - 1.0).max() <= 1e-12
         rebuilt = (amp[:, None] * basis.orthogonal(field.hue)
@@ -131,7 +131,7 @@ class TestSpecularFreeField:
         field = specular_free_field(img, white)
         assert np.all(field.flags == FLAG_ACHROMATIC)
         assert len(field.hue) == 0
-        assert field.valid_mask.sum() == 0
+        assert np.count_nonzero(field.flags == FLAG_VALID) == 0
 
     def test_black_pixels_flagged(self, white):
         img = np.zeros((3, 3, 3))
@@ -339,7 +339,7 @@ class TestAdaptiveCluster:
         assert len(set(k_history)) == len(k_history)  # strictly growing
         assert cluster_accuracy(field.label_map(clusters.labels), gt.labels) >= 0.99
 
-    @pytest.mark.parametrize("name", ["initial_k", "max_iterations"])
+    @pytest.mark.parametrize("name", ["initial_k"])
     @pytest.mark.parametrize("value", [0, -2])
     def test_count_below_one_is_a_config_error(self, name, value):
         field = make_field(np.full((4, 4), OLIVE_HUE))
@@ -379,19 +379,19 @@ class TestAdaptiveCluster:
         assert np.all(clusters.labels == 0)
         assert diag.converged
 
-    def test_min_cluster_size_override_keeps_small_cluster(self, white):
+    def test_min_cluster_size_override_keeps_small_cluster(self, white, monkeypatch):
         img = self._two_band_image()
-        cfg = ClusterConfig(min_cluster_size=1)
-        clusters, diag = cluster(img, white, cfg)
+        monkeypatch.setattr(clustering, "adaptive_min_cluster_size", lambda n_valid: 1)
+        clusters, diag = cluster(img, white)
         assert clusters.n_clusters == 2
         assert sorted(clusters.sizes.tolist()) == [25, 175]
         assert diag.converged
 
-    def test_iteration_cap_warns(self, white):
+    def test_iteration_cap_warns(self, white, monkeypatch):
         gt = synth.render(synth.builtin_scene("four-materials", 160, 112))
-        cfg = ClusterConfig(max_iterations=1)
-        with pytest.warns(errors.NoConvergenceWarning):
-            clusters, diag = cluster(gt.input, white, cfg)
+        monkeypatch.setattr(clustering, "MAX_ROUNDS", 1)
+        with pytest.warns(errors.NoConvergenceWarning, match="after 1 iterations"):
+            clusters, diag = cluster(gt.input, white)
         assert not diag.converged
         assert len(diag.rounds) == 1
         assert clusters.n_clusters >= 1  # best effort still returned
@@ -404,13 +404,39 @@ class TestAdaptiveCluster:
         gt = synth.render(synth.builtin_scene("four-materials", 64, 48))
         field = specular_free_field(gt.input, white)
         n = len(field.hue)
-        cfg = ClusterConfig(tau_dev=0.0, initial_k=n - 6, max_iterations=6)
+        cfg = ClusterConfig(tau_dev=0.0, initial_k=n - 6)
         with pytest.warns(errors.NoConvergenceWarning):
             clusters, diag = adaptive_cluster(field, cfg)
         k_history = [r["k"] for r in diag.rounds]
-        assert k_history[-1] == n and len(k_history) < cfg.max_iterations
+        assert k_history[-1] == n and len(k_history) < clustering.MAX_ROUNDS
         assert len(set(k_history)) == len(k_history)
         assert not diag.converged and clusters.n_clusters >= 1
+
+    def test_merge_leaves_every_entry_at_its_nearest_center(self):
+        """k-means at k=3 finds 500/500/20 hues, and the 20 fold into the
+        center at 1.0, which moves toward them.  Every entry then goes to
+        its nearest refreshed center, as the separation labels pixels:
+        the folded hues nearer the center at 0 go there."""
+        hues = np.concatenate((np.linspace(-0.02, 0.02, 500), np.linspace(0.98, 1.02, 500),
+                               np.linspace(0.40, 0.70, 20)))
+        field = make_field(hues.reshape(1, -1))
+        field.amplitude[:] = 0.5
+        assert sorted(kmeans(field, 3).sizes.tolist()) == [20, 500, 500]
+        clusters, _ = adaptive_cluster(field, ClusterConfig(initial_k=3))
+        assert clusters.n_clusters == 2
+        assert np.array_equal(clusters.labels, nearest_hue(field.hue, clusters.hues))
+        assert np.array_equal(clusters.sizes, np.bincount(clusters.labels))
+        assert sorted(clusters.sizes.tolist()) == [506, 514]  # 6 folded hues lie nearer 0
+
+    def test_merge_drops_a_center_left_without_entries(self):
+        """Two big clusters over one hue refresh to one center: the
+        entries go to the lower index, and the other, empty, is dropped."""
+        field = make_field(np.zeros((1, 85)))
+        clusters = ClusterSet(bounds=np.array([0, 40, 80, 85]), owner=np.array([0, 1, 2]),
+                              hues=np.array([0.5, -0.5, 0.4]), sizes=np.array([40, 40, 5]))
+        merged = clustering._merge_small_clusters(clusters, field, 30)
+        assert merged.n_clusters == 1 and merged.hues.tolist() == [0.0]
+        assert merged.sizes.tolist() == [85] and np.all(merged.labels == 0)
 
     def test_lloyd_cap_warns(self, white, monkeypatch):
         """A k-means run that reaches KMEANS_MAX_ITER says so, naming k

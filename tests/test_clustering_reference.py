@@ -3,9 +3,10 @@
 The reference is the earlier pixel-order k-means: one label per valid
 pixel in row-major order, centers from weighted bincounts, and
 farthest-point seeding by argmax (first index in row-major order on a
-tie).  Its fit check and small-cluster merge are the matching
-pixel-order loops.  The hue-ordered implementation must give the same
-label map, and center hues within 1e-12, on every case below.
+tie).  Its fit check, small-cluster merge and final nearest-center
+assignment are the matching pixel-order loops.  The hue-ordered
+implementation must give the same label map, and center hues within
+1e-12, on every case below.
 
 Two parts of a Lloyd run have their own references: the full-pass
 farthest-point seeding, which the gap-window seeding must match bit for
@@ -98,10 +99,10 @@ def reference_kmeans(hue, k, seed):
 def reference_adaptive(hue, amplitude, cfg):
     """(labels, hues) of the pixel-order adaptive loop and merge."""
     n = len(hue)
-    min_size = cfg.min_cluster_size or adaptive_min_cluster_size(n)
+    min_size = adaptive_min_cluster_size(n)
     k = cfg.initial_k
-    for _ in range(cfg.max_iterations):
-        labels, hues = reference_kmeans(hue, k, cfg.seed)
+    for _ in range(clustering.MAX_ROUNDS):
+        labels, hues = reference_kmeans(hue, k, 0)
         dev = (amplitude * np.sin(hue - hues[labels])) ** 2
         counts = np.bincount(labels, minlength=len(hues))
         bad = np.bincount(labels[dev > cfg.tau_dev], minlength=len(hues))
@@ -120,6 +121,10 @@ def reference_adaptive(hue, amplitude, cfg):
         labels = remap[labels]
         means, _, length = _mean_hues(labels, np.cos(hue), np.sin(hue), len(big))
         hues = np.where(length > 1e-12, means, hues[big])
+        labels = reference_nearest_hue(hue, hues)
+        keep = np.bincount(labels, minlength=len(hues)) > 0
+        labels = (np.cumsum(keep, dtype=np.int32) - 1)[labels]
+        hues = hues[keep]
     return labels, hues
 
 

@@ -83,3 +83,30 @@ class TestSummarize:
         lines = pairs.summarize("w", [{"parent": {"error": "x"}, "change": result(0.1, 1.0)}],
                                 BETTER)
         assert lines == ["== w: 0 of 1 pairs with both results"]
+
+
+class TestBounds:
+    BOUNDS = {"image_s.p50": 0.24, "mpix_per_s": 0.24}
+
+    @pytest.mark.parametrize("name,parent,change,shown,past", [
+        ("image_s.p50", 0.10, 0.12, "+20.0% vs bound 24%", False),  # lower is better
+        ("image_s.p50", 0.10, 0.126, "+26.0% vs bound 24%", True),
+        ("image_s.p50", 0.10, 0.05, "-50.0% vs bound 24%", False),
+        ("mpix_per_s", 10.0, 8.0, "-20.0% vs bound 24%", False),    # higher is better
+        ("mpix_per_s", 10.0, 7.0, "-30.0% vs bound 24%", True),
+        ("mpix_per_s", 10.0, 20.0, "+100.0% vs bound 24%", False),
+    ])
+    def test_change_against_its_bound(self, name, parent, change, shown, past):
+        p50 = {"image_s.p50": (parent, change)}.get(name, (0.1, 0.1))
+        mpix = {"mpix_per_s": (parent, change)}.get(name, (1.0, 1.0))
+        lines = pairs.summarize("w", [{"parent": result(p50[0], mpix[0]),
+                                       "change": result(p50[1], mpix[1])}], BETTER, self.BOUNDS)
+        text = line(lines, name)
+        assert text.endswith(shown + (" PAST BOUND" if past else ""))
+
+    def test_a_metric_without_a_bound_shows_none(self):
+        """A per_layer name has no bound, so its line shows none."""
+        lines = pairs.summarize("w", [{"parent": result(0.1, 5.0), "change": result(0.3, 1.0)}],
+                                BETTER, {"image_s.p50": 0.24})
+        assert line(lines, "image_s.p50").endswith("+200.0% vs bound 24% PAST BOUND")
+        assert "bound" not in line(lines, "mpix_per_s")

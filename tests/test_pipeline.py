@@ -4,6 +4,7 @@ import re
 import warnings
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_exact_split
-from despec import errors, imgio, synth
+from despec import clustering, errors, imgio, pipeline, synth
 from despec.clustering import (
     KMEANS_MAX_ITER,
     LABEL_ACHROMATIC,
@@ -25,6 +26,7 @@ from despec.model import EPS_BLACK, MAX_SAMPLE, IlluminationBasis, _norm3, white
 from despec.pipeline import (
     FAST_MIN_EDGE,
     OPTIONS,
+    TARGET_EDGE,
     PipelineConfig,
     box_downsample,
     config_from_values,
@@ -193,9 +195,9 @@ class TestInputValidation:
         img = gt.input * (MAX_SAMPLE / gt.input.max())
         img[0, :4] = [MAX_SAMPLE, MAX_SAMPLE, 0.9 * MAX_SAMPLE]
         img[1, :4] = MAX_SAMPLE
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), mock.patch.object(pipeline, "TARGET_EDGE", FAST_MIN_EDGE):
             warnings.simplefilter("error", RuntimeWarning)
-            result, _ = run(img, PipelineConfig(fast=fast, target_edge=FAST_MIN_EDGE, threads=1))
+            result, _ = run(img, PipelineConfig(fast=fast, threads=1))
         assert_exact_split(result, img)
 
 
@@ -322,7 +324,7 @@ class TestFastPath:
         assert diag.labels[0, 0] == LABEL_BLACK
         assert diag.labels[0, 1] == LABEL_ACHROMATIC
         basis = IlluminationBasis.white()
-        factor = int(np.ceil(max(img.shape[:2]) / cfg.target_edge))
+        factor = int(np.ceil(max(img.shape[:2]) / TARGET_EDGE))
         clusters, _ = adaptive_cluster(specular_free_field(box_downsample(img, factor), basis))
         field = specular_free_field(img, basis)
         assert np.array_equal(diag.labels,
@@ -344,7 +346,8 @@ class TestExactSplit:
         every sample splits so that d + s == b, b - d == s and b - s == d."""
         gt = synth.render(synth.builtin_scene("four-materials", 240, 170))
         img = synth.add_noise(gt, 3.0, seed=4)
-        result, diag = run(img, PipelineConfig(fast=fast, target_edge=60, threads=threads))
+        with mock.patch.object(pipeline, "TARGET_EDGE", 60):
+            result, diag = run(img, PipelineConfig(fast=fast, threads=threads))
         assert diag.downsampled == fast
         assert_exact_split(result, img)
 
@@ -360,8 +363,9 @@ class TestFloat32Input:
         gt = synth.render(synth.builtin_scene(scene, 120, 90))
         img32 = synth.add_noise(gt, sigma, seed=5).astype(np.float32)
         img64 = img32.astype(np.float64)
-        cfg = PipelineConfig(fast=fast, target_edge=40, threads=2)
-        (a, da), (b, db) = run(img32, cfg), run(img64, cfg)
+        cfg = PipelineConfig(fast=fast, threads=2)
+        with mock.patch.object(pipeline, "TARGET_EDGE", 40):
+            (a, da), (b, db) = run(img32, cfg), run(img64, cfg)
         assert da.downsampled == db.downsampled == fast
         assert a.labels.tobytes() == b.labels.tobytes()
         assert a.diffuse.dtype == a.specular.dtype == np.float32
@@ -398,17 +402,17 @@ class TestDeterminism:
         """Generated float64 or float32 images several 16-row chunks
         tall, so every row-chunked stage (field fill, downsample,
         separation kernel) starts a pool: 1, 2 and 3 workers give the
-        same bytes on both paths.  The fast path's target edge makes it
-        downsample by ``factor``, at most the width over FAST_MIN_EDGE:
-        an image under twice that wide takes the full path."""
+        same bytes on both paths.  The fast path's target edge, patched,
+        makes it downsample by ``factor``, at most the width over
+        FAST_MIN_EDGE: an image under twice that wide takes the full
+        path."""
         img = synth.add_noise(synth.render(synth.builtin_scene(scene, width, height)),
                               3.0, seed=seed).astype(dtype)
-        target = -(-height // factor) if fast else 200
         outputs = []
         for threads in (1, 2, 3):
             try:
-                result, diag = run(img, PipelineConfig(fast=fast, target_edge=target,
-                                                       threads=threads))
+                with mock.patch.object(pipeline, "TARGET_EDGE", -(-height // factor)):
+                    result, diag = run(img, PipelineConfig(fast=fast, threads=threads))
             except errors.DespecError as exc:  # each worker count must fail alike
                 outputs.append(repr(exc))
                 continue
@@ -436,31 +440,26 @@ class TestGeneratedSettings:
     @settings(max_examples=30)
     @given(scene=st.sampled_from(synth.BUILTIN_SCENES), height=st.integers(17, 48),
            width=st.integers(4, 24), seed=st.integers(0, 2**16), fast=st.booleans(),
-           target_edge=option_values("target_edge", 60),
-           initial_k=option_values("initial_k", 12),
-           min_cluster_size=st.none() | option_values("min_cluster_size", 300),
-           tau_dev=option_values("tau_dev", 1.5),
-           cluster_seed=option_values("seed", 2**16),
-           max_iterations=option_values("max_iterations", 12),
+           target_edge=st.integers(1, 60), initial_k=option_values("initial_k", 12),
+           tau_dev=option_values("tau_dev", 1.5), max_rounds=st.integers(1, 12),
            illum=ILLUMINATIONS)
     def test_settings_property(self, scene, height, width, seed, fast, target_edge,
-                               initial_k, min_cluster_size, tau_dev, cluster_seed,
-                               max_iterations, illum):
+                               initial_k, tau_dev, max_rounds, illum):
         """Any in-range settings on an image taller than one 16-row chunk,
         with 2 workers, either fail with a processing error (exit 5) or
-        split the working image exactly into nonnegative parts."""
+        split the working image exactly into nonnegative parts.  The
+        patched target edge and round cap reach the fast path on these
+        small images and stop the adaptive rounds early."""
         img = synth.add_noise(synth.render(synth.builtin_scene(scene, width, height)),
                               3.0, seed=seed)
-        values = {"fast": str(fast), "target_edge": str(target_edge),
-                  "initial_k": str(initial_k), "tau_dev": repr(tau_dev), "threads": "2",
-                  "min_cluster_size": "auto" if min_cluster_size is None
-                  else str(min_cluster_size),
-                  "seed": str(cluster_seed), "max_iterations": str(max_iterations),
-                  "illum": illum}
+        values = {"fast": str(fast), "initial_k": str(initial_k), "tau_dev": repr(tau_dev),
+                  "threads": "2", "illum": illum}
         cfg = config_from_values(values)
         assert {opt.key for opt in OPTIONS} == set(values)
         try:
-            result, diag = run(img, cfg)
+            with mock.patch.object(pipeline, "TARGET_EDGE", target_edge), \
+                    mock.patch.object(clustering, "MAX_ROUNDS", max_rounds):
+                result, diag = run(img, cfg)
         except errors.DespecError as exc:
             assert exc.exit_code == 5, repr(exc)
             return
@@ -475,11 +474,12 @@ class TestGeneratedSettings:
 @lru_cache(maxsize=None)
 def scale_base(scene: str, fast: bool):
     """(config, image, result, diagnostics) of one unscaled 200x120 run,
-    with a black and a gray pixel planted; the fast path downsamples by 4."""
+    with a black and a gray pixel planted; at a TARGET_EDGE of 60 the
+    fast path downsamples by 4."""
     img = synth.add_noise(synth.render(synth.builtin_scene(scene, 200, 120)), 3.0, seed=0)
     img[0, 0] = 0.0
     img[0, 1] = [0.4, 0.4, 0.4]
-    cfg = PipelineConfig(fast=fast, target_edge=60, threads=1)
+    cfg = PipelineConfig(fast=fast, threads=1)
     return (cfg, img, *run(img, cfg))
 
 
@@ -493,10 +493,11 @@ class TestScaleEquivariance:
         the kernel is products, clips and one subtraction.  It holds while
         no pixel crosses EPS_BLACK; the drawn range of j keeps every value
         far from overflow and from subnormals."""
-        cfg, img, base, base_diag = scale_base(scene, fast)
-        scale = 2.0 ** j
-        assume(np.array_equal(_norm3(img) <= EPS_BLACK, _norm3(img * scale) <= EPS_BLACK))
-        result, diag = run(img * scale, cfg)
+        with mock.patch.object(pipeline, "TARGET_EDGE", 60):
+            cfg, img, base, base_diag = scale_base(scene, fast)
+            scale = 2.0 ** j
+            assume(np.array_equal(_norm3(img) <= EPS_BLACK, _norm3(img * scale) <= EPS_BLACK))
+            result, diag = run(img * scale, cfg)
         assert diag.downsampled == fast
         assert np.array_equal(diag.labels, base_diag.labels)
         assert np.array_equal(result.diffuse, base.diffuse * scale)
@@ -509,11 +510,7 @@ class TestConfigParsing:
     illum = divide:0.9,1.0,0.8
     initial_k = 2
     tau_dev = 0.12
-    min_cluster_size = 64
-    seed = 7
-    max_iterations = 6
     fast = yes
-    target_edge = 150
     threads = 2
     """
 
@@ -522,16 +519,8 @@ class TestConfigParsing:
         assert cfg.illumination == "divide:0.9,1.0,0.8"
         assert cfg.cluster.initial_k == 2
         assert cfg.cluster.tau_dev == 0.12
-        assert cfg.cluster.min_cluster_size == 64
-        assert cfg.cluster.seed == 7
-        assert cfg.cluster.max_iterations == 6
         assert cfg.fast is True
-        assert cfg.target_edge == 150
         assert cfg.threads == 2
-
-    def test_auto_min_cluster_size(self):
-        cfg = config_from_values({"min_cluster_size": "auto"})
-        assert cfg.cluster.min_cluster_size is None
 
     def test_base_is_not_mutated(self):
         base = PipelineConfig()
@@ -551,7 +540,6 @@ class TestConfigParsing:
         {"initial_k": "two"},
         {"tau_dev": "lots"},
         {"fast": "maybe"},
-        {"min_cluster_size": "some"},
     ])
     def test_bad_values(self, values):
         with pytest.raises(errors.ConfigError):
@@ -559,9 +547,9 @@ class TestConfigParsing:
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "despec.cfg"
-        path.write_text("seed = 3\nfast = off\n")
+        path.write_text("initial_k = 3\nfast = off\n")
         cfg = load_config(path)
-        assert cfg.cluster.seed == 3
+        assert cfg.cluster.initial_k == 3
         assert cfg.fast is False
 
     def test_load_config_missing_file(self, tmp_path):

@@ -295,7 +295,8 @@ class TestPeakWindowMedian:
                 "from despec import pipeline, synth\n"
                 "img = synth.render(synth.builtin_scene('four-materials', 160, 120)).input\n"
                 "pipeline.run(img)\n"
-                "pipeline.run(img, pipeline.PipelineConfig(fast=True, target_edge=64))\n"
+                "pipeline.TARGET_EDGE = 64\n"
+                "pipeline.run(img, pipeline.PipelineConfig(fast=True))\n"
                 "print('numpy.ma' in sys.modules)\n")
         src = str(Path(despec.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -12,7 +12,10 @@ that drifts over minutes moves both runs of a pair alike.
 
 For every workload and metric the summary prints each side's median and
 quartiles over the pairs, and the pairs the change won by the metric's
-``better`` direction in BENCHMARK.json; a tie wins for neither side.
+``better`` direction in BENCHMARK.json; a tie wins for neither side.  An
+``end_to_end`` metric's line also shows the change's median relative to
+the parent's next to the metric's relative ``bound``, and ends in
+``PAST BOUND`` when the change is worse by more than that.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -67,8 +71,23 @@ def quartiles(values: list) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(workload: str, pairs: list, better: dict) -> list[str]:
-    """Lines of the per-metric summary of one workload's pairs."""
+def against_bound(parent: float, change: float, better: str, bound: float) -> str:
+    """The change's median relative to the parent's, next to the metric's
+    relative bound, and ``PAST BOUND`` when it is worse by more."""
+    if change == parent:
+        rel = 0.0
+    elif parent == 0:
+        rel = math.copysign(math.inf, change - parent)
+    else:
+        rel = (change - parent) / abs(parent)
+    worse = rel if better == "lower" else -rel
+    return f"  {rel:+.1%} vs bound {bound:.0%}" + (" PAST BOUND" if worse > bound else "")
+
+
+def summarize(workload: str, pairs: list, better: dict, bounds: dict | None = None) -> list[str]:
+    """Lines of the per-metric summary of one workload's pairs; ``bounds``
+    holds the relative bound of each end-to-end metric."""
+    bounds = bounds or {}
     good = [p for p in pairs if "metrics" in p["parent"] and "metrics" in p["change"]]
     lines = [f"== {workload}: {len(good)} of {len(pairs)} pairs with both results"]
     if not good:
@@ -83,9 +102,11 @@ def summarize(workload: str, pairs: list, better: dict) -> list[str]:
             sign = 1 if direction == "higher" else -1
             won = sum(sign * (c - p) > 0 for p, c in zip(side["parent"], side["change"]))
         unit = good[0]["parent"]["metrics"][name]["unit"]
+        bound = against_bound(pm, cm, direction, bounds[name]) if name in bounds else ""
         lines.append(f"{name:40s} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
                      f"change {cm:.6g} [{c1:.6g}, {c3:.6g}] {unit}  "
-                     f"won {won}/{len(good)}  gap {abs(cm - pm):.3g} vs parent IQR {p3 - p1:.3g}")
+                     f"won {won}/{len(good)}  gap {abs(cm - pm):.3g} vs parent IQR {p3 - p1:.3g}"
+                     + bound)
     for s in ("parent", "change"):
         failed = sum(p[s].get("failed", 0) for p in good)
         attempted = sum(p[s].get("attempted", 0) for p in good)
@@ -107,6 +128,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     tmp = Path(tempfile.mkdtemp(prefix="despec-pairs-"))
     results: dict = {}
@@ -134,7 +156,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     for workload, pairs in results.items():
-        print("\n".join(summarize(workload, pairs, better)))
+        print("\n".join(summarize(workload, pairs, better, bounds)))
     return 0
 
 
