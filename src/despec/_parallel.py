@@ -8,9 +8,10 @@ each chunk computes the same bits on any thread, and results are
 byte-identical for any worker count.  Short chunks also keep a stage's
 temporaries small and cache-resident however large the image is.
 
-The helpers come from one thread pool per process, built on first use
-with at most ``os.cpu_count()`` threads and reused by every call; a
-forked child builds its own.
+Worker counts are decided here alone, from ``cpu_count()``, the CPUs
+this process may run on.  The helpers come from one thread pool per
+process, built on first use with that many threads and reused by every
+call; a forked child builds its own.
 """
 
 from __future__ import annotations
@@ -35,11 +36,19 @@ if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU of the machine, and at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _executor() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1,
+            _pool = ThreadPoolExecutor(max_workers=cpu_count(),
                                        thread_name_prefix="despec-rows")
         return _pool
 
@@ -47,17 +56,19 @@ def _executor() -> ThreadPoolExecutor:
 def run_rows(fn, height: int, threads: int) -> list:
     """[fn(rows) for each CHUNK_ROWS-row slice of [0, height)], in row order.
 
-    The chunks run on at most ``threads`` workers, never more than there
-    are chunks or cores; with one worker they run inline.  Otherwise the
-    calling thread and up to ``workers - 1`` pool helpers take chunks in
-    turn from one shared counter.  After a chunk raises, each worker
-    stops at its next turn, and the exception is raised once every
-    running helper has stopped.  A helper the pool has not started when the caller runs out
-    of chunks is cancelled, never waited for, so nested or concurrent
-    calls cannot deadlock on a busy pool.
+    The chunks run on at most ``threads`` workers, ``cpu_count()`` for 0,
+    never more than there are chunks or CPUs; with one worker they run
+    inline.  Otherwise the calling thread and up to ``workers - 1`` pool
+    helpers take chunks in turn from one shared counter.  After a chunk
+    raises, each worker stops at its next turn, and the exception is
+    raised once every running helper has stopped.  A helper the pool has
+    not started when the caller runs out of chunks is cancelled, never
+    waited for, so nested or concurrent calls cannot deadlock on a busy
+    pool.
     """
     chunks = [slice(r, min(r + CHUNK_ROWS, height)) for r in range(0, height, CHUNK_ROWS)]
-    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    cpus = cpu_count()
+    workers = min(threads or cpus, len(chunks), cpus)
     if workers <= 1:
         return [fn(rows) for rows in chunks]
     out = [None] * len(chunks)

@@ -21,7 +21,8 @@ the fit check and model estimation read slices.  A Lloyd step is one
 searchsorted of the arc midpoints, and its sums read O(k) of the
 field's per-block sums plus the partial block at each cut, not every
 hue, unless the field is small or the cuts many enough that one pass
-costs less (see ``_run_sums``).  Farthest-point seeding reads only windows of
+costs less (see ``_run_sums``).  Farthest-point seeding starts at the
+field's ``first_entry`` and reads only windows of
 entries around the midpoints of the gaps between the centers chosen so
 far, where the farthest entry must lie (see ``_window_farthest``).
 """
@@ -39,14 +40,10 @@ from ._parallel import run_rows
 from .errors import ConfigError, NoConvergenceWarning, TooFewPixelsError
 from .model import EPS_BLACK, EPS_GRAY, IlluminationBasis, _norm3
 
-# flags marking pixels excluded from clustering
+# pixel flags; a pixel excluded from clustering keeps its flag as its label
 FLAG_VALID = 0
-FLAG_BLACK = 1
-FLAG_ACHROMATIC = 2
-
-# label sentinels for flagged pixels: minus the flag
-LABEL_BLACK = -FLAG_BLACK
-LABEL_ACHROMATIC = -FLAG_ACHROMATIC
+LABEL_BLACK = -1
+LABEL_ACHROMATIC = -2
 
 KMEANS_MAX_ITER = 100  # Lloyd iterations per k-means run
 MAX_ROUNDS = 10        # k-means rounds per adaptive_cluster
@@ -70,8 +67,8 @@ BUCKETS = 4096         # hue buckets of nearest_hue's lookup table
 class SpecularFreeField:
     """The pixels that carry a chroma, split against the illumination.
 
-    ``flags`` (H, W) marks every pixel FLAG_VALID, FLAG_BLACK or
-    FLAG_ACHROMATIC.  The other three arrays are 1-D and hold one entry
+    ``flags`` (H, W, int8) marks every pixel FLAG_VALID, LABEL_BLACK or
+    LABEL_ACHROMATIC.  The other three arrays are 1-D and hold one entry
     per valid pixel, sorted by ``hue``; ``pixel`` (int32) is the entry's
     flat index in the (H, W) image.  For a valid pixel with unit
     chromaticity ``c`` and illumination direction ``d``,
@@ -85,8 +82,6 @@ class SpecularFreeField:
     amplitude: np.ndarray
     pixel: np.ndarray
     flags: np.ndarray
-    # seed -> entry of k-means' first center; see first_entry
-    _first: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def cos_sin(self) -> np.ndarray:
@@ -106,22 +101,20 @@ class SpecularFreeField:
         np.add.reduceat(self.cos_sin, np.arange(0, len(self.hue), SUB), axis=1, out=sums[:, :-1])
         return sums
 
-    def first_entry(self, seed: int) -> int:
+    @cached_property
+    def first_entry(self) -> int:
         """Entry of the valid pixel whose row-major rank is drawn from a
-        generator seeded with ``seed``: the first center of every k-means
-        on this field with that seed, so it is found once per seed.  The
-        valid pixel of rank r is the r-th smallest of ``pixel``."""
-        if seed not in self._first:
-            rank = int(np.random.default_rng(seed).integers(len(self.hue)))
-            pixel = np.partition(self.pixel, rank)[rank]
-            self._first[seed] = int((self.pixel == pixel).argmax())
-        return self._first[seed]
+        generator seeded with 0: the first center of every k-means on
+        this field, found once per field.  The valid pixel of rank r is
+        the r-th smallest of ``pixel``."""
+        rank = int(np.random.default_rng(0).integers(len(self.hue)))
+        pixel = np.partition(self.pixel, rank)[rank]
+        return int((self.pixel == pixel).argmax())
 
     def label_map(self, labels: np.ndarray) -> np.ndarray:
         """(H, W) int32 map of per-entry ``labels``: the label at valid
-        pixels, minus the flag (LABEL_BLACK, LABEL_ACHROMATIC)
-        elsewhere."""
-        full = -self.flags.astype(np.int32)
+        pixels, the flag (LABEL_BLACK, LABEL_ACHROMATIC) elsewhere."""
+        full = self.flags.astype(np.int32)
         full.reshape(-1)[self.pixel] = labels
         return full
 
@@ -207,9 +200,9 @@ def split_block(block: np.ndarray, basis: IlluminationBasis):
     amp = np.multiply(x, x, out=m)
     amp += np.multiply(y, y, out=scratch)
     np.sqrt(amp, out=amp)
-    flags = np.full(blk.shape, FLAG_VALID, dtype=np.uint8)
-    flags[blk] = FLAG_BLACK
-    flags[(amp <= EPS_GRAY) & ~blk] = FLAG_ACHROMATIC
+    flags = np.full(blk.shape, FLAG_VALID, dtype=np.int8)
+    flags[blk] = LABEL_BLACK
+    flags[(amp <= EPS_GRAY) & ~blk] = LABEL_ACHROMATIC
     return np.arctan2(y, x, out=c), amp, flags
 
 
@@ -219,7 +212,7 @@ def specular_free_field(img, basis: IlluminationBasis, threads: int = 1) -> Spec
     image chunk by chunk, so no float64 copy of it is made."""
     img = np.asarray(img)
     width = img.shape[1]
-    flags = np.empty(img.shape[:2], dtype=np.uint8)
+    flags = np.empty(img.shape[:2], dtype=np.int8)
 
     def fill(rows):
         """The chunk's valid [hue, amplitude, pixel]."""
@@ -387,11 +380,15 @@ def _fold_chord2(d2: np.ndarray, field: SpecularFreeField, bounds: np.ndarray, c
         np.minimum(d2[rows], 2.0 - 2.0 * (cs[0, rows] * c + cs[1, rows] * s), out=d2[rows])
 
 
+def _first_pixel(field: SpecularFreeField, entries: np.ndarray) -> int:
+    """The one of ``entries`` first in row-major pixel order: the tie
+    rule of an argmax over the image."""
+    return int(entries[field.pixel[entries].argmin()])
+
+
 def _farthest(d2: np.ndarray, field: SpecularFreeField) -> int:
-    """Entry of the largest ``d2``; a tie goes to the first entry in
-    row-major pixel order, as an argmax over the image would."""
-    ties = np.flatnonzero(d2 == d2.max())
-    return int(ties[np.argmin(field.pixel[ties])])
+    """Entry of the largest ``d2``; a tie goes to ``_first_pixel``."""
+    return _first_pixel(field, np.flatnonzero(d2 == d2.max()))
 
 
 def _window_farthest(field: SpecularFreeField, chosen: list) -> int | None:
@@ -443,13 +440,12 @@ def _window_farthest(field: SpecularFreeField, chosen: list) -> int | None:
         grow = (((at - width > lo) & (d2[:, 0] >= near))
                 | ((at + width - 1 < hi) & (d2[:, -1] >= near)))
         if not grow.any():
-            ties = rows[d2 == d2.max()]
-            return int(ties[field.pixel[ties].argmin()])
+            return _first_pixel(field, rows[d2 == d2.max()])
         width *= 2
     return None
 
 
-def _seed_centers(field: SpecularFreeField, k: int, seed: int) -> np.ndarray:
+def _seed_centers(field: SpecularFreeField, k: int) -> np.ndarray:
     """Farthest-point seeding: the first center is ``field.first_entry``,
     then greedily the entry farthest in chord² from every center chosen
     so far.  Each pick reads gap windows (``_window_farthest``) until
@@ -457,7 +453,7 @@ def _seed_centers(field: SpecularFreeField, k: int, seed: int) -> np.ndarray:
     every center into a full d² array and takes ``_farthest`` of it."""
     cos, sin = field.cos_sin
     n = len(field.hue)
-    chosen = [field.first_entry(seed)]
+    chosen = [field.first_entry]
     while len(chosen) < k and (idx := _window_farthest(field, chosen)) is not None:
         chosen.append(idx)
     if len(chosen) < k:
@@ -470,15 +466,15 @@ def _seed_centers(field: SpecularFreeField, k: int, seed: int) -> np.ndarray:
     return field.hue[chosen]
 
 
-def kmeans(field: SpecularFreeField, k: int, seed: int = 0) -> ClusterSet:
+def kmeans(field: SpecularFreeField, k: int) -> ClusterSet:
     """At most KMEANS_MAX_ITER Lloyd iterations on the circle of valid
     field hues.
 
-    Centers are seeded farthest-point (see ``_seed_centers``).  Each
-    update is the members' circular mean.  An empty cluster, or one
-    whose hues cancel, is reseeded from the point farthest from its own
-    center; surplus clusters the data cannot support are dropped and
-    labels compacted.  The loop stops when an assignment repeats; a run
+    Centers are seeded farthest-point from ``field.first_entry`` (see
+    ``_seed_centers``).  Each update is the members' circular mean.  An
+    empty cluster, or one whose hues cancel, is reseeded from the point
+    farthest from its own center; surplus clusters the data cannot
+    support are dropped and labels compacted.  The loop stops when an assignment repeats; a run
     that reaches the cap first issues a NoConvergenceWarning.  Raises
     ValueError when ``k`` is below 1.
     """
@@ -491,7 +487,7 @@ def kmeans(field: SpecularFreeField, k: int, seed: int = 0) -> ClusterSet:
     if n < k:
         raise TooFewPixelsError(f"{n} clusterable pixels cannot support k={k}")
 
-    centers = _seed_centers(field, k, seed)
+    centers = _seed_centers(field, k)
     bounds, owner = _hue_runs(hue, centers)
     for iterations in range(1, KMEANS_MAX_ITER + 1):
         means, counts, length = _run_means(field, bounds, owner, k)
@@ -539,7 +535,7 @@ def _cluster_residuals(cos: np.ndarray, sin: np.ndarray, amplitude: np.ndarray,
 
 
 def evaluate_fit(field: SpecularFreeField, clusters: ClusterSet,
-                 tau_dev: float = 0.1) -> FitDiagnostics:
+                 tau_dev: float) -> FitDiagnostics:
     """Per-cluster unit-circle fit check.
 
     A cluster fails when more than TAU_FRAC of its pixels deviate from

@@ -59,12 +59,6 @@ class EmptyClusterError(DespecError):
     exit_code = 5
 
 
-class NoPeakError(DespecError):
-    """No acceptable first peak in a coefficient histogram."""
-
-    exit_code = 5
-
-
 class DegenerateRatioError(DespecError):
     """Diffuse chromaticity too close to the illumination for a stable ratio."""
 

@@ -10,7 +10,6 @@ separation is where the output quality lives.
 
 from __future__ import annotations
 
-import os
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -42,7 +41,7 @@ class PipelineConfig:
     illumination: str = "white"
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     fast: bool = False
-    threads: int = 0  # 0 = all available cores
+    threads: int = 0  # 0 = every CPU this process may run on
 
 
 @dataclass(frozen=True)
@@ -179,8 +178,7 @@ def run(img, cfg: PipelineConfig | None = None
 
     cfg = cfg or PipelineConfig()
     _check_config(cfg)
-    threads = cfg.threads or os.cpu_count() or 1
-    img = _validate_input(img, threads)
+    img = _validate_input(img, cfg.threads)
     basis, divide = parse_illumination(cfg.illumination)
     h, w = img.shape[:2]
     cap = max(1, min(h, w) // FAST_MIN_EDGE)
@@ -189,9 +187,9 @@ def run(img, cfg: PipelineConfig | None = None
     if divide is not None:
         img = white_balance(img, divide)
     lap("white_balance")
-    small = box_downsample(img, factor, threads)
+    small = box_downsample(img, factor, cfg.threads)
     lap("downsample")
-    field = specular_free_field(small, basis, threads=threads)
+    field = specular_free_field(small, basis, threads=cfg.threads)
     lap("field")
     clusters, fit = adaptive_cluster(field, cfg.cluster)
     lap("cluster")
@@ -200,7 +198,7 @@ def run(img, cfg: PipelineConfig | None = None
     labels = field.label_map(clusters.labels) if factor == 1 else None
     del small, field  # not read again; free them before the full-resolution pass
     lap("label_map")
-    result = separate_image(img, clusters, models, basis, threads=threads, labels=labels)
+    result = separate_image(img, clusters, models, basis, threads=cfg.threads, labels=labels)
     lap("separate")
     return result, PipelineDiagnostics(
         stages=stages, fit=fit, n_clusters=clusters.n_clusters,
@@ -253,13 +251,14 @@ OPTIONS = (
     Option("illum", "illumination", str, "illumination",
            "illumination: 'white', 'r,g,b', or 'divide:r,g,b'", "SPEC"),
     Option("initial_k", "cluster.initial_k", int, "integer",
-           "starting cluster count (default 1)", "K", lo=1),
+           f"starting cluster count (default {ClusterConfig.initial_k})", "K", lo=1),
     Option("tau_dev", "cluster.tau_dev", float, "number",
-           "per-pixel unit-circle deviation threshold (default 0.1)", "T", lo=0),
+           f"per-pixel unit-circle deviation threshold (default {ClusterConfig.tau_dev})",
+           "T", lo=0),
     Option("fast", "fast", _parse_bool, "boolean",
            "estimate clusters/models on a downsampled copy"),
     Option("threads", "threads", int, "integer",
-           "worker cap; 0 = all cores (default)", "N", lo=0),
+           "worker cap; 0 = every CPU this process may run on (default)", "N", lo=0),
 )
 _OPTION_BY_KEY = {opt.key: opt for opt in OPTIONS}
 

@@ -5,7 +5,8 @@ pixel's chromaticity is smallest for pixels that carry no highlight at
 all.  The first peak of that coefficient's histogram therefore marks the
 pure-diffuse population; it fixes the material's position on the unit
 circle and with it the ratio needed to split every pixel of the cluster
-into body and surface reflection.
+into body and surface reflection; a histogram without a peak falls
+back to a low percentile of the coefficients.
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_rows
-from .errors import (
-    DegenerateRatioError,
-    EmptyClusterError,
-    ModelMissingError,
-    NoPeakError,
-)
+from .errors import DegenerateRatioError, EmptyClusterError, ModelMissingError
 from .model import EPS_GRAY, IlluminationBasis
 from .clustering import FLAG_VALID, ClusterSet, SpecularFreeField, hue_lookup, split_block
 
@@ -58,34 +54,21 @@ class SeparationResult:
     labels: np.ndarray  # the per-pixel cluster labels the split used
 
 
-def _smooth3(counts: np.ndarray) -> np.ndarray:
-    """3-bin box filter with zero padding at the ends."""
-    padded = np.zeros(len(counts) + 2, dtype=np.float64)
-    padded[1:-1] = counts
-    return (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0
+def _first_peak_index(counts: np.ndarray) -> int | None:
+    """Bin index of the lowest-coefficient local maximum of a histogram,
+    or None when no bin qualifies.
 
-
-def _first_peak_index(counts: np.ndarray) -> int:
-    """Bin index of the lowest-coefficient local maximum of a histogram.
-
-    The counts are box-smoothed over 3 bins first, and a candidate must
-    hold at least max(PEAK_FLOOR, PEAK_FRAC * cluster size) smoothed
-    counts; tiny leading bumps are not peaks.  Raises NoPeakError when
-    nothing qualifies.
+    The counts are box-smoothed over 3 bins first, with zeros beyond the
+    ends, and a candidate must hold at least max(PEAK_FLOOR, PEAK_FRAC *
+    cluster size) smoothed counts; tiny leading bumps are not peaks.
+    The counts are integers, so each 3-bin sum is exact in any order.
     """
     floor = max(PEAK_FLOOR, PEAK_FRAC * float(counts.sum()))
-    smooth = _smooth3(counts)
-    left = np.empty_like(smooth)
-    right = np.empty_like(smooth)
-    left[0] = 0.0
-    left[1:] = smooth[:-1]
-    right[-1] = 0.0
-    right[:-1] = smooth[1:]
-    ok = (smooth >= left) & (smooth >= right) & (smooth >= floor)
-    idx = np.flatnonzero(ok)
-    if len(idx) == 0:
-        raise NoPeakError("no histogram bin qualifies as a peak")
-    return int(idx[0])
+    smooth = np.convolve(counts, np.ones(3)) / 3.0  # bin i at i + 1
+    smooth[[0, -1]] = 0.0  # the zeros beyond the ends
+    mid = smooth[1:-1]
+    idx = np.flatnonzero((mid >= smooth[:-2]) & (mid >= smooth[2:]) & (mid >= floor))
+    return int(idx[0]) if len(idx) else None
 
 
 def estimate_ratio(diffuse_parallel: float) -> tuple[float, float]:
@@ -122,9 +105,7 @@ def _diffuse_parallel_for_cluster(coeffs: np.ndarray) -> float:
     # bin counts (every coefficient is in [0, 1], below the last edge)
     pos = np.searchsorted(ordered, EDGES, side="left")
     counts = np.diff(pos)
-    try:
-        i = _first_peak_index(counts)
-    except NoPeakError:
+    if (i := _first_peak_index(counts)) is None:
         return float(np.percentile(coeffs, FALLBACK_PERCENTILE))
     # the window holds 3x the peak's smoothed count, >= 3 * PEAK_FLOOR;
     # it is sorted, so its median is read by index, with np.median's bits
@@ -208,8 +189,9 @@ def separate_image(img, clusters: ClusterSet, models: dict,
     copy), each chunk labels its own pixels instead, straight into the
     returned map: every pixel is split by ``split_block`` and takes the
     nearest of ``clusters.hues`` (``nearest_hue``, read from one
-    ``hue_lookup`` table per call), while flagged pixels get minus their
-    flag.  The labels used are returned in ``SeparationResult.labels``.
+    ``hue_lookup`` table per call), while flagged pixels get their flag,
+    which is their label code.  The labels used are returned in
+    ``SeparationResult.labels``.
 
     Flagged pixels and pass-through clusters keep their input value in
     the diffuse image with zero specular.  Raises ModelMissingError if a
@@ -254,7 +236,7 @@ def separate_image(img, clusters: ClusterSet, models: dict,
         lab = labels[rows]
         if not given:
             hue, _, flags = split_block(block, basis)
-            np.negative(flags, out=lab, dtype=np.int32)
+            np.copyto(lab, flags)
             np.copyto(lab, nearest(hue), where=flags == FLAG_VALID)
         slot = np.add(lab, 1, dtype=np.intp)  # intp, so no take below casts it
         np.maximum(slot, 0, out=slot)

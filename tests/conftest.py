@@ -24,7 +24,7 @@ def make_field(hues):
     """SpecularFreeField over an (H, W) grid of hue angles with every
     pixel valid, each pixel's chromaticity being its unit direction."""
     hue = np.asarray(hues, dtype=np.float64)
-    flags = np.zeros(hue.shape, dtype=np.uint8)
+    flags = np.zeros(hue.shape, dtype=np.int8)
     pixel = np.argsort(hue.reshape(-1)).astype(np.int32)
     return SpecularFreeField(hue=hue.reshape(-1)[pixel], amplitude=np.ones(hue.size),
                              pixel=pixel, flags=flags)

@@ -363,6 +363,17 @@ class TestRemove:
         assert f"unknown key '{key}'" in one_error_line(capsys)
         assert not (tmp_path / "d.pfm").exists()
 
+    def test_help_shows_the_cluster_defaults(self, capsys):
+        """--initial-k and --tau-dev show ClusterConfig's defaults."""
+        with pytest.raises(SystemExit) as exc:
+            main(["remove", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        defaults = clustering.ClusterConfig()
+        assert f"--initial-k K starting cluster count (default {defaults.initial_k})" in text
+        assert (f"--tau-dev T per-pixel unit-circle deviation threshold "
+                f"(default {defaults.tau_dev})") in text
+
     def test_divide_overflow_exits_5_and_writes_nothing(self, tmp_path, capsys):
         out = synth_dir(tmp_path)
         capsys.readouterr()

@@ -6,8 +6,6 @@ import pytest
 from conftest import block_image, make_field, row_major
 from despec import clustering, errors, synth
 from despec.clustering import (
-    FLAG_ACHROMATIC,
-    FLAG_BLACK,
     FLAG_VALID,
     LABEL_ACHROMATIC,
     LABEL_BLACK,
@@ -90,7 +88,7 @@ class TestSpecularFreeField:
         gray = rng.random((23, 17)) < 0.15
         block[gray] = rng.random((int(gray.sum()), 1)) * white.direction  # achromatic
         hue, amp, flags = split_block(block, white)
-        assert {FLAG_VALID, FLAG_BLACK, FLAG_ACHROMATIC} <= set(np.unique(flags).tolist())
+        assert {FLAG_VALID, LABEL_BLACK, LABEL_ACHROMATIC} <= set(np.unique(flags).tolist())
         field = specular_free_field(block, white)
         assert np.array_equal(flags, field.flags)
         valid = np.flatnonzero(flags.reshape(-1) == FLAG_VALID)
@@ -104,8 +102,8 @@ class TestSpecularFreeField:
         img[1, 2] = [0.5, 0.5, 0.5]
         img[3, 1] = [0.2, 0.4, 0.4]
         field = specular_free_field(img, white)
-        assert (field.flags == FLAG_BLACK).sum() == 13
-        assert field.flags[1, 2] == FLAG_ACHROMATIC
+        assert (field.flags == LABEL_BLACK).sum() == 13
+        assert field.flags[1, 2] == LABEL_ACHROMATIC
         # the two valid pixels
         assert field.hue.shape == field.amplitude.shape == field.pixel.shape == (2,)
         assert sorted(field.pixel.tolist()) == [0, 13]
@@ -129,7 +127,7 @@ class TestSpecularFreeField:
     def test_gray_pixels_flagged(self, white):
         img = np.broadcast_to([0.5, 0.5, 0.5], (5, 5, 3)).copy()
         field = specular_free_field(img, white)
-        assert np.all(field.flags == FLAG_ACHROMATIC)
+        assert np.all(field.flags == LABEL_ACHROMATIC)
         assert len(field.hue) == 0
         assert np.count_nonzero(field.flags == FLAG_VALID) == 0
 
@@ -138,7 +136,7 @@ class TestSpecularFreeField:
         img[1, 1] = [0.4, 0.4, 0.2]
         field = specular_free_field(img, white)
         assert field.flags[1, 1] == FLAG_VALID
-        assert (field.flags == FLAG_BLACK).sum() == 8
+        assert (field.flags == LABEL_BLACK).sum() == 8
 
     def test_two_materials_two_distinct_values(self, white):
         img = block_image([[0.4, 0.4, 0.2], [0.2, 0.3, 0.8]], [1.0, 1.0])
@@ -201,7 +199,7 @@ class TestNearestHue:
 class TestKmeans:
     def test_single_value_single_cluster(self, white):
         field = make_field(np.full((10, 10), OLIVE_HUE))
-        clusters = kmeans(field, 1, seed=0)
+        clusters = kmeans(field, 1)
         assert clusters.n_clusters == 1
         assert np.all(clusters.labels == 0)
         assert clusters.sizes.tolist() == [100]
@@ -224,7 +222,7 @@ class TestKmeans:
             grid[rows] = d
             truth[rows] = i
         field = make_field(grid)
-        clusters = kmeans(field, 4, seed=0)
+        clusters = kmeans(field, 4)
         assert clusters.n_clusters == 4
         labels = field.label_map(clusters.labels)  # every pixel is valid
         # each band is one label, and the four bands use four labels
@@ -245,7 +243,7 @@ class TestKmeans:
         rng = np.random.default_rng(23)
         img = rng.random((32, 32, 3)) + 0.02
         field = specular_free_field(img, white)
-        clusters = kmeans(field, 5, seed=1)
+        clusters = kmeans(field, 5)
         centers = white.orthogonal(clusters.hues)
         assert np.abs(np.linalg.norm(centers, axis=-1) - 1.0).max() <= 1e-12
         assert np.abs(centers @ white.direction).max() <= 1e-12
@@ -254,8 +252,8 @@ class TestKmeans:
         rng = np.random.default_rng(4)
         img = rng.random((24, 24, 3)) + 0.02
         field = specular_free_field(img, white)
-        a = kmeans(field, 3, seed=9)
-        b = kmeans(field, 3, seed=9)
+        a = kmeans(field, 3)
+        b = kmeans(field, 3)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.hues, b.hues)
 
@@ -265,7 +263,7 @@ class TestKmeans:
         grid = np.zeros((20, 10))
         grid[:10] = hue_angle(0.0)
         grid[10:] = hue_angle(180.0)
-        clusters = kmeans(make_field(grid), 3, seed=0)
+        clusters = kmeans(make_field(grid), 3)
         assert clusters.n_clusters == 2
         assert set(np.unique(clusters.labels)) == {0, 1}
 
@@ -274,7 +272,7 @@ class TestKmeans:
         img[0, 0] = 0.0
         img[0, 1] = [0.7, 0.7, 0.7]
         field = specular_free_field(img, white)
-        clusters = kmeans(field, 1, seed=0)
+        clusters = kmeans(field, 1)
         assert clusters.labels.tolist() == [0] * 62
         labels = field.label_map(clusters.labels)
         assert labels.shape == (8, 8) and labels.dtype == np.int32
@@ -285,20 +283,20 @@ class TestKmeans:
     def test_too_few_pixels(self, white):
         grid = np.full((1, 3), OLIVE_HUE)
         with pytest.raises(errors.TooFewPixelsError):
-            kmeans(make_field(grid), 4, seed=0)
+            kmeans(make_field(grid), 4)
 
     def test_no_valid_pixels(self, white):
         field = specular_free_field(np.zeros((4, 4, 3)), white)
         with pytest.raises(errors.TooFewPixelsError):
-            kmeans(field, 1, seed=0)
+            kmeans(field, 1)
 
 
 class TestEvaluateFit:
     def test_correct_single_material_passes(self, white):
         gt = synth.render(synth.builtin_scene("single-2", 64, 48))
         field = specular_free_field(gt.input, white)
-        clusters = kmeans(field, 1, seed=0)
-        diag = evaluate_fit(field, clusters)
+        clusters = kmeans(field, 1)
+        diag = evaluate_fit(field, clusters, ClusterConfig.tau_dev)
         assert diag.failing_fractions.tolist() == [0.0]
         assert diag.total_error <= 1e-6 * gt.input.shape[0] * gt.input.shape[1]
         assert diag.converged
@@ -310,8 +308,8 @@ class TestEvaluateFit:
         mats = [synth.hue_chromaticity(45.0), synth.hue_chromaticity(135.0)]
         img = block_image(mats, [0.6, 0.6])
         field = specular_free_field(img, white)
-        clusters = kmeans(field, 1, seed=0)
-        diag = evaluate_fit(field, clusters)
+        clusters = kmeans(field, 1)
+        diag = evaluate_fit(field, clusters, ClusterConfig.tau_dev)
         assert diag.failing_fractions[0] == 1.0
         n = img.shape[0] * img.shape[1]
         assert diag.total_error == pytest.approx(n * 0.15125, rel=1e-6)
@@ -320,8 +318,8 @@ class TestEvaluateFit:
     def test_four_materials_in_two_clusters_fail(self, white):
         gt = synth.render(synth.builtin_scene("four-materials", 160, 112))
         field = specular_free_field(gt.input, white)
-        clusters = kmeans(field, 2, seed=0)
-        diag = evaluate_fit(field, clusters)
+        clusters = kmeans(field, 2)
+        diag = evaluate_fit(field, clusters, ClusterConfig.tau_dev)
         assert np.any(diag.failing_fractions > 0.1)
         assert not diag.converged
 

@@ -62,13 +62,19 @@ def _mean_hues(labels, cos, sin, k):
     return np.arctan2(s, c), counts, np.hypot(s, c) / np.maximum(counts, 1)
 
 
-def reference_kmeans(hue, k, seed):
-    """(labels, hues) of the pixel-order k-means on row-major ``hue``."""
+def first_rank(n):
+    """Row-major rank, among n valid pixels, of k-means' first center: a
+    draw from a generator seeded with 0."""
+    return int(np.random.default_rng(0).integers(n))
+
+
+def reference_kmeans(hue, k, first):
+    """(labels, hues) of the pixel-order k-means on row-major ``hue``,
+    seeded at index ``first``."""
     n = len(hue)
     cos, sin = np.cos(hue), np.sin(hue)
-    rng = np.random.default_rng(seed)
     centers = np.empty(k)
-    idx = int(rng.integers(n))
+    idx = first
     centers[0] = hue[idx]
     d2 = 2.0 - 2.0 * (cos * cos[idx] + sin * sin[idx])
     for j in range(1, k):
@@ -102,7 +108,7 @@ def reference_adaptive(hue, amplitude, cfg):
     min_size = adaptive_min_cluster_size(n)
     k = cfg.initial_k
     for _ in range(clustering.MAX_ROUNDS):
-        labels, hues = reference_kmeans(hue, k, 0)
+        labels, hues = reference_kmeans(hue, k, first_rank(n))
         dev = (amplitude * np.sin(hue - hues[labels])) ** 2
         counts = np.bincount(labels, minlength=len(hues))
         bad = np.bincount(labels[dev > cfg.tau_dev], minlength=len(hues))
@@ -130,7 +136,7 @@ def reference_adaptive(hue, amplitude, cfg):
 
 def row_major_map(field, labels):
     """(H, W) label map of per-pixel ``labels`` given in row-major order."""
-    full = -field.flags.astype(np.int32)
+    full = field.flags.astype(np.int32)
     full.reshape(-1)[np.sort(field.pixel)] = labels
     return full
 
@@ -210,11 +216,11 @@ def test_hue_table_matches_the_binary_search(k, seed, edge, twins):
 
 @settings(max_examples=60)
 @given(hues=st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=5),
-       k=st.integers(1, 8), seed=st.integers(0, 3), shuffle=st.integers(0, 2**32 - 1))
-def test_ulp_jittered_hues_stay_in_one_cluster(hues, k, seed, shuffle):
+       k=st.integers(1, 8), shuffle=st.integers(0, 2**32 - 1), data=st.data())
+def test_ulp_jittered_hues_stay_in_one_cluster(hues, k, shuffle, data):
     """Each drawn hue, copied many times within a few ulps: k-means at
-    any k stops before the cap and keeps every copy of a hue in one
-    cluster."""
+    any k, from any first center, stops before the cap and keeps every
+    copy of a hue in one cluster."""
     copies = []
     for h in hues:
         up, down = [h], [h]
@@ -226,9 +232,10 @@ def test_ulp_jittered_hues_stay_in_one_cluster(hues, k, seed, shuffle):
     order = np.random.default_rng(shuffle).permutation(len(group))
     grid, group = np.concatenate(copies)[order], group[order]
     field = make_field(grid.reshape(1, -1))
+    field.first_entry = data.draw(st.integers(0, len(grid) - 1), label="first")
     with warnings.catch_warnings():
         warnings.simplefilter("error", NoConvergenceWarning)
-        clusters = kmeans(field, k, seed=seed)
+        clusters = kmeans(field, k)
     assert clusters.iterations < KMEANS_MAX_ITER
     per_entry = group[field.pixel]
     for g in range(len(hues)):
@@ -244,8 +251,10 @@ def test_tied_hues_follow_the_seeding_tie_rule(k):
     grid = np.random.default_rng(k).choice(values, size=(30, 40))
     field = make_field(grid)
     for seed in range(4):
-        clusters = kmeans(field, k, seed=seed)
-        assert_same_clusters(field, clusters, *reference_kmeans(grid.reshape(-1), k, seed))
+        rank = int(np.random.default_rng(seed).integers(grid.size))
+        field.first_entry = int(np.argsort(field.pixel)[rank])  # k-means' first center
+        clusters = kmeans(field, k)
+        assert_same_clusters(field, clusters, *reference_kmeans(grid.reshape(-1), k, rank))
 
 
 def test_cluster_straddling_the_wrap():
@@ -256,20 +265,21 @@ def test_cluster_straddling_the_wrap():
     grid = np.concatenate([across, rng.normal(0.5, 0.05, 400),
                            rng.normal(-1.5, 0.05, 200)])[rng.permutation(1200)]
     field = make_field(grid.reshape(30, 40))
-    clusters = kmeans(field, 3, seed=0)
-    assert_same_clusters(field, clusters, *reference_kmeans(grid, 3, 0))
+    clusters = kmeans(field, 3)
+    assert_same_clusters(field, clusters, *reference_kmeans(grid, 3, first_rank(grid.size)))
     wrapped = clusters.owner[0]
     assert clusters.owner[-1] == wrapped and len(clusters.members(wrapped)) == 2
     assert_matches_reference(field, ClusterConfig(initial_k=2, tau_dev=0.001))
 
 
-def reference_seed_centers(field, k, seed):
-    """The full-pass farthest-point seeding: each new center's chord² is
-    folded into one d² array over the whole field, and the next center
-    is its largest entry, the first in row-major pixel order on a tie."""
+def reference_seed_centers(field, k):
+    """The full-pass farthest-point seeding from ``field.first_entry``:
+    each new center's chord² is folded into one d² array over the whole
+    field, and the next center is its largest entry, the first in
+    row-major pixel order on a tie."""
     hue, pixel = field.hue, field.pixel
     cos, sin = field.cos_sin
-    idx = field.first_entry(seed)
+    idx = field.first_entry
     centers = [hue[idx]]
     d2 = np.full(len(hue), np.inf)
     for _ in range(1, k):
@@ -280,9 +290,11 @@ def reference_seed_centers(field, k, seed):
     return np.array(centers)
 
 
-def assert_same_seeds(field, k, seed):
-    got = _seed_centers(field, k, seed)
-    want = reference_seed_centers(field, k, seed)
+def assert_same_seeds(field, k, first):
+    """Seeds from entry ``first``, set as the field's first center."""
+    field.first_entry = first
+    got = _seed_centers(field, k)
+    want = reference_seed_centers(field, k)
     assert got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -321,11 +333,12 @@ def seeding_grids(draw):
 @given(grid=seeding_grids(), data=st.data())
 def test_window_seeding_matches_the_full_pass(grid, data):
     """Seeds equal the full-pass reference bit for bit, for k from 1 to
-    the entry count: the gap windows for the first picks, the full-pass
-    fallback once windows would cost more."""
+    the entry count and a first center at any entry: the gap windows for
+    the first picks, the full-pass fallback once windows would cost
+    more."""
     field = make_field(grid.reshape(1, -1))
     k = data.draw(st.integers(1, len(grid)), label="k")
-    assert_same_seeds(field, k, data.draw(st.integers(0, 3), label="seed"))
+    assert_same_seeds(field, k, data.draw(st.integers(0, len(grid) - 1), label="first"))
 
 
 @pytest.mark.parametrize("k", [2, 5, 16, 60])
@@ -336,8 +349,8 @@ def test_window_seeding_on_scenes(scene, k):
     img = synth.add_noise(synth.render(synth.builtin_scene(scene, 160, 120)), 3.0, seed=2)
     field = specular_free_field(img.astype(np.float32), IlluminationBasis.white())
     assert k * k * 2 * clustering.SEED_WIDTH <= min(len(field.hue), clustering.BLOCK)
-    for seed in (0, 5):
-        assert_same_seeds(field, k, seed)
+    for first in (field.first_entry, 0, len(field.hue) - 1):
+        assert_same_seeds(field, k, first)
 
 
 def test_window_seeding_falls_back_near_every_entry():
@@ -345,7 +358,7 @@ def test_window_seeding_falls_back_near_every_entry():
     a full pass: _window_farthest declines and the fold takes over."""
     field = make_field(np.random.default_rng(3).uniform(-np.pi, np.pi, (10, 10)))
     assert _window_farthest(field, list(range(40))) is None
-    assert_same_seeds(field, 97, 0)
+    assert_same_seeds(field, 97, field.first_entry)
 
 
 # entries of the block-sum fields: their last block is short, and up to

@@ -17,8 +17,8 @@ import pytest
 from conftest import parallel_coeff, row_major
 from despec import errors
 from despec.clustering import (
-    FLAG_ACHROMATIC,
     FLAG_VALID,
+    LABEL_ACHROMATIC,
     _cluster_residuals,
     specular_free_field,
     split_block,
@@ -172,13 +172,13 @@ class TestDecompose:
 
     def test_gray_is_achromatic(self, white):
         field = specular_free_field(WHITE[None, None], white)
-        assert field.flags[0, 0] == FLAG_ACHROMATIC
+        assert field.flags[0, 0] == LABEL_ACHROMATIC
         assert len(field.hue) == 0 and len(field.amplitude) == 0
 
     def test_nearly_gray_is_achromatic(self, white):
         chroma = l2_chromaticity(WHITE + EPS_GRAY * 1e-2 * np.array([1.0, -1.0, 0.0]))
         field = specular_free_field(chroma[None, None], white)
-        assert field.flags[0, 0] == FLAG_ACHROMATIC
+        assert field.flags[0, 0] == LABEL_ACHROMATIC
 
     def test_pythagorean_and_reconstruction(self, white):
         rng = np.random.default_rng(11)

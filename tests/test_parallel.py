@@ -6,9 +6,10 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from despec import _parallel
+from despec import _parallel, pipeline, synth
 from despec._parallel import CHUNK_ROWS, run_rows
 
 
@@ -20,6 +21,16 @@ def fresh_pool(monkeypatch):
     yield
     if _parallel._pool is not None:
         _parallel._pool.shutdown(wait=False, cancel_futures=True)
+
+
+def allow_cpus(monkeypatch, cpus):
+    """Let this process run on ``cpus`` CPUs; with ``cpus`` None, the
+    platform has no affinity mask and does not know its CPU count."""
+    if cpus is None:
+        monkeypatch.delattr(_parallel.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(_parallel.os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 def _chunk_threads(workers):
@@ -48,9 +59,12 @@ def _chunk_threads(workers):
     (64, 12, 8),      # fewer chunks than threads: one worker per chunk
     (None, 3, 1),     # core count unknown: one worker, inline
     (4, 10**9, 4),    # a huge request still gets at most one worker per core
+    (3, 0, 3),        # 0 asks for every core the process may run on
+    (64, 0, 8),       # ... and still one worker per chunk at most
 ])
 def test_pool_capped_at_core_count(fresh_pool, monkeypatch, cores, threads, workers):
-    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: cores)
+    """``cores`` is the CPUs of the process's affinity mask."""
+    allow_cpus(monkeypatch, cores)
     before = set(threading.enumerate())
     fn, seen = _chunk_threads(workers)
     out = run_rows(fn, 128, threads)
@@ -68,9 +82,38 @@ def test_pool_capped_at_core_count(fresh_pool, monkeypatch, cores, threads, work
     assert set(threading.enumerate()) - before == started
 
 
+def test_cpu_count_follows_the_affinity_mask(monkeypatch):
+    """The CPUs the process may run on, not the machine's, and the
+    machine's count, at least 1, where there is no mask."""
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 64)
+    allow_cpus(monkeypatch, 2)
+    assert _parallel.cpu_count() == 2
+    monkeypatch.delattr(_parallel.os, "sched_getaffinity", raising=False)
+    assert _parallel.cpu_count() == 64
+    allow_cpus(monkeypatch, None)
+    assert _parallel.cpu_count() == 1
+
+
+def test_one_cpu_starts_no_helper(fresh_pool, monkeypatch):
+    """Under a one-CPU mask, threads=0 and threads=4 run every chunk
+    inline, and so does a pipeline run at threads=0: no pool is built."""
+    allow_cpus(monkeypatch, 1)
+    before = set(threading.enumerate())
+    for threads in (0, 4):
+        seen = set()
+        assert run_rows(lambda rows: seen.add(threading.get_ident()) or rows.start,
+                        128, threads) == list(range(0, 128, CHUNK_ROWS))
+        assert seen == {threading.get_ident()}
+    img = synth.render(synth.builtin_scene("four-materials", 64, 48)).input
+    result, _ = pipeline.run(img, pipeline.PipelineConfig(threads=0))
+    assert np.array_equal(result.diffuse + result.specular, img)
+    assert _parallel._pool is None
+    assert not set(threading.enumerate()) - before  # no thread started
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_builds_its_own_pool(fresh_pool, monkeypatch):
-    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    allow_cpus(monkeypatch, 2)
     run_rows(lambda rows: rows, 64, 2)  # the parent's pool now has a thread
     pid = os.fork()
     if pid == 0:
@@ -94,7 +137,7 @@ def test_forked_child_builds_its_own_pool(fresh_pool, monkeypatch):
 
 def test_failed_chunk_stops_the_rest(fresh_pool, monkeypatch):
     """The caller's chunk raises while the helper is inside the other one."""
-    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    allow_cpus(monkeypatch, 2)
     caller = threading.get_ident()
     helper_busy = threading.Event()
     started = []
@@ -128,7 +171,7 @@ def test_nested_calls_finish(fresh_pool, monkeypatch):
     """Chunks that call run_rows themselves, three deep, on a pool of two
     threads: every caller runs its own chunks and cancels the helpers the
     busy pool never started, so none waits for a thread that cannot come."""
-    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    allow_cpus(monkeypatch, 2)
 
     def level(depth):
         def fn(rows):
@@ -148,7 +191,7 @@ def test_concurrent_calls_run_each_chunk_once(fresh_pool, monkeypatch):
     a thread switch every microsecond: every call runs each of its
     chunks exactly once, so no turn of the shared counter is lost or
     repeated."""
-    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 8)
+    allow_cpus(monkeypatch, 8)
     height = 2000 * CHUNK_ROWS
     expected = list(range(0, height, CHUNK_ROWS))
     results = []

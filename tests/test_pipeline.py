@@ -122,6 +122,10 @@ class TestAssignToCenters:
         assert given.labels is labels
         assert relabeled.labels[0, 0] == LABEL_BLACK
         assert relabeled.labels[0, 1] == LABEL_ACHROMATIC
+        # the flags are the label codes on both paths
+        assert (LABEL_BLACK, LABEL_ACHROMATIC) == (-1, -2)
+        assert field.flags.dtype == np.int8
+        assert field.flags[0, :2].tolist() == labels[0, :2].tolist() == [-1, -2]
         assert np.count_nonzero(relabeled.labels >= 0) == img.shape[0] * img.shape[1] - 2
         assert np.array_equal(relabeled.diffuse, given.diffuse)
         assert np.array_equal(relabeled.specular, given.specular)

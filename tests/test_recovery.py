@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -29,6 +29,7 @@ from despec.clustering import (
 from despec.model import WHITE, IlluminationBasis
 from despec.recovery import (
     EDGES,
+    FALLBACK_PERCENTILE,
     PEAK_FLOOR,
     MaterialModel,
     _diffuse_parallel_for_cluster,
@@ -61,7 +62,7 @@ def olive_image(spec_strengths, shape):
 
 
 def single_cluster(img, white):
-    return kmeans(specular_free_field(img, white), 1, seed=0)
+    return kmeans(specular_free_field(img, white), 1)
 
 
 def model_of(img, clusters, cluster_id, white):
@@ -139,7 +140,7 @@ class TestHistogram:
         rng = np.random.default_rng(37)
         img = rng.random((40, 30, 3)) ** 4 + 1e-3
         field = specular_free_field(img, basis)
-        clusters = kmeans(field, 1, seed=0)
+        clusters = kmeans(field, 1)
         px = img.reshape(-1, 3)[field.pixel]
         expected = parallel_coeff(px, basis) / np.linalg.norm(px, axis=-1)
         coeffs = parallel_coefficients(field, clusters, 0)
@@ -186,8 +187,32 @@ class TestFirstPeak:
 
     def test_no_peak(self):
         counts = self.make_counts({i: 1 for i in range(0, 36, 3)})
-        with pytest.raises(errors.NoPeakError):
-            _first_peak_index(counts)
+        assert _first_peak_index(counts) is None
+
+    @pytest.mark.parametrize("count", [0, 1, PEAK_FLOOR - 1])
+    def test_flat_histogram_has_no_peak(self, count):
+        """Every bin equal and below the floor: each is a local maximum,
+        none holds enough counts."""
+        assert _first_peak_index(np.full(len(EDGES) - 1, count, dtype=np.int64)) is None
+
+    @settings(max_examples=200)
+    @given(counts=arrays(np.int64, st.integers(1, len(EDGES) - 1),
+                         elements=st.integers(0, 12) | st.integers(0, 10**4)))
+    @example(counts=np.array([30]))
+    @example(counts=np.array([0, 30]))
+    @example(counts=np.array([0, 30, 0]))
+    def test_matches_the_padded_box_filter(self, counts):
+        """The first peak of the 3-bin box filter summed over a zero-padded
+        copy, left neighbor first, and compared against zero beyond both
+        ends."""
+        padded = np.zeros(len(counts) + 2)
+        padded[1:-1] = counts
+        smooth = (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0
+        left = np.concatenate(([0.0], smooth[:-1]))
+        right = np.concatenate((smooth[1:], [0.0]))
+        floor = max(PEAK_FLOOR, 0.005 * float(counts.sum()))
+        idx = np.flatnonzero((smooth >= left) & (smooth >= right) & (smooth >= floor))
+        assert _first_peak_index(counts) == (int(idx[0]) if len(idx) else None)
 
     @settings(max_examples=200)
     @given(counts=arrays(np.int64, st.integers(1, len(EDGES) - 1),
@@ -196,11 +221,9 @@ class TestFirstPeak:
         """A peak's smoothed count is at least PEAK_FLOOR, so the peak bin
         and its neighbors (clipped at the ends), the window whose median
         sets the diffuse coefficient, hold at least 3 * PEAK_FLOOR."""
-        try:
-            i = _first_peak_index(counts)
-        except errors.NoPeakError:
-            return
-        assert counts[max(i - 1, 0):i + 2].sum() >= 3 * PEAK_FLOOR
+        i = _first_peak_index(counts)
+        if i is not None:
+            assert counts[max(i - 1, 0):i + 2].sum() >= 3 * PEAK_FLOOR
 
 
 class TestEstimateRatio:
@@ -248,10 +271,13 @@ class TestModelForCluster:
     def test_fallback_percentile_when_no_peak(self, white):
         img = olive_image(np.linspace(0.0, 1.0, 12), (3, 4))
         clusters = single_cluster(img, white)
+        assert _first_peak_index(coefficient_counts(img, clusters, 0, white)) is None
         model = model_of(img, clusters, 0, white)
         coeffs = gamma_of(img, white).reshape(-1)
         assert model.diffuse_parallel == pytest.approx(
             np.percentile(coeffs, 2.0), rel=1e-12)
+        field_coeffs = parallel_coefficients(specular_free_field(img, white), clusters, 0)
+        assert model.diffuse_parallel == np.percentile(field_coeffs, FALLBACK_PERCENTILE)
 
     def test_estimate_models_covers_all_clusters(self, white):
         gt = synth.render(synth.builtin_scene("four-materials", 160, 112))
@@ -265,9 +291,8 @@ def median_diffuse_parallel(coeffs):
     np.median: the reference the by-index median must equal bit for bit."""
     ordered = np.sort(coeffs)
     pos = np.searchsorted(ordered, EDGES, side="left")
-    try:
-        i = _first_peak_index(np.diff(pos))
-    except errors.NoPeakError:
+    i = _first_peak_index(np.diff(pos))
+    if i is None:
         return float(np.percentile(coeffs, 2.0))
     return float(np.median(ordered[pos[max(i - 1, 0)]:pos[min(i + 2, len(EDGES) - 1)]]))
 
@@ -391,7 +416,7 @@ class TestSeparateImage:
     def test_label_beyond_clusters_rejected(self, white):
         img = olive_image([0.0] * 16, (4, 4))
         field = specular_free_field(img, white)
-        clusters = kmeans(field, 1, seed=0)
+        clusters = kmeans(field, 1)
         model = model_of(img, clusters, 0, white)
         labels = field.label_map(clusters.labels)
         labels[3, 3] = 1  # one cluster, so label 1 has no model slot
@@ -402,7 +427,7 @@ class TestSeparateImage:
         """Only a pixel whose label lacks a model raises, on both paths."""
         img = olive_image([0.0, 0.1, 0.2, 0.3] * 4, (4, 4))
         field = specular_free_field(img, white)
-        one = kmeans(field, 1, seed=0)
+        one = kmeans(field, 1)
         model = model_of(img, one, 0, white)
         far = np.angle(np.exp(1j * (one.hues[0] + np.pi)))  # nearest to no pixel
         two = ClusterSet(bounds=one.bounds, owner=one.owner, hues=np.append(one.hues, far),

@@ -1,0 +1,163 @@
+#!/usr/bin/env python3
+"""Byte-identity check of this checkout's outputs against a parent revision.
+
+    python3 tools/digests.py --parent HEAD~1
+
+The parent revision is exported with ``tools/pairs.py``'s ``export``;
+the change is this checkout's working tree.  Each side runs in a fresh process with its own ``src``
+and ``perfbench`` directories first on ``sys.path``, over the same runs:
+
+* each ``perfbench/core.py`` workload on the six inputs ``make_inputs``
+  writes for seed 1, at the workload's thread count and at 1 thread;
+* every builtin scene at its builtin size at 1 thread, at noise sigma 0
+  and 3, on the full and the ``--fast`` path, from initial_k 1 and 8.
+
+For each run it prints the SHA-256 of the diffuse, specular and label
+arrays (dtype, shape and bytes) and every ``PipelineDiagnostics.to_lines``
+line except the timings, plus any warning the run issued.  It then lists
+the runs whose record differs between the sides and exits 1 if any do,
+2 if a side could not be run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import json
+import shutil
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+INPUT_SEED = 1        # make_inputs' seed, that of pairs.py's first pair
+RUN_TIMEOUT_S = 1800  # one side's runs take well under a minute on 2 vCPUs
+
+_spec = importlib.util.spec_from_file_location("pairs", Path(__file__).with_name("pairs.py"))
+pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pairs)
+
+
+def _sha256(array) -> str:
+    digest = hashlib.sha256(f"{array.dtype.str} {array.shape}".encode())
+    digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def record(img, cfg) -> dict:
+    """The record of one ``pipeline.run(img, cfg)`` of the despec on
+    ``sys.path``: the digests of its parts and labels, and its
+    diagnostics and warnings, timings left out."""
+    from despec import pipeline
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result, diag = pipeline.run(img, cfg)
+    lines = [line for line in diag.to_lines() if "seconds" not in line.split(" = ")[0]]
+    return {"diffuse": _sha256(result.diffuse), "specular": _sha256(result.specular),
+            "labels": _sha256(diag.labels),
+            "lines": lines + [f"warning {w.category.__name__}: {w.message}" for w in caught]}
+
+
+def side_records(root: Path) -> dict:
+    """Every run's record, keyed by run name, with ``root``'s ``src`` and
+    ``perfbench`` imported."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import core
+    from despec import imgio, pipeline, synth
+    from despec.clustering import ClusterConfig
+
+    records = {}
+    with tempfile.TemporaryDirectory(prefix="despec-digests-") as tmp:
+        for name, workload in core.WORKLOADS.items():
+            _, paths = core.make_inputs(workload, INPUT_SEED, tmp)
+            for i, path in enumerate(paths):
+                img = imgio.load(path)
+                for threads in dict.fromkeys((workload.threads, 1)):
+                    records[f"{name} input{i} threads={threads}"] = record(
+                        img, core.config(workload, threads))
+    for scene in synth.BUILTIN_SCENES:
+        gt = synth.render(synth.builtin_scene(scene))
+        for sigma in (0.0, 3.0):
+            img = synth.add_noise(gt, sigma, seed=0)
+            for fast in (False, True):
+                for k in (1, 8):
+                    cfg = pipeline.PipelineConfig(fast=fast, threads=1,
+                                                  cluster=ClusterConfig(initial_k=k))
+                    records[f"{scene} sigma={sigma:g} {'fast' if fast else 'full'} "
+                            f"initial_k={k}"] = record(img, cfg)
+    return records
+
+
+def differing(parent: dict, change: dict) -> list[str]:
+    """Names of the runs whose records differ, or that one side lacks."""
+    return [name for name in dict.fromkeys([*parent, *change])
+            if parent.get(name) != change.get(name)]
+
+
+def show(name: str, rec: dict | None, side: str = "") -> list[str]:
+    if rec is None:
+        return [f"{name}{side}: no run"]
+    return ([f"{name}{side}: diffuse {rec['diffuse']} specular {rec['specular']} "
+             f"labels {rec['labels']}"] + [f"    {line}" for line in rec["lines"]])
+
+
+def run_side(root: Path) -> dict | str:
+    """The records of one side, from a fresh process run in ``root``, or
+    the error text when it gives none."""
+    argv = [sys.executable, str(Path(__file__).resolve()), "--side", str(root)]
+    try:
+        done = subprocess.run(argv, cwd=root, capture_output=True, text=True,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return f"no result within {RUN_TIMEOUT_S} s"
+    try:
+        return json.loads(done.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        return f"exit {done.returncode}: {done.stderr.strip()[-300:]}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--parent", help="git revision to compare against")
+    mode.add_argument("--side", help=argparse.SUPPRESS)  # one side's runs, in this process
+    args = parser.parse_args(argv)
+    if args.side:
+        print(json.dumps(side_records(Path(args.side))))
+        return 0
+
+    tmp = Path(tempfile.mkdtemp(prefix="despec-digests-"))
+    try:
+        try:
+            roots = {"parent": pairs.export(args.parent, tmp / "parent"), "change": ROOT}
+        except subprocess.CalledProcessError as exc:
+            print(f"error: git archive failed: {exc.stderr.decode().strip()}", file=sys.stderr)
+            return 2
+        sides = {side: run_side(root) for side, root in roots.items()}
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    for side, records in sides.items():
+        if isinstance(records, str):
+            print(f"error: the {side} side gave no records: {records}", file=sys.stderr)
+            return 2
+
+    parent, change = sides["parent"], sides["change"]
+    differ = differing(parent, change)
+    for name in dict.fromkeys([*parent, *change]):
+        if name in differ:
+            print("\n".join(show(name, parent.get(name), " [parent]")
+                            + show(name, change.get(name), " [change]")))
+        else:
+            print("\n".join(show(name, parent[name])))
+    print(f"{len(set(parent) | set(change))} runs, {len(differ)} differ")
+    for name in differ:
+        print(f"DIFFERS: {name}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
