@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 CHUNK_ROWS = 16
 
-_pool: ThreadPoolExecutor | None = None
+_pool = None  # the ThreadPoolExecutor, once built
 _pool_lock = threading.Lock()
 
 
@@ -44,10 +43,12 @@ def cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _executor() -> ThreadPoolExecutor:
+def _executor():
     global _pool
     with _pool_lock:
         if _pool is None:
+            # imported here, so a run that never pools never loads it
+            from concurrent.futures import ThreadPoolExecutor
             _pool = ThreadPoolExecutor(max_workers=cpu_count(),
                                        thread_name_prefix="despec-rows")
         return _pool

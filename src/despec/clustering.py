@@ -61,6 +61,22 @@ SUB = 64               # field entries per block of SpecularFreeField.block_sums
 SEED_MARGIN = 1e-12
 SEED_WIDTH = 2         # first half-width, in entries, of every gap's window
 BUCKETS = 4096         # hue buckets of nearest_hue's lookup table
+# the first 32-bit words of np.random.default_rng(0): its first two
+# PCG64 outputs, each low half first, as Generator.integers reads them
+SEED_WORDS = (0xD9C2825F, 0xA30FEBCF, 0x82D9D721, 0x4510BDF8)
+
+
+def _draw(n: int) -> int:
+    """``np.random.default_rng(0).integers(n)`` for 1 <= n <= 2**32,
+    without importing numpy.random unless every one of SEED_WORDS is
+    rejected.  Lemire's bounded rule, as Generator.integers applies it:
+    word w gives w·n >> 32, unless the low 32 bits of w·n fall below
+    (2**32 - n) mod n, when the next word is tried."""
+    threshold = (2**32 - n) % n
+    for word in SEED_WORDS:
+        if (word * n) & 0xFFFFFFFF >= threshold:
+            return (word * n) >> 32
+    return int(np.random.default_rng(0).integers(n))
 
 
 @dataclass
@@ -75,7 +91,9 @@ class SpecularFreeField:
     ``c = amplitude * basis.orthogonal(hue) + p * d``: ``hue`` is the
     angle of c's orthogonal part in the (u, v) frame, in [-pi, pi], and
     ``amplitude`` its norm; ``p = sqrt(1 - amplitude²)`` is not stored but
-    derived by ``recovery.parallel_coefficients``.
+    derived by ``recovery.parallel_coefficients``.  The angle caches
+    ``cos_sin`` and ``block_sums`` last for one clustering:
+    ``adaptive_cluster`` drops them, and a later read rebuilds them.
     """
 
     hue: np.ndarray
@@ -85,7 +103,7 @@ class SpecularFreeField:
 
     @cached_property
     def cos_sin(self) -> np.ndarray:
-        """(2, n): cos and sin of ``hue``, computed once per field."""
+        """(2, n): cos and sin of ``hue``."""
         cs = np.empty((2, len(self.hue)))
         np.cos(self.hue, out=cs[0])
         np.sin(self.hue, out=cs[1])
@@ -95,8 +113,7 @@ class SpecularFreeField:
     def block_sums(self) -> np.ndarray:
         """(2, m + 1): ``cos_sin`` summed over each of the m consecutive
         blocks of SUB entries, the last block possibly shorter, then 0.0
-        for the block a bound at the field's end falls in; computed once
-        per field."""
+        for the block a bound at the field's end falls in."""
         sums = np.zeros((2, -(-len(self.hue) // SUB) + 1))
         np.add.reduceat(self.cos_sin, np.arange(0, len(self.hue), SUB), axis=1, out=sums[:, :-1])
         return sums
@@ -104,12 +121,16 @@ class SpecularFreeField:
     @cached_property
     def first_entry(self) -> int:
         """Entry of the valid pixel whose row-major rank is drawn from a
-        generator seeded with 0: the first center of every k-means on
-        this field, found once per field.  The valid pixel of rank r is
-        the r-th smallest of ``pixel``."""
-        rank = int(np.random.default_rng(0).integers(len(self.hue)))
-        pixel = np.partition(self.pixel, rank)[rank]
-        return int((self.pixel == pixel).argmax())
+        generator seeded with 0 (``_draw``): the first center of every
+        k-means on this field, found once per field.  The valid pixel of
+        rank r lies in the first row whose running count of valid pixels
+        passes r."""
+        rank = _draw(len(self.hue))
+        valid = self.flags == FLAG_VALID
+        through = np.cumsum(np.count_nonzero(valid, axis=1))  # valid pixels up to each row's end
+        row = int(through.searchsorted(rank, side="right"))
+        col = np.flatnonzero(valid[row])[rank - (through[row - 1] if row else 0)]
+        return int((self.pixel == row * self.flags.shape[1] + col).argmax())
 
     def label_map(self, labels: np.ndarray) -> np.ndarray:
         """(H, W) int32 map of per-entry ``labels``: the label at valid
@@ -524,14 +545,21 @@ def _drop_empty(bounds: np.ndarray, owner: np.ndarray, centers: np.ndarray,
 
 
 def _cluster_residuals(cos: np.ndarray, sin: np.ndarray, amplitude: np.ndarray,
-                       center) -> np.ndarray:
+                       center, out: np.ndarray | None = None) -> np.ndarray:
     """Unit-circle residual of field entries against their cluster
     frame: the orthogonal part off the center's axis,
     amplitude² · sin²(hue − center hue), with sin(hue − center) expanded
     as sin·cos(center) − cos·sin(center) from the entries' ``cos`` and
-    ``sin`` of hue."""
-    off = amplitude * (sin * np.cos(center) - cos * np.sin(center))
-    return off * off
+    ``sin`` of hue.  It is built in ``out[0]`` with ``out[1]`` as
+    scratch, ``out`` being a float64 buffer of two rows shaped like
+    ``cos``, allocated when not given."""
+    if out is None:
+        out = np.empty((2, *np.shape(cos)))
+    off = np.multiply(sin, np.cos(center), out=out[0])
+    off -= np.multiply(cos, np.sin(center), out=out[1])
+    off *= amplitude
+    off *= off
+    return off
 
 
 def evaluate_fit(field: SpecularFreeField, clusters: ClusterSet,
@@ -546,8 +574,10 @@ def evaluate_fit(field: SpecularFreeField, clusters: ClusterSet,
     cos, sin = field.cos_sin
     bad = np.zeros(k)
     total = 0.0
+    buffer = np.empty((2, min(BLOCK, len(cos))))  # every piece's residuals and scratch
     for rows, cid in _pieces(clusters.bounds, clusters.owner.tolist()):
-        dev = _cluster_residuals(cos[rows], sin[rows], field.amplitude[rows], clusters.hues[cid])
+        dev = _cluster_residuals(cos[rows], sin[rows], field.amplitude[rows], clusters.hues[cid],
+                                 buffer[:, :rows.stop - rows.start])
         bad[cid] += np.count_nonzero(dev > tau_dev)
         total += float(dev.sum())
     counts = clusters.sizes.astype(np.float64)
@@ -643,4 +673,6 @@ def adaptive_cluster(field: SpecularFreeField,
     if merged is not clusters:
         clusters = merged
         fit = evaluate_fit(field, clusters, cfg.tau_dev)
+    for cache in ("cos_sin", "block_sums"):  # no later stage reads the angle caches
+        vars(field).pop(cache, None)
     return clusters, replace(fit, converged=converged, rounds=rounds)

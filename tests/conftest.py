@@ -5,6 +5,7 @@ summary so they are visible in a normal ``pytest -v`` run.
 """
 
 import sys
+import tracemalloc
 
 import numpy as np
 from hypothesis import settings
@@ -18,6 +19,16 @@ from despec.recovery import SeparationResult
 # loaded host would trip.
 settings.register_profile("despec", derandomize=True, database=None, deadline=None)
 settings.load_profile("despec")
+
+
+def peak_bytes(fn):
+    """tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_field(hues):

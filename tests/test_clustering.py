@@ -1,7 +1,12 @@
 """Material clustering in the illumination-orthogonal subspace."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import block_image, make_field, row_major
 from despec import clustering, errors, synth
@@ -11,6 +16,7 @@ from despec.clustering import (
     LABEL_BLACK,
     ClusterConfig,
     ClusterSet,
+    SpecularFreeField,
     adaptive_cluster,
     adaptive_min_cluster_size,
     evaluate_fit,
@@ -151,6 +157,52 @@ class TestSpecularFreeField:
         dirs = white.orthogonal(field.hue)
         assert np.abs(np.linalg.norm(dirs, axis=-1) - 1.0).max() <= 1e-6
         assert np.abs(dirs @ white.direction).max() <= 1e-6
+
+
+def partition_first_entry(field, rank):
+    """The field entry of the valid pixel of row-major rank ``rank``,
+    found as the rank-th smallest of ``field.pixel``."""
+    pixel = np.partition(field.pixel, rank)[rank]
+    return int((field.pixel == pixel).argmax())
+
+
+class TestFirstEntry:
+    # the first kept word is rejected for 104,930; the others span the
+    # small counts and the valid-pixel counts of 500x300, 650x450 and
+    # 1920x1080 images
+    COUNTS = [*range(1, 6001), 104_930, 150_000, 292_500, 2_073_600]
+
+    def test_draw_is_the_generators(self):
+        got = [clustering._draw(n) for n in self.COUNTS]
+        assert got == [int(np.random.default_rng(0).integers(n)) for n in self.COUNTS]
+
+    def test_draw_asks_the_generator_once_every_word_is_rejected(self):
+        counts = [3, 5, 6, 7, 1000, 292_500]  # no power of 2: a zero word is always rejected
+        with mock.patch.object(clustering, "SEED_WORDS", (0,)):
+            got = [clustering._draw(n) for n in counts]
+        assert got == [int(np.random.default_rng(0).integers(n)) for n in counts]
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_rank_from_row_counts_is_the_partition_rule(self, data):
+        h, w = data.draw(st.integers(1, 12), label="h"), data.draw(st.integers(1, 12), label="w")
+        flags = data.draw(arrays(np.int8, (h, w), elements=st.sampled_from(
+            [FLAG_VALID, LABEL_BLACK, LABEL_ACHROMATIC])), label="flags")
+        flags[:data.draw(st.integers(0, h - 1), label="blank rows")] = LABEL_ACHROMATIC
+        valid = np.flatnonzero(flags == FLAG_VALID).astype(np.int32)
+        assume(len(valid))
+        order = data.draw(st.permutations(range(len(valid))), label="hue order")
+
+        def field():
+            n = len(valid)
+            return SpecularFreeField(hue=np.linspace(-3.0, 3.0, n), amplitude=np.ones(n),
+                                     pixel=valid[order], flags=flags)
+
+        drawn = int(np.random.default_rng(0).integers(len(valid)))
+        assert field().first_entry == partition_first_entry(field(), drawn)
+        rank = data.draw(st.integers(0, len(valid) - 1), label="rank")
+        with mock.patch.object(clustering, "_draw", return_value=rank):
+            assert field().first_entry == partition_first_entry(field(), rank)
 
 
 def assert_matches_argmax(hue, centers):
@@ -323,6 +375,25 @@ class TestEvaluateFit:
         assert np.any(diag.failing_fractions > 0.1)
         assert not diag.converged
 
+    def test_reused_buffers_give_the_allocating_formulas_bits(self, white):
+        """Pieces of BLOCK entries and shorter ones, formed in reused
+        buffers, sum to the bits of fresh per-piece residuals."""
+        img = synth.add_noise(synth.render(synth.builtin_scene("four-materials", 320, 224)), 3.0)
+        field = specular_free_field(img, white)
+        clusters = kmeans(field, 3)
+        tau = ClusterConfig.tau_dev
+        cos, sin = field.cos_sin
+        bad, total = np.zeros(clusters.n_clusters), 0.0
+        for rows, cid in clustering._pieces(clusters.bounds, clusters.owner.tolist()):
+            hue = clusters.hues[cid]
+            off = field.amplitude[rows] * (sin[rows] * np.cos(hue) - cos[rows] * np.sin(hue))
+            bad[cid] += np.count_nonzero(off * off > tau)
+            total += float((off * off).sum())
+        diag = evaluate_fit(field, clusters, tau)
+        assert len(field.hue) > 2 * clustering.BLOCK
+        assert diag.total_error == total
+        assert np.array_equal(diag.failing_fractions, bad / clusters.sizes)
+
 
 class TestAdaptiveCluster:
     def test_four_materials_converges(self, white):
@@ -452,6 +523,15 @@ class TestAdaptiveCluster:
         img = np.broadcast_to([0.5, 0.5, 0.5], (16, 16, 3)).copy()
         with pytest.raises(errors.TooFewPixelsError):
             cluster(img, white)
+
+    def test_angle_caches_last_for_one_clustering(self, white):
+        img = synth.add_noise(synth.render(synth.builtin_scene("four-materials", 160, 112)), 3.0)
+        field = specular_free_field(img, white)
+        clusters, fit = adaptive_cluster(field)
+        assert "cos_sin" not in vars(field) and "block_sums" not in vars(field)
+        again = evaluate_fit(field, clusters, ClusterConfig.tau_dev)  # rebuilds cos_sin
+        assert again.total_error == fit.total_error
+        assert np.array_equal(again.failing_fractions, fit.failing_fractions)
 
     def test_deterministic(self, white):
         gt = synth.render(synth.builtin_scene("over-seg", 200, 120))

@@ -3,7 +3,10 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from despec import synth
+from despec.clustering import ClusterConfig
 from despec.pipeline import PipelineConfig
 
 DIGESTS = Path(__file__).resolve().parents[1] / "tools" / "digests.py"
@@ -40,3 +43,15 @@ def test_a_run_one_side_lacks_differs():
     rec = tiny_record()
     assert digests.differing({"a": rec, "b": rec}, {"a": rec}) == ["b"]
     assert digests.differing({"a": rec}, {"a": rec, "c": rec}) == ["c"]
+
+
+def test_the_fallback_runs_take_the_percentile_fallback(monkeypatch):
+    calls = []
+    percentile = np.percentile
+    monkeypatch.setattr(np, "percentile", lambda *a, **kw: calls.append(a) or percentile(*a, **kw))
+    for k in (1, 8):
+        calls.clear()
+        rec = digests.record(digests.fallback_image(),
+                             PipelineConfig(threads=1, cluster=ClusterConfig(initial_k=k)))
+        assert len(calls) == 1  # the one cluster's model
+        assert "passthrough_clusters = 0" in rec["lines"]

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import peak_bytes
 from despec import errors
 from despec.imgio import (
     BAND_ROWS,
@@ -275,16 +276,6 @@ def whole_label_map(labels):
     gray = np.where(labels >= 0, levels[np.clip(labels, 0, k - 1)], 255).astype(np.uint8)
     header = b"P6\n%d %d\n255\n" % (labels.shape[1], labels.shape[0])
     return header + np.repeat(gray[..., None], 3, axis=-1).tobytes()
-
-
-def peak_bytes(fn):
-    """tracemalloc peak of one call, in bytes."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 HEIGHTS = [1, BAND_ROWS - 1, BAND_ROWS, BAND_ROWS + 1, 2 * BAND_ROWS + 3]

@@ -1,6 +1,9 @@
 """End-to-end pipeline, fast path, and configuration parsing."""
 
+import os
 import re
+import subprocess
+import sys
 import warnings
 from functools import lru_cache
 from pathlib import Path
@@ -11,12 +14,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_exact_split
+from conftest import assert_exact_split, peak_bytes
 from despec import clustering, errors, imgio, pipeline, synth
 from despec.clustering import (
+    BLOCK,
     KMEANS_MAX_ITER,
     LABEL_ACHROMATIC,
     LABEL_BLACK,
+    SUB,
     adaptive_cluster,
     nearest_hue,
     specular_free_field,
@@ -263,6 +268,38 @@ class TestFullPipeline:
         assert np.abs(result.diffuse + result.specular - gt.input).max() <= 1e-12
         assert psnr(result.diffuse, gt.diffuse) >= 50.0
         assert diag.n_clusters == 4
+
+    def test_peak_holds_the_field_its_angle_caches_and_one_block_of_temporaries(self):
+        """At 1 thread a full-path run holds at most the field, the
+        angle caches it clusters with (cos_sin and block_sums, 16 B per
+        entry and per SUB entries), and one BLOCK-sized set of
+        temporaries, taken as four float64 buffers.  The label maps and
+        the parts come after the angle caches are dropped."""
+        gt = synth.render(synth.builtin_scene("four-materials", 650, 450))
+        img = synth.add_noise(gt, 3.0, seed=0).astype(np.float32)
+        field = specular_free_field(img, IlluminationBasis.white())
+        n = len(field.hue)
+        held = sum(a.nbytes for a in (field.hue, field.amplitude, field.pixel, field.flags))
+        held += 16 * n + 16 * (n // SUB + 2) + 4 * 8 * BLOCK
+        cfg = PipelineConfig(threads=1)
+        run(img, cfg)  # the first run's one-time allocations are not counted
+        assert peak_bytes(lambda: run(img, cfg)) < held
+
+    def test_a_one_thread_run_imports_no_generator_and_no_pool(self):
+        """k-means' first center is drawn without numpy.random, and a run
+        on one worker never builds the row pool, so a cold one-thread run
+        loads neither module."""
+        code = ("import sys\n"
+                "from despec import pipeline, synth\n"
+                "img = synth.render(synth.builtin_scene('four-materials', 160, 120)).input\n"
+                "pipeline.run(img, pipeline.PipelineConfig(threads=1))\n"
+                "print(*(m in sys.modules for m in ('numpy.random', 'concurrent.futures')))\n")
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
 
     def test_divide_overflow_is_rejected(self):
         """A divide color that makes the balanced image overflow is an

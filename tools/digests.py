@@ -10,7 +10,10 @@ and ``perfbench`` directories first on ``sys.path``, over the same runs:
 * each ``perfbench/core.py`` workload on the six inputs ``make_inputs``
   writes for seed 1, at the workload's thread count and at 1 thread;
 * every builtin scene at its builtin size at 1 thread, at noise sigma 0
-  and 3, on the full and the ``--fast`` path, from initial_k 1 and 8.
+  and 3, on the full and the ``--fast`` path, from initial_k 1 and 8;
+* ``fallback_image`` at 1 thread from initial_k 1 and 8, whose cluster
+  has no histogram peak, so its model takes recovery's percentile
+  fallback.
 
 For each run it prints the SHA-256 of the diffuse, specular and label
 arrays (dtype, shape and bytes) and every ``PipelineDiagnostics.to_lines``
@@ -32,6 +35,8 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 INPUT_SEED = 1        # make_inputs' seed, that of pairs.py's first pair
 RUN_TIMEOUT_S = 1800  # one side's runs take well under a minute on 2 vCPUs
@@ -45,6 +50,15 @@ def _sha256(array) -> str:
     digest = hashlib.sha256(f"{array.dtype.str} {array.shape}".encode())
     digest.update(array.tobytes())
     return digest.hexdigest()
+
+
+def fallback_image() -> np.ndarray:
+    """A 16×16 ramp of one material whose illumination-parallel
+    coefficients run evenly from 0.6 to 0.99 in row-major order: about
+    3 pixels per histogram bin, below the 5-count floor of a peak."""
+    coeff = np.linspace(0.6, 0.99, 256)[:, None]
+    ortho = np.array([2.0, -1.0, -1.0]) / np.sqrt(6.0)  # orthogonal to white
+    return (np.sqrt(1.0 - coeff * coeff) * ortho + coeff / np.sqrt(3.0)).reshape(16, 16, 3)
 
 
 def record(img, cfg) -> dict:
@@ -89,6 +103,9 @@ def side_records(root: Path) -> dict:
                                                   cluster=ClusterConfig(initial_k=k))
                     records[f"{scene} sigma={sigma:g} {'fast' if fast else 'full'} "
                             f"initial_k={k}"] = record(img, cfg)
+    for k in (1, 8):
+        records[f"fallback initial_k={k}"] = record(
+            fallback_image(), pipeline.PipelineConfig(threads=1, cluster=ClusterConfig(initial_k=k)))
     return records
 
 
