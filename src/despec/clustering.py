@@ -632,12 +632,14 @@ def adaptive_cluster(field: SpecularFreeField,
     and the best clustering so far is returned with ``converged=False``.
     The fit returned is the final clusters', with one dict per round in
     ``rounds``: its ``k``, ``lloyd_iterations``, ``failing`` clusters,
-    ``fit_error`` and ``seconds``.  ``initial_k`` below 1 raises
-    ConfigError.
+    ``fit_error`` and ``seconds``.  ``initial_k`` below 1, or a NaN or
+    negative ``tau_dev``, raises ConfigError.
     """
     cfg = cfg or ClusterConfig()
     if cfg.initial_k < 1:
         raise ConfigError(f"initial_k must be >= 1, got {cfg.initial_k!r}")
+    if not cfg.tau_dev >= 0:
+        raise ConfigError(f"tau_dev must be >= 0, got {cfg.tau_dev!r}")
     n_valid = len(field.hue)
     min_size = adaptive_min_cluster_size(n_valid)
     if n_valid < max(min_size, cfg.initial_k):

@@ -59,12 +59,6 @@ class EmptyClusterError(DespecError):
     exit_code = 5
 
 
-class DegenerateRatioError(DespecError):
-    """Diffuse chromaticity too close to the illumination for a stable ratio."""
-
-    exit_code = 5
-
-
 class ModelMissingError(DespecError):
     exit_code = 5
 

@@ -46,6 +46,15 @@ def _norm3(v: np.ndarray) -> np.ndarray:
     return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2])
 
 
+def color_vector(values, what: str, error: type[Exception]) -> np.ndarray:
+    """Numeric ``values`` as a float64 3-vector; ``error`` unless they are
+    three finite, nonnegative numbers.  Any rule on the norm is the caller's."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.shape != (3,) or not (np.all(np.isfinite(v)) and np.all(v >= 0)):
+        raise error(f"{what} must be 3 numbers, none negative or non-finite, got {values!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class IlluminationBasis:
     """Unit illumination direction ``d`` plus a fixed right-handed
@@ -57,16 +66,10 @@ class IlluminationBasis:
     v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        d = np.asarray(self.direction, dtype=np.float64)
-        if d.shape != (3,):
-            raise InvalidIlluminantError("illumination direction must be a 3-vector")
-        if not np.all(np.isfinite(d)):
-            raise InvalidIlluminantError("illumination direction has non-finite components")
+        d = color_vector(self.direction, "illumination direction", InvalidIlluminantError)
         n = float(_norm3(d))
         if abs(n - 1.0) > 1e-9:
             raise InvalidIlluminantError(f"illumination direction norm {n!r} is not 1")
-        if np.any(d < 0):
-            raise InvalidIlluminantError("illumination direction has negative components")
         object.__setattr__(self, "direction", d)
         i = int(np.argmin(d))
         u = np.eye(3)[i] - d[i] * d
@@ -83,11 +86,7 @@ class IlluminationBasis:
         """Basis from an (unnormalized) illumination color: its unit
         chromaticity.  A color whose norm is at or below EPS_BLACK has no
         direction and is rejected."""
-        rgb = np.asarray(rgb, dtype=np.float64)
-        if not np.all(np.isfinite(rgb)):
-            raise InvalidIlluminantError("illumination color has non-finite components")
-        if np.any(rgb < 0):
-            raise InvalidIlluminantError("illumination color has negative components")
+        rgb = color_vector(rgb, "illumination color", InvalidIlluminantError)
         n = float(_norm3(rgb))
         if n <= EPS_BLACK:
             raise InvalidIlluminantError(f"illumination color norm {n:g} is below {EPS_BLACK:g}")
@@ -104,19 +103,15 @@ def white_balance(img, illum) -> np.ndarray:
 
     After balancing, the effective illumination direction is white.  The
     result is rescaled by the max illumination component so the brightest
-    channel keeps its range.  Raises InvalidIlluminantError if any
-    component of ``illum`` is zero or negative, or so small against the
-    image that the balanced image overflows or holds a sample above
-    MAX_SAMPLE, whose pixel norm would.
+    channel keeps its range.  Raises InvalidIlluminantError unless
+    ``illum`` is a color vector (``color_vector``) with no zero component,
+    or if one is so small against the image that the balanced image
+    overflows or holds a sample above MAX_SAMPLE, whose pixel norm would.
     """
     img = np.asarray(img, dtype=np.float64)
-    illum = np.asarray(illum, dtype=np.float64)
-    if illum.shape != (3,):
-        raise InvalidIlluminantError("illumination color must be a 3-vector")
-    if np.any(illum <= 0) or not np.all(np.isfinite(illum)):
-        raise InvalidIlluminantError(
-            "illumination color must have strictly positive finite components"
-        )
+    illum = color_vector(illum, "illumination color", InvalidIlluminantError)
+    if not np.all(illum > 0):
+        raise InvalidIlluminantError("illumination color must have no zero component")
     with np.errstate(over="ignore"):
         balanced = img / illum * float(illum.max())
     if not balanced.max(initial=0.0) <= MAX_SAMPLE:  # inf, or a norm that overflows

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_rows
-from .errors import DegenerateRatioError, EmptyClusterError, ModelMissingError
+from .errors import EmptyClusterError, ModelMissingError
 from .model import EPS_GRAY, IlluminationBasis
 from .clustering import FLAG_VALID, ClusterSet, SpecularFreeField, hue_lookup, split_block
 
@@ -71,18 +71,15 @@ def _first_peak_index(counts: np.ndarray) -> int | None:
     return int(idx[0]) if len(idx) else None
 
 
-def estimate_ratio(diffuse_parallel: float) -> tuple[float, float]:
+def estimate_ratio(diffuse_parallel: float) -> tuple[float, float] | None:
     """Unit-circle completion of the pure-diffuse parallel coefficient.
 
-    Returns (diffuse_ortho, ratio).  Raises DegenerateRatioError when the
-    coefficient sits so close to 1 that the material is effectively the
-    illumination color and the ratio blows up.
+    Returns (diffuse_ortho, ratio), or None when the coefficient is not
+    in (0, 1 - EPS_GRAY): at the top end the material is effectively the
+    illumination color and the ratio blows up, so it has no split.
     """
     if not 0.0 < diffuse_parallel < 1.0 - EPS_GRAY:
-        raise DegenerateRatioError(
-            f"pure-diffuse parallel coefficient {diffuse_parallel!r} leaves no "
-            "stable orthogonal component"
-        )
+        return None
     diffuse_ortho = float(np.sqrt(1.0 - diffuse_parallel * diffuse_parallel))
     return diffuse_ortho, diffuse_ortho / diffuse_parallel
 
@@ -130,15 +127,14 @@ def parallel_coefficients(field: SpecularFreeField, clusters: ClusterSet,
 
 def model_for_cluster(field: SpecularFreeField, clusters: ClusterSet, cluster_id: int,
                       basis: IlluminationBasis) -> MaterialModel | None:
-    """MaterialModel for one cluster, or None when the material is too
-    close to the illumination color to separate (those pixels pass
-    through unchanged); its coefficients come from parallel_coefficients."""
+    """MaterialModel for one cluster, or estimate_ratio's None when the
+    material is too close to the illumination color to separate (those
+    pixels pass through); its coefficients come from parallel_coefficients."""
     diffuse_parallel = _diffuse_parallel_for_cluster(
         parallel_coefficients(field, clusters, cluster_id))
-    try:
-        diffuse_ortho, ratio = estimate_ratio(diffuse_parallel)
-    except DegenerateRatioError:
+    if (split := estimate_ratio(diffuse_parallel)) is None:
         return None
+    diffuse_ortho, ratio = split
     return MaterialModel(
         center=basis.orthogonal(clusters.hues[cluster_id]),
         diffuse_ortho=diffuse_ortho,

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._keyvalue import key_values, numbers, read_text, write_text
 from .errors import InvalidSceneError, UnknownSceneError
-from .model import WHITE, _norm3
+from .model import WHITE, _norm3, color_vector
 
 # Orthonormal hue plane perpendicular to white; used to place synthetic
 # material colors at controlled angular spacing.
@@ -159,6 +159,16 @@ def builtin_params(name: str, width: int | None = None, height: int | None = Non
     return params
 
 
+def _direction(values, what: str) -> np.ndarray:
+    """A scene color scaled to unit norm; InvalidSceneError unless it is a
+    color vector (``color_vector``) that is not black."""
+    v = color_vector(values, what, InvalidSceneError)
+    n = float(_norm3(v))
+    if n <= 0:
+        raise InvalidSceneError(f"{what} {values!r} is black")
+    return v / n
+
+
 def build_scene(params: SceneParams) -> SceneSpec:
     """Realize a parametric description into per-pixel maps."""
     w, h = int(params.width), int(params.height)
@@ -167,20 +177,8 @@ def build_scene(params: SceneParams) -> SceneSpec:
     if not params.materials:
         raise InvalidSceneError("scene needs at least one material")
 
-    materials = []
-    for m in params.materials:
-        v = np.asarray(m, dtype=np.float64)
-        if v.shape != (3,) or np.any(v < 0) or not np.all(np.isfinite(v)):
-            raise InvalidSceneError(f"bad material color {m!r}")
-        n = float(_norm3(v))
-        if n <= 0:
-            raise InvalidSceneError(f"bad material color {m!r}")
-        materials.append(v / n)
-
-    illum = np.asarray(params.illumination, dtype=np.float64)
-    if illum.shape != (3,) or np.any(illum < 0) or float(_norm3(illum)) <= 0:
-        raise InvalidSceneError(f"bad illumination color {params.illumination!r}")
-    illum = illum / float(_norm3(illum))
+    materials = [_direction(m, "material color") for m in params.materials]
+    illum = _direction(params.illumination, "illumination color")
 
     n_mat = len(materials)
     xs = np.arange(w)
@@ -233,15 +231,14 @@ def render(spec: SceneSpec) -> GroundTruth:
     """Render a scene into input + ground-truth components.
 
     input = diffuse_mag * material + specular_mag * illumination, pixel
-    by pixel.  Raises InvalidSceneError on negative magnitudes or
-    non-unit chromaticities.
+    by pixel.  Raises InvalidSceneError on negative magnitudes, or on
+    chromaticities that are not unit color vectors.
     """
-    mats = np.asarray(spec.materials, dtype=np.float64)
-    if np.any(np.abs(_norm3(mats) - 1.0) > 1e-9) or np.any(mats < 0):
-        raise InvalidSceneError("material chromaticities must be unit and nonnegative")
-    illum = np.asarray(spec.illumination, dtype=np.float64)
-    if abs(float(_norm3(illum)) - 1.0) > 1e-9 or np.any(illum < 0):
-        raise InvalidSceneError("illumination chromaticity must be unit and nonnegative")
+    mats = np.array([color_vector(m, "material chromaticity", InvalidSceneError)
+                     for m in spec.materials]).reshape(-1, 3)
+    illum = color_vector(spec.illumination, "illumination chromaticity", InvalidSceneError)
+    if np.any(np.abs(_norm3(np.vstack([mats, illum])) - 1.0) > 1e-9):
+        raise InvalidSceneError("material and illumination chromaticities must be unit")
     if np.any(spec.diffuse_mag < 0) or np.any(spec.specular_mag < 0):
         raise InvalidSceneError("reflection magnitudes must be nonnegative")
     if spec.material_map.min() < 0 or spec.material_map.max() >= len(mats):

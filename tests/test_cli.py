@@ -121,6 +121,17 @@ class TestSynth:
         assert rc == 4
         assert "bad lobe" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("illum", ["nan 1 1", "inf 1 1"])
+    def test_non_finite_scene_illumination_exits_4(self, tmp_path, capsys, recwarn, illum):
+        """Such a scene used to render NaN samples into input.pfm and exit 0."""
+        scene = tmp_path / "scene.txt"
+        scene.write_text(f"scene = single-1\nwidth = 8\nheight = 8\nillumination = {illum}\n")
+        rc = main(["synth", str(scene), "-o", str(tmp_path / "x")])
+        assert rc == 4
+        assert "illumination color" in one_error_line(capsys)
+        assert not (tmp_path / "x" / "input.pfm").exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_out_of_memory_exits_5(self, tmp_path, capsys, monkeypatch):
         def too_big(spec):
             raise MemoryError

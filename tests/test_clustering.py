@@ -27,6 +27,7 @@ from despec.clustering import (
 )
 from despec.metrics import cluster_accuracy
 from despec.model import WHITE, IlluminationBasis
+from despec.pipeline import PipelineConfig, _check_config
 from despec.recovery import parallel_coefficients
 
 OLIVE_DIR = np.array([0.4082482904638624, 0.4082482904638624, -0.8164965809277266])
@@ -414,6 +415,17 @@ class TestAdaptiveCluster:
         field = make_field(np.full((4, 4), OLIVE_HUE))
         with pytest.raises(errors.ConfigError, match=f"{name} must be >= 1, got {value}"):
             adaptive_cluster(field, ClusterConfig(**{name: value}))
+
+    @pytest.mark.parametrize("value", [float("nan"), -1.0])
+    def test_nan_or_negative_tau_dev_is_a_config_error(self, value):
+        """A library call gets the pipeline's config check: without it a
+        NaN threshold passes every cluster and a negative one fails all."""
+        field = make_field(np.full((4, 4), OLIVE_HUE))
+        with pytest.raises(errors.ConfigError, match="tau_dev must be >= 0") as lib:
+            adaptive_cluster(field, ClusterConfig(tau_dev=value))
+        with pytest.raises(errors.ConfigError) as pipe:
+            _check_config(PipelineConfig(cluster=ClusterConfig(tau_dev=value)))
+        assert str(lib.value) == str(pipe.value)
 
     def test_single_material_stops_at_one(self, white):
         gt = synth.render(synth.builtin_scene("single-1", 64, 48))

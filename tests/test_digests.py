@@ -5,8 +5,9 @@ from pathlib import Path
 
 import numpy as np
 
-from despec import synth
+from despec import pipeline, synth
 from despec.clustering import ClusterConfig
+from despec.model import IlluminationBasis
 from despec.pipeline import PipelineConfig
 
 DIGESTS = Path(__file__).resolve().parents[1] / "tools" / "digests.py"
@@ -55,3 +56,31 @@ def test_the_fallback_runs_take_the_percentile_fallback(monkeypatch):
                              PipelineConfig(threads=1, cluster=ClusterConfig(initial_k=k)))
         assert len(calls) == 1  # the one cluster's model
         assert "passthrough_clusters = 0" in rec["lines"]
+
+
+def test_the_tint_runs_take_from_rgb_and_white_balance(monkeypatch):
+    """The non-white runs put the illumination's basis and its white
+    balance under the byte-identity check; every other run is white."""
+    calls = []
+    from_rgb = IlluminationBasis.from_rgb.__func__
+    balance = pipeline.white_balance
+    monkeypatch.setattr(IlluminationBasis, "from_rgb", classmethod(
+        lambda cls, rgb: calls.append("from_rgb") or from_rgb(cls, rgb)))
+    monkeypatch.setattr(pipeline, "white_balance",
+                        lambda img, illum: calls.append("white_balance") or balance(img, illum))
+    tint = [run for run in digests.scene_runs() if " tint " in run[0]]
+    assert [(cfg.illumination, cfg.fast) for _, _, cfg in tint] == [
+        ("1,0.8,0.6", False), ("1,0.8,0.6", True),
+        ("divide:1,0.8,0.6", False), ("divide:1,0.8,0.6", True)]
+    for name, img, cfg in tint:
+        calls.clear()
+        digests.record(img, cfg)
+        assert calls == ["white_balance" if "divide:" in name else "from_rgb"], name
+
+
+def test_single_3_passes_one_cluster_through():
+    """The one run whose model is a pass-through keeps it."""
+    runs = {name: (img, cfg) for name, img, cfg in digests.scene_runs()
+            if name.startswith("single-3 ")}
+    rec = digests.record(*runs["single-3 sigma=3 full initial_k=8"])
+    assert "passthrough_clusters = 1" in rec["lines"]

@@ -11,6 +11,8 @@ illumination) frame.  Unit chromaticities of test colors come from
 unit Euclidean norm.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from despec.model import (
     EPS_GRAY,
     WHITE,
     IlluminationBasis,
+    color_vector,
     white_balance,
 )
 
@@ -85,6 +88,26 @@ class TestL2Chromaticity:
                 assert np.allclose(l2_chromaticity(k * v), c, atol=1e-12)
 
 
+class TestColorVector:
+    """The one check of a color vector, shared by the model and the scenes."""
+
+    def test_returns_a_float64_3_vector(self):
+        v = color_vector([1, 0, 2], "color", errors.ConfigError)
+        assert v.dtype == np.float64 and v.tolist() == [1.0, 0.0, 2.0]
+
+    @pytest.mark.parametrize("bad", [[1.0, 1.0], [[1.0, 1.0, 1.0]], [np.nan, 1.0, 1.0],
+                                     [1.0, np.inf, 1.0], [1.0, 1.0, -np.inf], [1.0, -0.5, 1.0]])
+    def test_raises_the_callers_error(self, bad):
+        with pytest.raises(errors.ConfigError, match="shade must be 3 numbers"):
+            color_vector(bad, "shade", errors.ConfigError)
+
+    def test_no_norm_no_warning(self):
+        """Huge components pass without a norm taken, so nothing overflows."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert color_vector([1e300, 1e300, 1.0], "c", errors.ConfigError)[0] == 1e300
+
+
 class TestIlluminationBasis:
     def test_white(self, white):
         assert np.allclose(white.direction, WHITE, atol=0)
@@ -98,6 +121,10 @@ class TestIlluminationBasis:
         with pytest.raises(errors.InvalidIlluminantError):
             IlluminationBasis.from_rgb([0.5, -0.1, 0.5])
 
+    def test_constructor_rejects_negative(self):
+        with pytest.raises(errors.InvalidIlluminantError, match="negative"):
+            IlluminationBasis(np.array([0.6, -0.8, 0.0]))
+
     def test_constructor_requires_unit_norm(self):
         with pytest.raises(errors.InvalidIlluminantError):
             IlluminationBasis(np.array([1.0, 1.0, 1.0]))
@@ -105,6 +132,8 @@ class TestIlluminationBasis:
     def test_constructor_requires_3_vector(self):
         with pytest.raises(errors.InvalidIlluminantError):
             IlluminationBasis(np.array([1.0, 0.0]))
+        with pytest.raises(errors.InvalidIlluminantError):
+            IlluminationBasis.from_rgb([1.0, 1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):

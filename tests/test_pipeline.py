@@ -581,6 +581,7 @@ class TestConfigParsing:
         {"initial_k": "two"},
         {"tau_dev": "lots"},
         {"fast": "maybe"},
+        {"wibble": "3"},
     ])
     def test_bad_values(self, values):
         with pytest.raises(errors.ConfigError):

@@ -243,8 +243,7 @@ class TestEstimateRatio:
 
     @pytest.mark.parametrize("bad", [1.0, 0.99995, 0.0, -0.1, 1.2])
     def test_degenerate(self, bad):
-        with pytest.raises(errors.DegenerateRatioError):
-            estimate_ratio(bad)
+        assert estimate_ratio(bad) is None
 
 
 class TestModelForCluster:
@@ -422,6 +421,14 @@ class TestSeparateImage:
         labels[3, 3] = 1  # one cluster, so label 1 has no model slot
         with pytest.raises(errors.ModelMissingError):
             separate_image(img, clusters, {0: model, 1: model}, white, labels=labels)
+
+    def test_label_map_of_another_shape_rejected(self, white):
+        img = olive_image([0.0] * 16, (4, 4))
+        clusters = single_cluster(img, white)
+        model = model_of(img, clusters, 0, white)
+        with pytest.raises(ValueError, match="label map shape"):
+            separate_image(img, clusters, {0: model}, white,
+                           labels=np.zeros((4, 3), dtype=np.int32))
 
     def test_missing_model_of_an_unused_cluster_is_not_an_error(self, white):
         """Only a pixel whose label lacks a model raises, on both paths."""

@@ -162,6 +162,20 @@ class TestRender:
         with pytest.raises(errors.InvalidSceneError):
             render(spec)
 
+    @pytest.mark.parametrize("color", [[np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0],
+                                       [0.0, -1.0, 0.0], [0.0, 1.1, 0.0], [1.0, 0.0]])
+    @pytest.mark.parametrize("which", ["material", "illumination"])
+    def test_bad_chromaticity_rejected(self, which, color):
+        """A NaN, infinite, negative, non-unit or short chromaticity; a NaN
+        one used to pass the unit-norm check and render NaN samples."""
+        spec = builtin_scene("single-1", 16, 8)
+        if which == "material":
+            spec.materials[0] = np.array(color)
+        else:
+            spec.illumination = np.array(color)
+        with pytest.raises(errors.InvalidSceneError, match="chromaticit"):
+            render(spec)
+
     def test_negative_magnitude_rejected(self):
         spec = builtin_scene("single-1", 16, 8)
         spec.diffuse_mag[0, 0] = -0.1
@@ -182,6 +196,25 @@ class TestBuildSceneValidation:
     def test_negative_material(self):
         with pytest.raises(errors.InvalidSceneError):
             build_scene(SceneParams(materials=[(0.5, -0.1, 0.5)]))
+
+    @pytest.mark.parametrize("color", [(0.0, 0.0, 0.0), (0.5, -0.1, 0.5), (np.nan, 1.0, 1.0),
+                                       (np.inf, 1.0, 1.0), (1.0, 1.0)])
+    @pytest.mark.parametrize("which", ["material", "illumination"])
+    def test_bad_color(self, which, color):
+        """A black color, or one with a negative, NaN or infinite component
+        or not three of them, for a material or the illumination."""
+        params = SceneParams(materials=[SINGLE_COLORS[0]])
+        if which == "material":
+            params.materials = [color]
+        else:
+            params.illumination = color
+        with pytest.raises(errors.InvalidSceneError, match=f"{which} color"):
+            build_scene(params)
+
+    @pytest.mark.parametrize("span", [(np.nan, 0.75), (0.45, np.inf), (-0.1, 0.75)])
+    def test_bad_diffuse_range(self, span):
+        with pytest.raises(errors.InvalidSceneError, match="bad diffuse range"):
+            build_scene(SceneParams(materials=[SINGLE_COLORS[0]], diffuse_range=span))
 
     def test_bad_lobe_sigma(self):
         with pytest.raises(errors.InvalidSceneError):
@@ -280,6 +313,11 @@ class TestSceneText:
         assert params.width == 64
         assert params.height == 240  # untouched default of the base scene
         assert params.materials == [SINGLE_COLORS[1]]
+
+    def test_no_scene_line_starts_from_custom(self):
+        params = scene_from_text("material = 0.4 0.4 0.2\nwidth = 16\n")
+        assert params.name == "custom" and params.layout == "stripes"
+        assert params.width == 16 and params.materials == [(0.4, 0.4, 0.2)]
 
     def test_unknown_base_scene(self):
         with pytest.raises(errors.UnknownSceneError):

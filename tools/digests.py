@@ -13,7 +13,11 @@ and ``perfbench`` directories first on ``sys.path``, over the same runs:
   and 3, on the full and the ``--fast`` path, from initial_k 1 and 8;
 * ``fallback_image`` at 1 thread from initial_k 1 and 8, whose cluster
   has no histogram peak, so its model takes recovery's percentile
-  fallback.
+  fallback;
+* four-materials lit by ``TINT`` at noise sigma 3, at 1 thread, with the
+  illumination given as a direction (``IlluminationBasis.from_rgb``) and
+  as a white balance (``white_balance``), on the full and the ``--fast``
+  path.
 
 For each run it prints the SHA-256 of the diffuse, specular and label
 arrays (dtype, shape and bytes) and every ``PipelineDiagnostics.to_lines``
@@ -40,6 +44,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 INPUT_SEED = 1        # make_inputs' seed, that of pairs.py's first pair
 RUN_TIMEOUT_S = 1800  # one side's runs take well under a minute on 2 vCPUs
+TINT = (1.0, 0.8, 0.6)  # a non-white illumination color
 
 _spec = importlib.util.spec_from_file_location("pairs", Path(__file__).with_name("pairs.py"))
 pairs = importlib.util.module_from_spec(_spec)
@@ -81,8 +86,7 @@ def side_records(root: Path) -> dict:
     ``perfbench`` imported."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import core
-    from despec import imgio, pipeline, synth
-    from despec.clustering import ClusterConfig
+    from despec import imgio
 
     records = {}
     with tempfile.TemporaryDirectory(prefix="despec-digests-") as tmp:
@@ -93,6 +97,18 @@ def side_records(root: Path) -> dict:
                 for threads in dict.fromkeys((workload.threads, 1)):
                     records[f"{name} input{i} threads={threads}"] = record(
                         img, core.config(workload, threads))
+    for name, img, cfg in scene_runs():
+        records[name] = record(img, cfg)
+    return records
+
+
+def scene_runs():
+    """Yield ``(name, image, config)`` of every run on a synthetic image:
+    the builtin scenes, the fallback image and the tinted scene, in that
+    order, with the despec on ``sys.path``."""
+    from despec import pipeline, synth
+    from despec.clustering import ClusterConfig
+
     for scene in synth.BUILTIN_SCENES:
         gt = synth.render(synth.builtin_scene(scene))
         for sigma in (0.0, 3.0):
@@ -101,12 +117,19 @@ def side_records(root: Path) -> dict:
                 for k in (1, 8):
                     cfg = pipeline.PipelineConfig(fast=fast, threads=1,
                                                   cluster=ClusterConfig(initial_k=k))
-                    records[f"{scene} sigma={sigma:g} {'fast' if fast else 'full'} "
-                            f"initial_k={k}"] = record(img, cfg)
+                    yield (f"{scene} sigma={sigma:g} {'fast' if fast else 'full'} "
+                           f"initial_k={k}", img, cfg)
     for k in (1, 8):
-        records[f"fallback initial_k={k}"] = record(
-            fallback_image(), pipeline.PipelineConfig(threads=1, cluster=ClusterConfig(initial_k=k)))
-    return records
+        yield (f"fallback initial_k={k}", fallback_image(),
+               pipeline.PipelineConfig(threads=1, cluster=ClusterConfig(initial_k=k)))
+    params = synth.builtin_params("four-materials")
+    params.illumination = TINT
+    img = synth.add_noise(synth.render(synth.build_scene(params)), 3.0, seed=0)
+    rgb = ",".join(f"{c:g}" for c in TINT)
+    for illum in (rgb, f"divide:{rgb}"):
+        for fast in (False, True):
+            yield (f"four-materials tint sigma=3 illum={illum} {'fast' if fast else 'full'}",
+                   img, pipeline.PipelineConfig(illumination=illum, fast=fast, threads=1))
 
 
 def differing(parent: dict, change: dict) -> list[str]:
