@@ -38,9 +38,7 @@ from .synth import (  # noqa: F401
     BUILTIN_SCENES,
     GroundTruth,
     SceneParams,
-    SceneSpec,
     add_noise,
-    build_scene,
     builtin_scene,
     render,
 )

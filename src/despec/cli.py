@@ -101,12 +101,12 @@ def cmd_synth(args) -> int:
     if os.path.exists(args.scene) or args.scene.endswith(".txt") or "/" in args.scene:
         params = synth.load_scene(args.scene)
     else:
-        params = synth.builtin_params(args.scene)
+        params = synth.builtin_scene(args.scene)
     if args.width is not None:
         params.width = args.width
     if args.height is not None:
         params.height = args.height
-    gt = synth.render(synth.build_scene(params))
+    gt = synth.render(params)
     noisy = synth.add_noise(gt, args.sigma, seed=args.seed)
 
     out = args.output

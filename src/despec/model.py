@@ -55,6 +55,18 @@ def color_vector(values, what: str, error: type[Exception]) -> np.ndarray:
     return v
 
 
+def unit_color(v: np.ndarray) -> np.ndarray:
+    """Color vector ``v``, not all zero, scaled to unit norm at any scale,
+    with no warning: a norm that overflows, or whose squares lose precision
+    (below 1e-150), is taken of ``v`` over its largest component instead."""
+    with np.errstate(over="ignore"):
+        n = float(_norm3(v))
+    if not 1e-150 <= n < math.inf:
+        v = v / v.max()
+        n = float(_norm3(v))
+    return v / n
+
+
 @dataclass(frozen=True)
 class IlluminationBasis:
     """Unit illumination direction ``d`` plus a fixed right-handed
@@ -84,13 +96,14 @@ class IlluminationBasis:
     @classmethod
     def from_rgb(cls, rgb) -> "IlluminationBasis":
         """Basis from an (unnormalized) illumination color: its unit
-        chromaticity.  A color whose norm is at or below EPS_BLACK has no
-        direction and is rejected."""
+        chromaticity (``unit_color``).  A color whose norm is at or below
+        EPS_BLACK has no direction and is rejected."""
         rgb = color_vector(rgb, "illumination color", InvalidIlluminantError)
-        n = float(_norm3(rgb))
+        with np.errstate(over="ignore"):  # an overflow reads inf, which is not black
+            n = float(_norm3(rgb))
         if n <= EPS_BLACK:
             raise InvalidIlluminantError(f"illumination color norm {n:g} is below {EPS_BLACK:g}")
-        return cls(rgb / n)
+        return cls(unit_color(rgb))
 
     def orthogonal(self, hue) -> np.ndarray:
         """Unit vector(s) cos(hue)·u + sin(hue)·v; (..., 3) for a hue array."""

@@ -1,11 +1,12 @@
 """Synthetic scenes with exact ground truth.
 
-Scenes are described by a small parametric record (layout, material
-chromaticities, highlight lobes, shading ramp) that can be serialized as
-a plain-text key/value file; rendering realizes it into per-pixel maps
-plus the ground-truth diffuse/specular images.  Every built-in scene
-keeps highlight-free margins around each lobe so each material has pure
-body-reflection pixels, which the recovery stage depends on.
+A scene is one parametric record, ``SceneParams`` (layout, material and
+illumination colors at any scale, highlight lobes, shading ramp), that
+can be serialized as a plain-text key/value file; ``render`` checks it
+once and renders it into the input and its ground-truth diffuse,
+specular and label maps.  Every built-in scene keeps highlight-free
+margins around each lobe so each material has pure body-reflection
+pixels, which the recovery stage depends on.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from ._keyvalue import key_values, numbers, read_text, write_text
 from .errors import InvalidSceneError, UnknownSceneError
-from .model import WHITE, _norm3, color_vector
+from .model import WHITE, _norm3, color_vector, unit_color
 
 # Orthonormal hue plane perpendicular to white; used to place synthetic
 # material colors at controlled angular spacing.
@@ -83,19 +84,6 @@ class SceneParams:
 
 
 @dataclass
-class SceneSpec:
-    """A fully realized scene: per-pixel maps ready to render."""
-
-    width: int
-    height: int
-    material_map: np.ndarray     # (H, W) int32 indices into materials
-    materials: list              # unit chromaticities
-    diffuse_mag: np.ndarray      # (H, W) body reflection magnitude
-    specular_mag: np.ndarray     # (H, W) surface reflection magnitude
-    illumination: np.ndarray     # unit chromaticity
-
-
-@dataclass
 class GroundTruth:
     input: np.ndarray
     diffuse: np.ndarray
@@ -145,7 +133,8 @@ def _builtin_table() -> dict:
 BUILTIN_SCENES = tuple(sorted(_builtin_table()))
 
 
-def builtin_params(name: str, width: int | None = None, height: int | None = None) -> SceneParams:
+def builtin_scene(name: str, width: int | None = None, height: int | None = None) -> SceneParams:
+    """Builtin scene ``name``'s description, with ``width``/``height`` if given."""
     table = _builtin_table()
     if name not in table:
         raise UnknownSceneError(
@@ -160,33 +149,38 @@ def builtin_params(name: str, width: int | None = None, height: int | None = Non
 
 
 def _direction(values, what: str) -> np.ndarray:
-    """A scene color scaled to unit norm; InvalidSceneError unless it is a
-    color vector (``color_vector``) that is not black."""
+    """A scene color scaled to unit norm (``unit_color``); InvalidSceneError
+    unless it is a color vector (``color_vector``) that is not all zero."""
     v = color_vector(values, what, InvalidSceneError)
-    n = float(_norm3(v))
-    if n <= 0:
+    if not v.any():
         raise InvalidSceneError(f"{what} {values!r} is black")
-    return v / n
+    return unit_color(v)
 
 
-def build_scene(params: SceneParams) -> SceneSpec:
-    """Realize a parametric description into per-pixel maps."""
+def render(params: SceneParams) -> GroundTruth:
+    """Render a scene description into input + ground-truth components.
+
+    input = ramp * material + lobes * illumination, pixel by pixel, each
+    color scaled to unit norm by ``_direction``; labels are the material
+    map.  This is the one check of the description: InvalidSceneError
+    for any value that does not render.
+    """
     w, h = int(params.width), int(params.height)
     if w < 4 or h < 4:
         raise InvalidSceneError(f"scene size {w}x{h} is too small")
     if not params.materials:
         raise InvalidSceneError("scene needs at least one material")
 
-    materials = [_direction(m, "material color") for m in params.materials]
+    mats = np.array([_direction(m, "material color") for m in params.materials])
     illum = _direction(params.illumination, "illumination color")
 
-    n_mat = len(materials)
+    n_mat = len(mats)
     xs = np.arange(w)
     ys = np.arange(h)
     if params.layout == "stripes":
         material_map = np.broadcast_to(
             np.minimum(xs * n_mat // w, n_mat - 1)[None, :], (h, w)
-        ).astype(np.int32)
+        ).astype(np.int32, order="C")
     elif params.layout == "quadrants":
         col = (xs * 2 // w)[None, :]
         row = (ys * 2 // h)[:, None]
@@ -198,7 +192,6 @@ def build_scene(params: SceneParams) -> SceneSpec:
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo < 0 or hi < 0:
         raise InvalidSceneError(f"bad diffuse range {params.diffuse_range!r}")
     ramp = lo + (hi - lo) * (xs / max(w - 1, 1))
-    diffuse_mag = np.broadcast_to(ramp[None, :], (h, w)).copy()
 
     specular_mag = np.zeros((h, w), dtype=np.float64)
     gx = xs[None, :].astype(np.float64)
@@ -212,46 +205,10 @@ def build_scene(params: SceneParams) -> SceneSpec:
         bump = (np.exp(-d2 / (2.0 * s_px * s_px)) - _CUTOFF) / (1.0 - _CUTOFF)
         specular_mag += amp * np.clip(bump, 0.0, None)
 
-    return SceneSpec(
-        width=w,
-        height=h,
-        material_map=material_map,
-        materials=materials,
-        diffuse_mag=diffuse_mag,
-        specular_mag=specular_mag,
-        illumination=illum,
-    )
-
-
-def builtin_scene(name: str, width: int | None = None, height: int | None = None) -> SceneSpec:
-    return build_scene(builtin_params(name, width, height))
-
-
-def render(spec: SceneSpec) -> GroundTruth:
-    """Render a scene into input + ground-truth components.
-
-    input = diffuse_mag * material + specular_mag * illumination, pixel
-    by pixel.  Raises InvalidSceneError on negative magnitudes, or on
-    chromaticities that are not unit color vectors.
-    """
-    mats = np.array([color_vector(m, "material chromaticity", InvalidSceneError)
-                     for m in spec.materials]).reshape(-1, 3)
-    illum = color_vector(spec.illumination, "illumination chromaticity", InvalidSceneError)
-    if np.any(np.abs(_norm3(np.vstack([mats, illum])) - 1.0) > 1e-9):
-        raise InvalidSceneError("material and illumination chromaticities must be unit")
-    if np.any(spec.diffuse_mag < 0) or np.any(spec.specular_mag < 0):
-        raise InvalidSceneError("reflection magnitudes must be nonnegative")
-    if spec.material_map.min() < 0 or spec.material_map.max() >= len(mats):
-        raise InvalidSceneError("material map indexes outside the material list")
-
-    diffuse = spec.diffuse_mag[..., None] * mats[spec.material_map]
-    specular = spec.specular_mag[..., None] * illum
-    return GroundTruth(
-        input=diffuse + specular,
-        diffuse=diffuse,
-        specular=specular,
-        labels=spec.material_map.copy(),
-    )
+    diffuse = ramp[None, :, None] * mats[material_map]
+    specular = specular_mag[..., None] * illum
+    return GroundTruth(input=diffuse + specular, diffuse=diffuse, specular=specular,
+                       labels=material_map)
 
 
 def add_noise(gt: GroundTruth, sigma: float, seed: int = 0) -> np.ndarray:
@@ -289,7 +246,7 @@ def scene_from_text(text: str) -> SceneParams:
     for lineno, key, value in key_values(text, InvalidSceneError):
         if key == "scene":
             if value != "custom":
-                params = builtin_params(value)
+                params = builtin_scene(value)
             else:
                 params = SceneParams()
         elif key in ("width", "height"):

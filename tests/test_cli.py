@@ -56,7 +56,7 @@ class TestSynth:
         assert not np.array_equal(noisy, imgio.load(clean / "input.ppm"))
 
     def test_from_scene_file(self, tmp_path, capsys):
-        params = synth.builtin_params("single-2", 48, 32)
+        params = synth.builtin_scene("single-2", 48, 32)
         path = tmp_path / "my-scene.txt"
         synth.save_scene(params, path)
         rc = main(["synth", str(path), "-o", str(tmp_path / "out")])
@@ -66,7 +66,7 @@ class TestSynth:
     def test_existing_file_with_any_name_is_a_scene_file(self, tmp_path, monkeypatch):
         """A bare file name in the working directory is read as a scene
         file whatever its suffix, not looked up as a builtin name."""
-        synth.save_scene(synth.builtin_params("single-2", 40, 24), tmp_path / "myscene.cfg")
+        synth.save_scene(synth.builtin_scene("single-2", 40, 24), tmp_path / "myscene.cfg")
         monkeypatch.chdir(tmp_path)
         assert main(["synth", "myscene.cfg", "-o", "out"]) == 0
         assert imgio.load(tmp_path / "out" / "input.pfm").shape == (24, 40, 3)
@@ -132,8 +132,29 @@ class TestSynth:
         assert not (tmp_path / "x" / "input.pfm").exists()
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.filterwarnings("error")
+    def test_scene_color_at_any_scale_renders_its_direction(self, tmp_path, capsys):
+        """An illumination whose norm overflows, or whose squares lose
+        precision, writes the bytes of 1 1 1; black still exits 4."""
+        def synth_with(illum):
+            scene = tmp_path / "scene.txt"
+            scene.write_text(f"scene = single-1\nwidth = 32\nheight = 24\n"
+                             f"illumination = {illum}\n")
+            return main(["synth", str(scene), "-o", str(tmp_path / illum.replace(" ", "_"))])
+
+        for illum in ("1 1 1", "1e300 1e300 1e300", "1e-160 1e-160 1e-160"):
+            assert synth_with(illum) == 0
+        for name in ("input.pfm", "diffuse.pfm", "specular.pfm"):
+            want = (tmp_path / "1_1_1" / name).read_bytes()
+            assert (tmp_path / "1e300_1e300_1e300" / name).read_bytes() == want, name
+            assert (tmp_path / "1e-160_1e-160_1e-160" / name).read_bytes() == want, name
+        capsys.readouterr()
+        assert synth_with("0 0 0") == 4
+        assert one_error_line(capsys) == \
+            "despec: error: illumination color (0.0, 0.0, 0.0) is black\n"
+
     def test_out_of_memory_exits_5(self, tmp_path, capsys, monkeypatch):
-        def too_big(spec):
+        def too_big(params):
             raise MemoryError
         monkeypatch.setattr(synth, "render", too_big)
         rc = main(["synth", "four-materials", "-o", str(tmp_path / "x")])
@@ -237,14 +258,42 @@ class TestRemove:
         rc = main(["eval",
                    "--diffuse", str(tmp_path / "d.pfm"),
                    "--truth-diffuse", str(out / "diffuse.pfm"),
+                   "--specular", str(tmp_path / "s.pfm"),
+                   "--truth-specular", str(out / "specular.pfm"),
                    "--labels", str(tmp_path / "l.ppm"),
                    "--truth-labels", str(out / "labels.ppm"),
                    "--record", str(tmp_path / "scores.txt")])
         assert rc == 0
         captured = capsys.readouterr()
         assert float(stdout_value(captured.out, "psnr_diffuse_db")) >= 60.0
+        assert float(stdout_value(captured.out, "psnr_specular_db")) >= 60.0
         assert stdout_value(captured.out, "cluster_accuracy") == "1.000000"
         assert "psnr_diffuse_db" in (tmp_path / "scores.txt").read_text()
+
+    def test_clipped_ppm_samples_are_counted_on_stderr(self, tmp_path, capsys):
+        """Diffuse 1.8 to 2.0 times (0.7053, 0.7053, 0.0705) puts the red
+        and green sample of each of the 32x24 pixels above 1 in the PPM."""
+        scene = tmp_path / "bright.txt"
+        scene.write_text("scene = single-1\nwidth = 32\nheight = 24\ndiffuse_range = 1.8 2.0\n")
+        assert main(["synth", str(scene), "-o", str(tmp_path / "bright")]) == 0
+        capsys.readouterr()
+        rc = main(["remove", str(tmp_path / "bright" / "input.pfm"),
+                   "-d", str(tmp_path / "d.ppm"), "-s", str(tmp_path / "s.ppm")])
+        assert rc == 0
+        assert capsys.readouterr().err == "clipped_samples = 1536\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_illuminant_whose_norm_overflows_splits_as_its_direction(self, tmp_path, capsys):
+        """--illum 1e300,1e300,1e300 used to warn of an overflow and exit 5;
+        it now writes the bytes of --illum 1,1,1."""
+        out = synth_dir(tmp_path)
+        written = {}
+        for illum in ("1,1,1", "1e300,1e300,1e300"):
+            d, s, labels = (tmp_path / f"{illum}-{name}" for name in ("d.pfm", "s.pfm", "l.ppm"))
+            assert main(["remove", str(out / "input.pfm"), "--illum", illum,
+                         "-d", str(d), "-s", str(s), "-l", str(labels)]) == 0
+            written[illum] = [path.read_bytes() for path in (d, s, labels)]
+        assert written["1e300,1e300,1e300"] == written["1,1,1"]
 
     def test_unwritable_report_exits_3(self, tmp_path, capsys):
         out = synth_dir(tmp_path)

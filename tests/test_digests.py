@@ -16,16 +16,20 @@ digests = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(digests)
 
 
+def tiny_image():
+    return synth.add_noise(synth.render(synth.builtin_scene("four-materials", 48, 32)), 3.0)
+
+
 def tiny_record(**cfg):
-    img = synth.add_noise(synth.render(synth.builtin_scene("four-materials", 48, 32)), 3.0)
-    return digests.record(img, PipelineConfig(threads=1, **cfg))
+    return digests.record(tiny_image(), PipelineConfig(threads=1, **cfg))
 
 
 def test_a_run_digests_equal_twice():
     first, second = tiny_record(), tiny_record()
     assert first == second
     assert digests.differing({"tiny": first}, {"tiny": second}) == []
-    assert {"diffuse", "specular", "labels"} <= set(first)
+    assert {"input", "diffuse", "specular", "labels"} <= set(first)
+    assert first["input"] == digests._sha256(tiny_image())
     assert "k_history = 1,2,4" in first["lines"]
     assert not any("seconds" in line for line in first["lines"])
 

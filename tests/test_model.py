@@ -78,13 +78,15 @@ class TestL2Chromaticity:
         with pytest.raises(errors.InvalidIlluminantError, match="illumination color norm"):
             IlluminationBasis.from_rgb(v)
 
+    @pytest.mark.filterwarnings("error")
     def test_unit_norm_and_scale_invariance(self):
+        """At any scale, a norm that overflows (1e300) included."""
         rng = np.random.default_rng(42)
         for _ in range(200):
             v = rng.random(3) + 1e-3
             c = l2_chromaticity(v)
             assert abs(np.linalg.norm(c) - 1.0) <= 1e-12
-            for k in (1e-4, 0.3, 7.0, 1e5):
+            for k in (1e-4, 0.3, 7.0, 1e5, 1e300):
                 assert np.allclose(l2_chromaticity(k * v), c, atol=1e-12)
 
 

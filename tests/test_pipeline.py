@@ -214,7 +214,7 @@ class TestFullPipeline:
     def test_zero_specular_input_is_untouched(self):
         params = synth.SceneParams(materials=[synth.SINGLE_COLORS[0]],
                                    width=96, height=64, lobes=[])
-        gt = synth.render(synth.build_scene(params))
+        gt = synth.render(params)
         result, diag = run(gt.input)
         assert np.abs(result.specular).max() <= 1e-12
         assert np.abs(result.diffuse - gt.input).max() <= 1e-12
@@ -253,7 +253,7 @@ class TestFullPipeline:
                                    width=160, height=120,
                                    illumination=illum,
                                    lobes=[(0.5, 0.5, 0.10, 0.40)])
-        gt = synth.render(synth.build_scene(params))
+        gt = synth.render(params)
         cfg = PipelineConfig(illumination="0.62,0.60,0.55")
         result, _ = run(gt.input, cfg)
         assert psnr(result.diffuse, gt.diffuse) >= 50.0

@@ -19,8 +19,9 @@ and ``perfbench`` directories first on ``sys.path``, over the same runs:
   as a white balance (``white_balance``), on the full and the ``--fast``
   path.
 
-For each run it prints the SHA-256 of the diffuse, specular and label
-arrays (dtype, shape and bytes) and every ``PipelineDiagnostics.to_lines``
+For each run it prints the SHA-256 of the input image each side renders
+or loads for itself, and of the diffuse, specular and label arrays
+(dtype, shape and bytes), and every ``PipelineDiagnostics.to_lines``
 line except the timings, plus any warning the run issued.  It then lists
 the runs whose record differs between the sides and exits 1 if any do,
 2 if a side could not be run.
@@ -68,7 +69,7 @@ def fallback_image() -> np.ndarray:
 
 def record(img, cfg) -> dict:
     """The record of one ``pipeline.run(img, cfg)`` of the despec on
-    ``sys.path``: the digests of its parts and labels, and its
+    ``sys.path``: the digests of its input, parts and labels, and its
     diagnostics and warnings, timings left out."""
     from despec import pipeline
 
@@ -76,8 +77,8 @@ def record(img, cfg) -> dict:
         warnings.simplefilter("always")
         result, diag = pipeline.run(img, cfg)
     lines = [line for line in diag.to_lines() if "seconds" not in line.split(" = ")[0]]
-    return {"diffuse": _sha256(result.diffuse), "specular": _sha256(result.specular),
-            "labels": _sha256(diag.labels),
+    return {"input": _sha256(img), "diffuse": _sha256(result.diffuse),
+            "specular": _sha256(result.specular), "labels": _sha256(diag.labels),
             "lines": lines + [f"warning {w.category.__name__}: {w.message}" for w in caught]}
 
 
@@ -122,10 +123,10 @@ def scene_runs():
     for k in (1, 8):
         yield (f"fallback initial_k={k}", fallback_image(),
                pipeline.PipelineConfig(threads=1, cluster=ClusterConfig(initial_k=k)))
-    params = synth.builtin_params("four-materials")
-    params.illumination = TINT
-    img = synth.add_noise(synth.render(synth.build_scene(params)), 3.0, seed=0)
     rgb = ",".join(f"{c:g}" for c in TINT)
+    params = synth.scene_from_text(f"scene = four-materials\nillumination = {rgb}\n")
+    build = getattr(synth, "build_scene", None)  # a revision before render took the params
+    img = synth.add_noise(synth.render(build(params) if build else params), 3.0, seed=0)
     for illum in (rgb, f"divide:{rgb}"):
         for fast in (False, True):
             yield (f"four-materials tint sigma=3 illum={illum} {'fast' if fast else 'full'}",
@@ -141,8 +142,9 @@ def differing(parent: dict, change: dict) -> list[str]:
 def show(name: str, rec: dict | None, side: str = "") -> list[str]:
     if rec is None:
         return [f"{name}{side}: no run"]
-    return ([f"{name}{side}: diffuse {rec['diffuse']} specular {rec['specular']} "
-             f"labels {rec['labels']}"] + [f"    {line}" for line in rec["lines"]])
+    return ([f"{name}{side}: input {rec['input']} diffuse {rec['diffuse']} "
+             f"specular {rec['specular']} labels {rec['labels']}"]
+            + [f"    {line}" for line in rec["lines"]])
 
 
 def run_side(root: Path) -> dict | str:
