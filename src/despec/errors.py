@@ -59,10 +59,6 @@ class EmptyClusterError(DespecError):
     exit_code = 5
 
 
-class ModelMissingError(DespecError):
-    exit_code = 5
-
-
 # --- evaluation (exit code 6) ---
 
 class DimensionMismatchError(DespecError):

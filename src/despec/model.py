@@ -55,10 +55,14 @@ def color_vector(values, what: str, error: type[Exception]) -> np.ndarray:
     return v
 
 
-def unit_color(v: np.ndarray) -> np.ndarray:
-    """Color vector ``v``, not all zero, scaled to unit norm at any scale,
-    with no warning: a norm that overflows, or whose squares lose precision
-    (below 1e-150), is taken of ``v`` over its largest component instead."""
+def direction(values, what: str, error: type[Exception]) -> np.ndarray:
+    """Color ``values`` scaled to unit norm at any scale, with no warning;
+    ``error`` unless they are a color vector (``color_vector``) that is not
+    all zero.  A norm that overflows, or whose squares lose precision
+    (below 1e-150), is taken of the color over its largest component."""
+    v = color_vector(values, what, error)
+    if not v.any():
+        raise error(f"{what} {values!r} is black")
     with np.errstate(over="ignore"):
         n = float(_norm3(v))
     if not 1e-150 <= n < math.inf:
@@ -95,15 +99,10 @@ class IlluminationBasis:
 
     @classmethod
     def from_rgb(cls, rgb) -> "IlluminationBasis":
-        """Basis from an (unnormalized) illumination color: its unit
-        chromaticity (``unit_color``).  A color whose norm is at or below
-        EPS_BLACK has no direction and is rejected."""
-        rgb = color_vector(rgb, "illumination color", InvalidIlluminantError)
-        with np.errstate(over="ignore"):  # an overflow reads inf, which is not black
-            n = float(_norm3(rgb))
-        if n <= EPS_BLACK:
-            raise InvalidIlluminantError(f"illumination color norm {n:g} is below {EPS_BLACK:g}")
-        return cls(unit_color(rgb))
+        """Basis from an illumination color at any scale: its unit
+        chromaticity (``direction``).  InvalidIlluminantError unless the
+        color is a color vector that is not all zero."""
+        return cls(direction(rgb, "illumination color", InvalidIlluminantError))
 
     def orthogonal(self, hue) -> np.ndarray:
         """Unit vector(s) cos(hue)·u + sin(hue)·v; (..., 3) for a hue array."""

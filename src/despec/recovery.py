@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_rows
-from .errors import EmptyClusterError, ModelMissingError
+from .errors import EmptyClusterError
 from .model import EPS_GRAY, IlluminationBasis
 from .clustering import FLAG_VALID, ClusterSet, SpecularFreeField, hue_lookup, split_block
 
@@ -190,8 +190,11 @@ def separate_image(img, clusters: ClusterSet, models: dict,
     ``SeparationResult.labels``.
 
     Flagged pixels and pass-through clusters keep their input value in
-    the diffuse image with zero specular.  Raises ModelMissingError if a
-    usable label has no entry in ``models``.
+    the diffuse image with zero specular.  Before any pixel is split,
+    ValueError if ``models`` lacks an entry (a MaterialModel, or None for
+    pass-through) for a cluster id below ``clusters.n_clusters``, or if a
+    given ``labels`` is not of the image's shape or holds a label at or
+    above that count; other keys of ``models`` are ignored.
     """
     img = working_image(img)
     k = clusters.n_clusters
@@ -200,30 +203,25 @@ def separate_image(img, clusters: ClusterSet, models: dict,
         labels = np.empty(img.shape[:2], dtype=np.int32)
     elif labels.shape != img.shape[:2]:
         raise ValueError(f"label map shape {labels.shape} does not match image {img.shape}")
+    elif labels.max(initial=-1) >= k:
+        raise ValueError(f"label {int(labels.max())} has no cluster: there are {k}")
 
     # per-cluster tables indexed by slot = max(label + 1, 0): slot 0 takes
-    # the flagged pixels, slot cid + 1 cluster cid, and slot k + 1 every
-    # label >= k (take clips to it).  A pixel's specular strength is its
-    # dot product with the slot's axis d - center / ratio, the parallel
-    # coefficient less the diffuse share the ortho one implies; flagged
-    # and pass-through slots keep a zero axis, so nothing is split off.
+    # the flagged pixels and slot cid + 1 cluster cid.  A pixel's specular
+    # strength is its dot product with the slot's axis d - center / ratio,
+    # the parallel coefficient less the diffuse share the ortho one
+    # implies; flagged and pass-through slots keep a zero axis, so nothing
+    # is split off.
     d = basis.direction
-    axis = np.zeros((3, k + 2))
-    known = np.zeros(k + 2, dtype=bool)
-    known[0] = True
-    for cid, model in models.items():
-        if not 0 <= cid < k:
-            continue
-        known[cid + 1] = True
-        if model is not None:
+    axis = np.zeros((3, k + 1))
+    for cid in range(k):
+        if cid not in models:
+            raise ValueError(f"no material model for cluster {cid}")
+        if (model := models[cid]) is not None:
             axis[:, cid + 1] = d - model.center / model.ratio
 
     diffuse = np.empty_like(img)
     specular = np.empty_like(img)
-    # a pixel lacks a model only where its slot does: some slot 0..k with
-    # no entry in ``models``, or slot k + 1, which only a given label >= k
-    # reaches; otherwise the per-pixel check is skipped
-    gaps = not known[:k + 1].all()
     if not given:
         nearest = hue_lookup(clusters.hues)
 
@@ -236,10 +234,6 @@ def separate_image(img, clusters: ClusterSet, models: dict,
             np.copyto(lab, nearest(hue), where=flags == FLAG_VALID)
         slot = np.add(lab, 1, dtype=np.intp)  # intp, so no take below casts it
         np.maximum(slot, 0, out=slot)
-        if gaps or (given and lab.max() >= k):
-            missing = ~known.take(slot, mode="clip")
-            if missing.any():
-                raise ModelMissingError(f"no material model for cluster {int(lab[missing][0])}")
         # strength = block · axis, summed channel by channel in one
         # float64 buffer (a float32 block is widened exactly by the ufuncs)
         scratch = np.empty(lab.shape)

@@ -2,11 +2,11 @@
 
 A scene is one parametric record, ``SceneParams`` (layout, material and
 illumination colors at any scale, highlight lobes, shading ramp), that
-can be serialized as a plain-text key/value file; ``render`` checks it
-once and renders it into the input and its ground-truth diffuse,
-specular and label maps.  Every built-in scene keeps highlight-free
-margins around each lobe so each material has pure body-reflection
-pixels, which the recovery stage depends on.
+can be serialized as a plain-text key/value file that parses back to
+the same bits.  ``render`` alone checks it and renders it into the input
+and its ground-truth diffuse, specular and label maps.  Every built-in
+scene keeps highlight-free margins around each lobe so each material has
+pure body-reflection pixels, which the recovery stage depends on.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from ._keyvalue import key_values, numbers, read_text, write_text
 from .errors import InvalidSceneError, UnknownSceneError
-from .model import WHITE, _norm3, color_vector, unit_color
+from .model import WHITE, _norm3, direction
 
 # Orthonormal hue plane perpendicular to white; used to place synthetic
 # material colors at controlled angular spacing.
@@ -67,19 +67,20 @@ class SceneParams:
     lobes: list = field(default_factory=list)  # (cx, cy, sigma, amplitude)
 
     def to_text(self) -> str:
+        def floats(values):  # at repr precision, so they parse back to the same bits
+            return " ".join("%r" % float(x) for x in values)
+
         lines = [
             "# despec scene description",
             f"scene = {self.name}",
             f"width = {self.width}",
             f"height = {self.height}",
             f"layout = {self.layout}",
-            "illumination = %.10g %.10g %.10g" % tuple(self.illumination),
-            "diffuse_range = %.10g %.10g" % tuple(self.diffuse_range),
+            f"illumination = {floats(self.illumination)}",
+            f"diffuse_range = {floats(self.diffuse_range)}",
         ]
-        for m in self.materials:
-            lines.append("material = %.10g %.10g %.10g" % tuple(m))
-        for lb in self.lobes:
-            lines.append("lobe = %.10g %.10g %.10g %.10g" % tuple(lb))
+        lines += [f"material = {floats(m)}" for m in self.materials]
+        lines += [f"lobe = {floats(lb)}" for lb in self.lobes]
         return "\n".join(lines) + "\n"
 
 
@@ -148,22 +149,13 @@ def builtin_scene(name: str, width: int | None = None, height: int | None = None
     return params
 
 
-def _direction(values, what: str) -> np.ndarray:
-    """A scene color scaled to unit norm (``unit_color``); InvalidSceneError
-    unless it is a color vector (``color_vector``) that is not all zero."""
-    v = color_vector(values, what, InvalidSceneError)
-    if not v.any():
-        raise InvalidSceneError(f"{what} {values!r} is black")
-    return unit_color(v)
-
-
 def render(params: SceneParams) -> GroundTruth:
     """Render a scene description into input + ground-truth components.
 
     input = ramp * material + lobes * illumination, pixel by pixel, each
-    color scaled to unit norm by ``_direction``; labels are the material
-    map.  This is the one check of the description: InvalidSceneError
-    for any value that does not render.
+    color scaled to unit norm by ``model.direction``; labels are the
+    material map.  This is the one check of a description, built or
+    parsed: InvalidSceneError for any value that does not render.
     """
     w, h = int(params.width), int(params.height)
     if w < 4 or h < 4:
@@ -171,8 +163,9 @@ def render(params: SceneParams) -> GroundTruth:
     if not params.materials:
         raise InvalidSceneError("scene needs at least one material")
 
-    mats = np.array([_direction(m, "material color") for m in params.materials])
-    illum = _direction(params.illumination, "illumination color")
+    mats = np.array([direction(m, "material color", InvalidSceneError)
+                     for m in params.materials])
+    illum = direction(params.illumination, "illumination color", InvalidSceneError)
 
     n_mat = len(mats)
     xs = np.arange(w)
@@ -235,8 +228,10 @@ def scene_from_text(text: str) -> SceneParams:
 
     Lines are ``key = value``; ``#`` starts a comment; repeated
     ``material`` / ``lobe`` keys append.  A ``scene = <builtin-name>``
-    line pulls that scene's defaults, which later keys override; custom
-    scenes must list materials explicitly.
+    line pulls that scene's defaults, which later keys override.  It only
+    parses: InvalidSceneError for a line, key, integer or count of
+    numbers it cannot read, UnknownSceneError for an unknown base scene;
+    ``render`` checks every value (custom scenes must list materials).
     """
     params: SceneParams | None = None
     pending: dict = {}
@@ -245,18 +240,13 @@ def scene_from_text(text: str) -> SceneParams:
 
     for lineno, key, value in key_values(text, InvalidSceneError):
         if key == "scene":
-            if value != "custom":
-                params = builtin_scene(value)
-            else:
-                params = SceneParams()
+            params = builtin_scene(value) if value != "custom" else SceneParams()
         elif key in ("width", "height"):
             try:
                 pending[key] = int(value)
             except ValueError as exc:
                 raise InvalidSceneError(f"bad integer for {key}: {value!r}") from exc
         elif key == "layout":
-            if value not in ("stripes", "quadrants"):
-                raise InvalidSceneError(f"unknown layout {value!r}")
             pending[key] = value
         elif key == "illumination":
             pending[key] = numbers(value, 3, key, InvalidSceneError)
@@ -277,8 +267,6 @@ def scene_from_text(text: str) -> SceneParams:
         params.materials = materials
     if lobes:
         params.lobes = lobes
-    if not params.materials:
-        raise InvalidSceneError("scene description lists no materials")
     return params
 
 

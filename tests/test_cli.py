@@ -153,6 +153,15 @@ class TestSynth:
         assert one_error_line(capsys) == \
             "despec: error: illumination color (0.0, 0.0, 0.0) is black\n"
 
+    @pytest.mark.parametrize("scene", synth.BUILTIN_SCENES)
+    def test_scene_file_reproduces_its_images(self, tmp_path, scene):
+        """The scene.txt written next to the images renders them again
+        byte for byte, over-seg's lobe centres 0.1 + 0.2 * i included."""
+        first = synth_dir(tmp_path, scene=scene, name="a")
+        assert main(["synth", str(first / "scene.txt"), "-o", str(tmp_path / "b")]) == 0
+        for name in ("input.pfm", "diffuse.pfm", "specular.pfm", "labels.ppm", "scene.txt"):
+            assert (tmp_path / "b" / name).read_bytes() == (first / name).read_bytes(), name
+
     def test_out_of_memory_exits_5(self, tmp_path, capsys, monkeypatch):
         def too_big(params):
             raise MemoryError
@@ -284,16 +293,25 @@ class TestRemove:
 
     @pytest.mark.filterwarnings("error")
     def test_illuminant_whose_norm_overflows_splits_as_its_direction(self, tmp_path, capsys):
-        """--illum 1e300,1e300,1e300 used to warn of an overflow and exit 5;
-        it now writes the bytes of --illum 1,1,1."""
+        """--illum 1e300,1e300,1e300 used to warn of an overflow and exit 5,
+        and 1e-160,1e-160,1e-160 to exit 5 as black; both now write the
+        bytes of --illum 1,1,1, as such a scene illumination renders."""
         out = synth_dir(tmp_path)
         written = {}
-        for illum in ("1,1,1", "1e300,1e300,1e300"):
+        for illum in ("1,1,1", "1e300,1e300,1e300", "1e-160,1e-160,1e-160"):
             d, s, labels = (tmp_path / f"{illum}-{name}" for name in ("d.pfm", "s.pfm", "l.ppm"))
             assert main(["remove", str(out / "input.pfm"), "--illum", illum,
                          "-d", str(d), "-s", str(s), "-l", str(labels)]) == 0
             written[illum] = [path.read_bytes() for path in (d, s, labels)]
         assert written["1e300,1e300,1e300"] == written["1,1,1"]
+        assert written["1e-160,1e-160,1e-160"] == written["1,1,1"]
+
+    def test_tiny_illuminant_is_not_black(self, tmp_path, capsys):
+        """Only an all-zero color is black: 1e-7 per channel has a norm
+        below a black pixel's, and splits."""
+        out = synth_dir(tmp_path)
+        assert main(["remove", str(out / "input.pfm"), "--illum", "1e-7,1e-7,1e-7",
+                     "-d", str(tmp_path / "d.pfm"), "-s", str(tmp_path / "s.pfm")]) == 0
 
     def test_unwritable_report_exits_3(self, tmp_path, capsys):
         out = synth_dir(tmp_path)
@@ -386,7 +404,7 @@ class TestRemove:
                    "-d", str(tmp_path / "d.pfm"), "-s", str(tmp_path / "s.pfm")])
         assert rc == 5
         err = capsys.readouterr().err
-        assert err.startswith("despec: error: illumination color norm 0 is below")
+        assert err == "despec: error: illumination color (0.0, 0.0, 0.0) is black\n"
         assert not (tmp_path / "d.pfm").exists()
 
     @pytest.mark.parametrize("flags", [

@@ -15,6 +15,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import parallel_coeff, row_major
 from despec import errors
@@ -31,6 +33,7 @@ from despec.model import (
     WHITE,
     IlluminationBasis,
     color_vector,
+    direction,
     white_balance,
 )
 
@@ -70,13 +73,14 @@ class TestL2Chromaticity:
                            [0.5774, 0.5774, 0.5774], atol=5e-5)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(errors.InvalidIlluminantError, match="illumination color norm 0"):
+        with pytest.raises(errors.InvalidIlluminantError,
+                           match=r"illumination color \[0.0, 0.0, 0.0\] is black"):
             IlluminationBasis.from_rgb([0.0, 0.0, 0.0])
 
-    def test_near_black_rejected(self):
-        v = np.full(3, EPS_BLACK / 10)
-        with pytest.raises(errors.InvalidIlluminantError, match="illumination color norm"):
-            IlluminationBasis.from_rgb(v)
+    def test_near_black_has_a_direction(self):
+        """Black is all zero: a gray far below a black pixel's norm is white."""
+        c = l2_chromaticity(np.full(3, EPS_BLACK / 10))
+        assert np.all(np.abs(c - WHITE) <= np.spacing(WHITE))
 
     @pytest.mark.filterwarnings("error")
     def test_unit_norm_and_scale_invariance(self):
@@ -108,6 +112,35 @@ class TestColorVector:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert color_vector([1e300, 1e300, 1.0], "c", errors.ConfigError)[0] == 1e300
+
+
+# a color whose components are each 0 or in [1e-3, 1], not all zero
+COLORS = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=3, max_size=3).filter(any)
+
+
+class TestDirection:
+    """The one rule for a color's direction, shared by scenes and --illum."""
+
+    @pytest.mark.parametrize("black", [[0.0, 0.0, 0.0], [0.0, -0.0, 0.0]])
+    def test_all_zero_is_black(self, black):
+        with pytest.raises(errors.ConfigError, match=r"shade \[0.0, -?0.0, 0.0\] is black"):
+            direction(black, "shade", errors.ConfigError)
+
+    def test_checks_the_color_vector_first(self):
+        with pytest.raises(errors.ConfigError, match="shade must be 3 numbers"):
+            direction([0.0, 0.0, -1.0], "shade", errors.ConfigError)
+
+    @settings(max_examples=300, deadline=None)
+    @given(color=COLORS, j=st.integers(-1000, 1000))
+    def test_scale_does_not_matter(self, color, j):
+        """At 2**j for any j in [-1000, 1000], where the squares of the
+        norm overflow or lose their bits, the direction stays a unit
+        vector within 4e-16 of the unscaled color's."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = direction(np.array(color) * 2.0 ** j, "c", errors.ConfigError)
+        assert abs(np.linalg.norm(got) - 1.0) <= 1e-15
+        assert np.abs(got - direction(color, "c", errors.ConfigError)).max() <= 4e-16
 
 
 class TestIlluminationBasis:

@@ -409,7 +409,7 @@ class TestSeparateImage:
     def test_missing_model_rejected(self, white):
         img = olive_image([0.0] * 16, (4, 4))
         clusters = single_cluster(img, white)
-        with pytest.raises(errors.ModelMissingError):
+        with pytest.raises(ValueError, match="no material model for cluster 0"):
             separate_image(img, clusters, {}, white)
 
     def test_label_beyond_clusters_rejected(self, white):
@@ -419,8 +419,23 @@ class TestSeparateImage:
         model = model_of(img, clusters, 0, white)
         labels = field.label_map(clusters.labels)
         labels[3, 3] = 1  # one cluster, so label 1 has no model slot
-        with pytest.raises(errors.ModelMissingError):
+        with pytest.raises(ValueError, match="label 1 has no cluster: there are 1"):
             separate_image(img, clusters, {0: model, 1: model}, white, labels=labels)
+
+    @pytest.mark.parametrize("case", ["models", "labels", "shape"])
+    def test_arguments_are_checked_before_the_kernel_runs(self, white, monkeypatch, case):
+        img = olive_image([0.0] * 16, (4, 4))
+        clusters = single_cluster(img, white)
+        models = {} if case == "models" else {0: None}
+        labels = {"models": None, "labels": np.ones((4, 4), dtype=np.int32),
+                  "shape": np.zeros((4, 3), dtype=np.int32)}[case]
+
+        def kernel(*args):
+            raise AssertionError("a pixel was split")
+
+        monkeypatch.setattr(despec.recovery, "run_rows", kernel)
+        with pytest.raises(ValueError):
+            separate_image(img, clusters, models, white, labels=labels)
 
     def test_label_map_of_another_shape_rejected(self, white):
         img = olive_image([0.0] * 16, (4, 4))
@@ -430,8 +445,9 @@ class TestSeparateImage:
             separate_image(img, clusters, {0: model}, white,
                            labels=np.zeros((4, 3), dtype=np.int32))
 
-    def test_missing_model_of_an_unused_cluster_is_not_an_error(self, white):
-        """Only a pixel whose label lacks a model raises, on both paths."""
+    def test_missing_model_of_an_unused_cluster_is_rejected(self, white):
+        """Every cluster id needs an entry, on both labelling paths, even
+        one that no pixel carries; keys beyond the clusters are ignored."""
         img = olive_image([0.0, 0.1, 0.2, 0.3] * 4, (4, 4))
         field = specular_free_field(img, white)
         one = kmeans(field, 1)
@@ -441,7 +457,9 @@ class TestSeparateImage:
                          sizes=np.append(one.sizes, 0))
         want = separate_image(img, one, {0: model}, white)
         for labels in (None, field.label_map(one.labels)):
-            got = separate_image(img, two, {0: model}, white, labels=labels)
+            with pytest.raises(ValueError, match="no material model for cluster 1"):
+                separate_image(img, two, {0: model, 2: model}, white, labels=labels)
+            got = separate_image(img, two, {0: model, 1: None, 2: model}, white, labels=labels)
             assert np.array_equal(got.diffuse, want.diffuse)
             assert np.array_equal(got.specular, want.specular)
             assert np.array_equal(got.labels, want.labels)
@@ -548,7 +566,7 @@ class TestSeparateImage:
         labels = data.draw(arrays(np.int32, (rows, width), elements=st.integers(-2, 3)))
         threads = data.draw(st.sampled_from([1, 2]))
         if labels.max() >= 3:  # a given label with no cluster
-            with pytest.raises(errors.ModelMissingError):
+            with pytest.raises(ValueError, match="has no cluster"):
                 separate_image(img, clusters, models, basis, threads=threads, labels=labels)
             labels[labels >= 3] = -1
         got = separate_image(img, clusters, models, basis, threads=threads, labels=labels)

@@ -246,12 +246,15 @@ class TestAddNoise:
 
 class TestSceneText:
     def test_round_trip_preserves_render(self):
-        params = builtin_scene("four-materials", 64, 48)
-        parsed = scene_from_text(params.to_text())
-        a = render(params)
-        b = render(parsed)
-        assert np.allclose(a.input, b.input, atol=1e-9)
-        assert np.array_equal(a.labels, b.labels)
+        """The text keeps every float's bits, so each builtin scene's
+        description renders to the same arrays once parsed back."""
+        for name in BUILTIN_SCENES:
+            params = builtin_scene(name, 64, 48)
+            parsed = scene_from_text(params.to_text())
+            assert parsed == params
+            a, b = render(params), render(parsed)
+            for part in ("input", "diffuse", "specular", "labels"):
+                assert np.array_equal(getattr(a, part), getattr(b, part)), (name, part)
 
     def test_save_and_load(self, tmp_path):
         params = builtin_scene("single-3", 48, 32)
@@ -308,7 +311,17 @@ class TestSceneText:
     ])
     def test_bad_descriptions(self, text):
         with pytest.raises(errors.InvalidSceneError):
-            scene_from_text(text)
+            render(scene_from_text(text))
+
+    @pytest.mark.parametrize("text, message", [
+        ("scene = custom\nlayout = spiral\nmaterial = 1 1 1\n", "unknown layout 'spiral'"),
+        ("scene = custom\n", "scene needs at least one material"),
+    ])
+    def test_values_are_checked_by_render_alone(self, text, message):
+        """The parser reads these; render rejects them."""
+        params = scene_from_text(text)
+        with pytest.raises(errors.InvalidSceneError, match=message):
+            render(params)
 
     def test_text_is_commented_key_value(self):
         text = builtin_scene("single-1").to_text()
