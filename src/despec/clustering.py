@@ -3,13 +3,15 @@
 :func:`specular_free_field` splits each pixel's unit chromaticity once
 against the illumination and keeps the orthogonal part, as an amplitude
 and a hue angle in the basis's fixed (u, v) frame.
-:func:`split_block` is that split for one block of pixels; the
-separation kernel calls it too when it labels a full-resolution image
-against clusters found on a downsampled copy.  The
+:func:`split_block` is that split for one block of pixels.  The
 hue depends only on the material color, not on how much highlight the
 pixel carries, so k-means on the circle of hues groups pixels by
 material; :func:`nearest_hue` is the one assignment rule, and
-:func:`hue_lookup` builds its bucket table once per set of centers.  The cluster
+:func:`hue_lookup` builds its bucket table once per set of centers.
+:func:`pixel_labeler` labels a full-resolution image against clusters
+found on a downsampled copy by that rule: a float32 filter reads most
+labels from the table's safe buckets, and ``split_block`` with
+``nearest_hue`` labels the pixels it cannot vouch for.  The cluster
 count is grown adaptively: a cluster whose pixels deviate too far from
 the unit circle in its (center, illumination) frame is mixing materials
 and votes to increase k.
@@ -32,7 +34,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -61,6 +63,14 @@ SUB = 64               # field entries per block of SpecularFreeField.block_sums
 SEED_MARGIN = 1e-12
 SEED_WIDTH = 2         # first half-width, in entries, of every gap's window
 BUCKETS = 4096         # hue buckets of nearest_hue's lookup table
+# pixel_labeler's float32 gates: a pixel keeps its float32 label when its
+# orthogonal part is above AMP_GATE of its norm (ten times EPS_GRAY) and
+# its norm above EPS_BLACK by BLACK_MARGIN, far beyond float32 rounding
+AMP_GATE = 1e-3
+BLACK_MARGIN = 1e-4
+# the error (rad) pixel_labeler's proof allows float32 arctan2, far above
+# the few ulps numpy's measures
+ATAN2_ALLOWANCE = 1e-4
 # the first 32-bit words of np.random.default_rng(0): its first two
 # PCG64 outputs, each low half first, as Generator.integers reads them
 SEED_WORDS = (0xD9C2825F, 0xA30FEBCF, 0x82D9D721, 0x4510BDF8)
@@ -291,6 +301,23 @@ def _bucket(hue) -> np.ndarray:
     return pos.astype(np.intp)
 
 
+def _hue_table(centers):
+    """(midpoints, owner, table): ``_arcs`` of ``centers`` and
+    hue_lookup's bucket table over them."""
+    midpoints, owner = _arcs(centers)
+    counts = np.bincount(_bucket(midpoints), minlength=BUCKETS)
+    return midpoints, owner, np.where(counts > 0, -1, owner[np.cumsum(counts) - counts])
+
+
+def _nearest(tables, hue) -> np.ndarray:
+    midpoints, owner, table = tables
+    labels = table.take(_bucket(hue))
+    near = labels < 0
+    if near.any():
+        labels[near] = owner[np.searchsorted(midpoints, hue[near], side="right")]
+    return labels
+
+
 def hue_lookup(centers):
     """nearest_hue against fixed ``centers``, as a function of the hues
     alone; the table behind it is built once, here.
@@ -302,18 +329,92 @@ def hue_lookup(centers):
     of such buckets and -1 for the at most k + 1 that hold a midpoint,
     whose hues take the searchsorted of the midpoints instead.
     """
-    midpoints, owner = _arcs(centers)
-    counts = np.bincount(_bucket(midpoints), minlength=BUCKETS)
-    table = np.where(counts > 0, -1, owner[np.cumsum(counts) - counts])
+    return partial(_nearest, _hue_table(centers))
 
-    def nearest(hue) -> np.ndarray:
-        labels = table.take(_bucket(hue))
-        near = labels < 0
-        if near.any():
-            labels[near] = owner[np.searchsorted(midpoints, hue[near], side="right")]
-        return labels
 
-    return nearest
+def pixel_labeler(centers, basis: IlluminationBasis):
+    """``label(block, out)``, which writes the label of every pixel of an
+    (..., 3) block against fixed ``centers`` into ``out``, a C-contiguous
+    int32 array of the block's pixel grid: ``split_block``'s flag, or
+    where that is FLAG_VALID, nearest_hue of ``split_block``'s hue.  The
+    tables behind it are built once, here.
+
+    A float64 block takes that rule as written.  A float32 block first
+    takes a float32 filter: one matmul by the float32 rows (d, u, v)
+    gives each pixel's projections p, bu and bv; the hue arctan2(bv, bu)
+    needs no division, since it does not depend on scale; its bucket,
+    trunc((hue + pi) * BUCKETS / 2pi) clipped to [0, BUCKETS - 1], reads
+    a table of safe buckets.  A bucket is safe when it and both its
+    circular neighbours have one owner (none -1) in hue_lookup's table;
+    every other bucket reads -1.  A pixel keeps the safe table's label
+    when that label is >= 0, a2 = bu² + bv² > AMP_GATE²·m2 with m2 = p²
+    + a2, and m2 > (EPS_BLACK·(1 + BLACK_MARGIN))².  NaN and overflowed
+    values fail every gate.  The pixels that fail any, gathered, take
+    the float64 rule.
+
+    Why a kept label is the float64 rule's, bit for bit: the pixel b is
+    exact in both precisions.  With u = 2**-24, each of p, bu and bv is a
+    three-term dot product with a row of the orthonormal (d, u, v)
+    rounded to float32, so it lies within 4u·|b| of the exact projection
+    in any summation order, with or without FMA (underflow adds at most
+    3·2**-149, nothing against |b| > 1e-6).  So the computed (bu, bv) lies
+    within e = 4·sqrt(2)·u·|b| of the exact orthogonal part o, and m2 is
+    |b|² to within 20u.  A kept pixel then has |b| > EPS_BLACK and |o| >=
+    (AMP_GATE·(1 - 20u) - 4·sqrt(2)·u)·|b|, about 0.9997e-3·|b|: the
+    float64 rule's norm is above EPS_BLACK and its amplitude, |o| / |b|
+    to 1e-15, is far above EPS_GRAY, so it flags the pixel FLAG_VALID.
+    The float32 hue lies within asin(e / |o|) <= 3.4e-4 rad of o's angle,
+    plus ATAN2_ALLOWANCE for float32 arctan2 itself; split_block's hue
+    within 1e-12 rad.  The float32 position (hue + pi) * BUCKETS / 2pi
+    rounds pi, the factor, the sum and the product, below 1e-3 of a
+    bucket.  Together that is under 0.3 of a bucket (2pi / BUCKETS =
+    1.5e-3 rad), and clipping to [0, BUCKETS - 1] does not widen it, so
+    the float64 hue's bucket is the float32 one or a neighbour.  The
+    neighbours are circular: a hue at ±pi (bv = ±0, bu < 0) may read pi
+    in one precision and -pi in the other.  All three buckets hold no
+    midpoint and share the safe label, so hue_lookup reads that label
+    for the float64 hue.  ``tests/test_clustering.py`` recomputes this
+    budget from the constants and measures numpy's float32 arctan2
+    against its allowance.
+    """
+    tables = _hue_table(centers)
+    table = tables[2]
+    safe = np.where((np.roll(table, 1) == table) & (np.roll(table, -1) == table), table, -1)
+    frame = np.array([basis.direction, basis.u, basis.v], dtype=np.float32)
+    gate2 = np.float32(AMP_GATE * AMP_GATE)
+    black2 = np.float32((EPS_BLACK * (1.0 + BLACK_MARGIN)) ** 2)
+
+    def rule(block, out):
+        hue, _, flags = split_block(block, basis)
+        np.copyto(out, flags)
+        np.copyto(out, _nearest(tables, hue), where=flags == FLAG_VALID)
+
+    def label(block, out):
+        if block.dtype != np.float32:
+            return rule(block, out)
+        pixels, lab = block.reshape(-1, 3), out.reshape(-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            p, bu, bv = np.matmul(frame, pixels.T)
+            hue = np.arctan2(bv, bu)
+            a2 = np.multiply(bu, bu, out=bu)
+            a2 += np.multiply(bv, bv, out=bv)
+            m2 = np.multiply(p, p, out=p)
+            m2 += a2
+            keep = a2 > np.multiply(m2, gate2, out=bv)
+            keep &= m2 > black2
+        # the bucket, in place of the hue
+        hue += np.float32(np.pi)
+        hue *= np.float32(BUCKETS / (2.0 * np.pi))
+        np.fmin(hue, BUCKETS - 1, out=hue)
+        np.fmax(hue, 0, out=hue)
+        safe.take(hue.astype(np.intp), out=lab, mode="clip")
+        keep &= lab >= 0
+        if len(rest := np.flatnonzero(~keep)):
+            fallback = np.empty(len(rest), dtype=np.int32)
+            rule(pixels[rest], fallback)
+            lab[rest] = fallback
+
+    return label
 
 
 def nearest_hue(hue, centers) -> np.ndarray:

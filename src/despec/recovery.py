@@ -18,7 +18,7 @@ import numpy as np
 from ._parallel import run_rows
 from .errors import EmptyClusterError
 from .model import EPS_GRAY, IlluminationBasis
-from .clustering import FLAG_VALID, ClusterSet, SpecularFreeField, hue_lookup, split_block
+from .clustering import ClusterSet, SpecularFreeField, pixel_labeler
 
 
 BIN_WIDTH = 0.005            # coefficient histogram bin width
@@ -183,11 +183,13 @@ def separate_image(img, clusters: ClusterSet, models: dict,
     ``SpecularFreeField.label_map`` builds it; each pixel takes its label
     from there.  With ``labels`` None (clusters found on a downsampled
     copy), each chunk labels its own pixels instead, straight into the
-    returned map: every pixel is split by ``split_block`` and takes the
-    nearest of ``clusters.hues`` (``nearest_hue``, read from one
-    ``hue_lookup`` table per call), while flagged pixels get their flag,
-    which is their label code.  The labels used are returned in
-    ``SeparationResult.labels``.
+    returned map, with one ``pixel_labeler`` of ``clusters.hues`` per
+    call: a pixel's label is its ``split_block`` flag, which is its label
+    code, or where that is FLAG_VALID the nearest of ``clusters.hues``
+    (``nearest_hue``).  A float32 chunk reads most labels from a float32
+    filter, and only the pixels it cannot vouch for take that float64
+    rule; the labels are the rule's bit for bit either way.  The labels
+    used are returned in ``SeparationResult.labels``.
 
     Flagged pixels and pass-through clusters keep their input value in
     the diffuse image with zero specular.  Before any pixel is split,
@@ -223,15 +225,13 @@ def separate_image(img, clusters: ClusterSet, models: dict,
     diffuse = np.empty_like(img)
     specular = np.empty_like(img)
     if not given:
-        nearest = hue_lookup(clusters.hues)
+        label = pixel_labeler(clusters.hues, basis)
 
     def fill(rows):
         block = img[rows]
         lab = labels[rows]
         if not given:
-            hue, _, flags = split_block(block, basis)
-            np.copyto(lab, flags)
-            np.copyto(lab, nearest(hue), where=flags == FLAG_VALID)
+            label(block, lab)
         slot = np.add(lab, 1, dtype=np.intp)  # intp, so no take below casts it
         np.maximum(slot, 0, out=slot)
         # strength = block · axis, summed channel by channel in one

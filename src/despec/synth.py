@@ -72,7 +72,8 @@ class SceneParams:
 
         lines = [
             "# despec scene description",
-            f"scene = {self.name}",
+            # a name scene_from_text could not start from is written custom
+            f"scene = {self.name if self.name in BUILTIN_SCENES else 'custom'}",
             f"width = {self.width}",
             f"height = {self.height}",
             f"layout = {self.layout}",

@@ -1,5 +1,6 @@
 """Material clustering in the illumination-orthogonal subspace."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,10 @@ from hypothesis.extra.numpy import arrays
 from conftest import block_image, make_field, row_major
 from despec import clustering, errors, synth
 from despec.clustering import (
+    AMP_GATE,
+    ATAN2_ALLOWANCE,
+    BLACK_MARGIN,
+    BUCKETS,
     FLAG_VALID,
     LABEL_ACHROMATIC,
     LABEL_BLACK,
@@ -21,12 +26,15 @@ from despec.clustering import (
     adaptive_min_cluster_size,
     evaluate_fit,
     kmeans,
+    _arcs,
+    _bucket,
     nearest_hue,
+    pixel_labeler,
     specular_free_field,
     split_block,
 )
 from despec.metrics import cluster_accuracy
-from despec.model import WHITE, IlluminationBasis
+from despec.model import EPS_BLACK, EPS_GRAY, WHITE, IlluminationBasis
 from despec.pipeline import PipelineConfig, _check_config
 from despec.recovery import parallel_coefficients
 
@@ -247,6 +255,132 @@ class TestNearestHue:
     def test_two_dimensional_hues(self):
         hue = np.array([[0.1, 2.0], [-2.5, 3.1]])
         assert nearest_hue(hue, np.array([0.0, 2.2])).tolist() == [[0, 1], [1, 1]]
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+def rule_labels(pixels, basis, centers):
+    """The float64 rule: split_block's flag, or nearest_hue of its hue."""
+    hue, _, flags = split_block(pixels, basis)
+    labels = flags.astype(np.int32)
+    valid = flags == FLAG_VALID
+    labels[valid] = nearest_hue(hue[valid], centers)
+    return labels
+
+
+def labeled(pixels, basis, centers):
+    """(labels, fallback): pixel_labeler's labels of an (n, 3) block, and
+    the bytes of each pixel it handed to split_block."""
+    labels = np.empty(len(pixels), dtype=np.int32)
+    with mock.patch.object(clustering, "split_block", wraps=split_block) as spy:
+        pixel_labeler(centers, basis)(pixels, labels)
+    return labels, {row.tobytes() for call in spy.call_args_list for row in call.args[0]}
+
+
+def pixels_at(basis, hue, amplitude, norm) -> np.ndarray:
+    """Float64 pixels of the given hue, amplitude and norm."""
+    amplitude = np.asarray(amplitude, dtype=np.float64)[..., None]
+    return np.asarray(norm, dtype=np.float64)[..., None] * (
+        amplitude * basis.orthogonal(hue) + np.sqrt(1.0 - amplitude**2) * basis.direction)
+
+
+def ulp_steps(pixels32, steps):
+    """Each float32 sample moved ``steps`` ulps up (or down), toward ±F32_MAX."""
+    toward = np.where(steps > 0, F32_MAX, -F32_MAX).astype(np.float32)
+    for step in range(int(np.abs(steps).max(initial=0))):
+        pixels32 = np.where(np.abs(steps) > step, np.nextafter(pixels32, toward), pixels32)
+    return pixels32
+
+
+def near(value, rel=(-1e-3, -1e-5, -1e-7, 0.0, 1e-7, 1e-5, 1e-3)):
+    return st.sampled_from(rel).map(lambda r: value * (1.0 + r))
+
+
+class TestPixelLabeler:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # float32 overflow is a gate
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_float32_labels_are_the_float64_rule(self, data):
+        """Float32 pixels at the filter's edges: hues a few ulps around
+        every arc midpoint, bucket edge and ±pi, amplitudes at AMP_GATE and
+        EPS_GRAY, norms at EPS_BLACK and near the float32 maximum, zeros and
+        gray pixels.  Each label is the float64 rule's, and every pixel the
+        proof cannot vouch for takes that rule: each flagged pixel, and each
+        whose float64 hue lies in a bucket that holds a midpoint."""
+        basis = IlluminationBasis.from_rgb(data.draw(st.sampled_from([(1, 1, 1), (1, 0.8, 0.6)])))
+        centers = np.array(data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=6)))
+        midpoints, _ = _arcs(centers)
+        edge = st.integers(0, BUCKETS).map(lambda j: -np.pi + j * (2 * np.pi / BUCKETS))
+        aim = st.one_of(st.sampled_from(midpoints.tolist()), st.sampled_from([np.pi, -np.pi]),
+                        edge, st.floats(-np.pi, np.pi))
+        hue = st.tuples(aim, st.integers(-4, 4)).map(lambda a: a[0] + a[1] * np.spacing(a[0]))
+        amplitude = st.one_of(near(AMP_GATE), near(EPS_GRAY), st.floats(0.0, 0.8))
+        norm = st.one_of(near(EPS_BLACK), st.floats(1e-3, 10.0),
+                         st.sampled_from([1e19, 1.5e19, 1e38, F32_MAX]))
+        drawn = data.draw(st.lists(st.tuples(hue, amplitude, norm), min_size=1, max_size=40))
+        h, a, n = np.array(drawn).T
+        pixels = np.clip(pixels_at(basis, h, a, n), -F32_MAX, F32_MAX).astype(np.float32)
+        steps = data.draw(arrays(np.int64, pixels.shape, elements=st.integers(-3, 3)))
+        gray = np.float32(data.draw(st.floats(0.0, 1.0)))  # r < g = b: a hue at ±pi in white
+        pixels = np.vstack([ulp_steps(pixels, steps), np.zeros((1, 3), np.float32),
+                            [[gray / 2, gray, gray]]])
+
+        want = rule_labels(pixels, basis, centers)
+        got, fallback = labeled(pixels, basis, centers)
+        assert np.array_equal(got, want)
+        hue64, _, flags = split_block(pixels, basis)
+        must = (flags != FLAG_VALID) | np.isin(_bucket(hue64), _bucket(midpoints))
+        assert all(pixels[i].tobytes() in fallback for i in np.flatnonzero(must))
+        assert np.array_equal(labeled(pixels.astype(np.float64), basis, centers)[0], want)
+
+    @pytest.mark.parametrize("illum", [(1.0, 1.0, 1.0), (1.0, 0.8, 0.6)])
+    def test_midpoint_pixels_take_the_rule(self, illum):
+        """Float32 pixels at and around each arc midpoint: those whose
+        float64 hue lies in the midpoint's bucket take the float64 rule,
+        and every label is that rule's."""
+        basis = IlluminationBasis.from_rgb(illum)
+        centers = np.array([-2.5, -0.4, 0.9, 2.2, np.pi])
+        midpoints, _ = _arcs(centers)
+        mid = midpoints[np.abs(midpoints) <= np.pi]
+        aim = mid[:, None] + np.arange(-64, 65) * 2e-4  # 8 buckets either side
+        pixels = pixels_at(basis, aim, 0.3, 1.0).reshape(-1, 3).astype(np.float32)
+        got, fallback = labeled(pixels, basis, centers)
+        assert np.array_equal(got, rule_labels(pixels, basis, centers))
+        hue64, _, flags = split_block(pixels, basis)
+        at_mid = np.isin(_bucket(hue64), _bucket(mid))
+        assert np.all(flags == FLAG_VALID) and at_mid.sum() >= 5 * len(mid)
+        assert all(pixels[i].tobytes() in fallback for i in np.flatnonzero(at_mid))
+        assert len(fallback) < len(pixels) / 2  # the rest keep their float32 label
+
+    def test_error_budget_stays_below_a_bucket(self):
+        """pixel_labeler's proof, recomputed from the module's constants: a
+        kept pixel's float32 bucket position lies within 0.3 of a bucket
+        of the float64 one, and its gates are beyond float32 rounding."""
+        u = float(np.finfo(np.float32).eps) / 2
+        e = 4.0 * math.sqrt(2.0) * u            # |(bu, bv) - o| / |b|
+        amp = AMP_GATE * (1.0 - 20.0 * u) - e   # |o| / |b| of a kept pixel, at least
+        width = 2.0 * math.pi / BUCKETS
+        rad = math.asin(e / amp) + ATAN2_ALLOWANCE + 1e-12
+        # pi and the factor rounded to float32, then the sum and the product
+        position = ((abs(float(np.float32(np.pi)) - math.pi) + 2.0 * math.pi * u) / width
+                    + 2.0 * u * BUCKETS)
+        assert rad / width + position < 0.3
+        assert amp > EPS_GRAY + 1e-12  # split_block's amplitude is |o| / |b| to 1e-15
+        assert (1.0 + BLACK_MARGIN) ** 2 * (1.0 - u) / (1.0 + 20.0 * u) > 1.0 + 1e-9
+
+    def test_float32_arctan2_is_within_its_allowance(self):
+        """numpy's float32 arctan2 on 10**6 random pairs of every scale,
+        plus the axes and ±0, against float64 arctan2 of the same pairs."""
+        rng = np.random.default_rng(0)
+        yx = rng.standard_normal((2, 10**6)) * 2.0 ** rng.integers(-60, 60, (2, 10**6))
+        yx[:, :8] = [[0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.0, 0.0],
+                     [-1.0, -1.0, 1.0, 1.0, 0.0, 0.0, 0.0, -0.0]]
+        y, x = yx.astype(np.float32)
+        err = np.abs(np.arctan2(y, x).astype(np.float64)
+                     - np.arctan2(y.astype(np.float64), x.astype(np.float64)))
+        err = np.minimum(err, 2.0 * np.pi - err)  # pi and -pi are one hue
+        assert err.max() < ATAN2_ALLOWANCE
 
 
 class TestKmeans:

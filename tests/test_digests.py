@@ -5,8 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
-from despec import pipeline, synth
-from despec.clustering import ClusterConfig
+from despec import clustering, pipeline, synth
+from despec.clustering import FLAG_VALID, LABEL_ACHROMATIC, LABEL_BLACK, ClusterConfig
 from despec.model import IlluminationBasis
 from despec.pipeline import PipelineConfig
 
@@ -60,6 +60,29 @@ def test_the_fallback_runs_take_the_percentile_fallback(monkeypatch):
                              PipelineConfig(threads=1, cluster=ClusterConfig(initial_k=k)))
         assert len(calls) == 1  # the one cluster's model
         assert "passthrough_clusters = 0" in rec["lines"]
+
+
+def test_the_wheel_runs_take_the_float64_labeling_fallback(monkeypatch):
+    """The wheel puts pixels of every kind through the separation
+    kernel's float64 fallback: black, gray, and valid ones whose hue
+    bucket is unsafe.  split_block takes (n, 3) pixels only there; the
+    field passes it (rows, width, 3) chunks."""
+    gathered = []
+    split_block = clustering.split_block
+    monkeypatch.setattr(clustering, "split_block", lambda block, basis: (
+        gathered.append(block) if block.ndim == 2 else None) or split_block(block, basis))
+    wheel = [run for run in digests.scene_runs() if run[0].startswith("wheel ")]
+    assert [(cfg.fast, cfg.threads) for _, _, cfg in wheel] == [(True, 1), (True, 2)]
+    img = wheel[0][1]
+    assert img.dtype == np.float32 and min(img.shape[:2]) >= 16
+    for name, img, cfg in wheel:
+        gathered.clear()
+        rec = digests.record(img, cfg)
+        assert "downsampled = true" in rec["lines"], name
+        pixels = np.concatenate(gathered)
+        assert pixels.dtype == np.float32 and 0 < len(pixels) < img.shape[0] * img.shape[1] / 2
+        flags = set(split_block(pixels, IlluminationBasis.white())[2].tolist())
+        assert flags == {FLAG_VALID, LABEL_BLACK, LABEL_ACHROMATIC}, name
 
 
 def test_the_tint_runs_take_from_rgb_and_white_balance(monkeypatch):

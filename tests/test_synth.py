@@ -1,5 +1,7 @@
 """Synthetic scene generation, ground truth, and sensor noise."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,17 @@ class TestSceneText:
             a, b = render(params), render(parsed)
             for part in ("input", "diffuse", "specular", "labels"):
                 assert np.array_equal(getattr(a, part), getattr(b, part)), (name, part)
+
+    def test_a_scene_of_its_own_name_round_trips(self):
+        """A scene named outside BUILTIN_SCENES is saved as custom, so its
+        text loads and renders the same arrays."""
+        params = SceneParams(name="tint", width=24, height=16, materials=[(1.0, 0.5, 0.2)],
+                             lobes=[(0.5, 0.5, 0.2, 0.4)])
+        parsed = scene_from_text(params.to_text())
+        assert parsed == replace(params, name="custom")
+        a, b = render(params), render(parsed)
+        for part in ("input", "diffuse", "specular", "labels"):
+            assert np.array_equal(getattr(a, part), getattr(b, part)), part
 
     def test_save_and_load(self, tmp_path):
         params = builtin_scene("single-3", 48, 32)

@@ -18,6 +18,9 @@ and ``perfbench`` directories first on ``sys.path``, over the same runs:
   illumination given as a direction (``IlluminationBasis.from_rgb``) and
   as a white balance (``white_balance``), on the full and the ``--fast``
   path.
+* ``wheel_image`` on the ``--fast`` path at 1 and 2 threads, whose
+  black, gray and midpoint-bucket pixels take the separation kernel's
+  float64 labeling rule, and every other pixel its float32 filter.
 
 For each run it prints the SHA-256 of the input image each side renders
 or loads for itself, and of the diffuse, specular and label arrays
@@ -67,6 +70,26 @@ def fallback_image() -> np.ndarray:
     return (np.sqrt(1.0 - coeff * coeff) * ortho + coeff / np.sqrt(3.0)).reshape(16, 16, 3)
 
 
+def wheel_image(height: int = 32, width: int = 512) -> np.ndarray:
+    """A float32 wheel of every hue under white light: row r shifts the
+    column hues by r / height of a column's step, so together the rows
+    hold a hue every 2pi / (height·width) rad, finer than the labeling's
+    hue buckets, and the amplitude runs from 0 at the top row to 0.9 of
+    the largest that keeps each hue's channels nonnegative at the bottom.
+    The pixels on every 41st anti-diagonal are black.  At 512 px wide,
+    ``--fast`` downsamples it by 3."""
+    from despec.model import IlluminationBasis
+
+    basis = IlluminationBasis.white()
+    r, c = np.mgrid[:height, :width]
+    ortho = basis.orthogonal(-np.pi + 2.0 * np.pi * (c + r / height) / width)
+    top = 1.0 / np.sqrt(1.0 + 3.0 * np.minimum(ortho.min(axis=-1), 0.0) ** 2)
+    amp = (0.9 * r / (height - 1) * top)[..., None]
+    img = 0.5 * (amp * ortho + np.sqrt(1.0 - amp * amp) * basis.direction)
+    img[(r + c) % 41 == 0] = 0.0
+    return img.astype(np.float32)
+
+
 def record(img, cfg) -> dict:
     """The record of one ``pipeline.run(img, cfg)`` of the despec on
     ``sys.path``: the digests of its input, parts and labels, and its
@@ -105,8 +128,8 @@ def side_records(root: Path) -> dict:
 
 def scene_runs():
     """Yield ``(name, image, config)`` of every run on a synthetic image:
-    the builtin scenes, the fallback image and the tinted scene, in that
-    order, with the despec on ``sys.path``."""
+    the builtin scenes, the fallback image, the tinted scene and the
+    wheel, in that order, with the despec on ``sys.path``."""
     from despec import pipeline, synth
     from despec.clustering import ClusterConfig
 
@@ -131,6 +154,9 @@ def scene_runs():
         for fast in (False, True):
             yield (f"four-materials tint sigma=3 illum={illum} {'fast' if fast else 'full'}",
                    img, pipeline.PipelineConfig(illumination=illum, fast=fast, threads=1))
+    for threads in (1, 2):
+        yield (f"wheel fast threads={threads}", wheel_image(),
+               pipeline.PipelineConfig(fast=True, threads=threads))
 
 
 def differing(parent: dict, change: dict) -> list[str]:
