@@ -6,8 +6,8 @@ and a hue angle in the basis's fixed (u, v) frame.
 :func:`split_block` is that split for one block of pixels.  The
 hue depends only on the material color, not on how much highlight the
 pixel carries, so k-means on the circle of hues groups pixels by
-material; :func:`nearest_hue` is the one assignment rule, and
-:func:`hue_lookup` builds its bucket table once per set of centers.
+material; :func:`nearest_hue` is the one assignment rule, read from a
+table of hue buckets.
 :func:`pixel_labeler` labels a full-resolution image against clusters
 found on a downsampled copy by that rule: a float32 filter reads most
 labels from the table's safe buckets, and ``split_block`` with
@@ -34,7 +34,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -290,20 +290,28 @@ def _arcs(centers) -> tuple[np.ndarray, np.ndarray]:
 
 def _bucket(hue) -> np.ndarray:
     """Lookup-table bucket of each hue, trunc((hue + pi) * BUCKETS / 2pi)
-    clipped to [0, BUCKETS - 1].  Every step is monotone, so the bucket
-    never decreases as the hue grows; a NaN, which sorts last, takes the
-    last bucket."""
-    pos = np.empty(np.shape(hue))
-    np.add(hue, np.pi, out=pos)
-    pos *= BUCKETS / (2.0 * np.pi)
+    clipped to [0, BUCKETS - 1], in float32 for a float32 hue, else in
+    float64.  Every step is monotone, so the bucket never decreases as the
+    hue grows; a NaN, which sorts last, takes the last bucket."""
+    real = np.float32 if np.asarray(hue).dtype == np.float32 else np.float64
+    pos = np.add(hue, real(np.pi), out=np.empty(np.shape(hue), real))
+    pos *= real(BUCKETS / (2.0 * np.pi))
     np.fmin(pos, BUCKETS - 1, out=pos)
     np.fmax(pos, 0.0, out=pos)
     return pos.astype(np.intp)
 
 
 def _hue_table(centers):
-    """(midpoints, owner, table): ``_arcs`` of ``centers`` and
-    hue_lookup's bucket table over them."""
+    """(midpoints, owner, table): ``_arcs`` of ``centers`` and the
+    bucket table that ``_nearest`` reads over them.
+
+    Hues in one bucket share the count of midpoints at or below them
+    unless a midpoint falls in that bucket too: the bucket never
+    decreases as the hue grows, so a bucket with no midpoint lies above
+    exactly the midpoints of lower buckets.  The table holds the owner
+    of such buckets and -1 for the at most k + 1 that hold a midpoint,
+    whose hues take the searchsorted of the midpoints instead.
+    """
     midpoints, owner = _arcs(centers)
     counts = np.bincount(_bucket(midpoints), minlength=BUCKETS)
     return midpoints, owner, np.where(counts > 0, -1, owner[np.cumsum(counts) - counts])
@@ -318,20 +326,6 @@ def _nearest(tables, hue) -> np.ndarray:
     return labels
 
 
-def hue_lookup(centers):
-    """nearest_hue against fixed ``centers``, as a function of the hues
-    alone; the table behind it is built once, here.
-
-    Hues in one bucket share the count of midpoints at or below them
-    unless a midpoint falls in that bucket too: the bucket never
-    decreases as the hue grows, so a bucket with no midpoint lies above
-    exactly the midpoints of lower buckets.  The table holds the owner
-    of such buckets and -1 for the at most k + 1 that hold a midpoint,
-    whose hues take the searchsorted of the midpoints instead.
-    """
-    return partial(_nearest, _hue_table(centers))
-
-
 def pixel_labeler(centers, basis: IlluminationBasis):
     """``label(block, out)``, which writes the label of every pixel of an
     (..., 3) block against fixed ``centers`` into ``out``, a C-contiguous
@@ -342,15 +336,14 @@ def pixel_labeler(centers, basis: IlluminationBasis):
     A float64 block takes that rule as written.  A float32 block first
     takes a float32 filter: one matmul by the float32 rows (d, u, v)
     gives each pixel's projections p, bu and bv; the hue arctan2(bv, bu)
-    needs no division, since it does not depend on scale; its bucket,
-    trunc((hue + pi) * BUCKETS / 2pi) clipped to [0, BUCKETS - 1], reads
-    a table of safe buckets.  A bucket is safe when it and both its
-    circular neighbours have one owner (none -1) in hue_lookup's table;
-    every other bucket reads -1.  A pixel keeps the safe table's label
-    when that label is >= 0, a2 = bu² + bv² > AMP_GATE²·m2 with m2 = p²
-    + a2, and m2 > (EPS_BLACK·(1 + BLACK_MARGIN))².  NaN and overflowed
-    values fail every gate.  The pixels that fail any, gathered, take
-    the float64 rule.
+    needs no division, since it does not depend on scale; its float32
+    ``_bucket`` reads a table of safe buckets.  A bucket is safe when it
+    and both its circular neighbours have one owner (none -1) in
+    ``_hue_table``'s table; every other bucket reads -1.  A pixel keeps
+    the safe table's label when that label is >= 0, a2 = bu² + bv² >
+    AMP_GATE²·m2 with m2 = p² + a2, and m2 > (EPS_BLACK·(1 +
+    BLACK_MARGIN))².  NaN and overflowed values fail every gate.  The
+    pixels that fail any, gathered, take the float64 rule.
 
     Why a kept label is the float64 rule's, bit for bit: the pixel b is
     exact in both precisions.  With u = 2**-24, each of p, bu and bv is a
@@ -372,7 +365,7 @@ def pixel_labeler(centers, basis: IlluminationBasis):
     the float64 hue's bucket is the float32 one or a neighbour.  The
     neighbours are circular: a hue at ±pi (bv = ±0, bu < 0) may read pi
     in one precision and -pi in the other.  All three buckets hold no
-    midpoint and share the safe label, so hue_lookup reads that label
+    midpoint and share the safe label, so ``_nearest`` reads that label
     for the float64 hue.  ``tests/test_clustering.py`` recomputes this
     budget from the constants and measures numpy's float32 arctan2
     against its allowance.
@@ -384,14 +377,14 @@ def pixel_labeler(centers, basis: IlluminationBasis):
     gate2 = np.float32(AMP_GATE * AMP_GATE)
     black2 = np.float32((EPS_BLACK * (1.0 + BLACK_MARGIN)) ** 2)
 
-    def rule(block, out):
+    def rule(block):
         hue, _, flags = split_block(block, basis)
-        np.copyto(out, flags)
-        np.copyto(out, _nearest(tables, hue), where=flags == FLAG_VALID)
+        return np.where(flags == FLAG_VALID, _nearest(tables, hue), flags)
 
     def label(block, out):
         if block.dtype != np.float32:
-            return rule(block, out)
+            out[...] = rule(block)
+            return
         pixels, lab = block.reshape(-1, 3), out.reshape(-1)
         with np.errstate(over="ignore", invalid="ignore"):
             p, bu, bv = np.matmul(frame, pixels.T)
@@ -402,17 +395,10 @@ def pixel_labeler(centers, basis: IlluminationBasis):
             m2 += a2
             keep = a2 > np.multiply(m2, gate2, out=bv)
             keep &= m2 > black2
-        # the bucket, in place of the hue
-        hue += np.float32(np.pi)
-        hue *= np.float32(BUCKETS / (2.0 * np.pi))
-        np.fmin(hue, BUCKETS - 1, out=hue)
-        np.fmax(hue, 0, out=hue)
-        safe.take(hue.astype(np.intp), out=lab, mode="clip")
+        safe.take(_bucket(hue), out=lab, mode="clip")
         keep &= lab >= 0
         if len(rest := np.flatnonzero(~keep)):
-            fallback = np.empty(len(rest), dtype=np.int32)
-            rule(pixels[rest], fallback)
-            lab[rest] = fallback
+            lab[rest] = rule(pixels[rest])
 
     return label
 
@@ -420,8 +406,9 @@ def pixel_labeler(centers, basis: IlluminationBasis):
 def nearest_hue(hue, centers) -> np.ndarray:
     """Index (int32) of the center angle nearest to each hue on the circle:
     ``owner[searchsorted(midpoints, hue, side="right")]`` over ``_arcs``,
-    read from the lookup table of hue_lookup."""
-    return hue_lookup(centers)(hue)
+    read from the bucket table of ``_hue_table``, whose float64 buckets
+    a float32 hue could miss by one, so it is widened first."""
+    return _nearest(_hue_table(centers), np.asarray(hue, dtype=np.float64))
 
 
 def _merge_runs(bounds: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

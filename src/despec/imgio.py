@@ -28,8 +28,9 @@ converts and writes BAND_ROWS rows at a time through one reused band
 buffer, bottom band first for PFM.  Reads and writes pass at most
 IOV_MAX buffers per call and go on after short counts (a pipe's).
 A save rewrites an existing file in place and cuts it to length after;
-a PFM sample beyond the float32 range is an error, not an inf; and a
-failed save removes the file it was writing.
+a PFM sample beyond the float32 range is an error, not an inf, as is a
+NaN sample of a PPM and an image of no pixels, whose header no load
+accepts; and a failed save removes the file it was writing.
 """
 
 from __future__ import annotations
@@ -274,8 +275,18 @@ def load(path) -> np.ndarray:
     raise UnsupportedFormatError(f"unrecognized magic {magic!r}")
 
 
+def _size(shape, path) -> tuple[int, int]:
+    """(height, width) of an image or label map to save to ``path``;
+    UnsupportedFormatError, before any file is opened, if it has no
+    pixels, as ``_parse_header`` refuses a zero dimension."""
+    height, width = shape
+    if not height or not width:
+        raise UnsupportedFormatError(f"cannot write {path}: {width}x{height} has no pixels")
+    return height, width
+
+
 def _save_ppm(img: np.ndarray, path, maxval: int) -> int:
-    height, width = img.shape[:2]
+    height, width = _size(img.shape[:2], path)
     quant = np.empty((min(BAND_ROWS, height), width, 3))
     clipped = 0
 
@@ -288,6 +299,8 @@ def _save_ppm(img: np.ndarray, path, maxval: int) -> int:
         np.floor(q, out=q)  # round half up
         clipped += int(np.count_nonzero(q > maxval))
         np.clip(q, 0, maxval, out=q)
+        if np.isnan(q).any():  # no integer sample stands for it
+            raise UnsupportedFormatError(f"cannot write {path}: a sample is NaN")
         np.copyto(out, q, casting="unsafe")
 
     dtype = ">u2" if maxval > 255 else np.uint8
@@ -297,7 +310,7 @@ def _save_ppm(img: np.ndarray, path, maxval: int) -> int:
 
 
 def _save_pfm(img: np.ndarray, path) -> int:
-    height, width = img.shape[:2]
+    height, width = _size(img.shape[:2], path)
     header = b"PF\n%d %d\n-1.0\n" % (width, height)
     if img.dtype == np.dtype("<f4") and img.flags.c_contiguous:
         # already the file's bytes: its rows go out as they are, bottom first
@@ -356,7 +369,8 @@ def save_labels(labels, path) -> None:
     flagged (negative) pixels become 255.
     """
     labels = np.asarray(labels)
-    k = int(labels.max()) + 1 if labels.size and labels.max() >= 0 else 1
+    height, width = _size(labels.shape, path)
+    k = max(int(labels.max()) + 1, 1)
     if k > 255:
         raise UnsupportedFormatError(f"{k} labels exceed an 8-bit label map")
     step = 254 // max(k - 1, 1)  # label i is gray level i * step
@@ -369,7 +383,6 @@ def save_labels(labels, path) -> None:
         out[..., 1] = gray
         out[..., 2] = gray
 
-    height, width = labels.shape
     header = b"P6\n%d %d\n255\n" % (width, height)
     _write_parts(path, header, _bands(height, width, np.uint8, fill))
 

@@ -70,10 +70,12 @@ class SceneParams:
         def floats(values):  # at repr precision, so they parse back to the same bits
             return " ".join("%r" % float(x) for x in values)
 
+        # custom for a name scene_from_text could not start from, and for a
+        # builtin's with no materials or lobes, which that builtin would fill in
+        builtin = self.name in BUILTIN_SCENES and self.materials and self.lobes
         lines = [
             "# despec scene description",
-            # a name scene_from_text could not start from is written custom
-            f"scene = {self.name if self.name in BUILTIN_SCENES else 'custom'}",
+            f"scene = {self.name if builtin else 'custom'}",
             f"width = {self.width}",
             f"height = {self.height}",
             f"layout = {self.layout}",

@@ -256,6 +256,44 @@ class TestNearestHue:
         hue = np.array([[0.1, 2.0], [-2.5, 3.1]])
         assert nearest_hue(hue, np.array([0.0, 2.2])).tolist() == [[0, 1], [1, 1]]
 
+    def test_float32_hues_label_as_their_float64_copies(self):
+        """A float32 hue next to a bucket edge whose float32 bucket is past
+        its float64 one, just below a midpoint in that float64 bucket, takes
+        the center below the midpoint, as its float64 copy does."""
+        edges = (-np.pi + np.arange(BUCKETS + 1) * (2 * np.pi / BUCKETS)).astype(np.float32)
+        hue = np.concatenate([edges, np.nextafter(edges, np.float32(-4)),
+                              np.nextafter(edges, np.float32(4))])
+        b32 = ((hue + np.float32(np.pi)) * np.float32(BUCKETS / (2 * np.pi))).astype(np.intp)
+        past = np.flatnonzero(b32 > _bucket(hue.astype(np.float64)))
+        assert len(past) > 100
+        for i in past[::len(past) // 10]:
+            h = hue[i]
+            top = -np.pi + b32[i] * (2 * np.pi / BUCKETS)
+            mid = 0.5 * (float(h) + top)
+            assert float(h) < mid and _bucket(mid) == _bucket(np.float64(h))
+            centers = np.array([mid - 1.0, mid + 1.0])
+            assert nearest_hue(np.array([h]), centers).tolist() == [0]
+            assert nearest_hue(np.array([h], np.float64), centers).tolist() == [0]
+
+
+class TestBucket:
+    def test_each_dtype_takes_its_own_steps(self):
+        """Float32 hues at and next to every bucket edge, ±pi, ±0, NaN and
+        beyond [-pi, pi], and the infinities, take the float32 steps the
+        labeler's filter relies on; float64 hues the float64 steps, a 0-d
+        hue and a list of floats too."""
+        edges = -np.pi + np.arange(BUCKETS + 1) * (2 * np.pi / BUCKETS)
+        odd = [np.pi, -np.pi, 0.0, -0.0, np.nan, 3.5, -3.5, 1e30, -1e30]
+        for real in (np.float32, np.float64):
+            at = np.concatenate([edges, odd]).astype(real)
+            hue = np.concatenate([at, np.nextafter(at, real(-4)), np.nextafter(at, real(4)),
+                                  [np.inf, -np.inf]]).astype(real)
+            pos = (hue + real(np.pi)) * real(BUCKETS / (2.0 * np.pi))
+            want = np.fmax(np.fmin(pos, real(BUCKETS - 1)), real(0)).astype(np.intp)
+            assert np.array_equal(_bucket(hue), want), real
+            assert [int(_bucket(h)) for h in hue] == want.tolist()
+        assert np.array_equal(_bucket(hue.tolist()), want)
+
 
 F32_MAX = float(np.finfo(np.float32).max)
 

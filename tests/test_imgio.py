@@ -224,6 +224,31 @@ class TestSave:
         with pytest.raises(errors.UnsupportedFormatError):
             save(np.zeros((4, 4)), tmp_path / "a.ppm")
 
+    @pytest.mark.parametrize("shape", [(0, 5, 3), (5, 0, 3)])
+    @pytest.mark.parametrize("format,dtype", [("pfm", np.float32), ("pfm", np.float64),
+                                              ("ppm8", np.float64), ("ppm16", np.float64)])
+    def test_an_image_of_no_pixels_is_refused(self, tmp_path, shape, format, dtype):
+        """load refuses a zero dimension, so save writes no such file."""
+        path = tmp_path / "a.img"
+        with pytest.raises(errors.UnsupportedFormatError, match="has no pixels"):
+            save(np.zeros(shape, dtype), path, format=format)
+        assert not path.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("format", ["ppm8", "ppm16"])
+    def test_a_nan_sample_is_refused_and_inf_clipped(self, tmp_path, format):
+        """+inf clips to maxval and is counted; no integer sample stands
+        for a NaN, so its save fails after the band before it was written,
+        and the failed save removes the file."""
+        img = np.full((BAND_ROWS + 3, 4, 3), 0.5)
+        img[0, 1] = np.inf
+        path = tmp_path / "a.ppm"
+        assert save(img, path, format=format) == 3
+        img[-1, 2, 1] = np.nan
+        with pytest.raises(errors.UnsupportedFormatError, match="NaN"):
+            save(img, path, format=format)
+        assert not path.exists()
+
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(errors.IoFailureError):
             save(np.zeros((1, 1, 3)), tmp_path / "missing" / "a.ppm")
@@ -249,6 +274,13 @@ class TestLabels:
         p = tmp_path / "labels.ppm"
         save_labels(np.zeros((3, 5), dtype=np.int32), p)
         assert np.array_equal(load_labels(p), np.zeros((3, 5), dtype=np.int32))
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
+    def test_a_map_of_no_pixels_is_refused(self, tmp_path, shape):
+        path = tmp_path / "labels.ppm"
+        with pytest.raises(errors.UnsupportedFormatError, match="has no pixels"):
+            save_labels(np.zeros(shape, dtype=np.int32), path)
+        assert not path.exists()
 
     def test_too_many_labels(self, tmp_path):
         labels = np.arange(256, dtype=np.int32).reshape(16, 16)

@@ -269,6 +269,14 @@ class TestSceneText:
         for part in ("input", "diffuse", "specular", "labels"):
             assert np.array_equal(getattr(a, part), getattr(b, part)), part
 
+    @pytest.mark.parametrize("emptied", ["lobes", "materials"])
+    def test_a_builtin_scene_with_an_empty_list_round_trips(self, emptied):
+        """A builtin-named scene with no lobes, or no materials, is saved as
+        custom, as a builtin base would fill the empty list back in."""
+        params = replace(builtin_scene("four-materials", 64, 48), **{emptied: []})
+        parsed = scene_from_text(params.to_text())
+        assert parsed == replace(params, name="custom")
+
     def test_save_and_load(self, tmp_path):
         params = builtin_scene("single-3", 48, 32)
         path = tmp_path / "scene.txt"
