@@ -366,9 +366,12 @@ def save_labels(labels, path) -> None:
     """Cluster/material labels as an 8-bit PPM.
 
     Nonnegative labels map to evenly spread gray levels in [0, 254];
-    flagged (negative) pixels become 255.
+    flagged (negative) pixels become 255.  UnsupportedFormatError, before
+    any file is opened, unless ``labels`` is a 2-D integer array.
     """
     labels = np.asarray(labels)
+    if labels.ndim != 2 or labels.dtype.kind not in "iu":
+        raise UnsupportedFormatError(f"label map {labels.dtype} {labels.shape} is not 2-D integer")
     height, width = _size(labels.shape, path)
     k = max(int(labels.max()) + 1, 1)
     if k > 255:

@@ -166,18 +166,16 @@ def separate_image(img, clusters: ClusterSet, models: dict,
 
     The image is walked once, in short row chunks, and each chunk works
     in a few chunk-sized buffers and its own output rows: the specular
-    strength is summed channel by channel into one buffer, the clipped
-    specular part goes one channel at a time into the specular rows, and
-    then the diffuse part input - specular and the exact specular part
-    input - diffuse each run once over the chunk's whole pixels, so no
-    3-channel temporary is made.
+    strength is summed channel by channel, each channel's share goes
+    into the specular rows, and the clip, the diffuse part input -
+    specular and the exact specular part input - diffuse each run once
+    over the chunk's whole pixels, so no 3-channel temporary is made.
 
     A float32 image gives float32 parts, any other image float64 parts.
-    The strength and the clipped specular part are computed in float64;
-    for a float32 image the specular part is then rounded to float32 and
-    the two subtractions run in float32.  Either way diffuse + specular
-    == input, input - diffuse == specular and input - specular ==
-    diffuse hold bit for bit in the image's dtype.
+    The strength is computed in float64; each share is rounded into the
+    image's dtype and then clipped, with the bits of a clip in float64.
+    Either way diffuse + specular == input, input - diffuse == specular
+    and input - specular == diffuse hold bit for bit.
 
     ``labels`` is an (H, W) label map of the image, as
     ``SpecularFreeField.label_map`` builds it; each pixel takes its label
@@ -208,19 +206,18 @@ def separate_image(img, clusters: ClusterSet, models: dict,
     elif labels.max(initial=-1) >= k:
         raise ValueError(f"label {int(labels.max())} has no cluster: there are {k}")
 
-    # per-cluster tables indexed by slot = max(label + 1, 0): slot 0 takes
-    # the flagged pixels and slot cid + 1 cluster cid.  A pixel's specular
-    # strength is its dot product with the slot's axis d - center / ratio,
-    # the parallel coefficient less the diffuse share the ortho one
-    # implies; flagged and pass-through slots keep a zero axis, so nothing
-    # is split off.
+    # per-cluster tables indexed by slot = label + 2, which take's
+    # mode="clip" keeps at 0 or above: a pixel's strength is its dot
+    # product with the slot's axis d - center / ratio, the parallel
+    # coefficient less the diffuse share the ortho one implies; the flag
+    # slots 0 and 1 and pass-through clusters keep a zero axis.
     d = basis.direction
-    axis = np.zeros((3, k + 1))
+    axis = np.zeros((3, k + 2))
     for cid in range(k):
         if cid not in models:
             raise ValueError(f"no material model for cluster {cid}")
         if (model := models[cid]) is not None:
-            axis[:, cid + 1] = d - model.center / model.ratio
+            axis[:, cid + 2] = d - model.center / model.ratio
 
     diffuse = np.empty_like(img)
     specular = np.empty_like(img)
@@ -232,8 +229,7 @@ def separate_image(img, clusters: ClusterSet, models: dict,
         lab = labels[rows]
         if not given:
             label(block, lab)
-        slot = np.add(lab, 1, dtype=np.intp)  # intp, so no take below casts it
-        np.maximum(slot, 0, out=slot)
+        slot = np.add(lab, 2, dtype=np.intp)  # intp, so no take below casts it
         # strength = block · axis, summed channel by channel in one
         # float64 buffer (a float32 block is widened exactly by the ufuncs)
         scratch = np.empty(lab.shape)
@@ -241,15 +237,15 @@ def separate_image(img, clusters: ClusterSet, models: dict,
         for i in (1, 2):
             strength += np.multiply(block[..., i], axis[i].take(slot, mode="clip", out=scratch),
                                     out=scratch)
+        # every d_i >= 0, so clipping the strength at 0 clips each share
+        np.maximum(strength, 0.0, out=strength)
         sp, dif = specular[rows], diffuse[rows]
-        for i in range(3):
-            # the specular part is clipped in float64 and rounded into sp;
-            # rounding is monotone and the sample b is representable, so
-            # 0 <= sp <= b
-            # (maximum then minimum: np.clip's bits at a third of its time)
-            np.multiply(strength, d[i], out=scratch)
-            np.maximum(scratch, 0.0, out=scratch)
-            np.minimum(scratch, block[..., i], out=sp[..., i])
+        with np.errstate(over="ignore"):  # a share past float32's range rounds to inf
+            for i in range(3):
+                np.multiply(strength, d[i], out=sp[..., i])  # rounded into sp's dtype
+        # rounding is monotone and the sample b is representable, so
+        # min(round(x), b) == round(min(x, b)), and 0 <= sp <= b
+        np.minimum(sp, block, out=sp)
         np.subtract(block, sp, out=dif)
         # b - dif is exact (Sterbenz), sample by sample: if sp >= b / 2,
         # b - sp is exact, so dif = b - sp and b - dif = sp; if sp < b / 2,

@@ -111,3 +111,16 @@ def test_single_3_passes_one_cluster_through():
             if name.startswith("single-3 ")}
     rec = digests.record(*runs["single-3 sigma=3 full initial_k=8"])
     assert "passthrough_clusters = 1" in rec["lines"]
+
+
+def test_the_yellow_runs_split_under_a_zero_illumination_channel():
+    """The (1, 1, 0) runs put the separation kernel's zero share under the
+    byte-identity check, on both paths: highlights are split off, and
+    never in blue."""
+    yellow = [run for run in digests.scene_runs() if " yellow " in run[0]]
+    assert [(cfg.illumination, cfg.fast) for _, _, cfg in yellow] == [
+        ("1,1,0", False), ("1,1,0", True)]
+    for name, img, cfg in yellow:
+        result, _ = pipeline.run(img, cfg)
+        assert result.specular[..., :2].max() > 0.0, name
+        assert np.all(result.specular[..., 2] == 0.0), name

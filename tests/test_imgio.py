@@ -282,6 +282,18 @@ class TestLabels:
             save_labels(np.zeros(shape, dtype=np.int32), path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("labels", [
+        np.zeros((2, 3, 1), dtype=np.int32),  # not 2-D
+        np.zeros(3, dtype=np.int32),
+        np.array([[0.0, np.nan]]),  # not integer
+        np.array([[0.5, 1.5]]),
+    ], ids=["3-d", "1-d", "nan", "fractional"])
+    def test_a_map_not_2d_integer_is_refused(self, tmp_path, labels):
+        path = tmp_path / "labels.ppm"
+        with pytest.raises(errors.UnsupportedFormatError, match="is not 2-D integer"):
+            save_labels(labels, path)
+        assert not path.exists()
+
     def test_too_many_labels(self, tmp_path):
         labels = np.arange(256, dtype=np.int32).reshape(16, 16)
         with pytest.raises(errors.UnsupportedFormatError):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ import despec
 from despec import errors, synth
 from despec.clustering import (
     FLAG_VALID,
+    LABEL_ACHROMATIC,
+    LABEL_BLACK,
     ClusterSet,
     _arcs,
     _bucket,
@@ -553,7 +556,8 @@ class TestSeparateImage:
         img = data.draw(arrays(dtype, (rows, width, 3), elements=sample))
         gray = data.draw(arrays(np.bool_, (rows, width)))
         img[gray] = img[gray][:, :1]  # the strength puts these at the clip bound
-        basis = IlluminationBasis.from_rgb(data.draw(st.sampled_from([(1, 1, 1), (1, 0.8, 0.6)])))
+        basis = IlluminationBasis.from_rgb(data.draw(st.sampled_from(
+            [(1, 1, 1), (1, 0.8, 0.6), (1, 1, 0), (0, 0.5, 1)])))  # some with a d_i = 0
         hues = np.array([-2.0, 0.5, 2.5])
         models = {0: None}  # cluster 0 passes through
         for cid in (1, 2):
@@ -574,6 +578,55 @@ class TestSeparateImage:
         for part, ref in zip((got.diffuse, got.specular), want):
             assert part.dtype == dtype
             assert part.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_negative_zero_samples_on_a_zero_illuminant_channel(self, dtype):
+        """Under (1, 1, 0) the blue share of every strength is a zero,
+        and each blue sample is -0.0; with materials at diffuse_parallel
+        0.9 the pixels more saturated than their material have negative
+        strengths.  The parts keep the per-channel sequence's bits, so
+        the signs of their zeros too."""
+        basis = IlluminationBasis.from_rgb((1, 1, 0))
+        ortho, ratio = estimate_ratio(0.9)
+        models = {cid: MaterialModel(center=np.array([1.0, -1.0, 0.0]) * sign / math.sqrt(2.0),
+                                     diffuse_ortho=ortho, diffuse_parallel=0.9, ratio=ratio)
+                  for cid, sign in enumerate((1.0, -1.0))}
+        rng = np.random.default_rng(7)
+        img = np.zeros((8, 16, 3), dtype=dtype)
+        img[..., :2] = rng.uniform(0.0, 1.0, (8, 16, 2))
+        img[..., 2] = -0.0
+        labels = np.where(img[..., 0] > img[..., 1], 0, 1).astype(np.int32)
+        labels[0, :4] = [LABEL_BLACK, LABEL_ACHROMATIC, -3, -1000]  # lower labels: zero axis
+        clusters = ClusterSet(bounds=np.array([0]), owner=np.empty(0, dtype=np.int32),
+                              hues=np.zeros(2), sizes=np.zeros(2, dtype=np.int64))
+        got = separate_image(img, clusters, models, basis, labels=labels)
+        want = per_channel_split(img, models, basis, labels)
+        # a pixel (r, g, 0)'s strength is (r + g - |r - g| / ratio) / sqrt(2)
+        negative = np.abs(img[..., 0] - img[..., 1]) > ratio * (img[..., 0] + img[..., 1])
+        assert negative.any() and (~negative).any()
+        assert np.all(got.specular[negative] == 0.0)
+        for part, ref in zip((got.diffuse, got.specular), want):
+            assert part.dtype == dtype
+            assert part.tobytes() == ref.tobytes()
+
+    def test_float32_shares_past_float32_range_clip_without_warning(self, white):
+        """A near-float32-max pixel far from its material's hue has a
+        share beyond float32's range; it clips to its sample, with the
+        per-channel sequence's bits and no overflow warning."""
+        ortho, ratio = estimate_ratio(0.95)
+        model = MaterialModel(center=white.orthogonal(0.0), diffuse_ortho=ortho,
+                              diffuse_parallel=0.95, ratio=ratio)
+        img = np.array([[[0.0, 3e38, 3e38], [3e38, 3e38, 3e38]]], dtype=np.float32)
+        labels = np.zeros((1, 2), dtype=np.int32)
+        clusters = ClusterSet(bounds=np.array([0]), owner=np.empty(0, dtype=np.int32),
+                              hues=np.zeros(1), sizes=np.zeros(1, dtype=np.int64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = separate_image(img, clusters, {0: model}, white, labels=labels)
+        want = per_channel_split(img, {0: model}, white, labels)
+        assert got.specular.tobytes() == want[1].tobytes()
+        assert got.diffuse.tobytes() == want[0].tobytes()
+        assert np.array_equal(got.specular, img)
 
     def test_threaded_separation_is_bitwise_identical(self, white):
         gt = synth.render(synth.builtin_scene("over-seg", 150, 100))

@@ -17,7 +17,10 @@ and ``perfbench`` directories first on ``sys.path``, over the same runs:
 * four-materials lit by ``TINT`` at noise sigma 3, at 1 thread, with the
   illumination given as a direction (``IlluminationBasis.from_rgb``) and
   as a white balance (``white_balance``), on the full and the ``--fast``
-  path.
+  path;
+* four-materials lit by ``YELLOW`` at noise sigma 3, at 1 thread, with
+  that illumination given as a direction, on the full and the ``--fast``
+  path, so the separation kernel runs with a zero illumination channel;
 * ``wheel_image`` on the ``--fast`` path at 1 and 2 threads, whose
   black, gray and midpoint-bucket pixels take the separation kernel's
   float64 labeling rule, and every other pixel its float32 filter.
@@ -49,6 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 INPUT_SEED = 1        # make_inputs' seed, that of pairs.py's first pair
 RUN_TIMEOUT_S = 1800  # one side's runs take well under a minute on 2 vCPUs
 TINT = (1.0, 0.8, 0.6)  # a non-white illumination color
+YELLOW = (1.0, 1.0, 0.0)  # an illumination color with a zero channel
 
 _spec = importlib.util.spec_from_file_location("pairs", Path(__file__).with_name("pairs.py"))
 pairs = importlib.util.module_from_spec(_spec)
@@ -128,8 +132,8 @@ def side_records(root: Path) -> dict:
 
 def scene_runs():
     """Yield ``(name, image, config)`` of every run on a synthetic image:
-    the builtin scenes, the fallback image, the tinted scene and the
-    wheel, in that order, with the despec on ``sys.path``."""
+    the builtin scenes, the fallback image, the tinted and the yellow-lit
+    scenes and the wheel, in that order, with the despec on ``sys.path``."""
     from despec import pipeline, synth
     from despec.clustering import ClusterConfig
 
@@ -146,14 +150,16 @@ def scene_runs():
     for k in (1, 8):
         yield (f"fallback initial_k={k}", fallback_image(),
                pipeline.PipelineConfig(threads=1, cluster=ClusterConfig(initial_k=k)))
-    rgb = ",".join(f"{c:g}" for c in TINT)
-    params = synth.scene_from_text(f"scene = four-materials\nillumination = {rgb}\n")
     build = getattr(synth, "build_scene", None)  # a revision before render took the params
-    img = synth.add_noise(synth.render(build(params) if build else params), 3.0, seed=0)
-    for illum in (rgb, f"divide:{rgb}"):
-        for fast in (False, True):
-            yield (f"four-materials tint sigma=3 illum={illum} {'fast' if fast else 'full'}",
-                   img, pipeline.PipelineConfig(illumination=illum, fast=fast, threads=1))
+    for name, color in (("tint", TINT), ("yellow", YELLOW)):
+        rgb = ",".join(f"{c:g}" for c in color)
+        params = synth.scene_from_text(f"scene = four-materials\nillumination = {rgb}\n")
+        img = synth.add_noise(synth.render(build(params) if build else params), 3.0, seed=0)
+        for illum in (rgb, f"divide:{rgb}") if name == "tint" else (rgb,):
+            for fast in (False, True):
+                yield (f"four-materials {name} sigma=3 illum={illum} "
+                       f"{'fast' if fast else 'full'}",
+                       img, pipeline.PipelineConfig(illumination=illum, fast=fast, threads=1))
     for threads in (1, 2):
         yield (f"wheel fast threads={threads}", wheel_image(),
                pipeline.PipelineConfig(fast=True, threads=threads))
