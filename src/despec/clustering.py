@@ -9,12 +9,12 @@ pixel carries, so k-means on the circle of hues groups pixels by
 material; :func:`nearest_hue` is the one assignment rule, read from a
 table of hue buckets.
 :func:`pixel_labeler` labels a full-resolution image against clusters
-found on a downsampled copy by that rule: a float32 filter reads most
-labels from the table's safe buckets, and ``split_block`` with
-``nearest_hue`` labels the pixels it cannot vouch for.  The cluster
-count is grown adaptively: a cluster whose pixels deviate too far from
-the unit circle in its (center, illumination) frame is mixing materials
-and votes to increase k.
+found on a downsampled copy by that rule: one filter, in the block's
+own precision, reads most labels from the table's safe buckets, and
+``split_block`` with ``nearest_hue`` labels the pixels it cannot vouch
+for.  The cluster count is grown adaptively: a cluster whose pixels
+deviate too far from the unit circle in its (center, illumination)
+frame is mixing materials and votes to increase k.
 
 The field keeps only the valid pixels, sorted by hue once per image.
 Nearest-center assignment on the circle cuts it into arcs, so every
@@ -63,7 +63,7 @@ SUB = 64               # field entries per block of SpecularFreeField.block_sums
 SEED_MARGIN = 1e-12
 SEED_WIDTH = 2         # first half-width, in entries, of every gap's window
 BUCKETS = 4096         # hue buckets of nearest_hue's lookup table
-# pixel_labeler's float32 gates: a pixel keeps its float32 label when its
+# pixel_labeler's filter gates: a pixel keeps the filter's label when its
 # orthogonal part is above AMP_GATE of its norm (ten times EPS_GRAY) and
 # its norm above EPS_BLACK by BLACK_MARGIN, far beyond float32 rounding
 AMP_GATE = 1e-3
@@ -133,14 +133,9 @@ class SpecularFreeField:
         """Entry of the valid pixel whose row-major rank is drawn from a
         generator seeded with 0 (``_draw``): the first center of every
         k-means on this field, found once per field.  The valid pixel of
-        rank r lies in the first row whose running count of valid pixels
-        passes r."""
+        rank r is the r-th smallest flat index in ``pixel``."""
         rank = _draw(len(self.hue))
-        valid = self.flags == FLAG_VALID
-        through = np.cumsum(np.count_nonzero(valid, axis=1))  # valid pixels up to each row's end
-        row = int(through.searchsorted(rank, side="right"))
-        col = np.flatnonzero(valid[row])[rank - (through[row - 1] if row else 0)]
-        return int((self.pixel == row * self.flags.shape[1] + col).argmax())
+        return int((self.pixel == np.partition(self.pixel, rank)[rank]).argmax())
 
     def label_map(self, labels: np.ndarray) -> np.ndarray:
         """(H, W) int32 map of per-entry ``labels``: the label at valid
@@ -333,10 +328,10 @@ def pixel_labeler(centers, basis: IlluminationBasis):
     where that is FLAG_VALID, nearest_hue of ``split_block``'s hue.  The
     tables behind it are built once, here.
 
-    A float64 block takes that rule as written.  A float32 block first
-    takes a float32 filter: one matmul by the float32 rows (d, u, v)
+    Every block takes one filter first: one matmul by the float32 rows
+    (d, u, v), in the block's float32 or, promoted, float64 arithmetic,
     gives each pixel's projections p, bu and bv; the hue arctan2(bv, bu)
-    needs no division, since it does not depend on scale; its float32
+    needs no division, since it does not depend on scale; its
     ``_bucket`` reads a table of safe buckets.  A bucket is safe when it
     and both its circular neighbours have one owner (none -1) in
     ``_hue_table``'s table; every other bucket reads -1.  A pixel keeps
@@ -345,17 +340,18 @@ def pixel_labeler(centers, basis: IlluminationBasis):
     BLACK_MARGIN))².  NaN and overflowed values fail every gate.  The
     pixels that fail any, gathered, take the float64 rule.
 
-    Why a kept label is the float64 rule's, bit for bit: the pixel b is
-    exact in both precisions.  With u = 2**-24, each of p, bu and bv is a
-    three-term dot product with a row of the orthonormal (d, u, v)
-    rounded to float32, so it lies within 4u·|b| of the exact projection
-    in any summation order, with or without FMA (underflow adds at most
-    3·2**-149, nothing against |b| > 1e-6).  So the computed (bu, bv) lies
-    within e = 4·sqrt(2)·u·|b| of the exact orthogonal part o, and m2 is
-    |b|² to within 20u.  A kept pixel then has |b| > EPS_BLACK and |o| >=
-    (AMP_GATE·(1 - 20u) - 4·sqrt(2)·u)·|b|, about 0.9997e-3·|b|: the
-    float64 rule's norm is above EPS_BLACK and its amplitude, |o| / |b|
-    to 1e-15, is far above EPS_GRAY, so it flags the pixel FLAG_VALID.
+    Why a float32 block's kept label is the float64 rule's, bit for bit:
+    the pixel b is exact in both precisions.  With u = 2**-24, each of
+    p, bu and bv is a three-term dot product with a row of the
+    orthonormal (d, u, v) rounded to float32, so it lies within 4u·|b|
+    of the exact projection in any summation order, with or without FMA
+    (underflow adds at most 3·2**-149, nothing against |b| > 1e-6).  So
+    the computed (bu, bv) lies within e = 4·sqrt(2)·u·|b| of the exact
+    orthogonal part o, and m2 is |b|² to within 20u.  A kept pixel then
+    has |b| > EPS_BLACK and |o| >= (AMP_GATE·(1 - 20u) - 4·sqrt(2)·u)·|b|,
+    about 0.9997e-3·|b|: the float64 rule's norm is above EPS_BLACK and
+    its amplitude, |o| / |b| to 1e-15, is far above EPS_GRAY, so it flags
+    the pixel FLAG_VALID.
     The float32 hue lies within asin(e / |o|) <= 3.4e-4 rad of o's angle,
     plus ATAN2_ALLOWANCE for float32 arctan2 itself; split_block's hue
     within 1e-12 rad.  The float32 position (hue + pi) * BUCKETS / 2pi
@@ -366,9 +362,15 @@ def pixel_labeler(centers, basis: IlluminationBasis):
     neighbours are circular: a hue at ±pi (bv = ±0, bu < 0) may read pi
     in one precision and -pi in the other.  All three buckets hold no
     midpoint and share the safe label, so ``_nearest`` reads that label
-    for the float64 hue.  ``tests/test_clustering.py`` recomputes this
-    budget from the constants and measures numpy's float32 arctan2
-    against its allowance.
+    for the float64 hue.
+
+    A float64 block runs the same steps in float64.  Its only error
+    above float64 rounding is the frame's rounding to float32, at most u
+    of each element, so at most u·|b| per projection: inside the 4u·|b|
+    above.  Its arctan2 and bucket position err by float64 ulps, far
+    inside ATAN2_ALLOWANCE and 1e-3 of a bucket, so no constant changes.
+    ``tests/test_clustering.py`` recomputes this budget for both dtypes
+    and measures numpy's float32 arctan2 against its allowance.
     """
     tables = _hue_table(centers)
     table = tables[2]
@@ -377,14 +379,7 @@ def pixel_labeler(centers, basis: IlluminationBasis):
     gate2 = np.float32(AMP_GATE * AMP_GATE)
     black2 = np.float32((EPS_BLACK * (1.0 + BLACK_MARGIN)) ** 2)
 
-    def rule(block):
-        hue, _, flags = split_block(block, basis)
-        return np.where(flags == FLAG_VALID, _nearest(tables, hue), flags)
-
     def label(block, out):
-        if block.dtype != np.float32:
-            out[...] = rule(block)
-            return
         pixels, lab = block.reshape(-1, 3), out.reshape(-1)
         with np.errstate(over="ignore", invalid="ignore"):
             p, bu, bv = np.matmul(frame, pixels.T)
@@ -398,7 +393,8 @@ def pixel_labeler(centers, basis: IlluminationBasis):
         safe.take(_bucket(hue), out=lab, mode="clip")
         keep &= lab >= 0
         if len(rest := np.flatnonzero(~keep)):
-            lab[rest] = rule(pixels[rest])
+            hue, _, flags = split_block(pixels[rest], basis)
+            lab[rest] = np.where(flags == FLAG_VALID, _nearest(tables, hue), flags)
 
     return label
 
@@ -560,9 +556,9 @@ def _seed_centers(field: SpecularFreeField, k: int) -> np.ndarray:
     so far.  Each pick reads gap windows (``_window_farthest``) until
     they would cost more than a full pass; the rest of the seeding folds
     every center into a full d² array and takes ``_farthest`` of it."""
+    chosen = [field.first_entry]  # its partition copies pixel: done before cos_sin, off the peak
     cos, sin = field.cos_sin
     n = len(field.hue)
-    chosen = [field.first_entry]
     while len(chosen) < k and (idx := _window_farthest(field, chosen)) is not None:
         chosen.append(idx)
     if len(chosen) < k:

@@ -184,9 +184,9 @@ def separate_image(img, clusters: ClusterSet, models: dict,
     returned map, with one ``pixel_labeler`` of ``clusters.hues`` per
     call: a pixel's label is its ``split_block`` flag, which is its label
     code, or where that is FLAG_VALID the nearest of ``clusters.hues``
-    (``nearest_hue``).  A float32 chunk reads most labels from a float32
-    filter, and only the pixels it cannot vouch for take that float64
-    rule; the labels are the rule's bit for bit either way.  The labels
+    (``nearest_hue``).  Every chunk reads most labels from the
+    labeler's filter, and only the pixels it cannot vouch for take that
+    float64 rule; the labels are the rule's bit for bit.  The labels
     used are returned in ``SeparationResult.labels``.
 
     Flagged pixels and pass-through clusters keep their input value in

@@ -213,10 +213,13 @@ def add_noise(gt: GroundTruth, sigma: float, seed: int = 0) -> np.ndarray:
     Uses a counter-based generator keyed on the seed, so the noise field
     for a given seed and shape is reproducible regardless of how the
     caller parallelizes.  Negative results are clipped to zero (sensors
-    do not report negative energy); values above 1 are left alone.
+    do not report negative energy); values above 1 are left alone.  The
+    seed is checked even at sigma 0: a Philox key is in [0, 2**128).
     """
     if not (np.isfinite(sigma) and sigma >= 0):
         raise InvalidSceneError(f"noise sigma must be finite and nonnegative, got {sigma!r}")
+    if not 0 <= seed < 2**128:
+        raise InvalidSceneError(f"noise seed must be in [0, 2**128), got {seed!r}")
     if sigma == 0:
         return gt.input.copy()
     rng = np.random.Generator(np.random.Philox(key=int(seed)))

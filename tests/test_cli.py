@@ -87,6 +87,21 @@ class TestSynth:
         assert "error" in capsys.readouterr().err
         assert not (out / "input.pfm").exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_the_key_range_exits_4(self, tmp_path, capsys, seed):
+        out = tmp_path / "x"
+        rc = main(["synth", "single-1", "-o", str(out), "--width", "20", "--height", "20",
+                   "--sigma", "3", "--seed", str(seed)])
+        assert rc == 4
+        assert f"seed must be in [0, 2**128), got {seed}" in one_error_line(capsys)
+        assert not (out / "input.pfm").exists()
+
+    def test_largest_seed_renders(self, tmp_path):
+        out = tmp_path / "x"
+        assert main(["synth", "single-1", "-o", str(out), "--width", "20", "--height", "20",
+                     "--sigma", "3", "--seed", str(2**128 - 1)]) == 0
+        assert imgio.load(out / "input.pfm").shape == (20, 20, 3)
+
     def test_noise_beyond_pfm_range_exits_3(self, tmp_path, capsys, recwarn):
         """Noise of sigma 1e308 counts drives samples past the float32
         range: one error line naming the file, no inf written."""

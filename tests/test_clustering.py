@@ -168,13 +168,6 @@ class TestSpecularFreeField:
         assert np.abs(dirs @ white.direction).max() <= 1e-6
 
 
-def partition_first_entry(field, rank):
-    """The field entry of the valid pixel of row-major rank ``rank``,
-    found as the rank-th smallest of ``field.pixel``."""
-    pixel = np.partition(field.pixel, rank)[rank]
-    return int((field.pixel == pixel).argmax())
-
-
 class TestFirstEntry:
     # the first kept word is rejected for 104,930; the others span the
     # small counts and the valid-pixel counts of 500x300, 650x450 and
@@ -193,7 +186,9 @@ class TestFirstEntry:
 
     @settings(max_examples=200)
     @given(st.data())
-    def test_rank_from_row_counts_is_the_partition_rule(self, data):
+    def test_first_entry_is_the_valid_pixel_of_the_drawn_rank(self, data):
+        """The first center is the valid pixel of the drawn row-major rank,
+        read from the flags in row-major order, whatever the hue order."""
         h, w = data.draw(st.integers(1, 12), label="h"), data.draw(st.integers(1, 12), label="w")
         flags = data.draw(arrays(np.int8, (h, w), elements=st.sampled_from(
             [FLAG_VALID, LABEL_BLACK, LABEL_ACHROMATIC])), label="flags")
@@ -202,16 +197,17 @@ class TestFirstEntry:
         assume(len(valid))
         order = data.draw(st.permutations(range(len(valid))), label="hue order")
 
-        def field():
+        def first_pixel():
+            """The flat index of a fresh field's first entry."""
             n = len(valid)
-            return SpecularFreeField(hue=np.linspace(-3.0, 3.0, n), amplitude=np.ones(n),
-                                     pixel=valid[order], flags=flags)
+            field = SpecularFreeField(hue=np.linspace(-3.0, 3.0, n), amplitude=np.ones(n),
+                                      pixel=valid[order], flags=flags)
+            return field.pixel[field.first_entry]
 
-        drawn = int(np.random.default_rng(0).integers(len(valid)))
-        assert field().first_entry == partition_first_entry(field(), drawn)
+        assert first_pixel() == valid[int(np.random.default_rng(0).integers(len(valid)))]
         rank = data.draw(st.integers(0, len(valid) - 1), label="rank")
         with mock.patch.object(clustering, "_draw", return_value=rank):
-            assert field().first_entry == partition_first_entry(field(), rank)
+            assert first_pixel() == valid[rank]
 
 
 def assert_matches_argmax(hue, centers):
@@ -323,12 +319,26 @@ def pixels_at(basis, hue, amplitude, norm) -> np.ndarray:
         amplitude * basis.orthogonal(hue) + np.sqrt(1.0 - amplitude**2) * basis.direction)
 
 
-def ulp_steps(pixels32, steps):
-    """Each float32 sample moved ``steps`` ulps up (or down), toward ±F32_MAX."""
-    toward = np.where(steps > 0, F32_MAX, -F32_MAX).astype(np.float32)
+def ulp_steps(pixels, steps):
+    """Each sample moved ``steps`` ulps of its dtype up (or down), toward
+    the dtype's largest finite value (or its negative)."""
+    top = np.finfo(pixels.dtype).max
+    toward = np.where(steps > 0, top, -top).astype(pixels.dtype)
     for step in range(int(np.abs(steps).max(initial=0))):
-        pixels32 = np.where(np.abs(steps) > step, np.nextafter(pixels32, toward), pixels32)
-    return pixels32
+        pixels = np.where(np.abs(steps) > step, np.nextafter(pixels, toward), pixels)
+    return pixels
+
+
+def assert_labels_are_the_rule(pixels, basis, centers):
+    """pixel_labeler's labels of ``pixels`` are the float64 rule's, and
+    every pixel the proof cannot vouch for took that rule: each flagged
+    pixel, and each whose float64 hue lies in a bucket that holds a
+    midpoint."""
+    got, fallback = labeled(pixels, basis, centers)
+    assert np.array_equal(got, rule_labels(pixels, basis, centers))
+    hue64, _, flags = split_block(pixels, basis)
+    must = (flags != FLAG_VALID) | np.isin(_bucket(hue64), _bucket(_arcs(centers)[0]))
+    assert all(pixels[i].tobytes() in fallback for i in np.flatnonzero(must))
 
 
 def near(value, rel=(-1e-3, -1e-5, -1e-7, 0.0, 1e-7, 1e-5, 1e-3)):
@@ -344,8 +354,9 @@ class TestPixelLabeler:
         every arc midpoint, bucket edge and ±pi, amplitudes at AMP_GATE and
         EPS_GRAY, norms at EPS_BLACK and near the float32 maximum, zeros and
         gray pixels.  Each label is the float64 rule's, and every pixel the
-        proof cannot vouch for takes that rule: each flagged pixel, and each
-        whose float64 hue lies in a bucket that holds a midpoint."""
+        proof cannot vouch for takes that rule (assert_labels_are_the_rule).
+        So do their float64 copies, and those copies moved off the float32
+        grid by a few float64 ulps."""
         basis = IlluminationBasis.from_rgb(data.draw(st.sampled_from([(1, 1, 1), (1, 0.8, 0.6)])))
         centers = np.array(data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=6)))
         midpoints, _ = _arcs(centers)
@@ -364,46 +375,59 @@ class TestPixelLabeler:
         pixels = np.vstack([ulp_steps(pixels, steps), np.zeros((1, 3), np.float32),
                             [[gray / 2, gray, gray]]])
 
-        want = rule_labels(pixels, basis, centers)
-        got, fallback = labeled(pixels, basis, centers)
-        assert np.array_equal(got, want)
-        hue64, _, flags = split_block(pixels, basis)
-        must = (flags != FLAG_VALID) | np.isin(_bucket(hue64), _bucket(midpoints))
-        assert all(pixels[i].tobytes() in fallback for i in np.flatnonzero(must))
-        assert np.array_equal(labeled(pixels.astype(np.float64), basis, centers)[0], want)
+        steps64 = data.draw(arrays(np.int64, pixels.shape, elements=st.integers(-3, 3)))
+        for block in (pixels, pixels.astype(np.float64),
+                      ulp_steps(pixels.astype(np.float64), steps64)):
+            assert_labels_are_the_rule(block, basis, centers)
 
     @pytest.mark.parametrize("illum", [(1.0, 1.0, 1.0), (1.0, 0.8, 0.6)])
     def test_midpoint_pixels_take_the_rule(self, illum):
-        """Float32 pixels at and around each arc midpoint: those whose
-        float64 hue lies in the midpoint's bucket take the float64 rule,
-        and every label is that rule's."""
+        """Float32 and float64 pixels at and around each arc midpoint: those
+        whose float64 hue lies in the midpoint's bucket take the float64
+        rule, every label is that rule's, and most pixels keep the filter's
+        label."""
         basis = IlluminationBasis.from_rgb(illum)
         centers = np.array([-2.5, -0.4, 0.9, 2.2, np.pi])
         midpoints, _ = _arcs(centers)
         mid = midpoints[np.abs(midpoints) <= np.pi]
         aim = mid[:, None] + np.arange(-64, 65) * 2e-4  # 8 buckets either side
-        pixels = pixels_at(basis, aim, 0.3, 1.0).reshape(-1, 3).astype(np.float32)
-        got, fallback = labeled(pixels, basis, centers)
-        assert np.array_equal(got, rule_labels(pixels, basis, centers))
-        hue64, _, flags = split_block(pixels, basis)
-        at_mid = np.isin(_bucket(hue64), _bucket(mid))
-        assert np.all(flags == FLAG_VALID) and at_mid.sum() >= 5 * len(mid)
-        assert all(pixels[i].tobytes() in fallback for i in np.flatnonzero(at_mid))
-        assert len(fallback) < len(pixels) / 2  # the rest keep their float32 label
+        for real in (np.float32, np.float64):
+            pixels = pixels_at(basis, aim, 0.3, 1.0).reshape(-1, 3).astype(real)
+            got, fallback = labeled(pixels, basis, centers)
+            assert np.array_equal(got, rule_labels(pixels, basis, centers)), real
+            hue64, _, flags = split_block(pixels, basis)
+            at_mid = np.isin(_bucket(hue64), _bucket(mid))
+            assert np.all(flags == FLAG_VALID) and at_mid.sum() >= 5 * len(mid)
+            assert all(pixels[i].tobytes() in fallback for i in np.flatnonzero(at_mid)), real
+            assert len(fallback) < len(pixels) / 2, real  # the rest keep the filter's label
 
     def test_error_budget_stays_below_a_bucket(self):
         """pixel_labeler's proof, recomputed from the module's constants: a
-        kept pixel's float32 bucket position lies within 0.3 of a bucket
-        of the float64 one, and its gates are beyond float32 rounding."""
+        kept pixel's bucket position, in a float32 or a float64 block's
+        precision, lies within 0.3 of a bucket of the float64 rule's, and
+        its gates are beyond float32 rounding.  A float64 block's
+        projections err by the float32 frame's rounding, measured here on
+        four bases, plus float64 rounding: inside a float32 block's
+        4u·|b|."""
         u = float(np.finfo(np.float32).eps) / 2
         e = 4.0 * math.sqrt(2.0) * u            # |(bu, bv) - o| / |b|
         amp = AMP_GATE * (1.0 - 20.0 * u) - e   # |o| / |b| of a kept pixel, at least
         width = 2.0 * math.pi / BUCKETS
         rad = math.asin(e / amp) + ATAN2_ALLOWANCE + 1e-12
-        # pi and the factor rounded to float32, then the sum and the product
-        position = ((abs(float(np.float32(np.pi)) - math.pi) + 2.0 * math.pi * u) / width
-                    + 2.0 * u * BUCKETS)
-        assert rad / width + position < 0.3
+        for real in (np.float32, np.float64):
+            ur = float(np.finfo(real).eps) / 2  # the block's arithmetic
+            # pi and the factor rounded to the block's dtype, then the sum and the product
+            position = (3.0 * math.pi * ur) / width + 2.0 * ur * BUCKETS
+            assert rad / width + position < 0.3, real
+        u64 = float(np.finfo(np.float64).eps) / 2
+        for illum in [(1, 1, 1), (1, 0.8, 0.6), (1, 1, 0), (0.2, 0.5, 0.9)]:
+            basis = IlluminationBasis.from_rgb(illum)
+            rows = np.array([basis.direction, basis.u, basis.v])
+            assert np.all(np.abs(rows.astype(np.float32) - rows) <= u * np.abs(rows))
+            assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 4.0 * u64
+        # per |b|: the frame's rounding over a row of norm 1 + 4u64 (Cauchy-Schwarz),
+        # the basis's own 4u64, and three float64 products and two sums
+        assert u * (1.0 + 4.0 * u64) + 4.0 * u64 + 5.0 * u64 < 4.0 * u
         assert amp > EPS_GRAY + 1e-12  # split_block's amplitude is |o| / |b| to 1e-15
         assert (1.0 + BLACK_MARGIN) ** 2 * (1.0 - u) / (1.0 + 20.0 * u) > 1.0 + 1e-9
 

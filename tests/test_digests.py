@@ -63,24 +63,26 @@ def test_the_fallback_runs_take_the_percentile_fallback(monkeypatch):
 
 
 def test_the_wheel_runs_take_the_float64_labeling_fallback(monkeypatch):
-    """The wheel puts pixels of every kind through the separation
-    kernel's float64 fallback: black, gray, and valid ones whose hue
-    bucket is unsafe.  split_block takes (n, 3) pixels only there; the
-    field passes it (rows, width, 3) chunks."""
+    """The wheel, in float32 and in float64, puts pixels of every kind
+    through the separation kernel's float64 fallback: black, gray, and
+    valid ones whose hue bucket is unsafe.  split_block takes (n, 3)
+    pixels, in the image's dtype, only there; the field passes it
+    (rows, width, 3) chunks."""
     gathered = []
     split_block = clustering.split_block
     monkeypatch.setattr(clustering, "split_block", lambda block, basis: (
         gathered.append(block) if block.ndim == 2 else None) or split_block(block, basis))
     wheel = [run for run in digests.scene_runs() if run[0].startswith("wheel ")]
-    assert [(cfg.fast, cfg.threads) for _, _, cfg in wheel] == [(True, 1), (True, 2)]
-    img = wheel[0][1]
-    assert img.dtype == np.float32 and min(img.shape[:2]) >= 16
+    assert [(img.dtype, cfg.fast, cfg.threads) for _, img, cfg in wheel] == [
+        (real, True, threads) for real in (np.float32, np.float64) for threads in (1, 2)]
+    assert min(wheel[0][1].shape[:2]) >= 16
+    assert np.array_equal(wheel[0][1], wheel[2][1].astype(np.float32))
     for name, img, cfg in wheel:
         gathered.clear()
         rec = digests.record(img, cfg)
         assert "downsampled = true" in rec["lines"], name
         pixels = np.concatenate(gathered)
-        assert pixels.dtype == np.float32 and 0 < len(pixels) < img.shape[0] * img.shape[1] / 2
+        assert pixels.dtype == img.dtype and 0 < len(pixels) < img.shape[0] * img.shape[1] / 2
         flags = set(split_block(pixels, IlluminationBasis.white())[2].tolist())
         assert flags == {FLAG_VALID, LABEL_BLACK, LABEL_ACHROMATIC}, name
 

@@ -245,6 +245,13 @@ class TestAddNoise:
         with pytest.raises(errors.InvalidSceneError):
             add_noise(gt, -1.0)
 
+    @pytest.mark.parametrize("sigma", [0.0, 3.0])
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_the_key_range_rejected(self, sigma, seed):
+        gt = render(builtin_scene("single-1", 16, 8))
+        with pytest.raises(errors.InvalidSceneError, match=f"seed .*{seed}"):
+            add_noise(gt, sigma, seed=seed)
+
 
 class TestSceneText:
     def test_round_trip_preserves_render(self):

@@ -21,9 +21,10 @@ and ``perfbench`` directories first on ``sys.path``, over the same runs:
 * four-materials lit by ``YELLOW`` at noise sigma 3, at 1 thread, with
   that illumination given as a direction, on the full and the ``--fast``
   path, so the separation kernel runs with a zero illumination channel;
-* ``wheel_image`` on the ``--fast`` path at 1 and 2 threads, whose
-  black, gray and midpoint-bucket pixels take the separation kernel's
-  float64 labeling rule, and every other pixel its float32 filter.
+* ``wheel_image`` in float32 and in float64 on the ``--fast`` path at 1
+  and 2 threads, whose black, gray and midpoint-bucket pixels take the
+  separation kernel's float64 labeling rule, and every other pixel its
+  filter, in the image's precision.
 
 For each run it prints the SHA-256 of the input image each side renders
 or loads for itself, and of the diffuse, specular and label arrays
@@ -74,14 +75,15 @@ def fallback_image() -> np.ndarray:
     return (np.sqrt(1.0 - coeff * coeff) * ortho + coeff / np.sqrt(3.0)).reshape(16, 16, 3)
 
 
-def wheel_image(height: int = 32, width: int = 512) -> np.ndarray:
-    """A float32 wheel of every hue under white light: row r shifts the
-    column hues by r / height of a column's step, so together the rows
-    hold a hue every 2pi / (height·width) rad, finer than the labeling's
-    hue buckets, and the amplitude runs from 0 at the top row to 0.9 of
-    the largest that keeps each hue's channels nonnegative at the bottom.
-    The pixels on every 41st anti-diagonal are black.  At 512 px wide,
-    ``--fast`` downsamples it by 3."""
+def wheel_image(height: int = 32, width: int = 512, real=np.float32) -> np.ndarray:
+    """A wheel of every hue under white light, built in float64 and
+    returned as ``real``: row r shifts the column hues by r / height of a
+    column's step, so together the rows hold a hue every
+    2pi / (height·width) rad, finer than the labeling's hue buckets, and
+    the amplitude runs from 0 at the top row to 0.9 of the largest that
+    keeps each hue's channels nonnegative at the bottom.  The pixels on
+    every 41st anti-diagonal are black.  At 512 px wide, ``--fast``
+    downsamples it by 3."""
     from despec.model import IlluminationBasis
 
     basis = IlluminationBasis.white()
@@ -91,7 +93,7 @@ def wheel_image(height: int = 32, width: int = 512) -> np.ndarray:
     amp = (0.9 * r / (height - 1) * top)[..., None]
     img = 0.5 * (amp * ortho + np.sqrt(1.0 - amp * amp) * basis.direction)
     img[(r + c) % 41 == 0] = 0.0
-    return img.astype(np.float32)
+    return img.astype(real, copy=False)
 
 
 def record(img, cfg) -> dict:
@@ -160,9 +162,10 @@ def scene_runs():
                 yield (f"four-materials {name} sigma=3 illum={illum} "
                        f"{'fast' if fast else 'full'}",
                        img, pipeline.PipelineConfig(illumination=illum, fast=fast, threads=1))
-    for threads in (1, 2):
-        yield (f"wheel fast threads={threads}", wheel_image(),
-               pipeline.PipelineConfig(fast=True, threads=threads))
+    for real in (np.float32, np.float64):
+        for threads in (1, 2):
+            yield (f"wheel {real.__name__} fast threads={threads}", wheel_image(real=real),
+                   pipeline.PipelineConfig(fast=True, threads=threads))
 
 
 def differing(parent: dict, change: dict) -> list[str]:
